@@ -5,15 +5,14 @@
 //! ```
 //!
 //! Runs the fixed seeded workloads (`gemm`, `vgg16`, `bert`) through
-//! the allocating baseline and the scratch evaluation paths, the
-//! cold/warm memo searches, the metrics-on vs metrics-off
-//! instrumentation comparison, and the analytics-on vs analytics-off
-//! full-search comparison, writes the JSON report, re-validates
-//! it, and exits non-zero if either timed comparison ever diverged
-//! bit-wise or the file is malformed. Recorded numbers come from
-//! `--mode full` on a release build; CI runs `--mode smoke`.
+//! the cold/warm memo searches and the five A/B sections (`eval`,
+//! `instrumentation`, `tracing`, `fault_injection`, `analytics`),
+//! writes the JSON report, re-validates it, and exits non-zero if any
+//! A/B row's on and off paths diverged bit-wise or the file is
+//! malformed. Recorded numbers come from `--mode full` on a release
+//! build; CI runs `--mode smoke`.
 
-use digamma_bench::perfjson::{render_json, run, validate_json, PerfConfig};
+use digamma_bench::perfjson::{check_bit_identity, render_json, run, validate_json, PerfConfig};
 use digamma_bench::Args;
 use std::process::ExitCode;
 
@@ -30,50 +29,19 @@ fn main() -> ExitCode {
     let out = args.get("out").unwrap_or("BENCH_eval.json").to_owned();
 
     let report = run(&config);
-    for e in &report.eval {
-        println!(
-            "eval  {:<8} {:>6} evals | baseline {:>9.1} ns/eval | scratch {:>9.1} ns/eval | {:.2}x | bit-identical: {}",
-            e.workload, e.evals, e.baseline_ns_per_eval, e.scratch_ns_per_eval, e.speedup, e.bit_identical
-        );
-    }
-    for m in &report.memo {
-        println!(
-            "memo  {:<8} cold {:>8.1} ms | warm {:>8.1} ms | {:.2}x | warm genome hit rate {:.3}",
-            m.workload, m.cold_wall_ms, m.warm_wall_ms, m.warm_speedup, m.warm_genome_hit_rate
-        );
-    }
-    for p in &report.instrumentation {
-        println!(
-            "instr {:<8} {:>6} evals | metrics off {:>11.0} evals/s | on {:>11.0} evals/s | overhead {:>6.2}% | bit-identical: {}",
-            p.workload,
-            p.evals,
-            p.metrics_off_evals_per_sec,
-            p.metrics_on_evals_per_sec,
-            p.overhead_pct,
-            p.bit_identical
-        );
+    for (section, rows) in &report.sections {
+        for r in rows {
+            println!(
+                "{section:<15} {:<6} {:>5} {:<13} | off {:>11.0}/s | on {:>11.0}/s | ratio {:.4} | bit-identical: {}",
+                r.workload, r.evals, r.unit, r.off_per_sec, r.on_per_sec, r.ratio, r.bit_identical
+            );
+        }
     }
 
-    for f in &report.fault_injection {
+    for m in &report.memo {
         println!(
-            "fault {:<8} {:>6} evals | faults off {:>11.0} evals/s | disarmed {:>11.0} evals/s | overhead {:>6.2}% | bit-identical: {}",
-            f.workload,
-            f.evals,
-            f.faults_off_evals_per_sec,
-            f.faults_on_evals_per_sec,
-            f.overhead_pct,
-            f.bit_identical
-        );
-    }
-    for a in &report.analytics {
-        println!(
-            "ga    {:<8} {:>6} evals | analytics off {:>9.0} evals/s | on {:>9.0} evals/s | overhead {:>6.2}% | bit-identical: {}",
-            a.workload,
-            a.evals,
-            a.analytics_off_evals_per_sec,
-            a.analytics_on_evals_per_sec,
-            a.overhead_pct,
-            a.bit_identical
+            "memo            {:<6} cold {:>8.1} ms | warm {:>8.1} ms | {:.2}x | warm genome hit rate {:.3}",
+            m.workload, m.cold_wall_ms, m.warm_wall_ms, m.warm_speedup, m.warm_genome_hit_rate
         );
     }
 
@@ -93,20 +61,8 @@ fn main() -> ExitCode {
         eprintln!("perf: {out} is malformed: {e}");
         return ExitCode::FAILURE;
     }
-    if report.eval.iter().any(|e| !e.bit_identical) {
-        eprintln!("perf: scratch path diverged from the allocating baseline — numbers are void");
-        return ExitCode::FAILURE;
-    }
-    if report.instrumentation.iter().any(|p| !p.bit_identical) {
-        eprintln!("perf: attaching metrics changed evaluation results — numbers are void");
-        return ExitCode::FAILURE;
-    }
-    if report.fault_injection.iter().any(|f| !f.bit_identical) {
-        eprintln!("perf: a disarmed failpoint set changed evaluation results — numbers are void");
-        return ExitCode::FAILURE;
-    }
-    if report.analytics.iter().any(|a| !a.bit_identical) {
-        eprintln!("perf: enabling search analytics changed the search itself — numbers are void");
+    if let Err(e) = check_bit_identity(&report) {
+        eprintln!("perf: {e}");
         return ExitCode::FAILURE;
     }
     println!("perf: wrote {out}");

@@ -8,40 +8,32 @@
 //! future perf PRs are judged against it.
 //!
 //! Three fixed seeded workloads (`gemm`, `vgg16`, `bert`) are measured
-//! three ways:
+//! by a **memo** section — a cold search followed by an identical warm
+//! search on a shared server, recording the genome-memo / per-layer-cache
+//! / batch-dedupe counters and the warm-over-cold wall-clock ratio — and
+//! by five A/B sections. Each A/B section times the same seeded work
+//! with a feature off and on through one measurement (`ab_ratio`),
+//! behind a bit-identity gate (a ratio measured on diverging results
+//! would be meaningless), and emits one [`AbRow`] per workload:
 //!
-//! * **eval** — raw `(layer, mapping) → CostReport` throughput, the
-//!   allocating pre-change path (`Evaluator::evaluate_baseline`) vs the
-//!   scratch path (`Evaluator::evaluate_with_scratch`), same seeded
-//!   mapping set, with a bit-identity checksum gate: a speedup measured
-//!   on diverging results would be meaningless.
-//! * **memo** — a cold search followed by an identical warm search on a
-//!   shared server, recording the genome-memo / per-layer-cache /
-//!   batch-dedupe counters and the warm-over-cold wall-clock ratio.
-//! * **instrumentation** — `CoOptProblem::evaluate_batch` throughput
-//!   with the metrics registry detached vs attached
-//!   ([`digamma::EvalMetrics`]), guarding the observability layer's
-//!   promise that the eval hot path stays allocation-free and within a
-//!   few percent of the uninstrumented speed, again behind a
-//!   bit-identity checksum gate.
-//! * **tracing** — the same paired measurement for the span tracer
-//!   ([`digamma::EvalTrace`]): evaluation throughput with no tracer vs
-//!   with sampled eval spans recording into a live [`Tracer`], guarding
-//!   the tracing layer's promise that sampled spans stay within a few
-//!   percent and change no results.
-//! * **fault_injection** — the same paired measurement for the
-//!   failpoint framework ([`digamma_obs::FailSet`]): evaluation
-//!   throughput with no failpoint set vs with a set attached but
-//!   *disarmed*, guarding the chaos layer's promise that every
-//!   production `evaluate_batch` call pays at most one relaxed atomic
-//!   load (≈1% budget) for the ability to inject faults at all.
-//! * **analytics** — the same paired measurement one layer up, at the
-//!   search loop: a full seeded `DiGamma::search` with
-//!   [`digamma::DiGammaConfig::analytics`] off vs on, guarding the
-//!   search-introspection layer's promise that per-generation
-//!   [`GenStats`](digamma_obs::GenStats) and operator attribution are
-//!   pure bookkeeping over already-evaluated data — zero extra RNG
-//!   draws, bit-identical incumbents and history, ≤1% search wall time.
+//! * **eval** — raw `(layer, mapping) → CostReport` calls (unit
+//!   `layer-evals`): the allocating pre-change path
+//!   (`Evaluator::evaluate_baseline`) off, the scratch path
+//!   (`Evaluator::evaluate_with_scratch`) on.
+//! * **instrumentation** — `CoOptProblem::evaluate_batch` with the
+//!   metrics registry detached vs attached ([`digamma::EvalMetrics`]),
+//!   guarding the observability layer's promise that the eval hot path
+//!   stays within a few percent of the uninstrumented speed.
+//! * **tracing** — the same for the span tracer ([`digamma::EvalTrace`]):
+//!   no tracer vs sampled eval spans recording into a live [`Tracer`].
+//! * **fault_injection** — the same for the failpoint framework: no
+//!   [`FailSet`] vs an attached but *disarmed* one, guarding the promise
+//!   that every production `evaluate_batch` call pays at most one
+//!   relaxed atomic load (≈1% budget) for the ability to inject faults.
+//! * **analytics** — a full seeded `DiGamma::search` (unit
+//!   `design-points`) with [`digamma::DiGammaConfig::analytics`] off vs
+//!   on. The analytics path draws no RNG, so the gate is the whole
+//!   best-so-far trajectory, not just a batch of evaluations.
 //!
 //! `--mode smoke` shrinks the budgets so CI can assert the file is
 //! produced and well-formed in seconds; recorded numbers come from
@@ -49,15 +41,42 @@
 //! section).
 
 use digamma::{CoOptProblem, DiGamma, DiGammaConfig, EvalMetrics, EvalTrace, Objective};
-use digamma_costmodel::{EvalScratch, Evaluator, Mapping, Platform};
+use digamma_costmodel::{CostReport, EvalScratch, Evaluator, Mapping, Platform};
 use digamma_encoding::Genome;
-use digamma_obs::{FailSet, MetricsRegistry, SpanContext, Tracer};
+use digamma_obs::{
+    json_num, json_str, parse_json, FailSet, JsonValue, MetricsRegistry, SpanContext, Tracer,
+};
 use digamma_server::{JobAlgorithm, JobReport, JobSpec, SearchServer, ServerConfig};
 use digamma_workload::{zoo, Layer, Model, UniqueLayer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The `schema` value [`render_json`] writes.
+const SCHEMA: &str = "digamma-bench-eval/6";
+
+/// Every field of an A/B row, in render order.
+const AB_FIELDS: [&str; 7] =
+    ["workload", "unit", "evals", "off_per_sec", "on_per_sec", "ratio", "bit_identical"];
+
+/// Every field of a memo row, in render order.
+const MEMO_FIELDS: [&str; 9] = [
+    "workload",
+    "cold_wall_ms",
+    "warm_wall_ms",
+    "warm_speedup",
+    "cold_genome_hits",
+    "warm_genome_hit_rate",
+    "cache_hits",
+    "cache_misses",
+    "dedup_skipped",
+];
+
+/// The A/B sections, in run and render order.
+const AB_SECTIONS: [&str; 5] =
+    ["eval", "instrumentation", "tracing", "fault_injection", "analytics"];
 
 /// Harness knobs. `full()` is what recorded numbers use; `smoke()` is
 /// the CI-sized variant.
@@ -67,11 +86,12 @@ pub struct PerfConfig {
     pub mode: String,
     /// Target `(layer, mapping)` evaluations per workload per path.
     pub evals_per_workload: usize,
-    /// Timing repeats per path (the minimum is recorded).
+    /// Timing repeats: each A/B section runs a fixed multiple of this
+    /// many ABBA quartets.
     pub repeats: usize,
-    /// Search budget for the memo measurement.
+    /// Search budget for the memo and analytics measurements.
     pub memo_budget: usize,
-    /// GA population for the memo measurement.
+    /// GA population for the memo and analytics measurements.
     pub memo_population: usize,
     /// RNG seed for mapping generation and the searches.
     pub seed: u64,
@@ -103,28 +123,6 @@ impl PerfConfig {
     }
 }
 
-/// Raw-evaluator throughput for one workload.
-#[derive(Debug, Clone)]
-pub struct EvalPerf {
-    /// Workload name (`gemm` / `vgg16` / `bert`).
-    pub workload: String,
-    /// `(layer, mapping)` evaluations per timed pass.
-    pub evals: usize,
-    /// Allocating pre-change path, nanoseconds per evaluation.
-    pub baseline_ns_per_eval: f64,
-    /// Scratch path, nanoseconds per evaluation.
-    pub scratch_ns_per_eval: f64,
-    /// Allocating path throughput.
-    pub baseline_evals_per_sec: f64,
-    /// Scratch path throughput.
-    pub scratch_evals_per_sec: f64,
-    /// `scratch_evals_per_sec / baseline_evals_per_sec`.
-    pub speedup: f64,
-    /// Whether both paths produced bit-identical report checksums (a
-    /// `false` here invalidates the whole measurement).
-    pub bit_identical: bool,
-}
-
 /// Memo-layer effectiveness for one workload (cold job then identical
 /// warm job on one server).
 #[derive(Debug, Clone)]
@@ -149,100 +147,48 @@ pub struct MemoPerf {
     pub dedup_skipped: u64,
 }
 
-/// Instrumentation overhead for one workload: the same seeded
-/// `evaluate_batch` calls with the metrics registry detached vs
-/// attached. The observability layer's contract is that this stays
-/// within a few percent (see the README's Observability section).
+/// One A/B comparison: the same seeded work for one workload, timed with
+/// a feature off and on. Every A/B section emits these rows.
 #[derive(Debug, Clone)]
-pub struct InstrPerf {
-    /// Workload name.
+pub struct AbRow {
+    /// Workload name (`gemm` / `vgg16` / `bert`).
     pub workload: String,
-    /// Per-layer evaluations per timed batch (before dedupe).
+    /// What `evals` counts: `layer-evals` or `design-points`.
+    pub unit: &'static str,
+    /// Units of work in one timed call (one evaluation sweep, batch or
+    /// search).
     pub evals: usize,
-    /// Throughput with no metrics attached.
-    pub metrics_off_evals_per_sec: f64,
-    /// Throughput with tenant-labelled [`EvalMetrics`] attached to an
-    /// enabled registry.
-    pub metrics_on_evals_per_sec: f64,
-    /// `(off - on) / off`, as a percentage — positive means the
-    /// instrumented path is slower.
-    pub overhead_pct: f64,
-    /// Whether both paths produced bit-identical evaluation checksums.
+    /// Off-path throughput in units per second (fastest off call).
+    pub off_per_sec: f64,
+    /// On-path throughput in units per second (`off_per_sec / ratio`).
+    pub on_per_sec: f64,
+    /// Median over the ABBA quartets of on-path time over off-path
+    /// time: above 1 the on path is slower by `ratio - 1`.
+    pub ratio: f64,
+    /// Whether both paths produced bit-identical results (a `false` here
+    /// voids the row).
     pub bit_identical: bool,
 }
 
-/// Tracing overhead for one workload: the same seeded
-/// `evaluate_batch` calls with no tracer vs with an [`EvalTrace`]
-/// recording sampled spans into a live [`Tracer`]. The tracing layer's
-/// contract mirrors the metrics one: a few percent at most, results
-/// bit-identical.
-#[derive(Debug, Clone)]
-pub struct TracePerf {
-    /// Workload name.
-    pub workload: String,
-    /// Per-layer evaluations per timed batch (before dedupe).
-    pub evals: usize,
-    /// Throughput with no tracer attached.
-    pub trace_off_evals_per_sec: f64,
-    /// Throughput with sampled eval spans recording.
-    pub trace_on_evals_per_sec: f64,
-    /// `(off - on) / off`, as a percentage — positive means the traced
-    /// path is slower.
-    pub overhead_pct: f64,
-    /// Whether both paths produced bit-identical evaluation checksums.
-    pub bit_identical: bool,
-}
-
-/// Failpoint overhead for one workload: the same seeded
-/// `evaluate_batch` calls with no [`FailSet`] attached vs with an
-/// attached-but-disarmed set (the production shape of a binary built
-/// with chaos support but no `--failpoints` flag). The contract is the
-/// strictest of the observability trio: a disarmed hit is one relaxed
-/// atomic load, so the overhead must stay ≈1%.
-#[derive(Debug, Clone)]
-pub struct FaultPerf {
-    /// Workload name.
-    pub workload: String,
-    /// Per-layer evaluations per timed batch (before dedupe).
-    pub evals: usize,
-    /// Throughput with no failpoint set attached.
-    pub faults_off_evals_per_sec: f64,
-    /// Throughput with a disarmed [`FailSet`] attached.
-    pub faults_on_evals_per_sec: f64,
-    /// `(off - on) / off`, as a percentage — positive means the
-    /// fault-capable path is slower.
-    pub overhead_pct: f64,
-    /// Whether both paths produced bit-identical evaluation checksums.
-    pub bit_identical: bool,
-}
-
-/// Search-analytics overhead for one workload: the same seeded
-/// [`DiGamma::search`] with [`DiGammaConfig::analytics`] off vs on.
-/// Unlike the `evaluate_batch` trios above, this measurement covers the
-/// whole search loop — selection, operators, evaluation, and the
-/// per-generation [`GenStats`](digamma_obs::GenStats)/attribution
-/// bookkeeping under test. The contract is the strongest in the file:
-/// the analytics path draws no RNG, so the searches must be
-/// *bit-identical* (same incumbent, same best-so-far history), not just
-/// statistically equivalent.
-#[derive(Debug, Clone)]
-pub struct AnalyticsPerf {
-    /// Workload name.
-    pub workload: String,
-    /// Design-point evaluations per search (the sampling budget).
-    pub evals: usize,
-    /// Completed generations per search.
-    pub generations: u64,
-    /// Search throughput with analytics disabled, evaluations/second.
-    pub analytics_off_evals_per_sec: f64,
-    /// Search throughput with analytics enabled.
-    pub analytics_on_evals_per_sec: f64,
-    /// `(off - on) / off`, as a percentage — positive means the
-    /// analytics-enabled search is slower.
-    pub overhead_pct: f64,
-    /// Whether both searches produced bit-identical best-so-far
-    /// histories and incumbent costs.
-    pub bit_identical: bool,
+impl AbRow {
+    fn new(
+        workload: &str,
+        unit: &'static str,
+        evals: usize,
+        bit_identical: bool,
+        (off_ns, ratio): (f64, f64),
+    ) -> AbRow {
+        let off_per_sec = evals as f64 / (off_ns / 1e9);
+        AbRow {
+            workload: workload.to_owned(),
+            unit,
+            evals,
+            off_per_sec,
+            on_per_sec: off_per_sec / ratio,
+            ratio,
+            bit_identical,
+        }
+    }
 }
 
 /// The full harness output.
@@ -250,18 +196,10 @@ pub struct AnalyticsPerf {
 pub struct PerfReport {
     /// The configuration that produced it.
     pub config: PerfConfig,
-    /// Raw evaluator throughput per workload.
-    pub eval: Vec<EvalPerf>,
     /// Memo effectiveness per workload.
     pub memo: Vec<MemoPerf>,
-    /// Metrics-on vs metrics-off evaluation throughput per workload.
-    pub instrumentation: Vec<InstrPerf>,
-    /// Tracing-on vs tracing-off evaluation throughput per workload.
-    pub tracing: Vec<TracePerf>,
-    /// Disarmed-failpoints vs no-failpoints throughput per workload.
-    pub fault_injection: Vec<FaultPerf>,
-    /// Analytics-on vs analytics-off search throughput per workload.
-    pub analytics: Vec<AnalyticsPerf>,
+    /// The A/B sections in render order: `(name, one row per workload)`.
+    pub sections: Vec<(&'static str, Vec<AbRow>)>,
 }
 
 /// The three fixed workloads the harness sweeps.
@@ -285,26 +223,56 @@ fn seeded_pairs(unique: &[UniqueLayer], target_evals: usize, seed: u64) -> Vec<(
     pairs
 }
 
-/// Minimum wall time over `repeats` runs of `pass`, in nanoseconds.
-fn best_of<F: FnMut()>(repeats: usize, mut pass: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
+/// Times `off` against `on` and returns `(fastest off call in ns, median
+/// on/off time ratio)`.
+///
+/// The deltas worth measuring are often ≤1%, far below run-to-run
+/// machine drift, so the comparison is paired: each of `quartets`
+/// iterations times an off/on/on/off quartet of passes, each pass `reps`
+/// calls (so scheduler hiccups amortize), and contributes one ratio of
+/// summed on time over summed off time. Any linear-in-time drift such
+/// as turbo decay contributes equally to both sides of an ABBA quartet
+/// and cancels exactly, where plain alternation leaves a bimodal ratio
+/// distribution whose median wobbles between modes; and the median
+/// keeps outlier quartets from deciding the result the way they decide
+/// independent minima.
+fn ab_ratio(
+    quartets: usize,
+    reps: usize,
+    mut off: impl FnMut(),
+    mut on: impl FnMut(),
+) -> (f64, f64) {
+    let reps = reps.max(1);
+    let time = |pass: &mut dyn FnMut()| {
         let start = Instant::now();
-        pass();
-        best = best.min(start.elapsed().as_nanos() as f64);
+        for _ in 0..reps {
+            pass();
+        }
+        start.elapsed().as_nanos() as f64 / reps as f64
+    };
+    let mut off_ns = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(quartets.max(1));
+    for _ in 0..quartets.max(1) {
+        let off_a = time(&mut off);
+        let on_a = time(&mut on);
+        let on_b = time(&mut on);
+        let off_b = time(&mut off);
+        off_ns = off_ns.min(off_a.min(off_b));
+        ratios.push((on_a + on_b) / (off_a + off_b));
     }
-    best
+    ratios.sort_by(f64::total_cmp);
+    (off_ns, ratios[ratios.len() / 2])
 }
 
-fn measure_eval(model: &Model, config: &PerfConfig) -> EvalPerf {
+/// `eval`: every seeded pair through the allocating baseline (off) and
+/// the scratch path (on).
+fn measure_eval(model: &Model, config: &PerfConfig) -> AbRow {
     let unique = model.unique_layers();
     let pairs = seeded_pairs(&unique, config.evals_per_workload, config.seed);
     let evaluator = Evaluator::new(Platform::edge());
     let mut scratch = EvalScratch::new();
 
-    // Checksum gate: both paths must agree to the bit before any
-    // timing is worth recording.
-    let checksum = |report: &digamma_costmodel::CostReport| {
+    let checksum = |report: &CostReport| {
         report
             .latency_cycles
             .to_bits()
@@ -323,35 +291,24 @@ fn measure_eval(model: &Model, config: &PerfConfig) -> EvalPerf {
         scratch_sum = scratch_sum.wrapping_add(checksum(&s));
     }
 
-    let baseline_ns = best_of(config.repeats, || {
-        for (li, mapping) in &pairs {
-            let report =
-                evaluator.evaluate_baseline(&unique[*li].layer, mapping).expect("valid mapping");
-            std::hint::black_box(&report);
-        }
-    });
-    let scratch_ns = best_of(config.repeats, || {
-        for (li, mapping) in &pairs {
-            let report = evaluator
-                .evaluate_with_scratch(&unique[*li].layer, mapping, &mut scratch)
-                .expect("valid mapping");
-            std::hint::black_box(&report);
-        }
-    });
-
-    let evals = pairs.len();
-    let baseline_ns_per_eval = baseline_ns / evals as f64;
-    let scratch_ns_per_eval = scratch_ns / evals as f64;
-    EvalPerf {
-        workload: model.name().to_owned(),
-        evals,
-        baseline_ns_per_eval,
-        scratch_ns_per_eval,
-        baseline_evals_per_sec: 1e9 / baseline_ns_per_eval,
-        scratch_evals_per_sec: 1e9 / scratch_ns_per_eval,
-        speedup: baseline_ns_per_eval / scratch_ns_per_eval,
-        bit_identical: baseline_sum == scratch_sum,
-    }
+    let timing = ab_ratio(
+        config.repeats * 8,
+        1,
+        || {
+            for (li, mapping) in &pairs {
+                black_box(evaluator.evaluate_baseline(&unique[*li].layer, mapping).expect("valid"));
+            }
+        },
+        || {
+            for (li, mapping) in &pairs {
+                let layer = &unique[*li].layer;
+                black_box(
+                    evaluator.evaluate_with_scratch(layer, mapping, &mut scratch).expect("valid"),
+                );
+            }
+        },
+    );
+    AbRow::new(model.name(), "layer-evals", pairs.len(), baseline_sum == scratch_sum, timing)
 }
 
 fn measure_memo(model: &Model, config: &PerfConfig) -> MemoPerf {
@@ -386,227 +343,52 @@ fn measure_memo(model: &Model, config: &PerfConfig) -> MemoPerf {
     }
 }
 
-fn measure_instrumentation(model: &Model, config: &PerfConfig) -> InstrPerf {
+/// `instrumentation`, `tracing` and `fault_injection`: the same seeded
+/// genomes through `evaluate_batch` on a bare problem (off) and on one
+/// with an eval hook attached (on). No caches and no memo on either
+/// problem: the measurement isolates the hook, not the memo layers it
+/// may count.
+fn measure_hook(
+    model: &Model,
+    config: &PerfConfig,
+    attach: impl FnOnce(CoOptProblem) -> CoOptProblem,
+) -> AbRow {
     let platform = Platform::edge();
     let unique = model.unique_layers();
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let count = config.evals_per_workload.div_ceil(unique.len()).max(1);
     let genomes: Vec<Genome> =
         (0..count).map(|_| Genome::random(&mut rng, &unique, &platform, 2)).collect();
-
-    // No caches and no memo on either problem: the measurement isolates
-    // the metric hooks themselves, not the memo layers they count.
     let off = CoOptProblem::new(model.clone(), platform.clone(), Objective::Latency);
-    let registry = MetricsRegistry::new();
-    let on = CoOptProblem::new(model.clone(), platform, Objective::Latency)
-        .with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&registry, "bench")));
+    let on = attach(CoOptProblem::new(model.clone(), platform, Objective::Latency));
 
-    // Bit-identity gate first: an overhead number measured on diverging
-    // evaluations would be meaningless.
-    let checksum = |evaluations: &[digamma::DesignEvaluation]| {
-        evaluations.iter().fold(0u64, |acc, e| {
+    let checksum = |problem: &CoOptProblem| {
+        problem.evaluate_batch(&genomes, 1).iter().fold(0u64, |acc, e| {
             acc.wrapping_mul(31)
                 .wrapping_add(e.cost.to_bits())
                 .wrapping_add(e.latency_cycles.to_bits())
                 .wrapping_add(e.energy_pj.to_bits())
         })
     };
-    let off_sum = checksum(&off.evaluate_batch(&genomes, 1));
-    let on_sum = checksum(&on.evaluate_batch(&genomes, 1));
-
-    // The expected delta is ~1%, far below run-to-run machine drift,
-    // so the comparison is made *pairwise*: each iteration times an
-    // off pass and an on pass back-to-back (several batches each, so
-    // scheduler hiccups amortize) and contributes one on/off ratio.
-    // The pair order alternates every iteration — a machine that slows
-    // down across a pair would otherwise systematically tax whichever
-    // path runs second — and the overhead is the median of the ratios:
-    // a slow spell lands on both halves of a pair and cancels, and
-    // outlier pairs cannot decide the result the way they decide
-    // independent minima.
-    const BATCHES_PER_PASS: usize = 2;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for i in 0..(config.repeats * 16).max(2) {
-        let pass = |problem: &CoOptProblem| {
-            let start = Instant::now();
-            for _ in 0..BATCHES_PER_PASS {
-                std::hint::black_box(problem.evaluate_batch(&genomes, 1));
-            }
-            start.elapsed().as_nanos() as f64 / BATCHES_PER_PASS as f64
-        };
-        let (off_pass, on_pass) = if i % 2 == 0 {
-            let off_pass = pass(&off);
-            (off_pass, pass(&on))
-        } else {
-            let on_pass = pass(&on);
-            (pass(&off), on_pass)
-        };
-        off_ns = off_ns.min(off_pass);
-        ratios.push(on_pass / off_pass);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let evals = genomes.len() * unique.len();
-    let metrics_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    InstrPerf {
-        workload: model.name().to_owned(),
-        evals,
-        metrics_off_evals_per_sec,
-        metrics_on_evals_per_sec: metrics_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical: off_sum == on_sum,
-    }
+    let bit_identical = checksum(&off) == checksum(&on);
+    let timing = ab_ratio(
+        config.repeats * 8,
+        2,
+        || drop(black_box(off.evaluate_batch(&genomes, 1))),
+        || drop(black_box(on.evaluate_batch(&genomes, 1))),
+    );
+    AbRow::new(model.name(), "layer-evals", genomes.len() * unique.len(), bit_identical, timing)
 }
 
-/// The tracing twin of [`measure_instrumentation`]: identical pairing
-/// and median-of-ratios scheme, but the "on" problem records sampled
-/// eval spans into a live tracer instead of bumping metrics.
-fn measure_tracing(model: &Model, config: &PerfConfig) -> TracePerf {
-    let platform = Platform::edge();
-    let unique = model.unique_layers();
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let count = config.evals_per_workload.div_ceil(unique.len()).max(1);
-    let genomes: Vec<Genome> =
-        (0..count).map(|_| Genome::random(&mut rng, &unique, &platform, 2)).collect();
-
-    let off = CoOptProblem::new(model.clone(), platform.clone(), Objective::Latency);
-    let tracer = Tracer::new();
-    let on = CoOptProblem::new(model.clone(), platform, Objective::Latency)
-        .with_eval_trace(Arc::new(EvalTrace::new(tracer, SpanContext::generate(), 1)));
-
-    let checksum = |evaluations: &[digamma::DesignEvaluation]| {
-        evaluations.iter().fold(0u64, |acc, e| {
-            acc.wrapping_mul(31)
-                .wrapping_add(e.cost.to_bits())
-                .wrapping_add(e.latency_cycles.to_bits())
-                .wrapping_add(e.energy_pj.to_bits())
-        })
-    };
-    let off_sum = checksum(&off.evaluate_batch(&genomes, 1));
-    let on_sum = checksum(&on.evaluate_batch(&genomes, 1));
-
-    // Same pairing rationale as measure_instrumentation: the expected
-    // delta is small, so each iteration times both paths back-to-back
-    // (order alternating) and the overhead is the median of the
-    // per-pair ratios.
-    const BATCHES_PER_PASS: usize = 2;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for i in 0..(config.repeats * 16).max(2) {
-        let pass = |problem: &CoOptProblem| {
-            let start = Instant::now();
-            for _ in 0..BATCHES_PER_PASS {
-                std::hint::black_box(problem.evaluate_batch(&genomes, 1));
-            }
-            start.elapsed().as_nanos() as f64 / BATCHES_PER_PASS as f64
-        };
-        let (off_pass, on_pass) = if i % 2 == 0 {
-            let off_pass = pass(&off);
-            (off_pass, pass(&on))
-        } else {
-            let on_pass = pass(&on);
-            (pass(&off), on_pass)
-        };
-        off_ns = off_ns.min(off_pass);
-        ratios.push(on_pass / off_pass);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let evals = genomes.len() * unique.len();
-    let trace_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    TracePerf {
-        workload: model.name().to_owned(),
-        evals,
-        trace_off_evals_per_sec,
-        trace_on_evals_per_sec: trace_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical: off_sum == on_sum,
-    }
-}
-
-/// The failpoint twin of [`measure_instrumentation`]: identical pairing
-/// and median-of-ratios scheme, but the "on" problem carries a disarmed
-/// [`FailSet`] — the shape every production search has once the binary
-/// supports `--failpoints` at all.
-fn measure_faults(model: &Model, config: &PerfConfig) -> FaultPerf {
-    let platform = Platform::edge();
-    let unique = model.unique_layers();
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let count = config.evals_per_workload.div_ceil(unique.len()).max(1);
-    let genomes: Vec<Genome> =
-        (0..count).map(|_| Genome::random(&mut rng, &unique, &platform, 2)).collect();
-
-    let off = CoOptProblem::new(model.clone(), platform.clone(), Objective::Latency);
-    // Attached and *disarmed*: the set exists, no `worker.eval` action is
-    // configured, so every batch pays exactly the advertised relaxed
-    // atomic load and nothing fires.
-    let on = CoOptProblem::new(model.clone(), platform, Objective::Latency)
-        .with_eval_faults(Arc::new(FailSet::new()));
-
-    let checksum = |evaluations: &[digamma::DesignEvaluation]| {
-        evaluations.iter().fold(0u64, |acc, e| {
-            acc.wrapping_mul(31)
-                .wrapping_add(e.cost.to_bits())
-                .wrapping_add(e.latency_cycles.to_bits())
-                .wrapping_add(e.energy_pj.to_bits())
-        })
-    };
-    let off_sum = checksum(&off.evaluate_batch(&genomes, 1));
-    let on_sum = checksum(&on.evaluate_batch(&genomes, 1));
-
-    // Same pairing rationale as measure_instrumentation: the expected
-    // delta is far below machine drift, so each iteration times both
-    // paths back-to-back (order alternating) and the overhead is the
-    // median of the per-pair ratios.
-    const BATCHES_PER_PASS: usize = 2;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for i in 0..(config.repeats * 16).max(2) {
-        let pass = |problem: &CoOptProblem| {
-            let start = Instant::now();
-            for _ in 0..BATCHES_PER_PASS {
-                std::hint::black_box(problem.evaluate_batch(&genomes, 1));
-            }
-            start.elapsed().as_nanos() as f64 / BATCHES_PER_PASS as f64
-        };
-        let (off_pass, on_pass) = if i % 2 == 0 {
-            let off_pass = pass(&off);
-            (off_pass, pass(&on))
-        } else {
-            let on_pass = pass(&on);
-            (pass(&off), on_pass)
-        };
-        off_ns = off_ns.min(off_pass);
-        ratios.push(on_pass / off_pass);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let evals = genomes.len() * unique.len();
-    let faults_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    FaultPerf {
-        workload: model.name().to_owned(),
-        evals,
-        faults_off_evals_per_sec,
-        faults_on_evals_per_sec: faults_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical: off_sum == on_sum,
-    }
-}
-
-/// The search-loop member of the paired family: a complete seeded
-/// [`DiGamma::search`] with analytics off vs on, same pairing and
-/// median-of-ratios scheme as [`measure_instrumentation`]. The budget
-/// reuses the memo knobs — analytics cost scales with generations, and
-/// the memo search is the harness's canonical "whole search" size.
-fn measure_analytics(model: &Model, config: &PerfConfig) -> AnalyticsPerf {
-    let platform = Platform::edge();
-    let problem = CoOptProblem::new(model.clone(), platform, Objective::Latency);
+/// `analytics`: a complete seeded [`DiGamma::search`] with analytics off
+/// vs on. The budget reuses the memo knobs — analytics cost scales with
+/// generations, and the memo search is the harness's canonical "whole
+/// search" size. Resolving a ≤1% delta against whole searches takes
+/// more quartets than the `evaluate_batch` sections.
+fn measure_analytics(model: &Model, config: &PerfConfig) -> AbRow {
+    let problem = CoOptProblem::new(model.clone(), Platform::edge(), Objective::Latency);
     let budget = config.memo_budget;
-    let ga = |analytics: bool| {
+    let search = |analytics: bool| {
         DiGamma::new(DiGammaConfig {
             population_size: config.memo_population,
             threads: 1,
@@ -614,12 +396,11 @@ fn measure_analytics(model: &Model, config: &PerfConfig) -> AnalyticsPerf {
             seed: config.seed,
             ..DiGammaConfig::default()
         })
+        .search(&problem, budget)
     };
 
-    // Bit-identity gate first — and stricter than the evaluate_batch
-    // measurements: the whole best-so-far trajectory must match, not
-    // just a batch of independent evaluations. Any divergence means the
-    // analytics path consumed RNG or reordered the search.
+    // The whole best-so-far trajectory must match: any divergence means
+    // the analytics path consumed RNG or reordered the search.
     let fingerprint = |result: &digamma::SearchResult| {
         let mut acc = result.samples as u64;
         for cost in &result.history {
@@ -630,303 +411,143 @@ fn measure_analytics(model: &Model, config: &PerfConfig) -> AnalyticsPerf {
         }
         acc
     };
-    let off_result = ga(false).search(&problem, budget);
-    let on_ga = ga(true);
-    let mut on_state = on_ga.init(&problem, budget);
-    while on_ga.step(&problem, &mut on_state, budget) {}
-    let generations = on_state.generation();
-    let on_result = on_state.into_result();
-    let bit_identical = fingerprint(&off_result) == fingerprint(&on_result);
-    let evals = off_result.samples;
-
-    // Same pairing rationale as measure_instrumentation — the expected
-    // delta is ≤1%, far below machine drift — but this section has to
-    // resolve that delta against a baseline of whole searches, not a
-    // single large `evaluate_batch`, so it works harder for its error
-    // bars: each iteration times an off/on/on/off quartet (ABBA — any
-    // linear-in-time drift such as turbo decay contributes equally to
-    // both sides and cancels exactly, where plain alternation leaves a
-    // bimodal ratio distribution whose median wobbles between modes)
-    // and the overhead is the median of the per-quartet ratios.
-    const SEARCHES_PER_PASS: usize = 4;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for _ in 0..(config.repeats * 24).max(1) {
-        let pass = |analytics: bool| {
-            let start = Instant::now();
-            for _ in 0..SEARCHES_PER_PASS {
-                std::hint::black_box(ga(analytics).search(&problem, budget));
-            }
-            start.elapsed().as_nanos() as f64 / SEARCHES_PER_PASS as f64
-        };
-        let off_a = pass(false);
-        let on_a = pass(true);
-        let on_b = pass(true);
-        let off_b = pass(false);
-        off_ns = off_ns.min(off_a.min(off_b));
-        ratios.push((on_a + on_b) / (off_a + off_b));
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let analytics_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    AnalyticsPerf {
-        workload: model.name().to_owned(),
-        evals,
-        generations,
-        analytics_off_evals_per_sec,
-        analytics_on_evals_per_sec: analytics_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical,
-    }
+    let off_result = search(false);
+    let bit_identical = fingerprint(&off_result) == fingerprint(&search(true));
+    let timing = ab_ratio(
+        config.repeats * 24,
+        4,
+        || drop(black_box(search(false))),
+        || drop(black_box(search(true))),
+    );
+    AbRow::new(model.name(), "design-points", off_result.samples, bit_identical, timing)
 }
 
 /// Runs the full harness.
 pub fn run(config: &PerfConfig) -> PerfReport {
     let models = workloads();
-    let eval = models.iter().map(|m| measure_eval(m, config)).collect();
+    let rows = |measure: &dyn Fn(&Model) -> AbRow| models.iter().map(measure).collect::<Vec<_>>();
+    let eval = rows(&|m| measure_eval(m, config));
     let memo = models.iter().map(|m| measure_memo(m, config)).collect();
-    let instrumentation = models.iter().map(|m| measure_instrumentation(m, config)).collect();
-    let tracing = models.iter().map(|m| measure_tracing(m, config)).collect();
-    let fault_injection = models.iter().map(|m| measure_faults(m, config)).collect();
-    let analytics = models.iter().map(|m| measure_analytics(m, config)).collect();
-    PerfReport {
-        config: config.clone(),
-        eval,
-        memo,
-        instrumentation,
-        tracing,
-        fault_injection,
-        analytics,
-    }
+    let instrumentation = rows(&|m| {
+        measure_hook(m, config, |p| {
+            p.with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&MetricsRegistry::new(), "bench")))
+        })
+    });
+    let tracing = rows(&|m| {
+        measure_hook(m, config, |p| {
+            p.with_eval_trace(Arc::new(EvalTrace::new(Tracer::new(), SpanContext::generate(), 1)))
+        })
+    });
+    let fault_injection =
+        rows(&|m| measure_hook(m, config, |p| p.with_eval_faults(Arc::new(FailSet::new()))));
+    let analytics = rows(&|m| measure_analytics(m, config));
+    let sections =
+        AB_SECTIONS.into_iter().zip([eval, instrumentation, tracing, fault_injection, analytics]);
+    PerfReport { config: config.clone(), memo, sections: sections.collect() }
 }
 
-/// JSON string escaping (the only non-trivial JSON need this file has —
-/// workload names are ASCII identifiers, but be correct anyway).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A JSON number: finite floats rounded to a stable precision, so the
-/// file diffs cleanly between runs of the same build.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
+/// The exit-code gate: every A/B row must be bit-identical.
+///
+/// # Errors
+///
+/// Names every `section/workload` row whose on and off paths diverged —
+/// their numbers are void.
+pub fn check_bit_identity(report: &PerfReport) -> Result<(), String> {
+    let diverged: Vec<String> = report
+        .sections
+        .iter()
+        .flat_map(|(name, rows)| {
+            rows.iter().filter(|r| !r.bit_identical).map(move |r| format!("{name}/{}", r.workload))
+        })
+        .collect();
+    if diverged.is_empty() {
+        Ok(())
     } else {
-        "null".to_owned()
+        Err(format!("on and off paths diverged in {} — numbers are void", diverged.join(", ")))
     }
 }
 
-/// Renders the report as pretty-printed JSON (hand-rolled — the
-/// workspace has no serde_json).
+/// Renders the report as pretty-printed JSON, one row per line.
+/// Numbers are rounded to 4 decimals, so the file diffs cleanly between
+/// runs of the same build.
 pub fn render_json(report: &PerfReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", json_str("digamma-bench-eval/5")));
+    let num = |v: f64| json_num((v * 1e4).round() / 1e4);
+    let row = |fields: Vec<String>, keys: &[&str]| {
+        let pairs: Vec<String> =
+            keys.iter().zip(fields).map(|(k, v)| format!("{}: {v}", json_str(k))).collect();
+        format!("    {{{}}}", pairs.join(", "))
+    };
+    let mut sections: Vec<(&str, Vec<String>)> = report
+        .sections
+        .iter()
+        .map(|(name, rows)| {
+            let rows = rows.iter().map(|r| {
+                let fields = vec![
+                    json_str(&r.workload),
+                    json_str(r.unit),
+                    r.evals.to_string(),
+                    num(r.off_per_sec),
+                    num(r.on_per_sec),
+                    num(r.ratio),
+                    r.bit_identical.to_string(),
+                ];
+                row(fields, &AB_FIELDS)
+            });
+            (*name, rows.collect())
+        })
+        .collect();
+    let memo = report.memo.iter().map(|m| {
+        let fields = vec![
+            json_str(&m.workload),
+            num(m.cold_wall_ms),
+            num(m.warm_wall_ms),
+            num(m.warm_speedup),
+            m.cold_genome_hits.to_string(),
+            num(m.warm_genome_hit_rate),
+            m.cache_hits.to_string(),
+            m.cache_misses.to_string(),
+            m.dedup_skipped.to_string(),
+        ];
+        row(fields, &MEMO_FIELDS)
+    });
+    sections.push(("memo", memo.collect()));
+
+    let mut out = String::from("{\n");
+    out.push_str(&format!("  \"schema\": {},\n", json_str(SCHEMA)));
     out.push_str(&format!("  \"mode\": {},\n", json_str(&report.config.mode)));
-    out.push_str(&format!("  \"seed\": {},\n", report.config.seed));
-    out.push_str("  \"eval\": [\n");
-    for (i, e) in report.eval.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&e.workload)));
-        out.push_str(&format!("\"evals\": {}, ", e.evals));
-        out.push_str(&format!("\"baseline_ns_per_eval\": {}, ", json_num(e.baseline_ns_per_eval)));
-        out.push_str(&format!("\"scratch_ns_per_eval\": {}, ", json_num(e.scratch_ns_per_eval)));
-        out.push_str(&format!(
-            "\"baseline_evals_per_sec\": {}, ",
-            json_num(e.baseline_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"scratch_evals_per_sec\": {}, ",
-            json_num(e.scratch_evals_per_sec)
-        ));
-        out.push_str(&format!("\"speedup\": {}, ", json_num(e.speedup)));
-        out.push_str(&format!("\"bit_identical\": {}", e.bit_identical));
-        out.push_str(if i + 1 < report.eval.len() { "},\n" } else { "}\n" });
+    out.push_str(&format!("  \"seed\": {}", report.config.seed));
+    for (name, rows) in sections {
+        out.push_str(&format!(",\n  {}: [\n{}\n  ]", json_str(name), rows.join(",\n")));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"memo\": [\n");
-    for (i, m) in report.memo.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&m.workload)));
-        out.push_str(&format!("\"cold_wall_ms\": {}, ", json_num(m.cold_wall_ms)));
-        out.push_str(&format!("\"warm_wall_ms\": {}, ", json_num(m.warm_wall_ms)));
-        out.push_str(&format!("\"warm_speedup\": {}, ", json_num(m.warm_speedup)));
-        out.push_str(&format!("\"cold_genome_hits\": {}, ", m.cold_genome_hits));
-        out.push_str(&format!("\"warm_genome_hit_rate\": {}, ", json_num(m.warm_genome_hit_rate)));
-        out.push_str(&format!("\"cache_hits\": {}, ", m.cache_hits));
-        out.push_str(&format!("\"cache_misses\": {}, ", m.cache_misses));
-        out.push_str(&format!("\"dedup_skipped\": {}", m.dedup_skipped));
-        out.push_str(if i + 1 < report.memo.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"instrumentation\": [\n");
-    for (i, p) in report.instrumentation.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&p.workload)));
-        out.push_str(&format!("\"evals\": {}, ", p.evals));
-        out.push_str(&format!(
-            "\"metrics_off_evals_per_sec\": {}, ",
-            json_num(p.metrics_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"metrics_on_evals_per_sec\": {}, ",
-            json_num(p.metrics_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(p.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", p.bit_identical));
-        out.push_str(if i + 1 < report.instrumentation.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"tracing\": [\n");
-    for (i, t) in report.tracing.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&t.workload)));
-        out.push_str(&format!("\"evals\": {}, ", t.evals));
-        out.push_str(&format!(
-            "\"trace_off_evals_per_sec\": {}, ",
-            json_num(t.trace_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"trace_on_evals_per_sec\": {}, ",
-            json_num(t.trace_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(t.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", t.bit_identical));
-        out.push_str(if i + 1 < report.tracing.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"fault_injection\": [\n");
-    for (i, f) in report.fault_injection.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&f.workload)));
-        out.push_str(&format!("\"evals\": {}, ", f.evals));
-        out.push_str(&format!(
-            "\"faults_off_evals_per_sec\": {}, ",
-            json_num(f.faults_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"faults_on_evals_per_sec\": {}, ",
-            json_num(f.faults_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(f.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", f.bit_identical));
-        out.push_str(if i + 1 < report.fault_injection.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"analytics\": [\n");
-    for (i, a) in report.analytics.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&a.workload)));
-        out.push_str(&format!("\"evals\": {}, ", a.evals));
-        out.push_str(&format!("\"generations\": {}, ", a.generations));
-        out.push_str(&format!(
-            "\"analytics_off_evals_per_sec\": {}, ",
-            json_num(a.analytics_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"analytics_on_evals_per_sec\": {}, ",
-            json_num(a.analytics_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(a.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", a.bit_identical));
-        out.push_str(if i + 1 < report.analytics.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
+    out.push_str("\n}\n");
     out
 }
 
-/// Structural well-formedness check for the emitted JSON: balanced
-/// braces/brackets outside strings, no trailing garbage, and every
-/// required key present. CI runs this against the freshly-written
-/// `BENCH_eval.json`.
+/// Structural check for the emitted JSON: it must parse, carry the
+/// header keys and every section, and every row of every section must
+/// carry every field of its row type. CI runs this against the
+/// freshly-written `BENCH_eval.json`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural problem found.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut depth_brace = 0i64;
-    let mut depth_bracket = 0i64;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in text.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
+    let doc = parse_json(text)?;
+    for key in ["schema", "mode", "seed"] {
+        if doc.get(key).is_none() {
+            return Err(format!("missing required key {key:?}"));
+        }
+    }
+    let sections = AB_SECTIONS.iter().map(|name| (*name, &AB_FIELDS[..]));
+    for (name, fields) in sections.chain([("memo", &MEMO_FIELDS[..])]) {
+        let rows = match doc.get(name).and_then(JsonValue::as_arr) {
+            Some(rows) if !rows.is_empty() => rows,
+            _ => return Err(format!("missing or empty section {name:?}")),
+        };
+        for (i, row) in rows.iter().enumerate() {
+            if let Some(field) = fields.iter().find(|f| row.get(f).is_none()) {
+                return Err(format!("{name}[{i}] lacks {field:?}"));
             }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth_brace += 1,
-            '}' => depth_brace -= 1,
-            '[' => depth_bracket += 1,
-            ']' => depth_bracket -= 1,
-            _ => {}
-        }
-        if depth_brace < 0 || depth_bracket < 0 {
-            return Err(format!("unbalanced close at byte {i}"));
-        }
-        if depth_brace == 0
-            && depth_bracket == 0
-            && !c.is_whitespace()
-            && i > 0
-            && i + 1 < text.trim_end().len()
-        {
-            return Err(format!("trailing content after the root object at byte {i}"));
-        }
-    }
-    if in_string {
-        return Err("unterminated string".to_owned());
-    }
-    if depth_brace != 0 || depth_bracket != 0 {
-        return Err("unbalanced braces/brackets".to_owned());
-    }
-    for key in [
-        "\"schema\"",
-        "\"mode\"",
-        "\"seed\"",
-        "\"eval\"",
-        "\"memo\"",
-        "\"workload\"",
-        "\"baseline_ns_per_eval\"",
-        "\"scratch_ns_per_eval\"",
-        "\"speedup\"",
-        "\"bit_identical\"",
-        "\"warm_genome_hit_rate\"",
-        "\"instrumentation\"",
-        "\"metrics_off_evals_per_sec\"",
-        "\"metrics_on_evals_per_sec\"",
-        "\"overhead_pct\"",
-        "\"tracing\"",
-        "\"trace_off_evals_per_sec\"",
-        "\"trace_on_evals_per_sec\"",
-        "\"fault_injection\"",
-        "\"faults_off_evals_per_sec\"",
-        "\"faults_on_evals_per_sec\"",
-        "\"analytics\"",
-        "\"analytics_off_evals_per_sec\"",
-        "\"analytics_on_evals_per_sec\"",
-        "\"generations\"",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("missing required key {key}"));
         }
     }
     Ok(())
@@ -939,37 +560,18 @@ mod tests {
     #[test]
     fn smoke_run_emits_wellformed_json_with_identical_paths() {
         let report = run(&PerfConfig::smoke());
-        assert_eq!(report.eval.len(), 3);
+        let names: Vec<&str> = report.sections.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, AB_SECTIONS);
         assert_eq!(report.memo.len(), 3);
-        assert_eq!(report.instrumentation.len(), 3);
-        assert_eq!(report.tracing.len(), 3);
-        assert_eq!(report.fault_injection.len(), 3);
-        assert_eq!(report.analytics.len(), 3);
-        for e in &report.eval {
-            assert!(e.bit_identical, "{}: scratch path diverged from baseline", e.workload);
-            assert!(e.evals > 0);
-            assert!(e.baseline_ns_per_eval > 0.0 && e.scratch_ns_per_eval > 0.0);
+        for (name, rows) in &report.sections {
+            assert_eq!(rows.len(), 3, "{name}");
+            for r in rows {
+                assert!(r.bit_identical, "{name}/{}: on path diverged from off path", r.workload);
+                assert!(r.evals > 0);
+                assert!(r.off_per_sec > 0.0 && r.on_per_sec > 0.0 && r.ratio > 0.0);
+            }
         }
-        for p in &report.instrumentation {
-            assert!(p.bit_identical, "{}: metrics changed evaluation results", p.workload);
-            assert!(p.evals > 0);
-            assert!(p.metrics_off_evals_per_sec > 0.0 && p.metrics_on_evals_per_sec > 0.0);
-        }
-        for t in &report.tracing {
-            assert!(t.bit_identical, "{}: tracing changed evaluation results", t.workload);
-            assert!(t.evals > 0);
-            assert!(t.trace_off_evals_per_sec > 0.0 && t.trace_on_evals_per_sec > 0.0);
-        }
-        for f in &report.fault_injection {
-            assert!(f.bit_identical, "{}: a disarmed FailSet changed results", f.workload);
-            assert!(f.evals > 0);
-            assert!(f.faults_off_evals_per_sec > 0.0 && f.faults_on_evals_per_sec > 0.0);
-        }
-        for a in &report.analytics {
-            assert!(a.bit_identical, "{}: analytics changed the search", a.workload);
-            assert!(a.evals > 0 && a.generations > 0);
-            assert!(a.analytics_off_evals_per_sec > 0.0 && a.analytics_on_evals_per_sec > 0.0);
-        }
+        check_bit_identity(&report).expect("every row is bit-identical");
         for m in &report.memo {
             assert!(
                 (m.warm_genome_hit_rate - 1.0).abs() < 1e-9,
@@ -992,9 +594,30 @@ mod tests {
         for model in workloads() {
             let a = measure_analytics(&model, &PerfConfig::full());
             println!(
-                "{:<8} overhead {:>6.2}% | off {:>9.0} evals/s | bit-identical: {}",
-                a.workload, a.overhead_pct, a.analytics_off_evals_per_sec, a.bit_identical
+                "{:<8} ratio {:.4} | off {:>9.0} design-points/s | bit-identical: {}",
+                a.workload, a.ratio, a.off_per_sec, a.bit_identical
             );
+        }
+    }
+
+    #[test]
+    fn gate_names_each_diverged_row() {
+        let row = |workload: &str, bit_identical: bool| {
+            AbRow::new(workload, "layer-evals", 10, bit_identical, (1e3, 1.0))
+        };
+        let report = |diverged: Option<&str>| PerfReport {
+            config: PerfConfig::smoke(),
+            memo: Vec::new(),
+            sections: AB_SECTIONS
+                .into_iter()
+                .map(|name| (name, vec![row("gemm", true), row("bert", diverged != Some(name))]))
+                .collect(),
+        };
+        assert_eq!(check_bit_identity(&report(None)), Ok(()));
+        for name in AB_SECTIONS {
+            let err = check_bit_identity(&report(Some(name))).expect_err(name);
+            assert!(err.contains(&format!("{name}/bert")), "{err}");
+            assert!(!err.contains("gemm"), "{err}");
         }
     }
 
@@ -1011,11 +634,18 @@ mod tests {
         validate_json(&json).unwrap();
         assert!(validate_json(&json[..json.len() - 3]).is_err(), "truncation must fail");
         assert!(validate_json(&json.replace("\"eval\"", "\"val\"")).is_err());
-        assert!(validate_json(&json.replace("\"overhead_pct\"", "\"ovrhead_pct\"")).is_err());
-        assert!(validate_json(&json.replace("\"trace_on_evals_per_sec\"", "\"trace_on\"")).is_err());
+        assert!(validate_json(&json.replace("\"ratio\"", "\"ratoi\"")).is_err());
+        assert!(validate_json(&json.replace("\"on_per_sec\"", "\"on\"")).is_err());
         assert!(validate_json(&json.replace("\"fault_injection\"", "\"faults\"")).is_err());
-        assert!(validate_json(&json.replace("\"analytics_on_evals_per_sec\"", "\"analytics_on\""))
-            .is_err());
+        assert!(validate_json(&json.replace("\"cold_wall_ms\"", "\"cold\"")).is_err());
         assert!(validate_json("{\"unterminated").is_err());
+        // A field deleted from every row of one section must fail even
+        // though every other section's rows still carry it.
+        let start = json.find("\"tracing\"").unwrap();
+        let end = start + json[start..].find(']').unwrap();
+        let tracing = json[start..end].replace("\"unit\": \"layer-evals\", ", "");
+        let damaged = format!("{}{tracing}{}", &json[..start], &json[end..]);
+        assert_ne!(damaged, json);
+        assert!(validate_json(&damaged).is_err(), "tracing rows without a unit must fail");
     }
 }

@@ -1,6 +1,5 @@
 //! Optimization objectives (paper Sec. V-A).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What the search minimizes.
@@ -10,7 +9,7 @@ use std::fmt;
 /// here too. Latency-area product is *reported* in Fig. 5 but not used as
 /// a search objective; [`crate::DesignPoint::latency_area_product`]
 /// computes it post-hoc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Total model latency in cycles.
     Latency,

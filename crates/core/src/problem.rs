@@ -314,34 +314,12 @@ impl CoOptProblem {
         self
     }
 
-    /// Detaches any attached fitness memo.
-    pub fn without_cache(mut self) -> CoOptProblem {
-        self.cache = None;
-        self
-    }
-
-    /// The attached fitness memo, if any.
-    pub fn cache(&self) -> Option<&Arc<dyn EvalCache>> {
-        self.cache.as_ref()
-    }
-
     /// Attaches a whole-genome memo (the layer above the per-layer
     /// cache): genomes whose [`CoOptProblem::genome_key`] is already
     /// memoized skip decoding and per-layer evaluation entirely.
     pub fn with_genome_memo(mut self, memo: Arc<dyn GenomeMemo>) -> CoOptProblem {
         self.genome_memo = Some(memo);
         self
-    }
-
-    /// Detaches any attached genome memo.
-    pub fn without_genome_memo(mut self) -> CoOptProblem {
-        self.genome_memo = None;
-        self
-    }
-
-    /// The attached genome memo, if any.
-    pub fn genome_memo(&self) -> Option<&Arc<dyn GenomeMemo>> {
-        self.genome_memo.as_ref()
     }
 
     /// Attaches tenant-labelled metric handles for the evaluation hot
@@ -352,22 +330,12 @@ impl CoOptProblem {
         self
     }
 
-    /// The attached eval metric handles, if any.
-    pub fn eval_metrics(&self) -> Option<&Arc<EvalMetrics>> {
-        self.eval_metrics.as_ref()
-    }
-
     /// Attaches span handles for the evaluation hot path (see
     /// [`EvalTrace`]). Shared by every clone of this problem, like the
     /// cache and metric handles.
     pub fn with_eval_trace(mut self, trace: Arc<EvalTrace>) -> CoOptProblem {
         self.eval_trace = Some(trace);
         self
-    }
-
-    /// The attached eval span handles, if any.
-    pub fn eval_trace(&self) -> Option<&Arc<EvalTrace>> {
-        self.eval_trace.as_ref()
     }
 
     /// Attaches a failpoint set to the evaluation hot path: every
@@ -379,11 +347,6 @@ impl CoOptProblem {
     pub fn with_eval_faults(mut self, faults: Arc<FailSet>) -> CoOptProblem {
         self.eval_faults = Some(faults);
         self
-    }
-
-    /// The attached failpoint set, if any.
-    pub fn eval_faults(&self) -> Option<&Arc<FailSet>> {
-        self.eval_faults.as_ref()
     }
 
     /// Total wall time spent inside [`CoOptProblem::evaluate`] and

@@ -11,11 +11,10 @@
 //! the best mapping for each.
 
 use digamma_costmodel::{AreaModel, HwConfig, Platform};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three fixed HW flavours of the Mapping-opt baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HwPreset {
     /// Small compute + large buffer.
     BufferFocused,

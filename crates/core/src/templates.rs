@@ -15,11 +15,10 @@
 
 use digamma_costmodel::{HwConfig, LevelSpec, Mapping};
 use digamma_workload::{tensor_footprint, Dim, DimVec, Layer, Tensor, NUM_DIMS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three manual mapping styles of the HW-opt baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingStyle {
     /// NVDLA-like: K-C parallelism, weight-stationary orders.
     DlaLike,

@@ -1,7 +1,6 @@
 //! Hardware configurations and platform resource envelopes.
 
 use crate::analysis::BufferRequirement;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A concrete accelerator hardware configuration: PE array shape and
@@ -11,7 +10,7 @@ use std::fmt;
 /// allocation strategy ([`HwConfig::for_mapping_buffers`]); in the
 /// Fixed-HW use-case they are given and act as hard constraints
 /// ([`HwConfig::accommodates`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HwConfig {
     /// PE array fan-out per level, outermost first
     /// (e.g. `[π_L2, π_L1]` = a `π_L2 × π_L1` 2-D array).
@@ -92,7 +91,7 @@ impl fmt::Display for HwConfig {
 
 /// Platform resource envelope: the design budget and the fixed fabric
 /// parameters the search does not touch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Human-readable name (`"edge"` / `"cloud"`).
     pub name: String,

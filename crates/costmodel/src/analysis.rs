@@ -47,10 +47,9 @@
 use crate::error::EvalError;
 use crate::mapping::Mapping;
 use digamma_workload::{tensor_footprint, Dim, DimVec, Layer, Tensor, NUM_DIMS};
-use serde::{Deserialize, Serialize};
 
 /// Words crossing one memory link (chip-wide, over the whole layer).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkTraffic {
     /// Weight words delivered downstream.
     pub weight: u128,
@@ -70,7 +69,7 @@ impl LinkTraffic {
 }
 
 /// Analysis results for one mapping level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LevelAnalysis {
     /// Temporal iteration counts of this level's loop nest.
     pub iteration_counts: DimVec<u64>,
@@ -84,7 +83,7 @@ pub struct LevelAnalysis {
 
 /// Minimum buffer capacities implied by a mapping (DiGamma's buffer
 /// allocation strategy sizes buffers to exactly these values).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BufferRequirement {
     /// Global (L2) buffer capacity in words.
     pub l2_words: u64,
@@ -110,7 +109,7 @@ impl BufferRequirement {
 }
 
 /// Full reuse-analysis output for one `(layer, mapping)` pair.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Analysis {
     /// True MAC count of the layer (mapping independent).
     pub macs_total: u64,

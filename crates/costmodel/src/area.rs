@@ -9,10 +9,9 @@
 //! area budget forces the compute ↔ memory trade-off DiGamma navigates.
 
 use crate::accelerator::HwConfig;
-use serde::{Deserialize, Serialize};
 
 /// Per-component area constants in µm².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// One PE: a 16-bit MAC, operand registers, and control.
     pub pe_um2: f64,

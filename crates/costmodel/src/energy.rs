@@ -7,10 +7,9 @@
 //! experiments compare designs, not technologies.
 
 use crate::analysis::Analysis;
-use serde::{Deserialize, Serialize};
 
 /// Per-access energies in pJ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One multiply-accumulate.
     pub mac_pj: f64,

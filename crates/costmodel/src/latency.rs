@@ -9,10 +9,9 @@
 
 use crate::accelerator::Platform;
 use crate::analysis::Analysis;
-use serde::{Deserialize, Serialize};
 
 /// Which resource bounds the layer's latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// The PE array's MAC throughput.
     Compute,
@@ -24,7 +23,7 @@ pub enum Bottleneck {
 }
 
 /// Latency decomposition for one `(layer, mapping, platform)` evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyBreakdown {
     /// Cycles each PE spends computing (including under-filled folds).
     pub compute_cycles: f64,

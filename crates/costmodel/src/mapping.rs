@@ -2,7 +2,6 @@
 
 use crate::error::EvalError;
 use digamma_workload::{Dim, DimVec, Layer, NUM_DIMS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of cluster levels the model supports.
@@ -18,7 +17,7 @@ pub const MAX_LEVELS: usize = 3;
 /// its `fanout` sub-clusters; the innermost level describes how a 1-D PE
 /// array distributes tiles across individual PEs. `fanout` is a *hardware*
 /// gene (it sizes the PE array); the rest are mapping genes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LevelSpec {
     /// Number of sub-units instantiated at this level (π in the paper).
     pub fanout: u64,
@@ -73,7 +72,7 @@ impl fmt::Display for LevelSpec {
 /// * every tile extent and fan-out is ≥ 1,
 /// * each level's tile fits inside its parent's tile,
 /// * each level's loop order is a permutation of the six dims.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mapping {
     levels: Vec<LevelSpec>,
 }

@@ -3,12 +3,11 @@
 use crate::accelerator::HwConfig;
 use crate::analysis::{Analysis, BufferRequirement, LinkTraffic};
 use crate::latency::LatencyBreakdown;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Everything the framework needs to score one `(layer, mapping)` pair on
 /// a platform: performance, energy, area, and the derived hardware.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostReport {
     /// End-to-end latency in cycles.
     pub latency_cycles: f64,

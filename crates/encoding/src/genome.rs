@@ -5,12 +5,11 @@ use digamma_costmodel::{LevelSpec, Mapping, Platform};
 use digamma_workload::{Dim, DimVec, UniqueLayer, NUM_DIMS};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mapping genes for one cluster level of one layer: the key order, the
 /// `P` gene, and the tile-size values of the paper's key/value encoding
 /// (Fig. 3(b-c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelGenes {
     /// Which dimension this level parallelizes across its fan-out.
     pub spatial_dim: Dim,
@@ -30,7 +29,7 @@ impl LevelGenes {
 /// Mapping genes for one unique layer: one [`LevelGenes`] per cluster
 /// level, outermost first. The level count always matches the genome's
 /// hardware fan-out count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerGenes {
     /// Per-level genes, outermost first.
     pub levels: Vec<LevelGenes>,
@@ -43,7 +42,7 @@ pub struct LayerGenes {
 /// aspect ratio); L1/L2 buffer sizes are *not* genes — they are derived
 /// from the decoded mappings by the buffer allocation strategy
 /// (paper Sec. IV-C).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Genome {
     /// Per-level PE fan-outs, outermost first (`[π_L2, π_L1]`).
     pub fanouts: Vec<u64>,

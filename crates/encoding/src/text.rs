@@ -1,8 +1,8 @@
 //! Exact-roundtrip text serialization for [`Genome`]s.
 //!
 //! The checkpoint/resume subsystem persists whole GA populations as
-//! text; the workspace's serde is a no-op shim, so the format is
-//! hand-rolled here where the genome's structure lives. Every gene is an
+//! text; the workspace builds offline with no serialization crate, so
+//! the format is hand-rolled here where the genome's structure lives. Every gene is an
 //! integer or an enum, so the encoding is exact — parsing the rendered
 //! string always reproduces the genome bit-for-bit.
 //!

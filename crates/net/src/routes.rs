@@ -43,7 +43,7 @@ use crate::httpio::{
 };
 use digamma_obs::{render_chrome_trace, SpanContext};
 use digamma_server::textio::Section;
-use digamma_server::{JobId, JobRegistry, JobView, SubmitError};
+use digamma_server::{JobId, JobRegistry, JobView, Submission, SubmitError};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -128,7 +128,13 @@ pub fn handle(
                 }
                 None => None,
             };
-            match registry.submit_manifest_keyed(&body, identity.as_deref(), ctx, idempotency_key) {
+            let submission = Submission {
+                trace: ctx,
+                idempotency_key,
+                tenant: identity.as_deref(),
+                ..Submission::manifest(&body)
+            };
+            match registry.submit(submission) {
                 Ok(ids) => {
                     let sections: Vec<Section> = ids
                         .iter()

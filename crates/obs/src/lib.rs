@@ -19,20 +19,22 @@
 //! records per-request/per-job span timelines (W3C `traceparent`
 //! propagation, Chrome trace-event export for Perfetto), and
 //! [`mod@log`] is the structured leveled logger that stamps those
-//! trace/span ids onto every line.
+//! trace/span ids onto every line. [`mod@json`] is the one JSON reader
+//! and writer every document here (and the perf harness) goes through.
 
 #![warn(missing_docs)]
 
 pub mod analytics;
 pub mod fail;
+pub mod json;
 pub mod log;
 pub mod trace;
 
 pub use analytics::{
-    parse_json, render_analytics_json, AnalyticsRing, CostPoint, GenStats, JsonValue, OpCounter,
-    OpCounters, OpKind,
+    render_analytics_json, AnalyticsRing, CostPoint, GenStats, OpCounter, OpCounters, OpKind,
 };
 pub use fail::{FailAction, FailSet};
+pub use json::{json_num, json_str, parse_json, JsonValue};
 pub use log::{format_line, LogLevel, Logger};
 pub use trace::{
     parse_chrome_trace, render_chrome_trace, ChromeEvent, Span, SpanContext, SpanId, SpanRecord,

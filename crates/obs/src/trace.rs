@@ -24,6 +24,7 @@
 //! parser ([`parse_chrome_trace`]) so clients and wire tests can
 //! round-trip an export without guessing at the grammar.
 
+use crate::json::{json_str, parse_json, JsonValue};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
@@ -498,7 +499,7 @@ pub fn render_chrome_trace(spans: &[SpanRecord]) -> String {
             out,
             "\n{{\"name\":{},\"cat\":\"digamma\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
              \"pid\":{pid},\"tid\":{}",
-            json_string(span.name),
+            json_str(span.name),
             span.start_ns as f64 / 1e3,
             span.dur_ns as f64 / 1e3,
             u64::from(span.job.is_some()),
@@ -508,7 +509,7 @@ pub fn render_chrome_trace(spans: &[SpanRecord]) -> String {
             let _ = write!(out, ",\"parent\":\"{parent}\"");
         }
         for (key, value) in &span.attrs {
-            let _ = write!(out, ",{}:{}", json_string(key), json_string(value));
+            let _ = write!(out, ",{}:{}", json_str(key), json_str(value));
         }
         out.push_str("}}");
     }
@@ -522,30 +523,10 @@ pub fn render_chrome_trace(spans: &[SpanRecord]) -> String {
             out,
             "\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":{}}}}}",
-            json_string(&name)
+            json_str(&name)
         );
     }
     out.push_str("\n]}\n");
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -576,46 +557,45 @@ impl ChromeEvent {
 }
 
 /// Parses a Chrome trace-event export (what [`render_chrome_trace`]
-/// emits; also accepts the bare-array form). Built on a small strict
-/// JSON reader, so it doubles as a well-formedness check in tests and
-/// the CI trace probe.
+/// emits; also accepts the bare-array form). Built on the strict
+/// [`parse_json`] reader, so it doubles as a well-formedness check in
+/// tests and the CI trace probe.
 ///
 /// # Errors
 ///
 /// Returns a description of the first syntax or shape problem.
 pub fn parse_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
-    let value = JsonParser { bytes: text.as_bytes(), at: 0 }.parse_document()?;
+    let value = parse_json(text)?;
     let events = match &value {
-        Json::Array(items) => items,
-        Json::Object(fields) => match fields.iter().find(|(k, _)| k == "traceEvents") {
-            Some((_, Json::Array(items))) => items,
+        JsonValue::Arr(items) => items,
+        JsonValue::Obj(_) => match value.get("traceEvents") {
+            Some(JsonValue::Arr(items)) => items,
             _ => return Err("root object lacks a traceEvents array".to_owned()),
         },
         _ => return Err("root must be an object or array".to_owned()),
     };
     let mut out = Vec::with_capacity(events.len());
     for (i, event) in events.iter().enumerate() {
-        let Json::Object(fields) = event else {
+        if !matches!(event, JsonValue::Obj(_)) {
             return Err(format!("traceEvents[{i}] is not an object"));
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let string = |key: &str| match get(key) {
-            Some(Json::String(s)) => Ok(s.clone()),
+        }
+        let string = |key: &str| match event.get(key) {
+            Some(JsonValue::Str(s)) => Ok(s.clone()),
             _ => Err(format!("traceEvents[{i}] lacks string {key:?}")),
         };
-        let number = |key: &str, required: bool| match get(key) {
-            Some(Json::Number(n)) => Ok(*n),
+        let number = |key: &str, required: bool| match event.get(key) {
+            Some(JsonValue::Num(n)) => Ok(*n),
             None if !required => Ok(0.0),
             _ => Err(format!("traceEvents[{i}] lacks number {key:?}")),
         };
         let mut args = Vec::new();
-        if let Some(Json::Object(arg_fields)) = get("args") {
+        if let Some(JsonValue::Obj(arg_fields)) = event.get("args") {
             for (k, v) in arg_fields {
                 let rendered = match v {
-                    Json::String(s) => s.clone(),
-                    Json::Number(n) => format!("{n}"),
-                    Json::Bool(b) => b.to_string(),
-                    Json::Null => "null".to_owned(),
+                    JsonValue::Str(s) => s.clone(),
+                    JsonValue::Num(n) => format!("{n}"),
+                    JsonValue::Bool(b) => b.to_string(),
+                    JsonValue::Null => "null".to_owned(),
                     _ => continue,
                 };
                 args.push((k.clone(), rendered));
@@ -632,197 +612,6 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
         });
     }
     Ok(out)
-}
-
-/// Minimal JSON value tree for [`parse_chrome_trace`].
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-/// A small strict recursive-descent JSON reader (objects as ordered
-/// pairs; no external crates, like everything else here).
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl JsonParser<'_> {
-    fn parse_document(mut self) -> Result<Json, String> {
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.at != self.bytes.len() {
-            return Err(format!("trailing content at byte {}", self.at));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.at).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.at).copied().ok_or_else(|| "unexpected end of input".to_owned())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.at))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(Json::String(self.parse_string()?)),
-            b't' => self.parse_literal("true", Json::Bool(true)),
-            b'f' => self.parse_literal("false", Json::Bool(false)),
-            b'n' => self.parse_literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.parse_number(),
-            other => Err(format!("unexpected {:?} at byte {}", other as char, self.at)),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.at))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        if self.bytes.get(self.at) == Some(&b'-') {
-            self.at += 1;
-        }
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.at += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Number)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.at).ok_or_else(|| "unterminated string".to_owned())?;
-            self.at += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let escape =
-                        *self.bytes.get(self.at).ok_or_else(|| "unterminated escape".to_owned())?;
-                    self.at += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.at))?;
-                            self.at += 4;
-                            // Surrogate pairs are not reassembled; the
-                            // exporter never emits them.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-read the full UTF-8 sequence from the byte
-                    // stream (multi-byte chars arrive byte-at-a-time).
-                    let start = self.at - 1;
-                    let width = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let slice = self
-                        .bytes
-                        .get(start..start + width)
-                        .ok_or_else(|| "truncated UTF-8".to_owned())?;
-                    let s = std::str::from_utf8(slice).map_err(|_| "invalid UTF-8".to_owned())?;
-                    out.push_str(s);
-                    self.at = start + width;
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.at += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.at += 1,
-                b']' => {
-                    self.at += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']' got {:?}", other as char)),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.at += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            fields.push((key, self.parse_value()?));
-            match self.peek()? {
-                b',' => self.at += 1,
-                b'}' => {
-                    self.at += 1;
-                    return Ok(Json::Object(fields));
-                }
-                other => return Err(format!("expected ',' or '}}' got {:?}", other as char)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

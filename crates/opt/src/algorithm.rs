@@ -1,14 +1,13 @@
 //! Named algorithm factory matching the paper's Fig. 5 columns.
 
 use crate::{CmaEs, De, OnePlusOne, Optimizer, Portfolio, Pso, RandomSearch, StdGa, Tbpsa};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The eight baseline optimization algorithms of Fig. 5.
 ///
 /// `Algorithm::ALL` iterates them in the paper's column order; the
 /// experiment harness builds each with [`Algorithm::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Uniform random search.
     Random,

@@ -156,22 +156,13 @@ impl Journal {
     ///
     /// Returns [`std::io::Error`] when the append fails.
     pub fn append_submitted(&self, id: JobId, spec: &JobSpec) -> std::io::Result<()> {
-        self.append_submitted_all(&[(id, spec)])
+        self.append_submitted_keyed(&[(id, spec)], None)
     }
 
     /// Records a whole accepted batch in one filesystem append, so a
     /// batch submission is journaled all-or-nothing (modulo a torn tail,
-    /// which replay drops).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::Error`] when the append fails.
-    pub fn append_submitted_all(&self, batch: &[(JobId, &JobSpec)]) -> std::io::Result<()> {
-        self.append_submitted_keyed(batch, None)
-    }
-
-    /// Like [`Journal::append_submitted_all`], but when the submission
-    /// carried an idempotency key, a `[idempotency]` record binding
+    /// which replay drops). When the submission carried an idempotency
+    /// key, a `[idempotency]` record binding
     /// `(scope, key)` to the batch's ids lands in the *same* filesystem
     /// append — so dedupe state survives a restart exactly when the jobs
     /// it guards do. A torn append drops the key along with the batch,

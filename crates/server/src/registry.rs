@@ -125,6 +125,56 @@ impl From<TextError> for SubmitError {
     }
 }
 
+/// The jobs a [`Submission`] carries.
+#[derive(Debug)]
+pub enum SubmittedJobs<'a> {
+    /// Parsed job specs.
+    Specs(Vec<JobSpec>),
+    /// Manifest text, parsed at submit.
+    Manifest(&'a str),
+}
+
+/// Everything [`JobRegistry::submit`] takes: the jobs and how they
+/// arrived.
+#[derive(Debug)]
+pub struct Submission<'a> {
+    /// The jobs, as specs or as manifest text.
+    pub jobs: SubmittedJobs<'a>,
+    /// The submitting request's span context: every accepted job's
+    /// lifecycle spans nest under it, so `/trace/{id}` walks from the
+    /// HTTP request through queue wait, claim, run and generations in
+    /// one timeline.
+    pub trace: Option<SpanContext>,
+    /// The first keyed submission journals its key alongside its batch;
+    /// a retry with the same key — including one that lands *after a
+    /// daemon restart* — returns the original ids instead of creating
+    /// duplicate jobs.
+    pub idempotency_key: Option<&'a str>,
+    /// The authenticated submitter. Every job runs under this tenant
+    /// whatever its spec or manifest says, so a manifest cannot
+    /// impersonate another tenant; and it scopes the idempotency key
+    /// (`""` without one), so tenants cannot collide with or probe each
+    /// other's keys.
+    pub tenant: Option<&'a str>,
+}
+
+impl<'a> Submission<'a> {
+    /// `specs`, untraced, unkeyed and under their own tenants.
+    pub fn specs(specs: Vec<JobSpec>) -> Submission<'a> {
+        Submission {
+            jobs: SubmittedJobs::Specs(specs),
+            trace: None,
+            idempotency_key: None,
+            tenant: None,
+        }
+    }
+
+    /// A manifest's jobs, untraced, unkeyed and under their own tenants.
+    pub fn manifest(text: &'a str) -> Submission<'a> {
+        Submission { jobs: SubmittedJobs::Manifest(text), ..Submission::specs(Vec::new()) }
+    }
+}
+
 /// A point-in-time snapshot of one job, safe to hand to other threads
 /// (and to render onto the wire).
 #[derive(Debug, Clone)]
@@ -617,26 +667,13 @@ impl JobRegistry {
         &self.inner.tenants
     }
 
-    /// Submits one job; returns its id once it is queued (and journaled,
-    /// when a journal is attached).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Invalid`] when another *live* (queued or running)
-    /// job already uses the name — names key checkpoint files, so two
-    /// live jobs sharing one would corrupt each other's snapshots —
-    /// when `threads` is zero or the tenant id is malformed, or when
-    /// the registry is shutting down. [`SubmitError::UnknownTenant`]
-    /// and [`SubmitError::QuotaExceeded`] per the configured roster.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        Ok(self.submit_all(vec![spec])?[0])
-    }
-
-    /// Submits a batch of jobs **atomically**: every spec is validated
-    /// against live names (and against the rest of the batch), the
-    /// roster, and every quota before anything is journaled or
-    /// enqueued, so a rejected batch leaves no orphan jobs running
-    /// behind a client that saw an error.
+    /// Submits a batch of jobs **atomically** and returns their ids once
+    /// every one is queued (and journaled, when a journal is attached).
+    /// The manifest is parsed, and every spec validated against live
+    /// names (and against the rest of the batch), the roster and every
+    /// quota, before anything is journaled or enqueued, so a rejected
+    /// batch leaves no orphan jobs running behind a client that saw an
+    /// error.
     ///
     /// Each accepted spec's `threads` is clamped to the worker count;
     /// the scheduler then keeps Σ running `threads` ≤ workers, so no
@@ -644,46 +681,38 @@ impl JobRegistry {
     ///
     /// # Errors
     ///
-    /// See [`JobRegistry::submit`]; on error, nothing was accepted.
-    pub fn submit_all(&self, specs: Vec<JobSpec>) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_all_traced(specs, None)
-    }
-
-    /// [`JobRegistry::submit_all`] with the submitting request's span
-    /// context attached: every accepted job's lifecycle spans nest
-    /// under it, so `/trace/{id}` walks from the HTTP request through
-    /// queue wait, claim, run, and generations in one timeline.
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit`]; on error, nothing was accepted.
-    pub fn submit_all_traced(
-        &self,
-        specs: Vec<JobSpec>,
-        trace: Option<SpanContext>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_all_keyed(specs, trace, None)
-    }
-
-    /// [`JobRegistry::submit_all_traced`] with an optional idempotency
-    /// binding `(scope, key)`: the first keyed submission journals the
-    /// key alongside its batch; a retry with the same key — including
-    /// one that lands *after a daemon restart* — returns the original
-    /// ids instead of creating duplicate jobs. The scope is the
-    /// authenticated tenant (or `""` unauthenticated), so tenants
-    /// cannot collide with or probe each other's keys.
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit`]; additionally
+    /// [`SubmitError::Invalid`] when the manifest does not parse or
+    /// carries a `[server]` section (service knobs cannot be changed
+    /// through the runtime submit path), when another *live* (queued or
+    /// running) job already uses a name — names key checkpoint files,
+    /// so two live jobs sharing one would corrupt each other's
+    /// snapshots — when `threads` is zero or a tenant id is malformed,
+    /// or when the journal append fails. [`SubmitError::UnknownTenant`]
+    /// and [`SubmitError::QuotaExceeded`] per the configured roster.
     /// [`SubmitError::Unavailable`] while the registry drains, shuts
     /// down, or sheds load past [`ServerConfig::shed_queue_depth`].
-    pub fn submit_all_keyed(
-        &self,
-        mut specs: Vec<JobSpec>,
-        trace: Option<SpanContext>,
-        idempotency: Option<(&str, &str)>,
-    ) -> Result<Vec<JobId>, SubmitError> {
+    pub fn submit(&self, submission: Submission<'_>) -> Result<Vec<JobId>, SubmitError> {
+        let Submission { jobs, trace, idempotency_key, tenant } = submission;
+        let mut specs = match jobs {
+            SubmittedJobs::Specs(specs) => specs,
+            SubmittedJobs::Manifest(text) => {
+                let manifest = crate::manifest::parse_manifest_full(text)?;
+                if manifest.server != crate::manifest::ServerOverrides::default() {
+                    return Err(SubmitError::Invalid(
+                        "[server] overrides are not accepted at runtime (a live service's \
+                         workers/cache are fixed at startup; configure them via CLI flags)"
+                            .to_owned(),
+                    ));
+                }
+                manifest.jobs
+            }
+        };
+        if let Some(tenant) = tenant {
+            for spec in &mut specs {
+                spec.tenant = tenant.to_owned();
+            }
+        }
+        let idempotency = idempotency_key.map(|key| (tenant.unwrap_or(""), key));
         if specs.is_empty() {
             return Ok(Vec::new());
         }
@@ -820,83 +849,6 @@ impl JobRegistry {
         drop(state);
         self.inner.cond.notify_all();
         Ok(ids)
-    }
-
-    /// Parses a manifest and submits every job in it, atomically: a
-    /// parse error or any collision accepts nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError`] from parsing, from a `[server]` section
-    /// (service knobs cannot be changed through the runtime submit
-    /// path), or from [`JobRegistry::submit_all`].
-    pub fn submit_manifest(&self, text: &str) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_manifest_as(text, None)
-    }
-
-    /// [`JobRegistry::submit_manifest`] with the submitter's identity
-    /// pinned: when `tenant` is given (an authenticated wire client),
-    /// every job in the manifest runs under it — manifests cannot
-    /// impersonate another tenant no matter what their `tenant` keys
-    /// say.
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit_manifest`].
-    pub fn submit_manifest_as(
-        &self,
-        text: &str,
-        tenant: Option<&str>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_manifest_traced(text, tenant, None)
-    }
-
-    /// [`JobRegistry::submit_manifest_as`] with the submitting
-    /// request's span context attached (see
-    /// [`JobRegistry::submit_all_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit_manifest`].
-    pub fn submit_manifest_traced(
-        &self,
-        text: &str,
-        tenant: Option<&str>,
-        trace: Option<SpanContext>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_manifest_keyed(text, tenant, trace, None)
-    }
-
-    /// [`JobRegistry::submit_manifest_traced`] with an optional
-    /// idempotency key, scoped to the authenticated tenant (see
-    /// [`JobRegistry::submit_all_keyed`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit_manifest`].
-    pub fn submit_manifest_keyed(
-        &self,
-        text: &str,
-        tenant: Option<&str>,
-        trace: Option<SpanContext>,
-        idempotency_key: Option<&str>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        let manifest = crate::manifest::parse_manifest_full(text)?;
-        if manifest.server != crate::manifest::ServerOverrides::default() {
-            return Err(SubmitError::Invalid(
-                "[server] overrides are not accepted at runtime (a live service's \
-                 workers/cache are fixed at startup; configure them via CLI flags)"
-                    .to_owned(),
-            ));
-        }
-        let mut jobs = manifest.jobs;
-        if let Some(tenant) = tenant {
-            for job in &mut jobs {
-                job.tenant = tenant.to_owned();
-            }
-        }
-        let scope = tenant.unwrap_or("");
-        self.submit_all_keyed(jobs, trace, idempotency_key.map(|key| (scope, key)))
     }
 
     /// The trace id of a job's lifecycle spans, once one exists: set at
@@ -1612,6 +1564,11 @@ mod tests {
         s
     }
 
+    /// Submits one spec untraced, unkeyed and under its own tenant.
+    fn submit(registry: &JobRegistry, spec: JobSpec) -> Result<JobId, SubmitError> {
+        registry.submit(Submission::specs(vec![spec])).map(|ids| ids[0])
+    }
+
     fn wait_done(registry: &JobRegistry, id: JobId) -> JobView {
         for _ in 0..600 {
             let view = registry.job(id).expect("known job");
@@ -1628,7 +1585,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("telemetry", 96)).unwrap();
+        let id = submit(&registry, spec("telemetry", 96)).unwrap();
         assert!(registry.analytics_json(999).is_none(), "unknown ids answer None");
         wait_done(&registry, id);
         let body = registry.analytics_json(id).expect("known job");
@@ -1670,8 +1627,9 @@ mod tests {
         assert!(tracer.enabled(), "tracing defaults on");
         let request = tracer.start_root("http.request");
         let request_ctx = request.context().expect("root context");
-        let id =
-            registry.submit_all_traced(vec![spec("traced", 96)], Some(request_ctx)).unwrap()[0];
+        let traced =
+            Submission { trace: Some(request_ctx), ..Submission::specs(vec![spec("traced", 96)]) };
+        let id = registry.submit(traced).unwrap()[0];
         assert_eq!(
             registry.trace_of(id),
             Some(request_ctx.trace),
@@ -1708,7 +1666,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("plain", 96)).unwrap();
+        let id = submit(&registry, spec("plain", 96)).unwrap();
         wait_done(&registry, id);
         let trace = registry.trace_of(id).expect("claimed jobs always have a trace");
         let spans = registry.tracer().spans_for(trace);
@@ -1725,7 +1683,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("untraced", 96)).unwrap();
+        let id = submit(&registry, spec("untraced", 96)).unwrap();
         wait_done(&registry, id);
         assert!(!registry.tracer().enabled());
         assert_eq!(registry.trace_of(id), None);
@@ -1738,8 +1696,8 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 2, ..ServerConfig::default() }, None)
                 .unwrap();
-        let a = registry.submit(spec("a", 96)).unwrap();
-        let b = registry.submit(spec("b", 96)).unwrap();
+        let a = submit(&registry, spec("a", 96)).unwrap();
+        let b = submit(&registry, spec("b", 96)).unwrap();
         assert_ne!(a, b);
         let va = wait_done(&registry, a);
         let vb = wait_done(&registry, b);
@@ -1764,7 +1722,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("ev", 80)).unwrap();
+        let id = submit(&registry, spec("ev", 80)).unwrap();
         let mut lines = Vec::new();
         let mut from = 0;
         loop {
@@ -1792,7 +1750,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("overshoot", 600_000)).unwrap();
+        let id = submit(&registry, spec("overshoot", 600_000)).unwrap();
         // Wait for at least one event so the stream is live but far
         // from sequence 10_000.
         let _ = registry.events(id, 0, Duration::from_secs(10));
@@ -1836,8 +1794,8 @@ mod tests {
         // generation so cancellation must find a snapshot to write.
         let mut long = spec("long", 1_000_000);
         long.checkpoint_every = Some(1);
-        let running = registry.submit(long).unwrap();
-        let queued = registry.submit(spec("queued", 96)).unwrap();
+        let running = submit(&registry, long).unwrap();
+        let queued = submit(&registry, spec("queued", 96)).unwrap();
         assert_eq!(registry.cancel(queued), Some(JobStatus::Cancelled));
         // Wait until the long job has actually stepped, then cancel it.
         let (_, _, done) = registry.events(running, 0, Duration::from_secs(10)).unwrap();
@@ -1863,9 +1821,9 @@ mod tests {
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
         // Hog the single worker so the rest stay queued.
-        let blocker = registry.submit(spec("blocker", 1_000_000)).unwrap();
+        let blocker = submit(&registry, spec("blocker", 1_000_000)).unwrap();
         let ids: Vec<JobId> =
-            (0..5).map(|i| registry.submit(spec(&format!("victim-{i}"), 96)).unwrap()).collect();
+            (0..5).map(|i| submit(&registry, spec(&format!("victim-{i}"), 96)).unwrap()).collect();
         // Give the worker a moment to claim the blocker.
         let _ = registry.events(blocker, 0, Duration::from_secs(10));
         assert_eq!(registry.stats().queued, 5);
@@ -1890,7 +1848,7 @@ mod tests {
                 .unwrap();
         let mut wide = spec("wide", 64);
         wide.threads = 64;
-        let id = registry.submit(wide).unwrap();
+        let id = submit(&registry, wide).unwrap();
         assert_eq!(
             registry.job(id).unwrap().spec.threads,
             2,
@@ -1898,7 +1856,7 @@ mod tests {
         );
         let mut zero = spec("zero", 64);
         zero.threads = 0;
-        match registry.submit(zero) {
+        match submit(&registry, zero) {
             Err(SubmitError::Invalid(msg)) => assert!(msg.contains("threads"), "{msg}"),
             other => panic!("zero threads must be Invalid, got {other:?}"),
         }
@@ -1916,7 +1874,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("ring", 160)).unwrap();
+        let id = submit(&registry, spec("ring", 160)).unwrap();
         wait_done(&registry, id);
         let (first_seq, lines, done) =
             registry.events(id, 0, Duration::from_millis(100)).expect("known job");
@@ -1943,13 +1901,13 @@ mod tests {
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
         // Long enough that it cannot finish between the two submits.
-        let id = registry.submit(spec("dup", 400_000)).unwrap();
-        let err = registry.submit(spec("dup", 64)).unwrap_err();
+        let id = submit(&registry, spec("dup", 400_000)).unwrap();
+        let err = submit(&registry, spec("dup", 64)).unwrap_err();
         assert!(err.to_string().contains("dup"), "{err}");
         // Once the first is no longer live, the name is reusable.
         registry.cancel(id);
         wait_done(&registry, id);
-        assert!(registry.submit(spec("dup", 64)).is_ok());
+        assert!(submit(&registry, spec("dup", 64)).is_ok());
         registry.shutdown();
     }
 
@@ -1971,24 +1929,24 @@ mod tests {
             s
         };
         // Hog the worker so "small" jobs stay queued.
-        let blocker = registry.submit(as_tenant("blocker", 1_000_000, "big")).unwrap();
+        let blocker = submit(&registry, as_tenant("blocker", 1_000_000, "big")).unwrap();
         let _ = registry.events(blocker, 0, Duration::from_secs(10));
-        let first = registry.submit(as_tenant("s1", 100, "small")).unwrap();
-        registry.submit(as_tenant("s2", 100, "small")).unwrap();
-        match registry.submit(as_tenant("s3", 100, "small")) {
+        let first = submit(&registry, as_tenant("s1", 100, "small")).unwrap();
+        submit(&registry, as_tenant("s2", 100, "small")).unwrap();
+        match submit(&registry, as_tenant("s3", 100, "small")) {
             Err(SubmitError::QuotaExceeded(msg)) => assert!(msg.contains("max_queued"), "{msg}"),
             other => panic!("third queued job must exceed max_queued, got {other:?}"),
         }
         // Eager cancel frees queue headroom immediately...
         registry.cancel(first);
-        match registry.submit(as_tenant("s4", 900, "small")) {
+        match submit(&registry, as_tenant("s4", 900, "small")) {
             // ...but submitted evals are a lifetime meter: 200 already
             // accepted + 900 > 1000.
             Err(SubmitError::QuotaExceeded(msg)) => assert!(msg.contains("max_evals"), "{msg}"),
             other => panic!("budget past max_evals must be rejected, got {other:?}"),
         }
-        registry.submit(as_tenant("s5", 100, "small")).expect("within both quotas");
-        match registry.submit(as_tenant("ghost", 64, "nobody")) {
+        submit(&registry, as_tenant("s5", 100, "small")).expect("within both quotas");
+        match submit(&registry, as_tenant("ghost", 64, "nobody")) {
             Err(SubmitError::UnknownTenant(msg)) => assert!(msg.contains("nobody"), "{msg}"),
             other => panic!("strict roster must reject unknown tenants, got {other:?}"),
         }
@@ -2075,7 +2033,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 2, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("observed", 96)).unwrap();
+        let id = submit(&registry, spec("observed", 96)).unwrap();
         wait_done(&registry, id);
         let text = registry.render_metrics();
         let samples = digamma_obs::parse_text(&text).expect("exposition must parse");
@@ -2116,7 +2074,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("dark", 64)).unwrap();
+        let id = submit(&registry, spec("dark", 64)).unwrap();
         wait_done(&registry, id);
         assert_eq!(registry.render_metrics(), "", "disabled registry must stay silent");
         registry.shutdown();
@@ -2143,7 +2101,7 @@ mod tests {
         .unwrap();
         let mut long = spec("revenant", 400_000);
         long.checkpoint_every = Some(1);
-        let id = registry.submit(long).unwrap();
+        let id = submit(&registry, long).unwrap();
         // Let it step at least once so a snapshot exists.
         let _ = registry.events(id, 0, Duration::from_secs(10));
         registry.shutdown();
@@ -2188,7 +2146,7 @@ mod tests {
         let config = ServerConfig { workers: 1, ..ServerConfig::default() };
         config.faults.configure("worker.eval=panic,once").unwrap();
         let registry = JobRegistry::start(config, None).unwrap();
-        let doomed = registry.submit(spec("doomed", 96)).unwrap();
+        let doomed = submit(&registry, spec("doomed", 96)).unwrap();
         let view = wait_done(&registry, doomed);
         assert_eq!(view.status, JobStatus::Failed);
         assert!(view.report.is_none(), "a panicked job has no report");
@@ -2196,7 +2154,7 @@ mod tests {
         assert!(done);
         assert_eq!(lines.last().unwrap(), "end status=failed");
         // The worker survived the panic: the next job runs to done.
-        let phoenix = registry.submit(spec("phoenix", 96)).unwrap();
+        let phoenix = submit(&registry, spec("phoenix", 96)).unwrap();
         assert_eq!(wait_done(&registry, phoenix).status, JobStatus::Done);
         let stats = registry.stats();
         assert_eq!(stats.failed, 1);
@@ -2222,12 +2180,12 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let a = registry.submit(spec("drain-a", 96)).unwrap();
-        let b = registry.submit(spec("drain-b", 96)).unwrap();
+        let a = submit(&registry, spec("drain-a", 96)).unwrap();
+        let b = submit(&registry, spec("drain-b", 96)).unwrap();
         registry.drain(Duration::from_secs(60));
         assert_eq!(registry.job(a).unwrap().status, JobStatus::Done);
         assert_eq!(registry.job(b).unwrap().status, JobStatus::Done);
-        match registry.submit(spec("late", 64)) {
+        match submit(&registry, spec("late", 64)) {
             Err(SubmitError::Unavailable(msg)) => assert!(msg.contains("retry"), "{msg}"),
             other => panic!("post-drain submits must be Unavailable, got {other:?}"),
         }
@@ -2241,11 +2199,11 @@ mod tests {
         )
         .unwrap();
         // Hog the worker so later submits stack up in the queue.
-        let blocker = registry.submit(spec("shed-blocker", 1_000_000)).unwrap();
+        let blocker = submit(&registry, spec("shed-blocker", 1_000_000)).unwrap();
         let _ = registry.events(blocker, 0, Duration::from_secs(10));
-        registry.submit(spec("shed-1", 64)).unwrap();
-        registry.submit(spec("shed-2", 64)).unwrap();
-        match registry.submit(spec("shed-3", 64)) {
+        submit(&registry, spec("shed-1", 64)).unwrap();
+        submit(&registry, spec("shed-2", 64)).unwrap();
+        match submit(&registry, spec("shed-3", 64)) {
             Err(SubmitError::Unavailable(msg)) => assert!(msg.contains("watermark"), "{msg}"),
             other => panic!("past the watermark must shed, got {other:?}"),
         }
@@ -2266,18 +2224,19 @@ mod tests {
             Some(journal.clone()),
         )
         .unwrap();
-        let ids = registry
-            .submit_all_keyed(vec![spec("idem", 96)], None, Some(("default", "key-1")))
-            .unwrap();
+        let keyed = |tenant| Submission {
+            idempotency_key: Some("key-1"),
+            tenant: Some(tenant),
+            ..Submission::specs(vec![spec("idem", 96)])
+        };
+        let ids = registry.submit(keyed("default")).unwrap();
         // A retry with the same key returns the same ids; without the
         // dedupe it would collide on the live name.
-        let again = registry
-            .submit_all_keyed(vec![spec("idem", 96)], None, Some(("default", "key-1")))
-            .unwrap();
+        let again = registry.submit(keyed("default")).unwrap();
         assert_eq!(again, ids);
         // A different scope is a different key space: no dedupe, so the
         // live-name collision shows through.
-        match registry.submit_all_keyed(vec![spec("idem", 96)], None, Some(("other", "key-1"))) {
+        match registry.submit(keyed("other")) {
             Err(SubmitError::Invalid(msg)) => assert!(msg.contains("idem"), "{msg}"),
             other => panic!("a different scope must not dedupe, got {other:?}"),
         }
@@ -2290,9 +2249,7 @@ mod tests {
             Some(journal),
         )
         .unwrap();
-        let after = reborn
-            .submit_all_keyed(vec![spec("idem", 96)], None, Some(("default", "key-1")))
-            .unwrap();
+        let after = reborn.submit(keyed("default")).unwrap();
         assert_eq!(after, ids);
         reborn.shutdown();
         std::fs::remove_dir_all(&dir).ok();

@@ -1,8 +1,8 @@
 //! Minimal to-string / from-string support for the server's text formats.
 //!
-//! The workspace's serde is a no-op derive shim (the build container has
-//! no crates.io access), so the snapshot and manifest formats are built
-//! on this hand-rolled module instead: a line-oriented
+//! The workspace builds offline with no serialization crate, so the
+//! snapshot and manifest formats are built on this hand-rolled module:
+//! a line-oriented
 //! `[section]` / `key = value` syntax plus exact `f64` round-tripping
 //! via IEEE-754 bit patterns. Repeated keys are allowed (that is how a
 //! population of genomes serializes) and `#` starts a comment.

@@ -1,6 +1,5 @@
 //! The six canonical loop dimensions and a small fixed-size map keyed by them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -13,7 +12,7 @@ pub const NUM_DIMS: usize = 6;
 /// channels, `Y`/`X` output rows/columns, `R`/`S` filter rows/columns.
 /// GEMMs are expressed with `K←M, C←K, Y←N, X=R=S=1` (see
 /// [`LayerKind::Gemm`](crate::LayerKind::Gemm)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Dim {
     /// Output channels.
@@ -90,7 +89,7 @@ impl fmt::Display for Dim {
 /// tiles[Dim::K] = 16;
 /// assert_eq!(tiles.product(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DimVec<T>(pub [T; NUM_DIMS]);
 
 impl<T: Copy> DimVec<T> {

@@ -1,11 +1,10 @@
 //! A single DNN operator expressed as a 6-dimensional loop nest.
 
 use crate::dims::{Dim, DimVec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three operand tensors of a convolution-shaped operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tensor {
     /// Filter weights (`K×C×R×S` for dense convolution).
     Weight,
@@ -42,7 +41,7 @@ impl fmt::Display for Tensor {
 ///   own input plane).
 /// * [`LayerKind::Gemm`] — `O[m,n] = Σ_k A[m,k]·B[k,n]`, expressed as
 ///   `K←M, C←K, Y←N, X=R=S=1`. Embedding gathers are GEMMs with `C = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Dense convolution.
     Conv,
@@ -136,7 +135,7 @@ pub fn tensor_footprint(kind: LayerKind, tensor: Tensor, tile: &DimVec<u64>, str
 ///
 /// Extents use *output* spatial coordinates (`Y`, `X` are output rows and
 /// columns); the input halo is reconstructed by [`tensor_footprint`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layer {
     name: String,
     kind: LayerKind,

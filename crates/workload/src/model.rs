@@ -1,7 +1,6 @@
 //! A DNN model as an ordered list of layers, with unique-layer deduplication.
 
 use crate::layer::{Layer, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -10,7 +9,7 @@ use std::fmt;
 /// Searching a mapping per *unique* shape (instead of per occurrence) is how
 /// both GAMMA and DiGamma keep the genome small; repeated occurrences simply
 /// multiply the latency/energy of the found mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UniqueLayer {
     /// Representative layer (first occurrence).
     pub layer: Layer,
@@ -35,7 +34,7 @@ pub struct UniqueLayer {
 /// assert_eq!(model.layers().len(), 2);
 /// assert_eq!(model.unique_layers().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     name: String,
     layers: Vec<Layer>,
