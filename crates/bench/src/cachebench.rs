@@ -36,7 +36,7 @@
 //! `cargo bench -p digamma_bench --bench cache`.
 
 use crate::report::Table;
-use digamma::{CoOptProblem, DiGamma, DiGammaConfig, EvalCache, Objective};
+use digamma::{CoOptProblem, DiGamma, DiGammaConfig, Objective};
 use digamma_costmodel::Platform;
 use digamma_server::{
     CacheStats, EvictionPolicy, JobAlgorithm, JobSpec, SearchServer, ServerConfig,
@@ -95,7 +95,7 @@ fn searcher(config: CacheBenchConfig) -> DiGamma {
 pub fn prewarmed_cache(config: CacheBenchConfig, warmup: usize) -> Arc<ShardedFitnessCache> {
     let cache = Arc::new(ShardedFitnessCache::new(1 << 18));
     for _ in 0..warmup {
-        let p = problem().with_cache(Arc::clone(&cache) as Arc<dyn EvalCache>);
+        let p = problem().with_cache(Arc::clone(&cache) as _);
         searcher(config).search(&p, config.budget);
     }
     cache
@@ -108,7 +108,7 @@ pub fn timed_search(
 ) -> (Duration, Option<f64>, CacheStats) {
     let mut p = problem();
     if let Some(cache) = &cache {
-        p = p.with_cache(Arc::clone(cache) as Arc<dyn EvalCache>);
+        p = p.with_cache(Arc::clone(cache) as _);
     }
     let before = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
     let started = Instant::now();

@@ -20,16 +20,15 @@
 //!   `layer-evals`): the allocating pre-change path
 //!   (`Evaluator::evaluate_baseline`) off, the scratch path
 //!   (`Evaluator::evaluate_with_scratch`) on.
-//! * **instrumentation** — `CoOptProblem::evaluate_batch` with the
-//!   metrics registry detached vs attached ([`digamma::EvalMetrics`]),
-//!   guarding the observability layer's promise that the eval hot path
-//!   stays within a few percent of the uninstrumented speed.
-//! * **tracing** — the same for the span tracer ([`digamma::EvalTrace`]):
-//!   no tracer vs sampled eval spans recording into a live [`Tracer`].
-//! * **fault_injection** — the same for the failpoint framework: no
-//!   [`FailSet`] vs an attached but *disarmed* one, guarding the promise
-//!   that every production `evaluate_batch` call pays at most one
-//!   relaxed atomic load (≈1% budget) for the ability to inject faults.
+//! * **instrumentation**, **tracing** and **fault_injection** —
+//!   `CoOptProblem::evaluate_batch` on a bare problem (off) vs one with
+//!   an [`EvalHooks`] attached (on) that has exactly one piece live:
+//!   metric handles from an enabled registry, sampled eval spans
+//!   recording into a live [`Tracer`], or a *disarmed* [`FailSet`]
+//!   (the other pieces detached, absent or disarmed). They guard the
+//!   promise that the hooked arm stays within a few percent of the bare
+//!   one, and that the ability to inject faults costs every production
+//!   batch at most one relaxed atomic load (≈1% budget).
 //! * **analytics** — a full seeded `DiGamma::search` (unit
 //!   `design-points`) with [`digamma::DiGammaConfig::analytics`] off vs
 //!   on. The analytics path draws no RNG, so the gate is the whole
@@ -40,7 +39,7 @@
 //! `--mode full` on a release build (see the README's Performance
 //! section).
 
-use digamma::{CoOptProblem, DiGamma, DiGammaConfig, EvalMetrics, EvalTrace, Objective};
+use digamma::{CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, Objective};
 use digamma_costmodel::{CostReport, EvalScratch, Evaluator, Mapping, Platform};
 use digamma_encoding::Genome;
 use digamma_obs::{
@@ -345,14 +344,9 @@ fn measure_memo(model: &Model, config: &PerfConfig) -> MemoPerf {
 
 /// `instrumentation`, `tracing` and `fault_injection`: the same seeded
 /// genomes through `evaluate_batch` on a bare problem (off) and on one
-/// with an eval hook attached (on). No caches and no memo on either
-/// problem: the measurement isolates the hook, not the memo layers it
-/// may count.
-fn measure_hook(
-    model: &Model,
-    config: &PerfConfig,
-    attach: impl FnOnce(CoOptProblem) -> CoOptProblem,
-) -> AbRow {
+/// with `hooks` attached (on). No caches and no memo on either problem:
+/// the measurement isolates the hooks, not the memo layers.
+fn measure_hook(model: &Model, config: &PerfConfig, hooks: EvalHooks) -> AbRow {
     let platform = Platform::edge();
     let unique = model.unique_layers();
     let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -360,7 +354,8 @@ fn measure_hook(
     let genomes: Vec<Genome> =
         (0..count).map(|_| Genome::random(&mut rng, &unique, &platform, 2)).collect();
     let off = CoOptProblem::new(model.clone(), platform.clone(), Objective::Latency);
-    let on = attach(CoOptProblem::new(model.clone(), platform, Objective::Latency));
+    let on =
+        CoOptProblem::new(model.clone(), platform, Objective::Latency).with_hooks(Arc::new(hooks));
 
     let checksum = |problem: &CoOptProblem| {
         problem.evaluate_batch(&genomes, 1).iter().fold(0u64, |acc, e| {
@@ -428,18 +423,18 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     let rows = |measure: &dyn Fn(&Model) -> AbRow| models.iter().map(measure).collect::<Vec<_>>();
     let eval = rows(&|m| measure_eval(m, config));
     let memo = models.iter().map(|m| measure_memo(m, config)).collect();
-    let instrumentation = rows(&|m| {
-        measure_hook(m, config, |p| {
-            p.with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&MetricsRegistry::new(), "bench")))
-        })
-    });
+    // Each hook section makes one piece of the hooks live: an enabled
+    // registry, a live tracer, or the (disarmed) failpoint set.
+    let hooks = |registry: MetricsRegistry, trace: Option<(Tracer, SpanContext, u64)>| {
+        EvalHooks::new(&registry, "bench", trace, Arc::new(FailSet::new()))
+    };
+    let instrumentation = rows(&|m| measure_hook(m, config, hooks(MetricsRegistry::new(), None)));
     let tracing = rows(&|m| {
-        measure_hook(m, config, |p| {
-            p.with_eval_trace(Arc::new(EvalTrace::new(Tracer::new(), SpanContext::generate(), 1)))
-        })
+        let trace = (Tracer::new(), SpanContext::generate(), 1);
+        measure_hook(m, config, hooks(MetricsRegistry::disabled(), Some(trace)))
     });
     let fault_injection =
-        rows(&|m| measure_hook(m, config, |p| p.with_eval_faults(Arc::new(FailSet::new()))));
+        rows(&|m| measure_hook(m, config, hooks(MetricsRegistry::disabled(), None)));
     let analytics = rows(&|m| measure_analytics(m, config));
     let sections =
         AB_SECTIONS.into_iter().zip([eval, instrumentation, tracing, fault_injection, analytics]);

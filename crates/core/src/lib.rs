@@ -63,8 +63,6 @@ pub use gamma::{Gamma, GammaConfig};
 pub use hwopt::{hw_grid_search, GridSearchResult};
 pub use objective::Objective;
 pub use parallel::{default_threads, parallel_map, scoped_workers};
-pub use problem::{
-    CoOptProblem, Constraint, DesignEvaluation, EvalCache, EvalMetrics, EvalTrace, GenomeMemo,
-};
+pub use problem::{CoOptProblem, Constraint, DesignEvaluation, EvalHooks, Memo};
 pub use result::{DesignPoint, SearchResult};
 pub use templates::MappingStyle;

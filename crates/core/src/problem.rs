@@ -1,4 +1,14 @@
 //! The co-optimization problem: the evaluation block of Fig. 3(a).
+//!
+//! [`CoOptProblem`] scores genomes (decode → cost model → buffer
+//! allocation → constraint check) for any optimizer. Two optional memo
+//! layers, both behind the one [`Memo`] trait, short-circuit repeated
+//! work: a whole-genome memo ([`CoOptProblem::with_genome_memo`]) above
+//! a per-layer report cache ([`CoOptProblem::with_cache`]). One optional
+//! [`EvalHooks`] ([`CoOptProblem::with_hooks`]) carries everything a
+//! served job instruments the block with — metric handles, the trace
+//! parent and the failpoint set — so [`CoOptProblem::evaluate_batch`]
+//! has one bare arm and one hooked arm.
 
 use crate::objective::Objective;
 use digamma_costmodel::{
@@ -23,36 +33,49 @@ use std::time::{Duration, Instant};
 /// couple of observations.
 const EVAL_LATENCY_SAMPLE_EVERY: u64 = 64;
 
-/// Metric handles for the evaluation hot path, registered once per job
-/// (labelled by tenant) and shared by every clone of the problem.
+/// The evaluation block's one instrumentation seam, attached by
+/// [`CoOptProblem::with_hooks`] and shared by every clone of the
+/// problem: a tenant's eval metric handles, the optional trace parent
+/// and job id, the failpoint set, and one 1-in-64 [`SampleTick`].
 ///
-/// All handles are pre-resolved atomics, so the instrumented path adds
-/// a handful of relaxed atomic ops per *batch* plus one relaxed
-/// `fetch_add` per distinct evaluation; wall-clock reads for the
-/// per-eval latency histogram are sampled (see
-/// [`EvalMetrics::for_tenant`]). A problem without attached metrics
-/// pays nothing beyond one branch per batch.
+/// [`CoOptProblem::evaluate_batch`] consults the hooks twice per batch:
+/// on entry the `worker.eval` failpoint (one relaxed load while
+/// disarmed), on exit the eval and dedupe counters, the batch-latency
+/// histogram and, when traced, an `eval.batch` span. Each distinct
+/// evaluation advances the sample tick; sampled ones are timed into
+/// `digamma_eval_seconds` and, when traced, an `eval.layer` span, so the
+/// ~450ns hot path is not dominated by clock reads. Handles from a
+/// disabled [`MetricsRegistry`] are detached cells, so an uninstrumented
+/// server runs this same path; a problem without hooks pays one branch
+/// per batch.
 #[derive(Debug)]
-pub struct EvalMetrics {
+pub struct EvalHooks {
     evals: Counter,
     eval_seconds: Histogram,
     batch_seconds: Histogram,
     dedup_skipped: Counter,
-    memo_hits: Counter,
-    memo_misses: Counter,
+    /// The tracer, the job's run span the eval spans nest under, and the
+    /// job id that puts them in the job's Perfetto lane.
+    trace: Option<(Tracer, SpanContext, u64)>,
+    faults: Arc<FailSet>,
     sample: SampleTick,
 }
 
-impl EvalMetrics {
-    /// Registers (or re-resolves) the eval-path metric family for one
-    /// tenant: `digamma_evals_total`, `digamma_eval_seconds` (sampled
-    /// 1-in-64), `digamma_eval_batch_seconds`,
-    /// `digamma_eval_dedup_skipped_total`, and
-    /// `digamma_genome_memo_probes_total{result=...}`.
+impl EvalHooks {
+    /// Resolves the eval-path metric family for one tenant —
+    /// `digamma_evals_total`, `digamma_eval_seconds` (sampled 1-in-64),
+    /// `digamma_eval_batch_seconds` and `digamma_eval_dedup_skipped_total`
+    /// — and bundles it with `trace` (tracer, parent span, job id) and
+    /// the failpoint set the `worker.eval` point consults.
     #[must_use]
-    pub fn for_tenant(registry: &MetricsRegistry, tenant: &str) -> EvalMetrics {
+    pub fn new(
+        registry: &MetricsRegistry,
+        tenant: &str,
+        trace: Option<(Tracer, SpanContext, u64)>,
+        faults: Arc<FailSet>,
+    ) -> EvalHooks {
         let t = [("tenant", tenant)];
-        EvalMetrics {
+        EvalHooks {
             evals: registry.counter(
                 "digamma_evals_total",
                 "Distinct per-layer cost-model evaluations performed (after batch dedupe).",
@@ -76,76 +99,71 @@ impl EvalMetrics {
                 "Identical (layer, mapping) evaluations skipped by batch-local dedupe.",
                 &t,
             ),
-            memo_hits: registry.counter(
-                "digamma_genome_memo_probes_total",
-                "Whole-genome memo probes by result.",
-                &[("tenant", tenant), ("result", "hit")],
-            ),
-            memo_misses: registry.counter(
-                "digamma_genome_memo_probes_total",
-                "Whole-genome memo probes by result.",
-                &[("tenant", tenant), ("result", "miss")],
-            ),
+            trace,
+            faults,
             sample: SampleTick::new(EVAL_LATENCY_SAMPLE_EVERY),
         }
     }
-}
 
-/// Span handles for the evaluation hot path, attached by the server
-/// when tracing is enabled for a job. The same sampling discipline as
-/// [`EvalMetrics`]: individual eval spans are recorded 1-in-64 (the
-/// ~450ns hot path must not be dominated by clock reads and span
-/// bookkeeping), while whole-batch spans — one per GA generation — are
-/// recorded every call. All spans nest under the job's run span and
-/// carry its job id, so they land in the job's Perfetto lane.
-#[derive(Debug)]
-pub struct EvalTrace {
-    tracer: Tracer,
-    parent: SpanContext,
-    job: u64,
-    sample: SampleTick,
-}
-
-impl EvalTrace {
-    /// Builds span handles parented under `parent` (a job's run span)
-    /// and tagged with `job`.
-    #[must_use]
-    pub fn new(tracer: Tracer, parent: SpanContext, job: u64) -> EvalTrace {
-        EvalTrace { tracer, parent, job, sample: SampleTick::new(EVAL_LATENCY_SAMPLE_EVERY) }
+    /// The `worker.eval` failpoint: a [`FailAction::Panic`] firing panics
+    /// the batch — the injected "worker dies mid-generation" fault the
+    /// registry must catch.
+    fn enter_batch(&self) {
+        if self.faults.fired("worker.eval") == Some(FailAction::Panic) {
+            panic!("injected panic at failpoint \"worker.eval\"");
+        }
     }
 
-    /// Records one sampled per-layer eval span, back-dated by its
-    /// measured duration.
-    fn record_eval(&self, layer: usize, elapsed: Duration) {
-        let dur_ns = elapsed.as_nanos() as u64;
-        self.tracer.record(SpanRecord {
-            trace: self.parent.trace,
-            span: self.tracer.span_id(),
-            parent: Some(self.parent.span),
-            name: "eval.layer",
-            job: Some(self.job),
-            start_ns: self.tracer.now_ns().saturating_sub(dur_ns),
-            dur_ns,
-            attrs: vec![("layer", layer.to_string())],
-        });
+    /// Runs one distinct evaluation of unique layer `layer`, timing it
+    /// when the sample tick is due.
+    fn evaluate<R>(&self, layer: usize, eval: impl FnOnce() -> R) -> R {
+        if !self.sample.due() {
+            return eval();
+        }
+        let started = Instant::now();
+        let result = eval();
+        let elapsed = started.elapsed();
+        self.eval_seconds.observe_duration(elapsed);
+        if self.trace.is_some() {
+            self.record_span("eval.layer", elapsed, vec![("layer", layer.to_string())]);
+        }
+        result
     }
 
-    /// Records one whole-batch eval span (one per GA generation),
-    /// back-dated by its measured duration.
-    fn record_batch(&self, genomes: usize, distinct_evals: usize, elapsed: Duration) {
-        let dur_ns = elapsed.as_nanos() as u64;
-        self.tracer.record(SpanRecord {
-            trace: self.parent.trace,
-            span: self.tracer.span_id(),
-            parent: Some(self.parent.span),
-            name: "eval.batch",
-            job: Some(self.job),
-            start_ns: self.tracer.now_ns().saturating_sub(dur_ns),
-            dur_ns,
-            attrs: vec![
+    /// Feeds one finished batch into the counters, the batch histogram
+    /// and the `eval.batch` span.
+    fn exit_batch(&self, genomes: usize, distinct_evals: usize, skipped: u64, elapsed: Duration) {
+        self.dedup_skipped.add(skipped);
+        self.evals.add(distinct_evals as u64);
+        self.batch_seconds.observe_duration(elapsed);
+        if self.trace.is_some() {
+            let attrs = vec![
                 ("genomes", genomes.to_string()),
                 ("distinct_evals", distinct_evals.to_string()),
-            ],
+            ];
+            self.record_span("eval.batch", elapsed, attrs);
+        }
+    }
+
+    /// Records one completed span under the run span, back-dated by its
+    /// measured duration.
+    fn record_span(
+        &self,
+        name: &'static str,
+        elapsed: Duration,
+        attrs: Vec<(&'static str, String)>,
+    ) {
+        let Some((tracer, parent, job)) = &self.trace else { return };
+        let dur_ns = elapsed.as_nanos() as u64;
+        tracer.record(SpanRecord {
+            trace: parent.trace,
+            span: tracer.span_id(),
+            parent: Some(parent.span),
+            name,
+            job: Some(*job),
+            start_ns: tracer.now_ns().saturating_sub(dur_ns),
+            dur_ns,
+            attrs,
         });
     }
 }
@@ -165,46 +183,29 @@ pub enum Constraint {
     FixedHw(HwConfig),
 }
 
-/// A shared, thread-safe memo for per-layer cost-model results.
+/// A shared, thread-safe memo from a stable `u64` key to a value the
+/// evaluation block would otherwise recompute. One trait serves both
+/// memo layers:
 ///
-/// Implementations map the stable key from
-/// [`Evaluator::cache_key`](digamma_costmodel::Evaluator::cache_key) to
-/// the [`CostReport`] that evaluation produced. A hit must return a
-/// report identical to what the cost model would compute — evaluation is
-/// pure, so storing and replaying reports is semantics-preserving; the
-/// `digamma-server` crate's sharded fitness cache is the production
-/// implementation and property-tests exactly that equivalence.
+/// * `Memo<Arc<CostReport>>` ([`CoOptProblem::with_cache`]) is keyed by
+///   [`Evaluator::cache_key`](digamma_costmodel::Evaluator::cache_key);
+///   a hit skips one cost-model call.
+/// * `Memo<Arc<DesignEvaluation>>` ([`CoOptProblem::with_genome_memo`])
+///   is keyed by [`CoOptProblem::genome_key`]; a hit skips the decode →
+///   per-layer evaluate → aggregate pipeline entirely.
 ///
-/// Reports travel as [`Arc`]s so a hit is a refcount bump, never a deep
-/// clone — the cache's whole point is to be much cheaper than the cost
-/// model.
-pub trait EvalCache: std::fmt::Debug + Send + Sync {
-    /// Returns the memoized report for `key`, if present.
-    fn lookup(&self, key: u64) -> Option<Arc<CostReport>>;
-    /// Memoizes `report` under `key` (implementations may evict).
-    fn store(&self, key: u64, report: &Arc<CostReport>);
-}
-
-/// A shared, thread-safe memo for **whole-genome** evaluations: the
-/// second memo layer above the per-layer [`EvalCache`].
-///
-/// Elites survive generations unchanged, crossover re-creates recent
-/// parents, and resubmitted jobs re-score entire populations — the
-/// batch-local dedupe counters show whole genomes recur constantly. A
-/// genome-memo hit skips the decode → per-layer-evaluate → aggregate
-/// pipeline entirely, returning the finished [`DesignEvaluation`].
-///
-/// Keys come from [`CoOptProblem::genome_key`], which hashes everything
-/// the evaluation reads (model constants, budget, objective, constraint,
-/// layer shapes, and every gene), so equal keys guarantee identical
-/// evaluations; storing and replaying them is semantics-preserving. The
-/// `digamma-server` crate's `ShardedGenomeMemo` is the production
-/// implementation.
-pub trait GenomeMemo: std::fmt::Debug + Send + Sync {
-    /// Returns the memoized evaluation for `key`, if present.
-    fn lookup(&self, key: u64) -> Option<Arc<DesignEvaluation>>;
-    /// Memoizes `evaluation` under `key` (implementations may evict).
-    fn store(&self, key: u64, evaluation: &Arc<DesignEvaluation>);
+/// Evaluation is pure and each key covers everything its evaluation
+/// reads, so a hit must return exactly what recomputing would, and
+/// storing and replaying values is semantics-preserving; the
+/// `digamma-server` crate's sharded memo is the production
+/// implementation and property-tests exactly that equivalence. Values
+/// travel as [`Arc`]s so a hit is a refcount bump, never a deep clone —
+/// the memo's whole point is to be much cheaper than recomputing.
+pub trait Memo<V>: std::fmt::Debug + Send + Sync {
+    /// Returns the memoized value for `key`, if present.
+    fn lookup(&self, key: u64) -> Option<V>;
+    /// Memoizes `value` under `key` (implementations may evict).
+    fn store(&self, key: u64, value: V);
 }
 
 /// The outcome of evaluating one design point.
@@ -238,9 +239,8 @@ pub struct CoOptProblem {
     evaluator: Evaluator,
     objective: Objective,
     constraint: Constraint,
-    num_levels: usize,
-    cache: Option<Arc<dyn EvalCache>>,
-    genome_memo: Option<Arc<dyn GenomeMemo>>,
+    cache: Option<Arc<dyn Memo<Arc<CostReport>>>>,
+    genome_memo: Option<Arc<dyn Memo<Arc<DesignEvaluation>>>>,
     /// The problem-identity prefix of [`CoOptProblem::genome_key`],
     /// hashed once here (and re-hashed by [`CoOptProblem::with_constraint`])
     /// instead of per genome — on the memoized hot path only the genes
@@ -255,16 +255,9 @@ pub struct CoOptProblem {
     /// dedupe counter — a job's timing breakdown reads one total even
     /// when the search uses constrained problem copies.
     eval_wall_ns: Arc<AtomicU64>,
-    /// Optional metric handles (tenant-labelled); attached by the
-    /// server when its registry is enabled.
-    eval_metrics: Option<Arc<EvalMetrics>>,
-    /// Optional span handles parented under the job's run span;
-    /// attached by the server when tracing is enabled.
-    eval_trace: Option<Arc<EvalTrace>>,
-    /// Optional failpoint set, consulted once per batch (the
-    /// `worker.eval` point); attached by the server so a chaos run can
-    /// panic a search mid-generation.
-    eval_faults: Option<Arc<FailSet>>,
+    /// Optional instrumentation (metrics, trace parent, failpoints);
+    /// attached by the server to every job it runs.
+    hooks: Option<Arc<EvalHooks>>,
 }
 
 impl CoOptProblem {
@@ -282,15 +275,12 @@ impl CoOptProblem {
             evaluator,
             objective,
             constraint,
-            num_levels: 2,
             cache: None,
             genome_memo: None,
             genome_key_prefix,
             batch_dedup_skipped: Arc::new(AtomicU64::new(0)),
             eval_wall_ns: Arc::new(AtomicU64::new(0)),
-            eval_metrics: None,
-            eval_trace: None,
-            eval_faults: None,
+            hooks: None,
         }
     }
 
@@ -309,43 +299,27 @@ impl CoOptProblem {
     /// Attaches a shared fitness memo: per-layer evaluations whose key is
     /// already cached skip the cost model entirely. The cache may be
     /// shared across problems, searches, and threads.
-    pub fn with_cache(mut self, cache: Arc<dyn EvalCache>) -> CoOptProblem {
+    pub fn with_cache(mut self, cache: Arc<dyn Memo<Arc<CostReport>>>) -> CoOptProblem {
         self.cache = Some(cache);
         self
     }
 
     /// Attaches a whole-genome memo (the layer above the per-layer
     /// cache): genomes whose [`CoOptProblem::genome_key`] is already
-    /// memoized skip decoding and per-layer evaluation entirely.
-    pub fn with_genome_memo(mut self, memo: Arc<dyn GenomeMemo>) -> CoOptProblem {
+    /// memoized skip decoding and per-layer evaluation entirely. Elites
+    /// survive generations unchanged, crossover re-creates recent
+    /// parents and resubmitted jobs re-score whole populations, so whole
+    /// genomes recur constantly.
+    pub fn with_genome_memo(mut self, memo: Arc<dyn Memo<Arc<DesignEvaluation>>>) -> CoOptProblem {
         self.genome_memo = Some(memo);
         self
     }
 
-    /// Attaches tenant-labelled metric handles for the evaluation hot
-    /// path (see [`EvalMetrics`]). Shared by every clone of this
-    /// problem, like the cache and dedupe counter.
-    pub fn with_eval_metrics(mut self, metrics: Arc<EvalMetrics>) -> CoOptProblem {
-        self.eval_metrics = Some(metrics);
-        self
-    }
-
-    /// Attaches span handles for the evaluation hot path (see
-    /// [`EvalTrace`]). Shared by every clone of this problem, like the
-    /// cache and metric handles.
-    pub fn with_eval_trace(mut self, trace: Arc<EvalTrace>) -> CoOptProblem {
-        self.eval_trace = Some(trace);
-        self
-    }
-
-    /// Attaches a failpoint set to the evaluation hot path: every
-    /// [`CoOptProblem::evaluate_batch`] call hits the `worker.eval`
-    /// point, and a [`FailAction::Panic`] firing panics the batch —
-    /// the injected "worker dies mid-generation" fault the registry
-    /// must catch. Disarmed, the hit costs one relaxed atomic load per
-    /// batch; detached, one branch.
-    pub fn with_eval_faults(mut self, faults: Arc<FailSet>) -> CoOptProblem {
-        self.eval_faults = Some(faults);
+    /// Attaches the evaluation hot path's instrumentation (see
+    /// [`EvalHooks`]). Shared by every clone of this problem, like the
+    /// memos and the dedupe counter.
+    pub fn with_hooks(mut self, hooks: Arc<EvalHooks>) -> CoOptProblem {
+        self.hooks = Some(hooks);
         self
     }
 
@@ -354,17 +328,6 @@ impl CoOptProblem {
     /// problem — the "eval" slice of a job's timing breakdown.
     pub fn eval_wall(&self) -> Duration {
         Duration::from_nanos(self.eval_wall_ns.load(Ordering::Relaxed))
-    }
-
-    /// Sets the number of cluster levels genomes use (2 or 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_levels` is not 1, 2, or 3.
-    pub fn with_num_levels(mut self, num_levels: usize) -> CoOptProblem {
-        assert!((1..=3).contains(&num_levels), "supported level counts: 1..=3");
-        self.num_levels = num_levels;
-        self
     }
 
     /// The target model.
@@ -397,9 +360,10 @@ impl CoOptProblem {
         &self.constraint
     }
 
-    /// Number of cluster levels genomes must carry.
+    /// Number of cluster levels genomes must carry (the paper's default
+    /// 2-level encoding).
     pub fn num_levels(&self) -> usize {
-        self.num_levels
+        2
     }
 
     /// The genome's hardware fan-outs after applying the constraint
@@ -441,16 +405,10 @@ impl CoOptProblem {
         };
         let key = self.genome_key(genome);
         if let Some(hit) = memo.lookup(key) {
-            if let Some(m) = &self.eval_metrics {
-                m.memo_hits.inc();
-            }
             return (*hit).clone();
         }
-        if let Some(m) = &self.eval_metrics {
-            m.memo_misses.inc();
-        }
         let evaluation = self.evaluate_unmemoized(genome);
-        memo.store(key, &Arc::new(evaluation.clone()));
+        memo.store(key, Arc::new(evaluation.clone()));
         evaluation
     }
 
@@ -493,10 +451,8 @@ impl CoOptProblem {
     /// genome, in order, for any `threads` value — evaluation is pure, so
     /// deduplication is semantics-preserving.
     pub fn evaluate_batch(&self, genomes: &[Genome], threads: usize) -> Vec<DesignEvaluation> {
-        if let Some(faults) = &self.eval_faults {
-            if faults.fired("worker.eval") == Some(FailAction::Panic) {
-                panic!("injected panic at failpoint \"worker.eval\"");
-            }
+        if let Some(hooks) = &self.hooks {
+            hooks.enter_batch();
         }
         let started = Instant::now();
         let mut out: Vec<Option<DesignEvaluation>> = genomes.iter().map(|_| None).collect();
@@ -521,10 +477,6 @@ impl CoOptProblem {
                 misses
             }
         };
-        if let (Some(m), true) = (&self.eval_metrics, self.genome_memo.is_some()) {
-            m.memo_hits.add((genomes.len() - misses.len()) as u64);
-            m.memo_misses.add(misses.len() as u64);
-        }
 
         // Decode every miss once (no genome clones: the constraint's
         // fan-outs thread straight into the decoder).
@@ -559,46 +511,21 @@ impl CoOptProblem {
             layout.push(per_genome);
         }
         self.batch_dedup_skipped.fetch_add(skipped, Ordering::Relaxed);
-        if let Some(m) = &self.eval_metrics {
-            m.dedup_skipped.add(skipped);
-            m.evals.add(work.len() as u64);
-        }
 
         // Layer 2: only distinct evaluations fan out to workers (and
         // probe the attached shared per-layer cache, when there is one).
-        // With metrics or tracing attached, per-eval latency is observed
-        // on independent 1-in-64 samples so the clock reads stay off the
-        // common path; fully uninstrumented problems take the bare arm.
-        let results: Vec<Result<Arc<CostReport>, EvalError>> =
-            match (&self.eval_metrics, &self.eval_trace) {
-                (None, None) => crate::parallel::parallel_map(&work, threads, |&(li, mapping)| {
-                    self.evaluate_layer(&self.unique[li].layer, mapping)
-                }),
-                (metrics, trace) => {
-                    crate::parallel::parallel_map(&work, threads, |&(li, mapping)| {
-                        let sample_metrics = metrics.as_ref().is_some_and(|m| m.sample.due());
-                        let sample_trace = trace.as_ref().is_some_and(|t| t.sample.due());
-                        if sample_metrics || sample_trace {
-                            let eval_started = Instant::now();
-                            let result = self.evaluate_layer(&self.unique[li].layer, mapping);
-                            let elapsed = eval_started.elapsed();
-                            if sample_metrics {
-                                if let Some(m) = metrics {
-                                    m.eval_seconds.observe_duration(elapsed);
-                                }
-                            }
-                            if sample_trace {
-                                if let Some(t) = trace {
-                                    t.record_eval(li, elapsed);
-                                }
-                            }
-                            result
-                        } else {
-                            self.evaluate_layer(&self.unique[li].layer, mapping)
-                        }
-                    })
-                }
-            };
+        // Hooked problems tick the hooks' 1-in-64 sampler per evaluation
+        // so the clock reads stay off the common path; unhooked problems
+        // take the bare arm.
+        let eval = |&(li, mapping): &(usize, &Mapping)| {
+            self.evaluate_layer(&self.unique[li].layer, mapping)
+        };
+        let results: Vec<Result<Arc<CostReport>, EvalError>> = match &self.hooks {
+            None => crate::parallel::parallel_map(&work, threads, eval),
+            Some(hooks) => crate::parallel::parallel_map(&work, threads, |item| {
+                hooks.evaluate(item.0, || eval(item))
+            }),
+        };
 
         for (mi, (&i, ((fanouts, mappings), per_genome))) in
             misses.iter().zip(decoded.iter().zip(&layout)).enumerate()
@@ -620,18 +547,15 @@ impl CoOptProblem {
                 self.aggregate(fanouts, mappings, &reports)
             };
             if let Some(memo) = &self.genome_memo {
-                memo.store(miss_keys[mi], &Arc::new(evaluation.clone()));
+                memo.store(miss_keys[mi], Arc::new(evaluation.clone()));
             }
             out[i] = Some(evaluation);
         }
 
         let elapsed = started.elapsed();
         self.eval_wall_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        if let Some(m) = &self.eval_metrics {
-            m.batch_seconds.observe_duration(elapsed);
-        }
-        if let Some(t) = &self.eval_trace {
-            t.record_batch(genomes.len(), work.len(), elapsed);
+        if let Some(hooks) = &self.hooks {
+            hooks.exit_batch(genomes.len(), work.len(), skipped, elapsed);
         }
         out.into_iter().map(|e| e.expect("every genome evaluated")).collect()
     }
@@ -844,7 +768,7 @@ impl CoOptProblem {
             return Ok(report);
         }
         let report = Arc::new(self.evaluator.evaluate(layer, mapping)?);
-        cache.store(key, &report);
+        cache.store(key, Arc::clone(&report));
         Ok(report)
     }
 }
@@ -910,7 +834,7 @@ mod tests {
         misses: AtomicU64,
     }
 
-    impl GenomeMemo for CountingMemo {
+    impl Memo<Arc<DesignEvaluation>> for CountingMemo {
         fn lookup(&self, key: u64) -> Option<Arc<DesignEvaluation>> {
             let found = self.map.lock().unwrap().get(&key).cloned();
             match &found {
@@ -919,8 +843,8 @@ mod tests {
             };
             found
         }
-        fn store(&self, key: u64, evaluation: &Arc<DesignEvaluation>) {
-            self.map.lock().unwrap().insert(key, Arc::clone(evaluation));
+        fn store(&self, key: u64, evaluation: Arc<DesignEvaluation>) {
+            self.map.lock().unwrap().insert(key, evaluation);
         }
     }
 
@@ -1002,8 +926,8 @@ mod tests {
     #[test]
     fn eval_metrics_do_not_change_results_and_wall_clock_accumulates() {
         let registry = MetricsRegistry::new();
-        let metered =
-            problem().with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&registry, "t")));
+        let hooks = EvalHooks::new(&registry, "t", None, Arc::new(FailSet::new()));
+        let metered = problem().with_hooks(Arc::new(hooks));
         let plain = problem();
         let mut rng = SmallRng::seed_from_u64(21);
         let genomes: Vec<Genome> = (0..4)
@@ -1036,7 +960,13 @@ mod tests {
             let span = tracer.start_root("job.run");
             span.context().expect("enabled tracer yields contexts")
         };
-        let traced = problem().with_eval_trace(Arc::new(EvalTrace::new(tracer.clone(), root, 9)));
+        let hooks = EvalHooks::new(
+            &MetricsRegistry::disabled(),
+            "t",
+            Some((tracer.clone(), root, 9)),
+            Arc::new(FailSet::new()),
+        );
+        let traced = problem().with_hooks(Arc::new(hooks));
         let plain = problem();
         let mut rng = SmallRng::seed_from_u64(33);
         let genomes: Vec<Genome> = (0..4)

@@ -94,20 +94,6 @@ pub struct BufferRequirement {
     pub l1_words_per_pe: u64,
 }
 
-impl BufferRequirement {
-    /// Total on-chip words given the fan-outs of the mapping levels.
-    pub fn total_words(&self, fanouts: &[u64]) -> u64 {
-        let mut total = self.l2_words;
-        let mut units = 1u64;
-        for (i, &mid) in self.mid_words_per_unit.iter().enumerate() {
-            units = units.saturating_mul(fanouts[i]);
-            total = total.saturating_add(mid.saturating_mul(units));
-        }
-        let pes: u64 = fanouts.iter().product();
-        total.saturating_add(self.l1_words_per_pe.saturating_mul(pes))
-    }
-}
-
 /// Full reuse-analysis output for one `(layer, mapping)` pair.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {

@@ -52,18 +52,6 @@ impl Evaluator {
         Evaluator { platform, area_model: AREA_MODEL_15NM, energy_model: ENERGY_MODEL_DEFAULT }
     }
 
-    /// Overrides the area model.
-    pub fn with_area_model(mut self, area_model: AreaModel) -> Evaluator {
-        self.area_model = area_model;
-        self
-    }
-
-    /// Overrides the energy model.
-    pub fn with_energy_model(mut self, energy_model: EnergyModel) -> Evaluator {
-        self.energy_model = energy_model;
-        self
-    }
-
     /// The platform this evaluator scores against.
     pub fn platform(&self) -> &Platform {
         &self.platform

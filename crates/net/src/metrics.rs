@@ -1,9 +1,10 @@
 //! Per-request HTTP access metrics for the accept loop.
 //!
 //! [`MeteredWriter`] wraps a connection's write half, counting bytes
-//! out and sniffing the status code off the response head as it goes
-//! by; [`record_request`] turns one handled request into the
-//! `digamma_http_*` series. Label cardinality is bounded on purpose:
+//! out and sniffing the status code off the response head, and counts
+//! the request in `digamma_http_requests_total` before any response
+//! byte leaves; [`record_request`] adds the latency and byte series once
+//! the request is handled. Label cardinality is bounded on purpose:
 //! endpoints normalize to their route template ([`endpoint_label`]),
 //! methods to the two the protocol uses, so a hostile client cannot
 //! mint unbounded series by spraying paths.
@@ -41,19 +42,41 @@ pub(crate) fn method_label(method: &str) -> &'static str {
     }
 }
 
+/// Length of the `HTTP/1.1 NNN` prefix that carries the status code.
+const STATUS_PREFIX_LEN: usize = 12;
+
 /// A write-half wrapper that counts bytes and remembers the status
 /// code from the `HTTP/1.1 NNN` response head (chunked streams and
 /// fixed responses both start that way).
+///
+/// The head is held back until its status code is known (or the writer
+/// is flushed), and the request is counted in
+/// `digamma_http_requests_total` before the head is forwarded: once a
+/// client has read any byte of a response, a scrape already sees that
+/// request counted.
 #[derive(Debug)]
-pub(crate) struct MeteredWriter<W: Write> {
+pub(crate) struct MeteredWriter<'a, W: Write> {
     inner: W,
     bytes: u64,
     head: Vec<u8>,
+    /// The registry and `(endpoint, method)` labels the request is
+    /// counted under; `None` once it has been counted.
+    uncounted: Option<(&'a MetricsRegistry, &'static str, &'static str)>,
 }
 
-impl<W: Write> MeteredWriter<W> {
-    pub(crate) fn new(inner: W) -> MeteredWriter<W> {
-        MeteredWriter { inner, bytes: 0, head: Vec::with_capacity(12) }
+impl<'a, W: Write> MeteredWriter<'a, W> {
+    pub(crate) fn new(
+        inner: W,
+        metrics: &'a MetricsRegistry,
+        endpoint: &'static str,
+        method: &'static str,
+    ) -> MeteredWriter<'a, W> {
+        MeteredWriter {
+            inner,
+            bytes: 0,
+            head: Vec::with_capacity(STATUS_PREFIX_LEN),
+            uncounted: Some((metrics, endpoint, method)),
+        }
     }
 
     /// Bytes written so far.
@@ -65,26 +88,49 @@ impl<W: Write> MeteredWriter<W> {
     /// value ("200", ...); `"none"` when nothing parseable was written
     /// (the handler answered nothing before the transport died).
     pub(crate) fn status(&self) -> String {
-        let head = String::from_utf8_lossy(&self.head);
+        let head = String::from_utf8_lossy(&self.head[..self.head.len().min(STATUS_PREFIX_LEN)]);
         head.split_whitespace()
             .nth(1)
             .filter(|code| code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()))
             .map_or_else(|| "none".to_owned(), str::to_owned)
     }
+
+    /// Counts the request under the status sniffed so far, then forwards
+    /// the held-back head. A no-op once the request was counted.
+    fn release_head(&mut self) -> std::io::Result<()> {
+        let Some((metrics, endpoint, method)) = self.uncounted.take() else { return Ok(()) };
+        metrics
+            .counter(
+                "digamma_http_requests_total",
+                "HTTP requests handled, by route template, method, and status.",
+                &[("endpoint", endpoint), ("method", method), ("status", &self.status())],
+            )
+            .inc();
+        self.inner.write_all(&self.head)?;
+        self.bytes += self.head.len() as u64;
+        self.head.truncate(STATUS_PREFIX_LEN);
+        Ok(())
+    }
 }
 
-impl<W: Write> Write for MeteredWriter<W> {
+impl<W: Write> Write for MeteredWriter<'_, W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let written = self.inner.write(buf)?;
-        if self.head.len() < 12 {
-            let take = (12 - self.head.len()).min(written);
-            self.head.extend_from_slice(&buf[..take]);
+        if self.uncounted.is_some() {
+            self.head.extend_from_slice(buf);
+            if self.head.len() >= STATUS_PREFIX_LEN {
+                self.release_head()?;
+            }
+            return Ok(buf.len());
         }
+        let written = self.inner.write(buf)?;
         self.bytes += written as u64;
         Ok(written)
     }
 
+    /// Also counts a request whose handler wrote less than a status
+    /// line (status `none` when it wrote nothing parseable).
     fn flush(&mut self) -> std::io::Result<()> {
+        self.release_head()?;
         self.inner.flush()
     }
 }
@@ -99,23 +145,15 @@ pub(crate) fn request_bytes(request: &crate::httpio::Request) -> u64 {
     (head + headers + 2 + request.body.len()) as u64
 }
 
-/// Feeds one handled request into the access-metric families.
+/// Feeds one handled request's latency and byte counts into the
+/// access-metric families (its [`MeteredWriter`] already counted it).
 pub(crate) fn record_request(
     metrics: &MetricsRegistry,
     endpoint: &'static str,
-    method: &'static str,
-    status: &str,
     elapsed: Duration,
     bytes_in: u64,
     bytes_out: u64,
 ) {
-    metrics
-        .counter(
-            "digamma_http_requests_total",
-            "HTTP requests handled, by route template, method, and status.",
-            &[("endpoint", endpoint), ("method", method), ("status", status)],
-        )
-        .inc();
     metrics
         .histogram(
             "digamma_http_request_seconds",
@@ -145,22 +183,76 @@ mod tests {
         assert_eq!(endpoint_label("/../../etc/passwd"), "other");
     }
 
+    fn requests_total(metrics: &MetricsRegistry, status: &str) -> u64 {
+        metrics
+            .counter(
+                "digamma_http_requests_total",
+                "HTTP requests handled, by route template, method, and status.",
+                &[("endpoint", "/jobs/{id}"), ("method", "GET"), ("status", status)],
+            )
+            .value()
+    }
+
     #[test]
     fn metered_writer_counts_bytes_and_sniffs_status() {
+        let metrics = MetricsRegistry::new();
         let mut wire = Vec::new();
-        let mut meter = MeteredWriter::new(&mut wire);
+        let mut meter = MeteredWriter::new(&mut wire, &metrics, "/jobs/{id}", "GET");
         crate::httpio::write_response(&mut meter, 404, "no such job\n", true).unwrap();
         assert_eq!(meter.status(), "404");
         assert_eq!(meter.bytes(), wire.len() as u64);
         assert!(wire.starts_with(b"HTTP/1.1 404"));
+        assert_eq!(requests_total(&metrics, "404"), 1);
+    }
+
+    /// An inner writer that checks, on its first write, that the request
+    /// is already counted.
+    struct AssertCounted<'a> {
+        metrics: &'a MetricsRegistry,
+        writes: usize,
+    }
+
+    impl Write for AssertCounted<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.writes == 0 {
+                let text = self.metrics.render();
+                assert!(
+                    text.contains(
+                        "digamma_http_requests_total{endpoint=\"/jobs/{id}\",method=\"GET\",\
+                         status=\"200\"} 1"
+                    ),
+                    "the request must be counted before its first byte is written:\n{text}"
+                );
+            }
+            self.writes += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn request_is_counted_before_the_first_response_byte() {
+        let metrics = MetricsRegistry::new();
+        let inner = AssertCounted { metrics: &metrics, writes: 0 };
+        let mut meter = MeteredWriter::new(inner, &metrics, "/jobs/{id}", "GET");
+        crate::httpio::write_response(&mut meter, 200, "status = done\n", true).unwrap();
+        assert!(meter.inner.writes > 0, "the response reached the inner writer");
+        assert_eq!(requests_total(&metrics, "200"), 1, "counted exactly once");
     }
 
     #[test]
     fn unwritten_or_garbage_heads_report_none() {
-        let meter = MeteredWriter::new(Vec::new());
+        let metrics = MetricsRegistry::new();
+        let mut meter = MeteredWriter::new(Vec::new(), &metrics, "/jobs/{id}", "GET");
         assert_eq!(meter.status(), "none");
-        let mut meter = MeteredWriter::new(Vec::new());
+        meter.flush().unwrap();
+        assert_eq!(requests_total(&metrics, "none"), 1, "a silent handler still counts");
+        let mut meter = MeteredWriter::new(Vec::new(), &metrics, "/jobs/{id}", "GET");
         meter.write_all(b"BANANAS ARE NOT HTTP").unwrap();
         assert_eq!(meter.status(), "none");
+        assert_eq!(requests_total(&metrics, "none"), 2);
     }
 }

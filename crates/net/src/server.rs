@@ -249,21 +249,24 @@ fn serve_connection(
         span.set_attr("method", request.method.clone());
         span.set_attr("path", request.path().to_owned());
         let ctx = span.context();
-        let mut meter = MeteredWriter::new(&mut writer);
+        let metrics = registry.server().metrics();
+        let endpoint = endpoint_label(request.path());
+        let mut meter =
+            MeteredWriter::new(&mut writer, metrics, endpoint, method_label(&request.method));
         let outcome = routes::handle(registry, &handle.flag, &request, &mut meter, ctx);
+        // Forwards (and counts) whatever the handler left held back.
+        let flushed = meter.flush();
         span.set_attr("status", meter.status());
         drop(span);
         record_request(
-            registry.server().metrics(),
-            endpoint_label(request.path()),
-            method_label(&request.method),
-            &meter.status(),
+            metrics,
+            endpoint,
             started.elapsed(),
             request_bytes(&request),
             meter.bytes(),
         );
         let keep = outcome?;
-        writer.flush()?;
+        flushed?;
         if handle.flag.is_set() {
             // Wake the blocked accept so serve() can wind down.
             let _ = TcpStream::connect(handle.addr);

@@ -3,9 +3,9 @@
 //! A *failpoint* is a named site in the code that asks, each time it is
 //! reached, whether an injected fault should fire there. Production
 //! code compiles the question down to one relaxed atomic load: with no
-//! failpoints configured (the default), [`fired`] returns `None`
-//! without taking any lock. Tests and the `digamma-netd --failpoints`
-//! flag arm points with a spec string:
+//! failpoints configured (the default), [`FailSet::fired`] returns
+//! `None` without taking any lock. Tests and the `digamma-netd
+//! --failpoints` flag arm points with a spec string:
 //!
 //! ```text
 //! SPEC  := POINT (';' POINT)*
@@ -31,14 +31,15 @@
 //! worker sites honor [`FailAction::Panic`] — so one framework serves
 //! every failure domain without knowing any of them.
 //!
-//! Everything here is process-global by design (the daemon arms it once
-//! at startup, separate test daemons each arm their own), but the logic
-//! lives in [`FailSet`], which unit tests instantiate locally so
-//! parallel tests never fight over shared state.
+//! There is no process-global set: each server owns one [`FailSet`]
+//! (`ServerConfig::faults`, armed once at startup) and hands it to every
+//! failure domain it runs — journal, storage writes, worker evals and
+//! sockets — so separate servers in one process, like parallel tests,
+//! never fight over shared state.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// What a fired failpoint asks its call site to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,8 +162,8 @@ pub struct FailStat {
     pub fires: u64,
 }
 
-/// A set of armed failpoints. The process-global instance behind
-/// [`global`] is what production code consults; tests build their own.
+/// A set of armed failpoints, shared by every failure domain of one
+/// server.
 #[derive(Debug, Default)]
 pub struct FailSet {
     /// Fast path: `false` means no point is armed and [`FailSet::fired`]
@@ -237,16 +238,6 @@ impl FailSet {
         stats.sort_by(|a, b| a.name.cmp(&b.name));
         stats
     }
-}
-
-/// Checks a spec parses without arming anything — `--failpoints` calls
-/// this to reject a bad spec before the daemon starts.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed point.
-pub fn validate_spec(spec: &str) -> Result<(), String> {
-    parse_spec(spec).map(|_| ())
 }
 
 /// Parses a spec into named points (grammar in the module docs).
@@ -354,42 +345,6 @@ fn parse_spec(spec: &str) -> Result<Vec<(String, FailPoint)>, String> {
     Ok(out)
 }
 
-/// The process-global failpoint set (what [`fired`] consults).
-pub fn global() -> &'static FailSet {
-    static GLOBAL: OnceLock<FailSet> = OnceLock::new();
-    GLOBAL.get_or_init(FailSet::new)
-}
-
-/// Did the named global failpoint fire on this hit? The production
-/// fast path: one relaxed atomic load when nothing is armed.
-#[inline]
-pub fn fired(name: &str) -> Option<FailAction> {
-    global().fired(name)
-}
-
-/// Whether any global failpoint is armed.
-#[inline]
-pub fn active() -> bool {
-    global().is_active()
-}
-
-/// Arms the global set from a spec (see [`FailSet::configure`]).
-///
-/// # Errors
-///
-/// Returns a description of the first malformed point.
-pub fn configure(spec: &str) -> Result<(), String> {
-    global().configure(spec)
-}
-
-/// Panics if the named global failpoint fires with [`FailAction::Panic`]
-/// (any other action is ignored here) — the one-liner for worker sites.
-pub fn maybe_panic(name: &str) {
-    if fired(name) == Some(FailAction::Panic) {
-        panic!("injected panic at failpoint {name:?}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,13 +433,5 @@ mod tests {
         assert!(FailAction::Err.to_io_error("p").is_some());
         assert!(FailAction::Short.to_io_error("p").is_none());
         assert!(FailAction::Panic.to_io_error("p").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "injected panic at failpoint")]
-    fn maybe_panic_panics_when_armed() {
-        // The global set: use a name no other test arms.
-        configure("test.maybe_panic=panic,once").unwrap();
-        maybe_panic("test.maybe_panic");
     }
 }

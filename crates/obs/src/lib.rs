@@ -43,8 +43,8 @@ pub use trace::{
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Default latency buckets, in seconds: roughly exponential from 1µs
 /// to 16s, dense where the service actually operates (µs-scale evals,
@@ -206,13 +206,6 @@ impl Histogram {
         self.observe(d.as_secs_f64());
     }
 
-    /// Starts a timer that observes its elapsed time when stopped or
-    /// dropped.
-    #[must_use]
-    pub fn start_timer(&self) -> SpanTimer {
-        SpanTimer { histogram: self.clone(), start: Instant::now(), armed: true }
-    }
-
     /// Total number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -223,40 +216,6 @@ impl Histogram {
     #[must_use]
     pub fn sum(&self) -> f64 {
         f64::from_bits(self.cell.sum_bits.load(Ordering::Relaxed))
-    }
-}
-
-/// A span timer: born from [`Histogram::start_timer`], it observes the
-/// elapsed wall time into its histogram when stopped or dropped, so a
-/// timed scope needs exactly one line at the top.
-#[derive(Debug)]
-pub struct SpanTimer {
-    histogram: Histogram,
-    start: Instant,
-    armed: bool,
-}
-
-impl SpanTimer {
-    /// Stops the timer now and returns the elapsed time (the drop
-    /// observation is disarmed).
-    pub fn stop(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.armed = false;
-        self.histogram.observe_duration(elapsed);
-        elapsed
-    }
-
-    /// Abandons the timer without recording anything.
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        if self.armed {
-            self.histogram.observe_duration(self.start.elapsed());
-        }
     }
 }
 
@@ -311,7 +270,7 @@ struct SeriesKey {
     labels: Vec<(&'static str, String)>,
 }
 
-/// The process-wide metric store: a fixed set of mutex-sharded series
+/// A metric store: a fixed set of mutex-sharded series
 /// maps plus a family table for `# HELP` / `# TYPE` metadata.
 ///
 /// Registration (`counter`/`gauge`/`histogram`) interns by name +
@@ -357,14 +316,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The process-global registry (enabled). Most code should thread
-    /// an explicit `Arc<MetricsRegistry>` instead; this exists for
-    /// leaf code with no plumbing path.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// Returns the counter for `name` + `labels`, registering it on
@@ -913,19 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn span_timer_observes_on_drop_and_stop() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("span_seconds", "spans", &[], &[10.0]);
-        {
-            let _t = h.start_timer();
-        }
-        let elapsed = h.start_timer().stop();
-        h.start_timer().discard();
-        assert_eq!(h.count(), 2);
-        assert!(elapsed.as_secs_f64() < 10.0);
-    }
-
-    #[test]
     fn sample_tick_fires_one_in_n() {
         let tick = SampleTick::new(4);
         let fired = (0..16).filter(|_| tick.due()).count();
@@ -1006,14 +944,6 @@ mod tests {
         assert_eq!(samples[0].value, 1.0);
         assert_eq!(samples[1].value, f64::INFINITY);
         assert!(samples[2].value.is_nan());
-    }
-
-    #[test]
-    fn global_registry_is_enabled_and_stable() {
-        let a = MetricsRegistry::global();
-        let b = MetricsRegistry::global();
-        assert!(a.enabled());
-        assert!(std::ptr::eq(a, b));
     }
 
     #[test]

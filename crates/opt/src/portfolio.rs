@@ -47,11 +47,6 @@ impl Portfolio {
             best: BestTracker::new(),
         }
     }
-
-    /// Number of member optimizers.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
 }
 
 impl Optimizer for Portfolio {

@@ -4,7 +4,7 @@
 //! service runs — the same evaluations recur constantly: elites are
 //! re-scored every generation, template seeds recur across jobs, and
 //! different users ask about the same models. This module memoizes at
-//! two granularities over one shared sharded-map core:
+//! two granularities with one value-generic type, [`ShardedMemo`]:
 //!
 //! * [`ShardedFitnessCache`] — per-layer [`CostReport`]s under the
 //!   stable key from [`digamma_costmodel::Evaluator::cache_key`]; hits
@@ -26,15 +26,18 @@
 //!   through churn. `digamma_bench::cachebench` records the measured
 //!   difference on a long multi-model batch.
 //! * **Counted** — hits, misses, insertions, and evictions are atomic
-//!   counters; [`JobCacheView`] / [`JobGenomeMemoView`] layer per-job
-//!   counters over a shared cache so every job reports its own reuse.
+//!   counters; a [`JobMemo`] layers one job's counters, its tenant's
+//!   probe metrics and a sampled probe-latency histogram over a shared
+//!   memo, so every job reports its own reuse.
 
-use digamma::{DesignEvaluation, EvalCache, GenomeMemo};
+use digamma::{DesignEvaluation, Memo};
 use digamma_costmodel::CostReport;
+use digamma_obs::{Counter, Histogram, SampleTick};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// How a shard evicts once it exceeds its capacity share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,9 +164,11 @@ impl<V> Shard<V> {
     }
 }
 
-/// The value-generic sharded memo both public caches wrap.
+/// The value-generic sharded memo behind both memo layers (see the
+/// module docs): a fixed set of independently locked shards, each
+/// bounded to its capacity share under the selected [`EvictionPolicy`].
 #[derive(Debug)]
-struct ShardedMemo<V> {
+pub struct ShardedMemo<V> {
     shards: Vec<Mutex<Shard<V>>>,
     shard_capacity: usize,
     policy: EvictionPolicy,
@@ -173,15 +178,44 @@ struct ShardedMemo<V> {
     evictions: AtomicU64,
 }
 
+/// The shared per-layer fitness memo: [`CostReport`]s keyed by
+/// [`digamma_costmodel::Evaluator::cache_key`].
+pub type ShardedFitnessCache = ShardedMemo<Arc<CostReport>>;
+
+/// The shared whole-genome memo: [`DesignEvaluation`]s keyed by
+/// [`digamma::CoOptProblem::genome_key`].
+pub type ShardedGenomeMemo = ShardedMemo<Arc<DesignEvaluation>>;
+
 /// Default shard count: enough that a worker pool on a big machine
 /// rarely collides, small enough that an empty cache stays tiny.
 const DEFAULT_SHARDS: usize = 64;
 
 impl<V: Clone> ShardedMemo<V> {
-    /// Shard count is rounded up to a power of two (minimum 1); total
-    /// capacity splits evenly across shards, each holding at least one
-    /// entry.
-    fn new(capacity: usize, shards: usize, policy: EvictionPolicy) -> ShardedMemo<V> {
+    /// Creates a FIFO-evicting memo bounded to roughly `capacity`
+    /// entries total, with the default shard count.
+    pub fn new(capacity: usize) -> ShardedMemo<V> {
+        ShardedMemo::with_shards_and_policy(capacity, DEFAULT_SHARDS, EvictionPolicy::Fifo)
+    }
+
+    /// Creates a memo with the given eviction policy and the default
+    /// shard count.
+    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> ShardedMemo<V> {
+        ShardedMemo::with_shards_and_policy(capacity, DEFAULT_SHARDS, policy)
+    }
+
+    /// Creates a FIFO memo with an explicit shard count.
+    pub fn with_shards(capacity: usize, shards: usize) -> ShardedMemo<V> {
+        ShardedMemo::with_shards_and_policy(capacity, shards, EvictionPolicy::Fifo)
+    }
+
+    /// The fully-explicit constructor. The shard count is rounded up to
+    /// a power of two (minimum 1); total capacity splits evenly across
+    /// shards, each holding at least one entry.
+    pub fn with_shards_and_policy(
+        capacity: usize,
+        shards: usize,
+        policy: EvictionPolicy,
+    ) -> ShardedMemo<V> {
         let shards = shards.max(1).next_power_of_two();
         let shard_capacity = capacity.div_ceil(shards).max(1);
         ShardedMemo {
@@ -202,15 +236,29 @@ impl<V: Clone> ShardedMemo<V> {
         &self.shards[(mixed as usize) & (self.shards.len() - 1)]
     }
 
-    fn len(&self) -> usize {
+    /// The active eviction policy.
+    pub fn policy(&self) -> EvictionPolicy {
+        self.policy
+    }
+
+    /// Entries currently resident across all shards.
+    pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
     }
 
-    fn capacity(&self) -> usize {
+    /// True when nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Maximum resident entries (shard capacity × shard count).
+    pub fn capacity(&self) -> usize {
         self.shard_capacity * self.shards.len()
     }
 
-    fn stats(&self) -> CacheStats {
+    /// A consistent-enough snapshot of the counters (each counter is
+    /// individually exact; the set is not taken under one lock).
+    pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -220,6 +268,20 @@ impl<V: Clone> ShardedMemo<V> {
         }
     }
 
+    /// A point-in-time copy of every resident `(key, value)` pair — what
+    /// the disk spill persists (shard by shard: concurrent writers may
+    /// land between shards, which is fine for that use).
+    pub fn entries(&self) -> Vec<(u64, V)> {
+        let mut out = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            let shard = shard.lock().expect("cache shard poisoned");
+            out.extend(shard.map.iter().map(|(&k, e)| (k, e.value.clone())));
+        }
+        out
+    }
+}
+
+impl<V: Clone + fmt::Debug + Send + Sync> Memo<V> for ShardedMemo<V> {
     fn lookup(&self, key: u64) -> Option<V> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         let found = shard.map.get(&key).map(|e| e.value.clone());
@@ -253,260 +315,96 @@ impl<V: Clone> ShardedMemo<V> {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
-
-    /// A point-in-time copy of every resident entry (shard by shard —
-    /// concurrent writers may land between shards, which is fine for
-    /// the disk-spill use).
-    fn entries(&self) -> Vec<(u64, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            out.extend(shard.map.iter().map(|(&k, e)| (k, e.value.clone())));
-        }
-        out
-    }
 }
 
-/// The shared per-layer fitness memo: see the module docs.
-#[derive(Debug)]
-pub struct ShardedFitnessCache {
-    memo: ShardedMemo<Arc<CostReport>>,
-}
+/// Probe latency is sampled 1-in-N: a sharded-map probe is tens of
+/// nanoseconds, so timing every one would cost more than the probe.
+const PROBE_LATENCY_SAMPLE_EVERY: u64 = 16;
 
-impl ShardedFitnessCache {
-    /// Creates a FIFO-evicting cache bounded to roughly `capacity`
-    /// reports total, with the default shard count.
-    pub fn new(capacity: usize) -> ShardedFitnessCache {
-        ShardedFitnessCache::with_shards_and_policy(capacity, DEFAULT_SHARDS, EvictionPolicy::Fifo)
-    }
-
-    /// Creates a cache with the given eviction policy and the default
-    /// shard count.
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> ShardedFitnessCache {
-        ShardedFitnessCache::with_shards_and_policy(capacity, DEFAULT_SHARDS, policy)
-    }
-
-    /// Creates a FIFO cache with an explicit shard count (rounded up to a
-    /// power of two, minimum 1). Total capacity splits evenly across
-    /// shards, each shard holding at least one entry.
-    pub fn with_shards(capacity: usize, shards: usize) -> ShardedFitnessCache {
-        ShardedFitnessCache::with_shards_and_policy(capacity, shards, EvictionPolicy::Fifo)
-    }
-
-    /// The fully-explicit constructor: capacity, shard count, and policy.
-    pub fn with_shards_and_policy(
-        capacity: usize,
-        shards: usize,
-        policy: EvictionPolicy,
-    ) -> ShardedFitnessCache {
-        ShardedFitnessCache { memo: ShardedMemo::new(capacity, shards, policy) }
-    }
-
-    /// The active eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.memo.policy
-    }
-
-    /// Entries currently resident across all shards.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True when no reports are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum resident reports (shard capacity × shard count).
-    pub fn capacity(&self) -> usize {
-        self.memo.capacity()
-    }
-
-    /// A consistent-enough snapshot of the counters (each counter is
-    /// individually exact; the set is not taken under one lock).
-    pub fn stats(&self) -> CacheStats {
-        self.memo.stats()
-    }
-
-    /// A point-in-time copy of every resident `(key, report)` pair —
-    /// what the disk spill persists.
-    pub fn entries(&self) -> Vec<(u64, Arc<CostReport>)> {
-        self.memo.entries()
-    }
-}
-
-impl EvalCache for ShardedFitnessCache {
-    fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
-        self.memo.lookup(key)
-    }
-
-    fn store(&self, key: u64, report: &Arc<CostReport>) {
-        self.memo.store(key, Arc::clone(report));
-    }
-}
-
-/// The shared whole-genome memo: [`DesignEvaluation`]s keyed by
-/// [`digamma::CoOptProblem::genome_key`]. Same sharding, bounds, and
-/// eviction machinery as the fitness cache.
-#[derive(Debug)]
-pub struct ShardedGenomeMemo {
-    memo: ShardedMemo<Arc<DesignEvaluation>>,
-}
-
-impl ShardedGenomeMemo {
-    /// Creates a FIFO-evicting memo bounded to roughly `capacity`
-    /// evaluations total.
-    pub fn new(capacity: usize) -> ShardedGenomeMemo {
-        ShardedGenomeMemo::with_policy(capacity, EvictionPolicy::Fifo)
-    }
-
-    /// Creates a memo with the given eviction policy.
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> ShardedGenomeMemo {
-        ShardedGenomeMemo { memo: ShardedMemo::new(capacity, DEFAULT_SHARDS, policy) }
-    }
-
-    /// Entries currently resident.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum resident evaluations.
-    pub fn capacity(&self) -> usize {
-        self.memo.capacity()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.memo.stats()
-    }
-}
-
-impl GenomeMemo for ShardedGenomeMemo {
-    fn lookup(&self, key: u64) -> Option<Arc<DesignEvaluation>> {
-        self.memo.lookup(key)
-    }
-
-    fn store(&self, key: u64, evaluation: &Arc<DesignEvaluation>) {
-        self.memo.store(key, Arc::clone(evaluation));
-    }
-}
-
-/// A per-job window onto a shared [`ShardedFitnessCache`].
+/// One job's window onto a shared [`ShardedMemo`].
 ///
-/// Lookups and stores delegate to the shared cache, while hit/miss
-/// counters accumulate locally — so concurrent jobs each report their
-/// own reuse even though they share one memo. (Evictions are a property
-/// of the shared cache and are reported there.)
+/// Lookups and stores delegate to the shared memo, while this job's
+/// hits, misses and insertions accumulate locally — so concurrent jobs
+/// each report their own reuse even though they share one memo
+/// (evictions are a property of the shared memo and are reported
+/// there). Every probe also feeds the tenant's hit/miss probe counters,
+/// and one probe in 16 is timed into the probe-latency histogram; the
+/// server resolves those handles at job start (detached cells when its
+/// metrics are off).
 #[derive(Debug)]
-pub struct JobCacheView {
-    shared: Arc<ShardedFitnessCache>,
+pub struct JobMemo<V> {
+    shared: Arc<ShardedMemo<V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
+    hit_probes: Counter,
+    miss_probes: Counter,
+    probe_seconds: Histogram,
+    sample: SampleTick,
 }
 
-impl JobCacheView {
-    /// Creates a view over `shared` with zeroed counters.
-    pub fn new(shared: Arc<ShardedFitnessCache>) -> JobCacheView {
-        JobCacheView {
+impl<V> JobMemo<V> {
+    /// Opens a window over `shared` with zeroed counters, feeding the
+    /// given probe counters and probe-latency histogram.
+    pub fn new(
+        shared: Arc<ShardedMemo<V>>,
+        hit_probes: Counter,
+        miss_probes: Counter,
+        probe_seconds: Histogram,
+    ) -> JobMemo<V> {
+        JobMemo {
             shared,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
+            hit_probes,
+            miss_probes,
+            probe_seconds,
+            sample: SampleTick::new(PROBE_LATENCY_SAMPLE_EVERY),
         }
     }
 
-    /// Hits observed through this view.
+    /// Hits observed through this window.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Misses observed through this view.
+    /// Misses observed through this window.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Store calls issued through this view. Counts *attempts* (the
-    /// shared cache may coalesce a racing duplicate), which is the right
+    /// Store calls issued through this window. Counts *attempts* (the
+    /// shared memo may coalesce a racing duplicate), which is the right
     /// attribution for per-tenant partitioning: it measures how much
-    /// cache space this job's work demanded.
+    /// memo space this job's work demanded.
     pub fn insertions(&self) -> u64 {
         self.insertions.load(Ordering::Relaxed)
     }
 }
 
-impl EvalCache for JobCacheView {
-    fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
-        let found = self.shared.lookup(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+impl<V: Clone + fmt::Debug + Send + Sync> Memo<V> for JobMemo<V> {
+    fn lookup(&self, key: u64) -> Option<V> {
+        let found = if self.sample.due() {
+            let started = Instant::now();
+            let found = self.shared.lookup(key);
+            self.probe_seconds.observe_duration(started.elapsed());
+            found
+        } else {
+            self.shared.lookup(key)
         };
+        let (local, probes) = match &found {
+            Some(_) => (&self.hits, &self.hit_probes),
+            None => (&self.misses, &self.miss_probes),
+        };
+        local.fetch_add(1, Ordering::Relaxed);
+        probes.inc();
         found
     }
 
-    fn store(&self, key: u64, report: &Arc<CostReport>) {
+    fn store(&self, key: u64, value: V) {
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.shared.store(key, report);
-    }
-}
-
-/// A per-job window onto a shared [`ShardedGenomeMemo`] — the genome
-/// memo's counterpart of [`JobCacheView`].
-#[derive(Debug)]
-pub struct JobGenomeMemoView {
-    shared: Arc<ShardedGenomeMemo>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-}
-
-impl JobGenomeMemoView {
-    /// Creates a view over `shared` with zeroed counters.
-    pub fn new(shared: Arc<ShardedGenomeMemo>) -> JobGenomeMemoView {
-        JobGenomeMemoView {
-            shared,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-        }
-    }
-
-    /// Whole-genome hits observed through this view.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Whole-genome misses observed through this view.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Store calls issued through this view (see
-    /// [`JobCacheView::insertions`]).
-    pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
-    }
-}
-
-impl GenomeMemo for JobGenomeMemoView {
-    fn lookup(&self, key: u64) -> Option<Arc<DesignEvaluation>> {
-        let found = self.shared.lookup(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn store(&self, key: u64, evaluation: &Arc<DesignEvaluation>) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.shared.store(key, evaluation);
+        self.shared.store(key, value);
     }
 }
 
@@ -515,7 +413,16 @@ mod tests {
     use super::*;
     use digamma::{CoOptProblem, Objective};
     use digamma_costmodel::{Evaluator, Mapping, Platform};
+    use digamma_obs::{MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
     use digamma_workload::{zoo, Layer};
+
+    /// A job window whose probes feed `registry` under test labels.
+    fn job_memo<V>(registry: &MetricsRegistry, shared: &Arc<ShardedMemo<V>>) -> JobMemo<V> {
+        let probes =
+            |result| registry.counter("probes_total", "Probes by result.", &[("result", result)]);
+        let seconds = registry.histogram("probe_seconds", "Probes.", &[], DEFAULT_LATENCY_BUCKETS);
+        JobMemo::new(Arc::clone(shared), probes("hit"), probes("miss"), seconds)
+    }
 
     fn report_for(rows: u64, cols: u64) -> (u64, Arc<CostReport>) {
         let layer = Layer::conv("l", 64, 32, 16, 16, 3, 3, 1);
@@ -529,7 +436,7 @@ mod tests {
         let cache = ShardedFitnessCache::new(100);
         let (key, report) = report_for(8, 4);
         assert!(cache.lookup(key).is_none());
-        cache.store(key, &report);
+        cache.store(key, Arc::clone(&report));
         let back = cache.lookup(key).expect("stored");
         assert_eq!(back.latency_cycles.to_bits(), report.latency_cycles.to_bits());
         assert_eq!(back.energy_pj.to_bits(), report.energy_pj.to_bits());
@@ -547,9 +454,9 @@ mod tests {
         let (k1, r) = report_for(2, 2);
         let (k2, _) = report_for(4, 2);
         let (k3, _) = report_for(8, 2);
-        cache.store(k1, &r);
-        cache.store(k2, &r);
-        cache.store(k3, &r);
+        cache.store(k1, Arc::clone(&r));
+        cache.store(k2, Arc::clone(&r));
+        cache.store(k3, Arc::clone(&r));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.lookup(k1).is_none(), "oldest entry must be gone");
@@ -565,10 +472,10 @@ mod tests {
         let (k1, r) = report_for(2, 2);
         let (k2, _) = report_for(4, 2);
         let (k3, _) = report_for(8, 2);
-        cache.store(k1, &r);
-        cache.store(k2, &r);
+        cache.store(k1, Arc::clone(&r));
+        cache.store(k2, Arc::clone(&r));
         assert!(cache.lookup(k1).is_some(), "refreshes k1's recency");
-        cache.store(k3, &r);
+        cache.store(k3, Arc::clone(&r));
         assert!(cache.lookup(k1).is_some(), "recently-used entry survives");
         assert!(cache.lookup(k2).is_none(), "least-recently-used entry evicted");
         assert!(cache.lookup(k3).is_some());
@@ -581,11 +488,11 @@ mod tests {
         // recency queue without bound.
         let cache = ShardedFitnessCache::with_shards_and_policy(4, 1, EvictionPolicy::Lru);
         let (key, report) = report_for(8, 4);
-        cache.store(key, &report);
+        cache.store(key, Arc::clone(&report));
         for _ in 0..10_000 {
             assert!(cache.lookup(key).is_some());
         }
-        let shard = cache.memo.shards[0].lock().unwrap();
+        let shard = cache.shards[0].lock().unwrap();
         assert!(shard.order.len() <= 2 * shard.map.len() + 65, "queue len {}", shard.order.len());
     }
 
@@ -606,31 +513,36 @@ mod tests {
     fn double_store_does_not_duplicate() {
         let cache = ShardedFitnessCache::with_shards(4, 1);
         let (key, report) = report_for(8, 4);
-        cache.store(key, &report);
-        cache.store(key, &report);
+        cache.store(key, Arc::clone(&report));
+        cache.store(key, Arc::clone(&report));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().insertions, 1);
     }
 
     #[test]
-    fn job_views_count_independently() {
+    fn job_memos_count_independently_and_feed_probe_metrics() {
+        let registry = MetricsRegistry::new();
         let shared = Arc::new(ShardedFitnessCache::new(100));
-        let a = JobCacheView::new(Arc::clone(&shared));
-        let b = JobCacheView::new(Arc::clone(&shared));
+        let a = job_memo(&registry, &shared);
+        let b = job_memo(&MetricsRegistry::disabled(), &shared);
         let (key, report) = report_for(8, 4);
         assert!(a.lookup(key).is_none());
-        a.store(key, &report);
-        assert!(a.lookup(key).is_some());
-        assert!(b.lookup(key).is_some(), "views share the underlying memo");
-        assert_eq!((a.hits(), a.misses()), (1, 1));
-        assert_eq!((b.hits(), b.misses()), (1, 0));
+        a.store(key, Arc::clone(&report));
+        assert!(a.lookup(key).is_some(), "store must delegate to the shared memo");
+        assert!(b.lookup(key).is_some(), "windows share the underlying memo");
+        assert_eq!((a.hits(), a.misses(), a.insertions()), (1, 1, 1));
+        assert_eq!((b.hits(), b.misses(), b.insertions()), (1, 0, 0));
         assert_eq!(shared.stats().hits, 2);
+        let text = registry.render();
+        assert!(text.contains("probes_total{result=\"hit\"} 1"), "{text}");
+        assert!(text.contains("probes_total{result=\"miss\"} 1"), "{text}");
+        assert!(text.contains("probe_seconds_count 1"), "first probe is sampled: {text}");
     }
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let cache = ShardedFitnessCache::with_shards(100, 3);
-        assert_eq!(cache.memo.shards.len(), 4);
+        assert_eq!(cache.shards.len(), 4);
         assert!(cache.capacity() >= 100);
         assert!(ShardedFitnessCache::with_shards(10, 0).capacity() >= 10);
     }
@@ -640,7 +552,7 @@ mod tests {
         let cache = ShardedFitnessCache::new(100);
         let pairs: Vec<_> = [(2, 2), (4, 2), (8, 4)].map(|(r, c)| report_for(r, c)).into();
         for (key, report) in &pairs {
-            cache.store(*key, report);
+            cache.store(*key, Arc::clone(report));
         }
         let mut exported = cache.entries();
         assert_eq!(exported.len(), pairs.len());
@@ -648,7 +560,7 @@ mod tests {
         let fresh = ShardedFitnessCache::new(100);
         exported.sort_by_key(|(k, _)| *k);
         for (key, report) in &exported {
-            fresh.store(*key, report);
+            fresh.store(*key, Arc::clone(report));
         }
         for (key, report) in &pairs {
             let back = fresh.lookup(*key).expect("re-imported");
@@ -672,9 +584,9 @@ mod tests {
         let key = problem.genome_key(&genome);
         let evaluation = Arc::new(problem.evaluate(&genome));
         let memo = Arc::new(ShardedGenomeMemo::new(64));
-        let view = JobGenomeMemoView::new(Arc::clone(&memo));
+        let view = job_memo(&MetricsRegistry::disabled(), &memo);
         assert!(view.lookup(key).is_none());
-        view.store(key, &evaluation);
+        view.store(key, Arc::clone(&evaluation));
         let back = view.lookup(key).expect("stored");
         assert_eq!(*back, *evaluation);
         assert_eq!((view.hits(), view.misses()), (1, 1));

@@ -8,10 +8,13 @@
 //! * [`SearchServer`] / [`JobSpec`] — a job queue that schedules
 //!   co-optimization requests (model × platform × objective ×
 //!   algorithm) across a scoped-thread worker pool,
-//! * [`ShardedFitnessCache`] — a capacity-bounded memo of per-layer
-//!   cost-model results keyed by a stable hash of (layer shape, decoded
-//!   mapping, hardware/model constants); hits skip the cost model
-//!   entirely, and per-job [`JobCacheView`]s report each job's reuse,
+//! * [`ShardedMemo`] — the capacity-bounded sharded memo behind both
+//!   memo layers: [`ShardedFitnessCache`] holds per-layer cost-model
+//!   results keyed by a stable hash of (layer shape, decoded mapping,
+//!   hardware/model constants), so hits skip the cost model entirely,
+//!   and [`ShardedGenomeMemo`] holds whole-genome evaluations; each job
+//!   probes them through its own [`JobMemo`], which counts the job's
+//!   reuse and feeds the tenant's probe metrics,
 //! * [`Snapshot`] — versioned text checkpoints of GA state, so a killed
 //!   search resumes **bit-identically** instead of starting over, and
 //! * [`parse_manifest`] — the text manifest format the `digamma-serve`
@@ -48,7 +51,6 @@ pub mod cachefile;
 mod job;
 mod journal;
 mod manifest;
-mod metrics;
 mod queue;
 mod registry;
 mod snapshot;
@@ -59,8 +61,7 @@ mod tenant;
 pub use journal::{Journal, JOURNAL_VERSION};
 
 pub use cache::{
-    CacheStats, EvictionPolicy, JobCacheView, JobGenomeMemoView, ShardedFitnessCache,
-    ShardedGenomeMemo,
+    CacheStats, EvictionPolicy, JobMemo, ShardedFitnessCache, ShardedGenomeMemo, ShardedMemo,
 };
 pub use job::{JobAlgorithm, JobReport, JobSpec};
 pub use manifest::{parse_manifest, parse_manifest_full, render_job, Manifest, ServerOverrides};

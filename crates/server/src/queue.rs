@@ -6,7 +6,7 @@
 //! evaluation). All jobs share one [`ShardedFitnessCache`], so a request
 //! for a model another job already explored — or a re-submitted search —
 //! skips straight to memoized cost-model results; per-job
-//! [`JobCacheView`]s keep each report's hit/miss counters honest.
+//! [`JobMemo`] windows keep each report's hit/miss counters honest.
 //!
 //! GA jobs additionally checkpoint: with a checkpoint directory
 //! configured, the server snapshots every few generations, and a
@@ -14,20 +14,18 @@
 //! instead of starting over.
 
 use crate::cache::{
-    CacheStats, EvictionPolicy, JobCacheView, JobGenomeMemoView, ShardedFitnessCache,
-    ShardedGenomeMemo,
+    CacheStats, EvictionPolicy, JobMemo, ShardedFitnessCache, ShardedGenomeMemo, ShardedMemo,
 };
 use crate::cachefile;
 use crate::job::{JobAlgorithm, JobReport, JobSpec};
-use crate::metrics::{MeteredEvalCache, MeteredGenomeMemo};
 use crate::snapshot::Snapshot;
 use digamma::{
-    run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalMetrics, EvalTrace,
-    Gamma, GammaConfig, SearchResult, SearchState, StepAction, StepObserver,
+    run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, Gamma,
+    GammaConfig, Memo, SearchResult, SearchState, StepAction, StepObserver,
 };
 use digamma_obs::{
-    FailSet, GenStats, Histogram, LogLevel, MetricsRegistry, OpCounters, SpanContext, SpanRecord,
-    Tracer, DEFAULT_LATENCY_BUCKETS,
+    Counter, FailSet, GenStats, Histogram, LogLevel, MetricsRegistry, OpCounters, SpanContext,
+    SpanRecord, Tracer, DEFAULT_LATENCY_BUCKETS,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -335,7 +333,7 @@ impl SearchServer {
         let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return };
         let (entries, _load) = cachefile::read_cache_file(path);
         for (key, report) in entries {
-            digamma::EvalCache::store(cache.as_ref(), key, &Arc::new(report));
+            cache.store(key, Arc::new(report));
         }
         // The warm-start insertions are already on disk; don't let them
         // alone trigger a rewrite.
@@ -359,23 +357,17 @@ impl SearchServer {
         self.spill_cache(1);
     }
 
-    /// The checkpoint-cadence variant: only rewrites once at least
-    /// [`SearchServer::SPILL_CADENCE_MIN_INSERTIONS`] new entries
-    /// accumulated, bounding how often a long search pays the
-    /// serialize-everything cost mid-run.
-    fn spill_cache_at_cadence(&self) -> bool {
-        self.spill_cache(SearchServer::SPILL_CADENCE_MIN_INSERTIONS)
-    }
-
-    /// Returns whether a spill actually happened (so callers can trace
-    /// only real writes, not clean-exit no-ops).
-    fn spill_cache(&self, min_new_insertions: u64) -> bool {
-        let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return false };
+    /// Spills once at least `min_new_insertions` (minimum 1) entries
+    /// were memoized since the last spill, and returns how long the
+    /// spill took when one happened (so callers can trace only real
+    /// writes, not clean-exit no-ops).
+    fn spill_cache(&self, min_new_insertions: u64) -> Option<Duration> {
+        let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return None };
         let _guard = self.spill_lock.lock().expect("spill lock poisoned");
         let insertions = cache.stats().insertions;
         let since_last = insertions.saturating_sub(self.spilled_insertions.load(Ordering::Relaxed));
         if since_last < min_new_insertions.max(1) {
-            return false;
+            return None;
         }
         self.spilled_insertions.store(insertions, Ordering::Relaxed);
         let spill_started = Instant::now();
@@ -392,17 +384,16 @@ impl SearchServer {
                 &[("path", path.display().to_string()), ("err", e.to_string())],
             );
         }
-        if self.metrics.enabled() {
-            self.metrics
-                .histogram(
-                    "digamma_cache_spill_seconds",
-                    "Wall time of fitness-memo disk spills (serialize + write).",
-                    &[],
-                    DEFAULT_LATENCY_BUCKETS,
-                )
-                .observe_duration(spill_started.elapsed());
-        }
-        true
+        let elapsed = spill_started.elapsed();
+        self.metrics
+            .histogram(
+                "digamma_cache_spill_seconds",
+                "Wall time of fitness-memo disk spills (serialize + write).",
+                &[],
+                DEFAULT_LATENCY_BUCKETS,
+            )
+            .observe_duration(elapsed);
+        Some(elapsed)
     }
 
     /// The active configuration.
@@ -455,49 +446,43 @@ impl SearchServer {
     /// resumable and its best-so-far design survives in the report).
     pub fn run_job_controlled(&self, spec: &JobSpec, control: &JobControl) -> JobReport {
         let started = Instant::now();
-        let view = self.cache.as_ref().map(|c| Arc::new(JobCacheView::new(Arc::clone(c))));
-        let genome_view =
-            self.genome_memo.as_ref().map(|m| Arc::new(JobGenomeMemoView::new(Arc::clone(m))));
+        // Every handle below comes from the server's registry, so with
+        // metrics off they are detached cells and the job runs the same
+        // path.
+        let tenant = spec.tenant.as_str();
+        let cache = self.cache.as_ref().map(|shared| {
+            self.job_memo(shared, "fitness", |result| {
+                self.metrics.counter(
+                    "digamma_cache_probes_total",
+                    "Cache probes by cache layer, result, and tenant.",
+                    &[("cache", "fitness"), ("result", result), ("tenant", tenant)],
+                )
+            })
+        });
+        let genome_memo = self.genome_memo.as_ref().map(|shared| {
+            self.job_memo(shared, "genome", |result| {
+                self.metrics.counter(
+                    "digamma_genome_memo_probes_total",
+                    "Whole-genome memo probes by result.",
+                    &[("tenant", tenant), ("result", result)],
+                )
+            })
+        });
         let mut problem =
             CoOptProblem::new(spec.model.clone(), spec.platform.clone(), spec.objective);
-        // With metrics on, the cache views are wrapped in metering
-        // shims (tenant-labelled probe counters, sampled probe latency)
-        // and the eval hot path gets its handles; with metrics off the
-        // plain views attach directly and the hot path stays bare.
-        if self.metrics.enabled() {
-            if let Some(view) = &view {
-                problem = problem.with_cache(Arc::new(MeteredEvalCache::new(
-                    &self.metrics,
-                    Arc::clone(view) as _,
-                    &spec.tenant,
-                )) as _);
-            }
-            if let Some(genome_view) = &genome_view {
-                problem = problem.with_genome_memo(Arc::new(MeteredGenomeMemo::new(
-                    &self.metrics,
-                    Arc::clone(genome_view) as _,
-                )) as _);
-            }
-            problem = problem
-                .with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&self.metrics, &spec.tenant)));
-        } else {
-            if let Some(view) = &view {
-                problem = problem.with_cache(Arc::clone(view) as _);
-            }
-            if let Some(genome_view) = &genome_view {
-                problem = problem.with_genome_memo(Arc::clone(genome_view) as _);
-            }
+        if let Some(cache) = &cache {
+            problem = problem.with_cache(Arc::clone(cache) as _);
         }
-        // The `worker.eval` failpoint rides the batch path; disarmed
-        // (the default) it costs one relaxed load per generation batch.
-        problem = problem.with_eval_faults(Arc::clone(&self.config.faults));
+        if let Some(genome_memo) = &genome_memo {
+            problem = problem.with_genome_memo(Arc::clone(genome_memo) as _);
+        }
 
         // With tracing on and a claim span stamped on the control, the
         // whole run nests under it: one `job.run` span covering the
         // search, `job.generation`/`job.checkpoint`/`cache.spill`
         // children from the observer, and sampled eval spans from the
-        // problem's `EvalTrace` — all tagged with the job id so they
-        // share a Perfetto lane.
+        // problem's hooks — all tagged with the job id so they share a
+        // Perfetto lane.
         let mut run_span = control.trace().map(|(job, parent)| {
             let mut span = self.tracer.start_child("job.run", parent);
             span.set_job(job);
@@ -509,10 +494,14 @@ impl SearchServer {
             (Some(ctx), Some((job, _))) => Some((job, ctx)),
             _ => None,
         };
-        if let Some((job, ctx)) = run_trace {
-            problem =
-                problem.with_eval_trace(Arc::new(EvalTrace::new(self.tracer.clone(), ctx, job)));
-        }
+        // The `worker.eval` failpoint rides the same hooks; disarmed
+        // (the default) it costs one relaxed load per generation batch.
+        let problem = problem.with_hooks(Arc::new(EvalHooks::new(
+            &self.metrics,
+            tenant,
+            run_trace.map(|(job, ctx)| (self.tracer.clone(), ctx, job)),
+            Arc::clone(&self.config.faults),
+        )));
 
         let outcome = match spec.algorithm {
             JobAlgorithm::DiGamma => {
@@ -572,18 +561,36 @@ impl SearchServer {
             generations: outcome.generations,
             resumed_at: outcome.resumed_at,
             cancelled: outcome.cancelled,
-            cache_hits: view.as_ref().map_or(0, |v| v.hits()),
-            cache_misses: view.as_ref().map_or(0, |v| v.misses()),
-            cache_insertions: view.as_ref().map_or(0, |v| v.insertions()),
-            genome_hits: genome_view.as_ref().map_or(0, |v| v.hits()),
-            genome_misses: genome_view.as_ref().map_or(0, |v| v.misses()),
-            genome_insertions: genome_view.as_ref().map_or(0, |v| v.insertions()),
+            cache_hits: cache.as_ref().map_or(0, |m| m.hits()),
+            cache_misses: cache.as_ref().map_or(0, |m| m.misses()),
+            cache_insertions: cache.as_ref().map_or(0, |m| m.insertions()),
+            genome_hits: genome_memo.as_ref().map_or(0, |m| m.hits()),
+            genome_misses: genome_memo.as_ref().map_or(0, |m| m.misses()),
+            genome_insertions: genome_memo.as_ref().map_or(0, |m| m.insertions()),
             dedup_skipped: problem.batch_dedup_skipped(),
             wall: started.elapsed(),
             queue_wait: Duration::ZERO,
             eval_wall: problem.eval_wall(),
             checkpoint_wall: outcome.checkpoint_wall,
         }
+    }
+
+    /// Opens a job's window onto one shared memo layer: `probes(result)`
+    /// resolves the layer's tenant-labelled hit/miss counter, and probe
+    /// latency lands in `digamma_cache_probe_seconds{cache}`.
+    fn job_memo<V>(
+        &self,
+        shared: &Arc<ShardedMemo<V>>,
+        cache: &str,
+        probes: impl Fn(&str) -> Counter,
+    ) -> Arc<JobMemo<V>> {
+        let probe_seconds = self.metrics.histogram(
+            "digamma_cache_probe_seconds",
+            "Cache probe latency by cache layer, sampled 1 in 16 probes.",
+            &[("cache", cache)],
+            DEFAULT_LATENCY_BUCKETS,
+        );
+        Arc::new(JobMemo::new(Arc::clone(shared), probes("hit"), probes("miss"), probe_seconds))
     }
 
     /// Steps a GA job to completion, checkpointing at the configured
@@ -616,7 +623,6 @@ impl SearchServer {
             None => ga.init(problem, spec.budget),
         };
         let every = spec.checkpoint_every.unwrap_or(self.config.checkpoint_every).max(1);
-        let enabled = self.metrics.enabled();
         let mut observer = DriveObserver {
             server: self,
             path: path.as_deref(),
@@ -625,22 +631,18 @@ impl SearchServer {
             control,
             cancelled: false,
             checkpoint_wall: Duration::ZERO,
-            checkpoint_seconds: enabled.then(|| {
-                self.metrics.histogram(
-                    "digamma_checkpoint_write_seconds",
-                    "Wall time of snapshot writes (capture + render + write-then-rename).",
-                    &[],
-                    DEFAULT_LATENCY_BUCKETS,
-                )
-            }),
-            generation_seconds: enabled.then(|| {
-                self.metrics.histogram(
-                    "digamma_generation_seconds",
-                    "Wall time between GA generation boundaries.",
-                    &[("tenant", &spec.tenant)],
-                    DEFAULT_LATENCY_BUCKETS,
-                )
-            }),
+            checkpoint_seconds: self.metrics.histogram(
+                "digamma_checkpoint_write_seconds",
+                "Wall time of snapshot writes (capture + render + write-then-rename).",
+                &[],
+                DEFAULT_LATENCY_BUCKETS,
+            ),
+            generation_seconds: self.metrics.histogram(
+                "digamma_generation_seconds",
+                "Wall time between GA generation boundaries.",
+                &[("tenant", &spec.tenant)],
+                DEFAULT_LATENCY_BUCKETS,
+            ),
             last_boundary: Instant::now(),
             run_trace,
             last_boundary_ns: self.tracer.now_ns(),
@@ -713,8 +715,8 @@ impl GaOutcome {
 /// the same beat), and honours cooperative cancellation (snapshotting
 /// before stopping so the partial search survives). It also keeps the
 /// job's checkpoint wall-clock total (for the report's timing
-/// breakdown) and, with metrics on, feeds the generation-boundary and
-/// checkpoint-write histograms.
+/// breakdown) and feeds the generation-boundary and checkpoint-write
+/// histograms.
 struct DriveObserver<'a> {
     server: &'a SearchServer,
     path: Option<&'a std::path::Path>,
@@ -723,8 +725,8 @@ struct DriveObserver<'a> {
     control: &'a JobControl,
     cancelled: bool,
     checkpoint_wall: Duration,
-    checkpoint_seconds: Option<Histogram>,
-    generation_seconds: Option<Histogram>,
+    checkpoint_seconds: Histogram,
+    generation_seconds: Histogram,
     last_boundary: Instant,
     /// The job id and run span the lifecycle spans nest under, when
     /// tracing is on for this job.
@@ -761,16 +763,15 @@ impl DriveObserver<'_> {
         });
     }
 
-    /// Spills the fitness memo, tracing the write when one happens.
+    /// Spills the fitness memo, tracing the write when one happens. A
+    /// cadence spill waits for
+    /// [`SearchServer::SPILL_CADENCE_MIN_INSERTIONS`] new entries,
+    /// bounding how often a long search pays the serialize-everything
+    /// cost mid-run.
     fn spill(&self, at_cadence: bool) {
-        let spill_started = Instant::now();
-        let spilled = if at_cadence {
-            self.server.spill_cache_at_cadence()
-        } else {
-            self.server.spill_cache(1)
-        };
-        if spilled {
-            self.record_span("cache.spill", spill_started.elapsed(), Vec::new());
+        let min_new = if at_cadence { SearchServer::SPILL_CADENCE_MIN_INSERTIONS } else { 1 };
+        if let Some(elapsed) = self.server.spill_cache(min_new) {
+            self.record_span("cache.spill", elapsed, Vec::new());
         }
     }
 
@@ -800,18 +801,14 @@ impl DriveObserver<'_> {
         }
         let elapsed = write_started.elapsed();
         self.checkpoint_wall += elapsed;
-        if let Some(h) = &self.checkpoint_seconds {
-            h.observe_duration(elapsed);
-        }
+        self.checkpoint_seconds.observe_duration(elapsed);
         self.record_span("job.checkpoint", elapsed, vec![("gen", state.generation().to_string())]);
     }
 }
 
 impl StepObserver for DriveObserver<'_> {
     fn on_generation(&mut self, state: &SearchState, budget: usize) -> StepAction {
-        if let Some(h) = &self.generation_seconds {
-            h.observe_duration(self.last_boundary.elapsed());
-        }
+        self.generation_seconds.observe_duration(self.last_boundary.elapsed());
         if let Some((job, parent)) = self.run_trace {
             let tracer = self.server.tracer();
             let now_ns = tracer.now_ns();
@@ -963,6 +960,42 @@ mod tests {
         );
         let stats = server.genome_memo_stats().expect("genome memo enabled");
         assert_eq!(stats.hits, reports[0].genome_hits + reports[1].genome_hits);
+    }
+
+    #[test]
+    fn instrumentation_on_and_off_run_the_same_search() {
+        // The same job on a fully instrumented server (a trace parent
+        // stamped, so eval spans record too) and on one with metrics and
+        // tracing off: one code path, detached handles, same search.
+        let run = |on: bool| {
+            let server = SearchServer::new(ServerConfig {
+                workers: 1,
+                metrics_enabled: on,
+                trace_enabled: on,
+                ..Default::default()
+            });
+            let control = JobControl::new();
+            let claim = server.tracer().start_root("job.claim");
+            if let Some(ctx) = claim.context() {
+                control.set_trace(1, ctx);
+            }
+            let report = server.run_job_controlled(&spec("same", JobAlgorithm::DiGamma), &control);
+            let spans: Vec<&str> = server.tracer().recent(4096).iter().map(|s| s.name).collect();
+            (report, server.metrics().render(), spans)
+        };
+        let (on, on_metrics, on_spans) = run(true);
+        let (off, off_metrics, off_spans) = run(false);
+        assert!(on_metrics.contains("digamma_evals_total{tenant="), "{on_metrics}");
+        assert!(on_spans.contains(&"eval.batch"), "{on_spans:?}");
+        assert_eq!(off_metrics, "", "metrics off renders nothing");
+        assert!(off_spans.is_empty(), "tracing off records nothing: {off_spans:?}");
+
+        let best = |r: &JobReport| r.best.as_ref().map(|b| (b.cost.to_bits(), b.genome.clone()));
+        assert!(best(&on).is_some());
+        assert_eq!(best(&on), best(&off), "best cost and genome");
+        assert_eq!((on.samples, on.generations), (off.samples, off.generations));
+        assert_eq!((on.cache_hits, on.cache_misses), (off.cache_hits, off.cache_misses));
+        assert_eq!((on.genome_hits, on.genome_misses), (off.genome_hits, off.genome_misses));
     }
 
     #[test]

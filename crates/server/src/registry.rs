@@ -2068,6 +2068,34 @@ mod tests {
     }
 
     #[test]
+    fn probe_metrics_count_each_probe_once() {
+        let registry =
+            JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
+                .unwrap();
+        let id = submit(&registry, spec("probed", 96)).unwrap();
+        let report = wait_done(&registry, id).report.expect("finished jobs report");
+        let samples = digamma_obs::parse_text(&registry.render_metrics()).unwrap();
+        let probes = |name: &str, result: &str| {
+            let sample = samples
+                .iter()
+                .find(|s| {
+                    s.name == name
+                        && s.label("tenant") == Some("default")
+                        && s.label("result") == Some(result)
+                        && s.label("cache").is_none_or(|cache| cache == "fitness")
+                })
+                .unwrap_or_else(|| panic!("missing {name}{{result={result}}}"));
+            sample.value as u64
+        };
+        assert!(report.cache_hits > 0 && report.genome_hits > 0, "{report:?}");
+        assert_eq!(probes("digamma_cache_probes_total", "hit"), report.cache_hits);
+        assert_eq!(probes("digamma_cache_probes_total", "miss"), report.cache_misses);
+        assert_eq!(probes("digamma_genome_memo_probes_total", "hit"), report.genome_hits);
+        assert_eq!(probes("digamma_genome_memo_probes_total", "miss"), report.genome_misses);
+        registry.shutdown();
+    }
+
+    #[test]
     fn disabled_metrics_render_an_empty_exposition() {
         let registry = JobRegistry::start(
             ServerConfig { workers: 1, metrics_enabled: false, ..ServerConfig::default() },

@@ -10,7 +10,7 @@
 //!   checked against the uncached truth — a torn or misfiled report
 //!   would surface as a mismatch.
 
-use digamma::{CoOptProblem, EvalCache, Objective};
+use digamma::{CoOptProblem, Memo, Objective};
 use digamma_costmodel::Platform;
 use digamma_encoding::{repair, Genome};
 use digamma_server::ShardedFitnessCache;
@@ -172,7 +172,7 @@ fn stored_reports_replay_bit_identically() {
         for (u, mapping) in p.unique_layers().iter().zip(g.decode(p.unique_layers())) {
             let truth = Arc::new(p.evaluator().evaluate(&u.layer, &mapping).unwrap());
             let key = p.evaluator().cache_key(&u.layer, &mapping);
-            cache.store(key, &truth);
+            cache.store(key, Arc::clone(&truth));
             let replayed = cache.lookup(key).expect("just stored");
             assert_eq!(replayed.latency_cycles.to_bits(), truth.latency_cycles.to_bits());
             assert_eq!(replayed.energy_pj.to_bits(), truth.energy_pj.to_bits());
@@ -199,7 +199,7 @@ fn concurrent_workers_never_see_torn_results() {
         genomes.iter().map(|g| uncached.evaluate(g)).collect();
 
     let shared = Arc::new(ShardedFitnessCache::with_shards(8, 2));
-    let cached = problem().with_cache(Arc::clone(&shared) as Arc<dyn EvalCache>);
+    let cached = problem().with_cache(Arc::clone(&shared) as _);
     let workers = 8;
     digamma::scoped_workers(workers, |w| {
         // Each worker sweeps the genomes several times from a different
@@ -233,7 +233,7 @@ fn search_trajectory_is_cache_invariant() {
     let config = DiGammaConfig { population_size: 12, seed: 21, threads: 1, ..Default::default() };
     let bare = DiGamma::new(config.clone()).search(&problem(), 240);
     let shared = Arc::new(ShardedFitnessCache::new(1 << 16));
-    let cached_problem = problem().with_cache(Arc::clone(&shared) as Arc<dyn EvalCache>);
+    let cached_problem = problem().with_cache(Arc::clone(&shared) as _);
     let cached = DiGamma::new(config).search(&cached_problem, 240);
     assert_eq!(bare.history.len(), cached.history.len());
     for (a, b) in bare.history.iter().zip(&cached.history) {

@@ -1,6 +1,6 @@
 //! A DNN model as an ordered list of layers, with unique-layer deduplication.
 
-use crate::layer::{Layer, Tensor};
+use crate::layer::Layer;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -117,17 +117,6 @@ impl Model {
             })
             .collect();
         Model::new(name, layers)
-    }
-
-    /// The largest single-tensor footprint across all layers, in words.
-    ///
-    /// A useful sanity bound when sizing L2 sweeps.
-    pub fn max_tensor_size(&self) -> u64 {
-        self.layers
-            .iter()
-            .flat_map(|l| Tensor::ALL.iter().map(move |&t| l.tensor_size(t)))
-            .max()
-            .unwrap_or(0)
     }
 }
 
