@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Runs the fixed seeded workloads (`gemm`, `vgg16`, `bert`) through
-//! the cold/warm memo searches and the five A/B sections (`eval`,
-//! `instrumentation`, `tracing`, `fault_injection`, `analytics`),
+//! the cold/warm memo searches and the four A/B sections
+//! (`instrumentation`, `tracing`, `fault_injection`, `analytics`),
 //! writes the JSON report, re-validates it, and exits non-zero if any
 //! A/B row's on and off paths diverged bit-wise or the file is
 //! malformed. Recorded numbers come from `--mode full` on a release

@@ -11,10 +11,9 @@
 //! * [`cachebench`] — cold- vs warm-cache search comparison for the
 //!   server's fitness memo (recorded numbers in its module docs),
 //! * [`perfjson`] — the evaluator perf harness: fixed seeded workloads
-//!   through five off-vs-on A/B sections (allocating vs scratch cost
-//!   model, metrics, tracing, failpoints, analytics) plus memo hit-rate
-//!   measurements, emitted as `BENCH_eval.json` (the repo's perf
-//!   trajectory file),
+//!   through four off-vs-on A/B sections (metrics, tracing,
+//!   failpoints, analytics) plus memo hit-rate measurements, emitted
+//!   as `BENCH_eval.json` (the repo's perf trajectory file),
 //! * [`report`] — the markdown/TSV table writer the binaries share.
 //!
 //! The binaries (`fig5`, `fig6`, `fig7`, `pareto`, `space`, `ablation`)

@@ -11,15 +11,11 @@
 //! by a **memo** section — a cold search followed by an identical warm
 //! search on a shared server, recording the genome-memo / per-layer-cache
 //! / batch-dedupe counters and the warm-over-cold wall-clock ratio — and
-//! by five A/B sections. Each A/B section times the same seeded work
+//! by four A/B sections. Each A/B section times the same seeded work
 //! with a feature off and on through one measurement (`ab_ratio`),
 //! behind a bit-identity gate (a ratio measured on diverging results
 //! would be meaningless), and emits one [`AbRow`] per workload:
 //!
-//! * **eval** — raw `(layer, mapping) → CostReport` calls (unit
-//!   `layer-evals`): the allocating pre-change path
-//!   (`Evaluator::evaluate_baseline`) off, the scratch path
-//!   (`Evaluator::evaluate_with_scratch`) on.
 //! * **instrumentation**, **tracing** and **fault_injection** —
 //!   `CoOptProblem::evaluate_batch` on a bare problem (off) vs one with
 //!   an [`EvalHooks`] attached (on) that has exactly one piece live:
@@ -34,19 +30,23 @@
 //!   on. The analytics path draws no RNG, so the gate is the whole
 //!   best-so-far trajectory, not just a batch of evaluations.
 //!
+//! The raw cost-model rung (ns per `Evaluator::evaluate` call) has no
+//! A/B section: the cost model has one path, and the end-to-end
+//! benchmark reports its per-call time as `costmodel.eval_ns`.
+//!
 //! `--mode smoke` shrinks the budgets so CI can assert the file is
 //! produced and well-formed in seconds; recorded numbers come from
 //! `--mode full` on a release build (see the README's Performance
 //! section).
 
 use digamma::{CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, Objective};
-use digamma_costmodel::{CostReport, EvalScratch, Evaluator, Mapping, Platform};
+use digamma_costmodel::Platform;
 use digamma_encoding::Genome;
 use digamma_obs::{
     json_num, json_str, parse_json, FailSet, JsonValue, MetricsRegistry, SpanContext, Tracer,
 };
 use digamma_server::{JobAlgorithm, JobReport, JobSpec, SearchServer, ServerConfig};
-use digamma_workload::{zoo, Layer, Model, UniqueLayer};
+use digamma_workload::{zoo, Layer, Model};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The `schema` value [`render_json`] writes.
-const SCHEMA: &str = "digamma-bench-eval/6";
+const SCHEMA: &str = "digamma-bench-eval/7";
 
 /// Every field of an A/B row, in render order.
 const AB_FIELDS: [&str; 7] =
@@ -74,8 +74,7 @@ const MEMO_FIELDS: [&str; 9] = [
 ];
 
 /// The A/B sections, in run and render order.
-const AB_SECTIONS: [&str; 5] =
-    ["eval", "instrumentation", "tracing", "fault_injection", "analytics"];
+const AB_SECTIONS: [&str; 4] = ["instrumentation", "tracing", "fault_injection", "analytics"];
 
 /// Harness knobs. `full()` is what recorded numbers use; `smoke()` is
 /// the CI-sized variant.
@@ -206,22 +205,6 @@ pub fn workloads() -> Vec<Model> {
     vec![Model::new("gemm", vec![Layer::gemm("gemm", 256, 128, 256)]), zoo::vgg16(), zoo::bert()]
 }
 
-/// Seeded `(unique-layer index, mapping)` pairs for one workload:
-/// random genomes decoded exactly as the search would decode them.
-fn seeded_pairs(unique: &[UniqueLayer], target_evals: usize, seed: u64) -> Vec<(usize, Mapping)> {
-    let platform = Platform::edge();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let genomes = target_evals.div_ceil(unique.len()).max(1);
-    let mut pairs = Vec::with_capacity(genomes * unique.len());
-    for _ in 0..genomes {
-        let genome = Genome::random(&mut rng, unique, &platform, 2);
-        for (li, mapping) in genome.decode(unique).into_iter().enumerate() {
-            pairs.push((li, mapping));
-        }
-    }
-    pairs
-}
-
 /// Times `off` against `on` and returns `(fastest off call in ns, median
 /// on/off time ratio)`.
 ///
@@ -261,53 +244,6 @@ fn ab_ratio(
     }
     ratios.sort_by(f64::total_cmp);
     (off_ns, ratios[ratios.len() / 2])
-}
-
-/// `eval`: every seeded pair through the allocating baseline (off) and
-/// the scratch path (on).
-fn measure_eval(model: &Model, config: &PerfConfig) -> AbRow {
-    let unique = model.unique_layers();
-    let pairs = seeded_pairs(&unique, config.evals_per_workload, config.seed);
-    let evaluator = Evaluator::new(Platform::edge());
-    let mut scratch = EvalScratch::new();
-
-    let checksum = |report: &CostReport| {
-        report
-            .latency_cycles
-            .to_bits()
-            .wrapping_mul(31)
-            .wrapping_add(report.energy_pj.to_bits())
-            .wrapping_add(report.buffers.l2_words)
-    };
-    let mut baseline_sum = 0u64;
-    let mut scratch_sum = 0u64;
-    for (li, mapping) in &pairs {
-        let b = evaluator.evaluate_baseline(&unique[*li].layer, mapping).expect("valid mapping");
-        let s = evaluator
-            .evaluate_with_scratch(&unique[*li].layer, mapping, &mut scratch)
-            .expect("valid mapping");
-        baseline_sum = baseline_sum.wrapping_add(checksum(&b));
-        scratch_sum = scratch_sum.wrapping_add(checksum(&s));
-    }
-
-    let timing = ab_ratio(
-        config.repeats * 8,
-        1,
-        || {
-            for (li, mapping) in &pairs {
-                black_box(evaluator.evaluate_baseline(&unique[*li].layer, mapping).expect("valid"));
-            }
-        },
-        || {
-            for (li, mapping) in &pairs {
-                let layer = &unique[*li].layer;
-                black_box(
-                    evaluator.evaluate_with_scratch(layer, mapping, &mut scratch).expect("valid"),
-                );
-            }
-        },
-    );
-    AbRow::new(model.name(), "layer-evals", pairs.len(), baseline_sum == scratch_sum, timing)
 }
 
 fn measure_memo(model: &Model, config: &PerfConfig) -> MemoPerf {
@@ -421,7 +357,6 @@ fn measure_analytics(model: &Model, config: &PerfConfig) -> AbRow {
 pub fn run(config: &PerfConfig) -> PerfReport {
     let models = workloads();
     let rows = |measure: &dyn Fn(&Model) -> AbRow| models.iter().map(measure).collect::<Vec<_>>();
-    let eval = rows(&|m| measure_eval(m, config));
     let memo = models.iter().map(|m| measure_memo(m, config)).collect();
     // Each hook section makes one piece of the hooks live: an enabled
     // registry, a live tracer, or the (disarmed) failpoint set.
@@ -437,7 +372,7 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         rows(&|m| measure_hook(m, config, hooks(MetricsRegistry::disabled(), None)));
     let analytics = rows(&|m| measure_analytics(m, config));
     let sections =
-        AB_SECTIONS.into_iter().zip([eval, instrumentation, tracing, fault_injection, analytics]);
+        AB_SECTIONS.into_iter().zip([instrumentation, tracing, fault_injection, analytics]);
     PerfReport { config: config.clone(), memo, sections: sections.collect() }
 }
 
@@ -518,17 +453,21 @@ pub fn render_json(report: &PerfReport) -> String {
     out
 }
 
-/// Structural check for the emitted JSON: it must parse, carry the
-/// header keys and every section, and every row of every section must
-/// carry every field of its row type. CI runs this against the
-/// freshly-written `BENCH_eval.json`.
+/// Structural check for the emitted JSON: it must parse, carry this
+/// harness's schema and the other header keys and every section, and
+/// every row of every section must carry every field of its row type.
+/// CI runs this against the freshly-written `BENCH_eval.json`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural problem found.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let doc = parse_json(text)?;
-    for key in ["schema", "mode", "seed"] {
+    let schema = doc.get("schema").and_then(JsonValue::as_str);
+    if schema != Some(SCHEMA) {
+        return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
+    }
+    for key in ["mode", "seed"] {
         if doc.get(key).is_none() {
             return Err(format!("missing required key {key:?}"));
         }
@@ -617,6 +556,11 @@ mod tests {
     }
 
     #[test]
+    fn committed_bench_file_validates() {
+        validate_json(include_str!("../../../BENCH_eval.json")).expect("committed BENCH_eval.json");
+    }
+
+    #[test]
     fn validator_rejects_structural_damage() {
         let report = run(&PerfConfig {
             evals_per_workload: 4,
@@ -628,7 +572,8 @@ mod tests {
         let json = render_json(&report);
         validate_json(&json).unwrap();
         assert!(validate_json(&json[..json.len() - 3]).is_err(), "truncation must fail");
-        assert!(validate_json(&json.replace("\"eval\"", "\"val\"")).is_err());
+        assert!(validate_json(&json.replace("\"analytics\"", "\"analytic\"")).is_err());
+        assert!(validate_json(&json.replace(SCHEMA, "digamma-bench-eval/6")).is_err());
         assert!(validate_json(&json.replace("\"ratio\"", "\"ratoi\"")).is_err());
         assert!(validate_json(&json.replace("\"on_per_sec\"", "\"on\"")).is_err());
         assert!(validate_json(&json.replace("\"fault_injection\"", "\"faults\"")).is_err());

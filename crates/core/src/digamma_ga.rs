@@ -139,14 +139,6 @@ struct StepScratch {
     tags: Vec<(OpKind, f64)>,
     /// Feature rows reused by [`genotypic_diversity`] refreshes.
     feats: Vec<GenomeFeatures>,
-    /// Population indices sorted ascending by cost, precomputed by
-    /// `push_analytics` for the *next* step. The stats pass needs the
-    /// ranking for its median/worst fields, and the next `step` call
-    /// needs the identical ranking for selection — computing it once
-    /// makes the analytics sort free instead of a second O(n log n)
-    /// pass. `None` whenever analytics are off or no step has run; the
-    /// next step then sorts for itself, producing the same permutation.
-    next_order: Option<Vec<usize>>,
 }
 
 impl SearchState {
@@ -265,16 +257,7 @@ impl SearchState {
             // point above is all the record that is needed.
             return;
         }
-        // Rank the children exactly the way the next `step` call will
-        // (same stable sort, same comparator — ties must permute
-        // identically because the ranking feeds tournament selection).
-        // The ranking is handed to that step through the scratch, so
-        // this sort replaces one rather than adding one — and the
-        // buffer it fills is the one the previous step just drained.
-        let mut order = self.scratch.next_order.take().unwrap_or_default();
-        order.clear();
-        order.extend(0..evals.len());
-        order.sort_by(|&a, &b| evals[a].cost.total_cmp(&evals[b].cost));
+        let order = rank(evals);
 
         let n = evals.len().max(1);
         // Population diversity moves on a generations timescale, so it
@@ -296,7 +279,6 @@ impl SearchState {
             diversity,
             stale_gens: self.generation.saturating_sub(self.last_improved_gen),
         });
-        self.scratch.next_order = Some(order);
     }
 }
 
@@ -656,14 +638,7 @@ impl DiGamma {
         let mut rng = self.generation_rng(state.generation);
         let elites = ((cfg.population_size as f64 * cfg.elite_fraction).ceil() as usize).max(1);
 
-        // Rank current population (ascending cost) — or take the
-        // identical ranking `push_analytics` precomputed over these
-        // same evaluations at the previous boundary.
-        let order: Vec<usize> = state.scratch.next_order.take().unwrap_or_else(|| {
-            let mut order: Vec<usize> = (0..state.population.len()).collect();
-            order.sort_by(|&a, &b| state.evals[a].cost.total_cmp(&state.evals[b].cost));
-            order
-        });
+        let order = rank(&state.evals);
 
         let want = (cfg.population_size).min(budget - state.samples);
         let fixed_hw = matches!(problem.constraint(), Constraint::FixedHw(_));
@@ -815,9 +790,6 @@ impl DiGamma {
         }
         state.record(&children, &child_evals);
         if cfg.analytics {
-            // The spent ranking buffer rides back in through the
-            // scratch so `push_analytics` can refill it in place.
-            state.scratch.next_order = Some(order);
             state.push_analytics(&children, &child_evals, cost_sum, feasible);
         }
         state.population = children;
@@ -876,6 +848,14 @@ impl DiGamma {
             scratch: StepScratch::default(),
         }
     }
+}
+
+/// Population indices sorted ascending by cost. The sort is stable, so
+/// ties keep index order: selection depends on the exact permutation.
+fn rank(evals: &[DesignEvaluation]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..evals.len()).collect();
+    order.sort_by(|&a, &b| evals[a].cost.total_cmp(&evals[b].cost));
+    order
 }
 
 /// Binary tournament over the *top half* of the ranked population

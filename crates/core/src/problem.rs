@@ -19,7 +19,7 @@ use digamma_obs::{
     Counter, FailAction, FailSet, Histogram, MetricsRegistry, SampleTick, SpanContext, SpanRecord,
     Tracer, DEFAULT_LATENCY_BUCKETS,
 };
-use digamma_workload::{LayerKind, Model, UniqueLayer};
+use digamma_workload::{Model, UniqueLayer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -652,15 +652,7 @@ impl CoOptProblem {
         }
         h.write_u64(unique.len() as u64);
         for u in unique {
-            h.write_u64(match u.layer.kind() {
-                LayerKind::Conv => 0,
-                LayerKind::DepthwiseConv => 1,
-                LayerKind::Gemm => 2,
-            });
-            for (_, extent) in u.layer.dims().iter() {
-                h.write_u64(extent);
-            }
-            h.write_u64(u.layer.stride());
+            h.write_layer_shape(&u.layer);
             h.write_u64(u.count);
         }
         h

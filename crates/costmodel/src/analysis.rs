@@ -144,9 +144,9 @@ pub fn analyze(layer: &Layer, mapping: &Mapping) -> Result<Analysis, EvalError> 
 }
 
 /// Runs the full reuse analysis into a caller-owned [`Analysis`],
-/// reusing its vectors' capacity — the allocation-free form of
-/// [`analyze`] used by the evaluator's scratch path. `out` is fully
-/// overwritten; results are bit-identical to [`analyze`].
+/// reusing its vectors' capacity — the form of [`analyze`] that
+/// [`crate::Evaluator::evaluate`] runs on its per-thread buffer. `out`
+/// is fully overwritten; results are bit-identical to [`analyze`].
 ///
 /// # Errors
 ///

@@ -68,6 +68,21 @@ impl StableHasher {
         self.write_u64(v.to_bits());
     }
 
+    /// Feeds a layer's shape: operator kind, extents, and stride. The
+    /// layer's *name* is excluded — same-shaped layers share mappings
+    /// and reports.
+    pub fn write_layer_shape(&mut self, layer: &Layer) {
+        self.write_u64(match layer.kind() {
+            LayerKind::Conv => 0,
+            LayerKind::DepthwiseConv => 1,
+            LayerKind::Gemm => 2,
+        });
+        for (_, extent) in layer.dims().iter() {
+            self.write_u64(extent);
+        }
+        self.write_u64(layer.stride());
+    }
+
     /// The accumulated 64-bit key.
     pub fn finish(&self) -> u64 {
         self.state
@@ -77,6 +92,34 @@ impl StableHasher {
 impl Default for StableHasher {
     fn default() -> StableHasher {
         StableHasher::new()
+    }
+}
+
+/// Feeds every model constant the cost model reads — platform
+/// bandwidths plus area/energy coefficients — into `h`, in the one order
+/// both [`layer_eval_key`] and the genome-level keys use.
+pub(crate) fn write_model_constants(
+    h: &mut StableHasher,
+    bw_dram: f64,
+    bw_noc: f64,
+    area: &AreaModel,
+    energy: &EnergyModel,
+) {
+    for v in [
+        bw_dram,
+        bw_noc,
+        area.pe_um2,
+        area.l1_um2_per_word,
+        area.mid_um2_per_word,
+        area.l2_um2_per_word,
+        energy.mac_pj,
+        energy.l1_pj,
+        energy.mid_pj,
+        energy.l2_pj,
+        energy.noc_pj,
+        energy.dram_pj,
+    ] {
+        h.write_f64(v);
     }
 }
 
@@ -95,29 +138,8 @@ pub fn layer_eval_key(
     mapping: &Mapping,
 ) -> u64 {
     let mut h = StableHasher::new();
-    h.write_f64(bw_dram);
-    h.write_f64(bw_noc);
-    h.write_f64(area.pe_um2);
-    h.write_f64(area.l1_um2_per_word);
-    h.write_f64(area.mid_um2_per_word);
-    h.write_f64(area.l2_um2_per_word);
-    h.write_f64(energy.mac_pj);
-    h.write_f64(energy.l1_pj);
-    h.write_f64(energy.mid_pj);
-    h.write_f64(energy.l2_pj);
-    h.write_f64(energy.noc_pj);
-    h.write_f64(energy.dram_pj);
-
-    h.write_u64(match layer.kind() {
-        LayerKind::Conv => 0,
-        LayerKind::DepthwiseConv => 1,
-        LayerKind::Gemm => 2,
-    });
-    for (_, extent) in layer.dims().iter() {
-        h.write_u64(extent);
-    }
-    h.write_u64(layer.stride());
-
+    write_model_constants(&mut h, bw_dram, bw_noc, area, energy);
+    h.write_layer_shape(layer);
     h.write_u64(mapping.levels().len() as u64);
     for level in mapping.levels() {
         h.write_u64(level.fanout);

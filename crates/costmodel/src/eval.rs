@@ -1,24 +1,24 @@
 //! The evaluator front door: `(layer, mapping) → CostReport`.
 
 use crate::accelerator::{HwConfig, Platform};
-use crate::analysis::{analyze, analyze_into};
+use crate::analysis::{analyze_into, Analysis};
 use crate::area::{AreaModel, AREA_MODEL_15NM};
+use crate::cachekey::{layer_eval_key, write_model_constants, StableHasher};
 use crate::energy::{EnergyModel, ENERGY_MODEL_DEFAULT};
 use crate::error::EvalError;
 use crate::latency::latency;
 use crate::mapping::Mapping;
 use crate::report::CostReport;
-use crate::scratch::EvalScratch;
 use digamma_workload::Layer;
 use std::cell::RefCell;
 
 thread_local! {
-    /// The lazily-created per-thread scratch backing [`Evaluator::evaluate`]:
-    /// the public signature stays scratch-free while every call on a given
-    /// thread reuses one arena. (An `Evaluator` is shared immutably across
-    /// worker threads, so it cannot own the scratch itself without a lock
-    /// on the hot path.)
-    static THREAD_SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::new());
+    /// The lazily-created per-thread reuse analysis backing
+    /// [`Evaluator::evaluate`]: every call on a given thread refills one
+    /// [`Analysis`] in place, keeping its vectors' capacity. (An
+    /// `Evaluator` is shared immutably across worker threads, so it
+    /// cannot own the buffer itself without a lock on the hot path.)
+    static THREAD_ANALYSIS: RefCell<Analysis> = RefCell::new(Analysis::default());
 }
 
 /// Evaluates `(layer, mapping)` pairs on a platform.
@@ -62,36 +62,26 @@ impl Evaluator {
         &self.area_model
     }
 
-    /// The active energy model.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy_model
-    }
-
     /// Feeds every model constant the cost model reads — platform
     /// bandwidths plus area/energy coefficients — into `hasher`, in the
-    /// same order [`crate::cachekey::layer_eval_key`] uses. Higher-level
-    /// caches (the genome-level memo) build their stable keys on this so
-    /// the evaluator's identity hashes one way everywhere.
-    pub fn write_model_constants(&self, hasher: &mut crate::cachekey::StableHasher) {
-        hasher.write_f64(self.platform.bw_dram);
-        hasher.write_f64(self.platform.bw_noc);
-        hasher.write_f64(self.area_model.pe_um2);
-        hasher.write_f64(self.area_model.l1_um2_per_word);
-        hasher.write_f64(self.area_model.mid_um2_per_word);
-        hasher.write_f64(self.area_model.l2_um2_per_word);
-        hasher.write_f64(self.energy_model.mac_pj);
-        hasher.write_f64(self.energy_model.l1_pj);
-        hasher.write_f64(self.energy_model.mid_pj);
-        hasher.write_f64(self.energy_model.l2_pj);
-        hasher.write_f64(self.energy_model.noc_pj);
-        hasher.write_f64(self.energy_model.dram_pj);
+    /// same order [`layer_eval_key`] uses. Higher-level caches (the
+    /// genome-level memo) build their stable keys on this so the
+    /// evaluator's identity hashes one way everywhere.
+    pub fn write_model_constants(&self, hasher: &mut StableHasher) {
+        write_model_constants(
+            hasher,
+            self.platform.bw_dram,
+            self.platform.bw_noc,
+            &self.area_model,
+            &self.energy_model,
+        );
     }
 
     /// Stable memo key for [`Evaluator::evaluate`] on this evaluator:
     /// equal keys guarantee identical [`CostReport`]s (see
     /// [`crate::cachekey`]).
     pub fn cache_key(&self, layer: &Layer, mapping: &Mapping) -> u64 {
-        crate::cachekey::layer_eval_key(
+        layer_eval_key(
             self.platform.bw_dram,
             self.platform.bw_noc,
             &self.area_model,
@@ -104,11 +94,9 @@ impl Evaluator {
     /// Evaluates a mapping, deriving minimum-footprint hardware
     /// (DiGamma's buffer allocation strategy).
     ///
-    /// Internally this borrows a lazily-created per-thread
-    /// [`EvalScratch`], so repeated calls on one thread are
-    /// allocation-free apart from the returned report; callers managing
-    /// their own scratch (batch evaluators, benchmark loops) should use
-    /// [`Evaluator::evaluate_with_scratch`] directly.
+    /// The reuse analysis runs once, into a lazily-created per-thread
+    /// [`Analysis`] that keeps its capacity between calls; the returned
+    /// report owns copies of the pieces it carries.
     ///
     /// # Errors
     ///
@@ -116,86 +104,24 @@ impl Evaluator {
     /// the layer. Over-budget designs still evaluate — the constraint
     /// checker upstream decides their fate.
     pub fn evaluate(&self, layer: &Layer, mapping: &Mapping) -> Result<CostReport, EvalError> {
-        THREAD_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
-            Ok(mut scratch) => self.evaluate_with_scratch(layer, mapping, &mut scratch),
+        THREAD_ANALYSIS.with(|analysis| match analysis.try_borrow_mut() {
+            Ok(mut analysis) => self.evaluate_into(layer, mapping, &mut analysis),
             // Unreachable in practice (evaluation never re-enters), but
-            // a fresh scratch keeps even that case correct.
-            Err(_) => self.evaluate_with_scratch(layer, mapping, &mut EvalScratch::new()),
+            // a fresh analysis keeps even that case correct.
+            Err(_) => self.evaluate_into(layer, mapping, &mut Analysis::default()),
         })
     }
 
-    /// [`Evaluator::evaluate`] against an explicit reusable scratch: one
-    /// reuse analysis (the baseline ran two), no intermediate
-    /// allocations beyond what the returned [`CostReport`] owns.
-    ///
-    /// Results are bit-identical to [`Evaluator::evaluate_baseline`];
-    /// the equivalence tests below enforce it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] when the mapping is structurally invalid.
-    pub fn evaluate_with_scratch(
+    fn evaluate_into(
         &self,
         layer: &Layer,
         mapping: &Mapping,
-        scratch: &mut EvalScratch,
+        analysis: &mut Analysis,
     ) -> Result<CostReport, EvalError> {
-        analyze_into(layer, mapping, scratch.analysis_mut())?;
-        let analysis = scratch.analysis();
+        analyze_into(layer, mapping, analysis)?;
         let hw = HwConfig::for_mapping_buffers(mapping.pe_shape(), &analysis.buffers);
         let lat = latency(analysis, &self.platform);
         let energy = self.energy_model.energy_pj(analysis);
-        let area = self.area_model.area_um2(&hw);
-        let pe_area = self.area_model.pe_area_um2(&hw);
-        Ok(CostReport::assemble_from_ref(analysis, lat, energy, area, pe_area, hw))
-    }
-
-    /// The pre-scratch **allocating reference path**, kept verbatim (it
-    /// runs the reuse analysis twice: once to derive the hardware, once
-    /// to score it). Exists so the equivalence tests and the perf
-    /// harness (`digamma_bench::perfjson`) can measure and verify the
-    /// optimized path against the original behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] when the mapping is structurally invalid.
-    pub fn evaluate_baseline(
-        &self,
-        layer: &Layer,
-        mapping: &Mapping,
-    ) -> Result<CostReport, EvalError> {
-        let fanouts: Vec<u64> = mapping.pe_shape();
-        let analysis = analyze(layer, mapping)?;
-        let hw = HwConfig::for_mapping_buffers(fanouts, &analysis.buffers);
-        self.finish(layer, mapping, hw)
-    }
-
-    /// Evaluates a mapping against **given** hardware (the Fixed-HW
-    /// use-case and the GAMMA baseline). The report carries the given
-    /// hardware's area; callers should first check
-    /// [`HwConfig::accommodates`] and penalize misfits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] when the mapping is structurally invalid.
-    pub fn evaluate_on_hw(
-        &self,
-        layer: &Layer,
-        mapping: &Mapping,
-        hw: &HwConfig,
-    ) -> Result<CostReport, EvalError> {
-        self.finish(layer, mapping, hw.clone())
-    }
-
-    fn finish(
-        &self,
-        layer: &Layer,
-        mapping: &Mapping,
-        hw: HwConfig,
-    ) -> Result<CostReport, EvalError> {
-        let analysis = analyze(layer, mapping)?;
-        let lat = latency(&analysis, &self.platform);
-        let energy = self.energy_model.energy_pj(&analysis);
         let area = self.area_model.area_um2(&hw);
         let pe_area = self.area_model.pe_area_um2(&hw);
         Ok(CostReport::assemble(analysis, lat, energy, area, pe_area, hw))
@@ -235,24 +161,6 @@ mod tests {
         assert_eq!(r.hw.num_pes(), 32);
     }
 
-    #[test]
-    fn evaluate_on_hw_uses_given_area() {
-        let layer = digamma_workload::Layer::conv("l", 64, 32, 16, 16, 3, 3, 1);
-        let m = Mapping::row_major_example(&layer, 8, 4);
-        let eval = Evaluator::new(Platform::edge());
-        let derived = eval.evaluate(&layer, &m).unwrap();
-        // An oversized fixed HW costs more area for identical latency.
-        let big_hw = HwConfig {
-            fanouts: vec![8, 4],
-            l2_words: derived.hw.l2_words * 10,
-            mid_words_per_unit: vec![],
-            l1_words_per_pe: derived.hw.l1_words_per_pe * 10,
-        };
-        let fixed = eval.evaluate_on_hw(&layer, &m, &big_hw).unwrap();
-        assert!(fixed.area_um2 > derived.area_um2);
-        assert!((fixed.latency_cycles - derived.latency_cycles).abs() < 1e-9);
-    }
-
     /// Bit-exact equality of two cost reports, field by field.
     fn assert_bit_identical(a: &CostReport, b: &CostReport, context: &str) {
         assert_eq!(a.latency_cycles.to_bits(), b.latency_cycles.to_bits(), "{context}");
@@ -276,49 +184,40 @@ mod tests {
     }
 
     #[test]
-    fn scratch_path_is_bit_identical_to_allocating_baseline() {
-        // One reused scratch across every layer of every zoo model and
-        // several PE shapes: the optimized path must reproduce the
-        // original double-analysis path to the bit, with no state
-        // leaking between consecutive evaluations.
-        let mut scratch = crate::EvalScratch::new();
+    fn reused_thread_analysis_matches_a_fresh_thread() {
+        // This thread's analysis buffer serves every case in turn — other
+        // layers, PE shapes and platforms, with an erroring mapping before
+        // each — and must give the bits a fresh thread gives, so no state
+        // leaks between consecutive evaluations.
+        let bad = |layer: &Layer| {
+            let mut m = Mapping::row_major_example(layer, 4, 8);
+            m.levels_mut()[0].fanout = 0;
+            m
+        };
+        let mut cases = Vec::new();
         for platform in [Platform::edge(), Platform::cloud()] {
-            let eval = Evaluator::new(platform);
             for model in zoo::all_models() {
                 for layer in model.layers().iter().take(8) {
                     for (rows, cols) in [(4, 8), (8, 4)] {
                         let m = Mapping::row_major_example(layer, rows, cols);
-                        let baseline = eval.evaluate_baseline(layer, &m).unwrap();
-                        let scratched =
-                            eval.evaluate_with_scratch(layer, &m, &mut scratch).unwrap();
-                        let threaded = eval.evaluate(layer, &m).unwrap();
-                        let context = format!("{}/{}", model.name(), layer.name());
-                        assert_bit_identical(&baseline, &scratched, &context);
-                        assert_bit_identical(&baseline, &threaded, &context);
+                        cases.push((Evaluator::new(platform.clone()), layer.clone(), m));
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn scratch_survives_errors_between_evaluations() {
-        let eval = Evaluator::new(Platform::edge());
-        let layer = digamma_workload::Layer::gemm("g", 64, 32, 64);
-        let good = Mapping::row_major_example(&layer, 4, 4);
-        let mut scratch = crate::EvalScratch::new();
-        // An invalid mapping (zero fan-out) errors without poisoning the
-        // scratch for the next evaluation.
-        let bad = Mapping::new(vec![crate::LevelSpec {
-            fanout: 0,
-            spatial_dim: digamma_workload::Dim::K,
-            order: digamma_workload::Dim::ALL,
-            tile: digamma_workload::DimVec::splat(1),
-        }]);
-        assert!(eval.evaluate_with_scratch(&layer, &bad, &mut scratch).is_err());
-        let after_error = eval.evaluate_with_scratch(&layer, &good, &mut scratch).unwrap();
-        let baseline = eval.evaluate_baseline(&layer, &good).unwrap();
-        assert_bit_identical(&baseline, &after_error, "post-error");
+        let reused: Vec<CostReport> = cases
+            .iter()
+            .map(|(eval, layer, m)| {
+                assert!(eval.evaluate(layer, &bad(layer)).is_err());
+                eval.evaluate(layer, m).unwrap()
+            })
+            .collect();
+        for ((eval, layer, m), report) in cases.iter().zip(&reused) {
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| eval.evaluate(layer, m).unwrap()).join().unwrap()
+            });
+            assert_bit_identical(report, &fresh, layer.name());
+        }
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! * [`energy`] — access counts × per-access energy (Eyeriss-style ratios),
 //! * [`area`] — the synthesized-RTL area substitute (see `DESIGN.md`),
 //! * [`Evaluator`] — the front door: `(layer, mapping, platform) →`
-//!   [`CostReport`].
+//!   [`CostReport`], one reuse analysis per call into a per-thread
+//!   buffer,
+//! * [`simulate`] — the executable reference simulator that the
+//!   analysis is validated against (the correctness oracle, not a hot
+//!   path).
 //!
 //! # Example
 //!
@@ -46,7 +50,6 @@ mod error;
 mod eval;
 mod mapping;
 mod report;
-mod scratch;
 
 pub use accelerator::{HwConfig, Platform};
 pub use analysis::{analyze, Analysis, BufferRequirement};
@@ -57,4 +60,3 @@ pub use error::EvalError;
 pub use eval::Evaluator;
 pub use mapping::{LevelSpec, Mapping, MAX_LEVELS};
 pub use report::CostReport;
-pub use scratch::EvalScratch;

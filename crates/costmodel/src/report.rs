@@ -48,33 +48,9 @@ impl CostReport {
         (pe, 100.0 - pe)
     }
 
-    /// Builds the report from the analysis pieces.
+    /// Builds the report from the analysis pieces, copying the parts of
+    /// the (reused, borrowed) analysis that the report must own.
     pub(crate) fn assemble(
-        analysis: Analysis,
-        latency: LatencyBreakdown,
-        energy_pj: f64,
-        area_um2: f64,
-        pe_area_um2: f64,
-        hw: HwConfig,
-    ) -> CostReport {
-        CostReport {
-            latency_cycles: latency.total_cycles,
-            latency,
-            energy_pj,
-            area_um2,
-            pe_area_um2,
-            hw,
-            buffers: analysis.buffers,
-            traffic: analysis.levels.iter().map(|l| l.traffic).collect(),
-            utilization: analysis.utilization,
-            macs: analysis.macs_total,
-        }
-    }
-
-    /// [`CostReport::assemble`] from a *borrowed* analysis — the scratch
-    /// evaluation path keeps its reusable [`Analysis`] and clones only
-    /// the small pieces the report must own.
-    pub(crate) fn assemble_from_ref(
         analysis: &Analysis,
         latency: LatencyBreakdown,
         energy_pj: f64,

@@ -26,9 +26,27 @@
 use crate::analysis::LinkTraffic;
 use crate::error::EvalError;
 use crate::mapping::Mapping;
-use crate::scratch::{ActiveUnit, EvalScratch, TileId, TileSet, UnitCache};
 use digamma_workload::{tensor_footprint, Dim, DimVec, Layer, Tensor, NUM_DIMS};
 use std::collections::HashSet;
+
+/// A tensor-tile identity: the tile's origin projected onto the tensor's
+/// relevant dimensions (irrelevant coordinates zeroed).
+type TileId = [u64; NUM_DIMS];
+
+/// Per-unit resident-tile state (one entry per tensor).
+#[derive(Debug, Clone, Default)]
+struct UnitCache {
+    resident: [Option<TileId>; 3],
+}
+
+/// One active unit during a lockstep simulation step: its path id, tile
+/// origin, and clipped extent.
+#[derive(Debug, Clone, Copy)]
+struct ActiveUnit {
+    unit_id: usize,
+    origin: DimVec<u64>,
+    clipped: DimVec<u64>,
+}
 
 /// Traffic measured by executing the schedule.
 #[derive(Debug, Clone)]
@@ -190,11 +208,8 @@ impl<'a> Sim<'a> {
 
 /// Executes the full schedule and measures traffic.
 ///
-/// This is the **allocating reference implementation**: it builds fresh
-/// working state per call (and per tile step). The production path is
-/// [`simulate_with_scratch`], which reuses an [`EvalScratch`]'s arenas
-/// and must stay bit-identical to this one (enforced by the equivalence
-/// tests below).
+/// The correctness oracle for [`crate::analysis`], not a hot path: it
+/// builds fresh working state per call and per tile step.
 ///
 /// # Errors
 ///
@@ -259,216 +274,6 @@ pub fn simulate(layer: &Layer, mapping: &Mapping) -> Result<SimReport, EvalError
     }
     sim.final_flush();
     Ok(SimReport { levels: sim.traffic, macs_executed: sim.macs })
-}
-
-/// Projects a tile origin onto one tensor's relevant dimensions.
-fn project_origin(
-    relevance: &[DimVec<bool>; 3],
-    origin: &DimVec<u64>,
-    tensor_idx: usize,
-) -> TileId {
-    let mut id = [0u64; NUM_DIMS];
-    for d in Dim::ALL {
-        if relevance[tensor_idx][d] {
-            id[d.index()] = origin[d];
-        }
-    }
-    id
-}
-
-/// [`simulate`], but allocation-free after warm-up: every piece of
-/// working state — active-unit arenas, per-depth unit caches, multicast
-/// dedup sets, flushed-tile sets, the odometer — lives in `scratch` and
-/// is cleared (capacity kept) instead of reallocated. One scratch per
-/// thread; reuse it across arbitrary layers and mappings.
-///
-/// Results are bit-identical to [`simulate`] (the equivalence tests in
-/// this module compare them field by field), and debug builds assert the
-/// scratch carries no state across calls.
-///
-/// # Errors
-///
-/// Returns [`EvalError`] if the mapping is structurally invalid.
-pub fn simulate_with_scratch(
-    layer: &Layer,
-    mapping: &Mapping,
-    scratch: &mut EvalScratch,
-) -> Result<SimReport, EvalError> {
-    mapping.validate(layer)?;
-    let kind = layer.kind();
-    let relevance = [
-        kind.relevance(Tensor::Weight),
-        kind.relevance(Tensor::Input),
-        kind.relevance(Tensor::Output),
-    ];
-    let num_levels = mapping.levels().len();
-
-    // Reset (not reallocate) every arena the walk uses.
-    scratch.sim_footprints.clear();
-    for l in mapping.levels() {
-        scratch.sim_footprints.push([
-            tensor_footprint(kind, Tensor::Weight, &l.tile, layer.stride()),
-            tensor_footprint(kind, Tensor::Input, &l.tile, layer.stride()),
-            tensor_footprint(kind, Tensor::Output, &l.tile, layer.stride()),
-        ]);
-    }
-    scratch.sim_caches.resize_with(num_levels, Vec::new);
-    let mut units = 1usize;
-    for (depth, l) in mapping.levels().iter().enumerate() {
-        units = units.saturating_mul(l.fanout as usize);
-        let caches = &mut scratch.sim_caches[depth];
-        caches.clear();
-        caches.resize(units, UnitCache::default());
-    }
-    scratch.sim_counts.clear();
-    let mut parent_tile = *layer.dims();
-    for l in mapping.levels() {
-        scratch.sim_counts.push(l.iteration_counts(&parent_tile));
-        parent_tile = l.tile;
-    }
-    scratch.sim_traffic.clear();
-    scratch.sim_traffic.resize(num_levels, LinkTraffic::default());
-    scratch.sim_flushed.resize_with(num_levels, TileSet::new);
-    for set in &mut scratch.sim_flushed {
-        set.clear();
-    }
-    for set in &mut scratch.sim_delivered {
-        set.clear();
-    }
-    scratch.sim_evicted.clear();
-    scratch.sim_read_back.clear();
-    scratch.sim_idx.clear();
-    scratch.sim_idx.resize(num_levels, DimVec::splat(0u64));
-    scratch.sim_parents.clear();
-    scratch.sim_children.clear();
-    scratch.debug_assert_pristine(num_levels);
-
-    let EvalScratch {
-        sim_parents,
-        sim_children,
-        sim_caches,
-        sim_flushed,
-        sim_delivered,
-        sim_evicted,
-        sim_read_back,
-        sim_footprints,
-        sim_counts,
-        sim_traffic,
-        sim_idx,
-        ..
-    } = scratch;
-
-    let mut macs = 0u64;
-    loop {
-        // --- one global lockstep step (see `Sim::step`) ---
-        sim_parents.clear();
-        sim_parents.push(ActiveUnit {
-            unit_id: 0,
-            origin: DimVec::splat(0),
-            clipped: *layer.dims(),
-        });
-        for (ell, level) in mapping.levels().iter().enumerate() {
-            let fanout = level.fanout as usize;
-            let spatial = level.spatial_dim;
-            sim_children.clear();
-            for set in sim_delivered.iter_mut() {
-                set.clear();
-            }
-            sim_evicted.clear();
-            sim_read_back.clear();
-
-            for parent in sim_parents.iter() {
-                let mut step_origin = parent.origin;
-                for d in Dim::ALL {
-                    let stride = level.tile[d] * if d == spatial { level.fanout } else { 1 };
-                    step_origin[d] += sim_idx[ell][d] * stride;
-                }
-                for c in 0..fanout {
-                    let mut child_origin = step_origin;
-                    child_origin[spatial] += c as u64 * level.tile[spatial];
-                    let inside = Dim::ALL
-                        .iter()
-                        .all(|&d| child_origin[d] < parent.origin[d] + parent.clipped[d]);
-                    if !inside {
-                        continue;
-                    }
-                    let child_unit = parent.unit_id * fanout + c;
-                    for (ti, delivered_t) in sim_delivered.iter_mut().enumerate() {
-                        let id = project_origin(&relevance, &child_origin, ti);
-                        let cache = &mut sim_caches[ell][child_unit];
-                        if cache.resident[ti] == Some(id) {
-                            continue; // hit: stationary
-                        }
-                        if ti == 2 {
-                            if let Some(old) = cache.resident[ti] {
-                                sim_evicted.insert(old);
-                            }
-                            if sim_flushed[ell].contains(&id) {
-                                sim_read_back.insert(id);
-                            }
-                        } else {
-                            delivered_t.insert(id);
-                        }
-                        cache.resident[ti] = Some(id);
-                    }
-                    let mut clipped = level.tile;
-                    for d in Dim::ALL {
-                        let end = parent.origin[d] + parent.clipped[d];
-                        clipped[d] = clipped[d].min(end - child_origin[d]);
-                    }
-                    sim_children.push(ActiveUnit {
-                        unit_id: child_unit,
-                        origin: child_origin,
-                        clipped,
-                    });
-                }
-            }
-
-            let f = sim_footprints[ell];
-            sim_traffic[ell].weight += sim_delivered[0].len() as u128 * f[0] as u128;
-            sim_traffic[ell].input += sim_delivered[1].len() as u128 * f[1] as u128;
-            sim_traffic[ell].output_write += sim_evicted.len() as u128 * f[2] as u128;
-            sim_traffic[ell].output_read += sim_read_back.len() as u128 * f[2] as u128;
-            for id in sim_evicted.iter() {
-                sim_flushed[ell].insert(*id);
-            }
-            std::mem::swap(sim_parents, sim_children);
-        }
-        for leaf in sim_parents.iter() {
-            macs += leaf.clipped.product();
-        }
-
-        // --- advance the combined odometer (see `Sim::advance`) ---
-        let mut advanced = false;
-        'advance: for ell in (0..num_levels).rev() {
-            let order = mapping.levels()[ell].order;
-            for &d in order.iter().rev() {
-                sim_idx[ell][d] += 1;
-                if sim_idx[ell][d] < sim_counts[ell][d] {
-                    advanced = true;
-                    break 'advance;
-                }
-                sim_idx[ell][d] = 0;
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-
-    // --- final flush (see `Sim::final_flush`) ---
-    for (depth, units) in sim_caches.iter().enumerate() {
-        let words = sim_footprints[depth][2] as u128;
-        sim_evicted.clear();
-        for unit in units {
-            if let Some(id) = unit.resident[2] {
-                sim_evicted.insert(id);
-            }
-        }
-        sim_traffic[depth].output_write += sim_evicted.len() as u128 * words;
-    }
-
-    Ok(SimReport { levels: sim_traffic.clone(), macs_executed: macs })
 }
 
 #[cfg(test)]
@@ -584,157 +389,6 @@ mod tests {
         assert_eq!(sim.levels[0].weight, ana.levels[0].traffic.weight);
         assert_eq!(sim.levels[0].input, ana.levels[0].traffic.input);
         assert_eq!(sim.levels[1].output_write, ana.levels[1].traffic.output_write);
-    }
-
-    /// Field-by-field equality of two sim reports (LinkTraffic is `Eq`,
-    /// so this is exact, not approximate).
-    fn assert_reports_identical(a: &SimReport, b: &SimReport, context: &str) {
-        assert_eq!(a.macs_executed, b.macs_executed, "macs differ: {context}");
-        assert_eq!(a.levels.len(), b.levels.len(), "level count differs: {context}");
-        for (lvl, (x, y)) in a.levels.iter().zip(&b.levels).enumerate() {
-            assert_eq!(x, y, "traffic differs at level {lvl}: {context}");
-        }
-    }
-
-    /// The mapping/layer menagerie the equivalence tests sweep: clean
-    /// divisible splits, ceil-folded non-divisible tiles, reduction
-    /// readback, gemm, and a three-level hierarchy.
-    fn equivalence_cases() -> Vec<(Layer, Mapping)> {
-        let mut cases = Vec::new();
-        let conv = Layer::conv("l", 8, 4, 8, 4, 1, 1, 1);
-        cases.push((
-            conv.clone(),
-            divisible_mapping(
-                &conv,
-                Dim::K,
-                Dim::Y,
-                DimVec([4, 4, 4, 4, 1, 1]),
-                DimVec([2, 4, 1, 2, 1, 1]),
-                2,
-                4,
-            ),
-        ));
-        let ragged = Layer::conv("l", 7, 5, 6, 5, 3, 3, 1);
-        cases.push((
-            ragged.clone(),
-            divisible_mapping(
-                &ragged,
-                Dim::K,
-                Dim::Y,
-                DimVec([3, 5, 4, 3, 3, 2]),
-                DimVec([2, 3, 2, 3, 2, 2]),
-                2,
-                2,
-            ),
-        ));
-        let reduce = Layer::conv("l", 4, 8, 2, 2, 1, 1, 1);
-        let order = [Dim::C, Dim::K, Dim::Y, Dim::X, Dim::R, Dim::S];
-        cases.push((
-            reduce,
-            Mapping::new(vec![
-                LevelSpec {
-                    fanout: 1,
-                    spatial_dim: Dim::X,
-                    order,
-                    tile: DimVec([2, 2, 2, 2, 1, 1]),
-                },
-                LevelSpec {
-                    fanout: 2,
-                    spatial_dim: Dim::K,
-                    order: Dim::ALL,
-                    tile: DimVec([1, 2, 1, 2, 1, 1]),
-                },
-            ]),
-        ));
-        let gemm = Layer::gemm("g", 8, 4, 8);
-        cases.push((
-            gemm.clone(),
-            divisible_mapping(
-                &gemm,
-                Dim::K,
-                Dim::Y,
-                DimVec([4, 4, 4, 1, 1, 1]),
-                DimVec([2, 4, 2, 1, 1, 1]),
-                2,
-                2,
-            ),
-        ));
-        let deep = Layer::conv("l", 4, 4, 4, 4, 1, 1, 1);
-        cases.push((
-            deep,
-            Mapping::new(vec![
-                LevelSpec {
-                    fanout: 2,
-                    spatial_dim: Dim::K,
-                    order: Dim::ALL,
-                    tile: DimVec([2, 4, 4, 4, 1, 1]),
-                },
-                LevelSpec {
-                    fanout: 2,
-                    spatial_dim: Dim::Y,
-                    order: Dim::ALL,
-                    tile: DimVec([2, 4, 2, 4, 1, 1]),
-                },
-                LevelSpec {
-                    fanout: 2,
-                    spatial_dim: Dim::X,
-                    order: Dim::ALL,
-                    tile: DimVec([2, 2, 2, 2, 1, 1]),
-                },
-            ]),
-        ));
-        cases
-    }
-
-    #[test]
-    fn scratch_simulation_matches_allocating_reference() {
-        let mut scratch = EvalScratch::new();
-        for (layer, mapping) in equivalence_cases() {
-            let reference = simulate(&layer, &mapping).unwrap();
-            let scratched = simulate_with_scratch(&layer, &mapping, &mut scratch).unwrap();
-            assert_reports_identical(&reference, &scratched, layer.name());
-        }
-    }
-
-    #[test]
-    fn reused_scratch_matches_fresh_scratch() {
-        // Run the whole menagerie through ONE scratch, then re-run each
-        // case with a fresh scratch: any state leaking between
-        // evaluations (stale caches, flushed sets, traffic) would break
-        // this equality. The cases deliberately change level counts and
-        // unit counts between runs to shrink and regrow every arena.
-        let mut reused = EvalScratch::new();
-        let cases = equivalence_cases();
-        // Warm the reused scratch with everything once, in order.
-        for (layer, mapping) in &cases {
-            simulate_with_scratch(layer, mapping, &mut reused).unwrap();
-        }
-        // Second pass (reversed, so each case follows a *different*
-        // predecessor than in the warm-up) against fresh scratches.
-        for (layer, mapping) in cases.iter().rev() {
-            let with_reuse = simulate_with_scratch(layer, mapping, &mut reused).unwrap();
-            let with_fresh =
-                simulate_with_scratch(layer, mapping, &mut EvalScratch::new()).unwrap();
-            assert_reports_identical(&with_reuse, &with_fresh, layer.name());
-        }
-    }
-
-    #[test]
-    fn scratch_simulation_rejects_invalid_mappings() {
-        let layer = Layer::conv("l", 8, 4, 8, 4, 1, 1, 1);
-        let bad = Mapping::new(vec![LevelSpec {
-            fanout: 0,
-            spatial_dim: Dim::K,
-            order: Dim::ALL,
-            tile: DimVec::splat(1),
-        }]);
-        let mut scratch = EvalScratch::new();
-        assert!(simulate_with_scratch(&layer, &bad, &mut scratch).is_err());
-        // The scratch stays usable after an error.
-        let good = Mapping::row_major_example(&layer, 2, 2);
-        let a = simulate_with_scratch(&layer, &good, &mut scratch).unwrap();
-        let b = simulate(&layer, &good).unwrap();
-        assert_reports_identical(&a, &b, "post-error reuse");
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //!    matches execution **exactly**, per level and per tensor;
 //! 2. on arbitrary mappings the analysis never undercounts traffic, and
 //!    the simulator always executes exactly the layer's true MAC count.
+//!
+//! Both laws are also checked on the traffic that
+//! [`Evaluator::evaluate`] reports — the per-thread path the search
+//! actually runs.
 
-use digamma_costmodel::{analyze, simulate::simulate, LevelSpec, Mapping};
+use digamma_costmodel::{analyze, simulate::simulate, Evaluator, LevelSpec, Mapping, Platform};
 use digamma_workload::{Dim, DimVec, Layer};
 use proptest::prelude::*;
 
@@ -88,6 +92,8 @@ proptest! {
             prop_assert_eq!(s.output_write, a.traffic.output_write, "out-w L{}", lvl);
             prop_assert_eq!(s.output_read, a.traffic.output_read, "out-r L{}", lvl);
         }
+        let report = Evaluator::new(Platform::edge()).evaluate(&layer, &mapping).unwrap();
+        prop_assert_eq!(&report.traffic, &sim.levels);
     }
 
     #[test]
@@ -121,6 +127,16 @@ proptest! {
             prop_assert!(a.traffic.output_write >= s.output_write);
             prop_assert!(a.traffic.output_read >= s.output_read);
         }
+        let report = Evaluator::new(Platform::edge()).evaluate(&layer, &mapping).unwrap();
+        prop_assert!(
+            report.traffic.len() == sim.levels.len()
+                && report.traffic.iter().zip(&sim.levels).all(|(r, s)| {
+                    r.weight >= s.weight
+                        && r.input >= s.input
+                        && r.output_write >= s.output_write
+                        && r.output_read >= s.output_read
+                })
+        );
     }
 }
 

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Every line carries `trace=`/`span=` fields — the ids of the active
-//! [`SpanContext`](crate::SpanContext) when the caller has one, `-`
+//! [`SpanContext`] when the caller has one, `-`
 //! otherwise — so a grep for a trace id walks a request's log lines and
 //! its span timeline together. Values are quoted only when they contain
 //! whitespace, quotes, or `=`, so the common case stays clean.

@@ -270,8 +270,8 @@ pub(crate) fn persist_atomic(
     std::fs::rename(tmp, path)
 }
 
-/// Atomically writes the spill file (write + fsync + rename via
-/// [`persist_atomic`]; the `cache.spill` failpoint injects faults).
+/// Atomically writes the spill file (write + fsync + rename of a
+/// temporary file; the `cache.spill` failpoint injects faults).
 ///
 /// # Errors
 ///

@@ -162,8 +162,9 @@ pub fn parse_job_section(section: &Section, index: usize) -> Result<JobSpec, Tex
     Ok(spec)
 }
 
-/// Renders a spec back to its `[job]` section — the inverse of
-/// [`parse_job_section`] (the job journal persists specs this way).
+/// Renders a spec back to its `[job]` section — the inverse of the
+/// per-job parsing in [`parse_manifest`] (the job journal persists specs
+/// this way).
 ///
 /// The model must be a zoo model (manifest-submitted jobs always are);
 /// composite or hand-built models have no manifest name to round-trip.
