@@ -16,9 +16,10 @@
 //! allocation strategy re-derives the exact minimum capacities from the
 //! decoded mapping, keeping buffer utilization at 100%.
 
-use crate::problem::{CoOptProblem, Constraint, DesignEvaluation};
+use crate::problem::{CoOptProblem, Constraint, DesignEvaluation, LayerCost, Parent};
 use crate::result::{DesignPoint, SearchResult};
-use digamma_encoding::{repair, Genome, LevelGenes};
+use digamma_costmodel::HwConfig;
+use digamma_encoding::{log_uniform, repair, Genome, LevelGenes};
 use digamma_obs::{CostPoint, GenStats, OpCounters, OpKind};
 use digamma_workload::{Dim, UniqueLayer, NUM_DIMS};
 use rand::rngs::SmallRng;
@@ -109,7 +110,16 @@ impl Default for DiGammaConfig {
 pub struct SearchState {
     population: Vec<Genome>,
     evals: Vec<DesignEvaluation>,
+    /// Each member's per-layer costs, which its children reuse for the
+    /// layers they did not change. Derived data: recomputed by
+    /// [`DiGamma::restore`], never snapshotted.
+    costs: Vec<Vec<LayerCost>>,
     best: Option<(Genome, DesignEvaluation)>,
+    /// The incumbent's per-layer costs, which exploiters reuse.
+    best_costs: Vec<LayerCost>,
+    /// [`CoOptProblem::identity`] of the problem the costs hold on; a
+    /// step on any other problem reuses none of them.
+    costs_problem: u64,
     history: Vec<f64>,
     samples: usize,
     generation: u64,
@@ -219,12 +229,13 @@ impl SearchState {
         }
     }
 
-    fn record(&mut self, genomes: &[Genome], evals: &[DesignEvaluation]) {
-        for (g, e) in genomes.iter().zip(evals) {
+    fn record(&mut self, genomes: &[Genome], evals: &[DesignEvaluation], costs: &[Vec<LayerCost>]) {
+        for ((g, e), c) in genomes.iter().zip(evals).zip(costs) {
             self.samples += 1;
             let better = e.feasible && self.best.as_ref().is_none_or(|(_, b)| e.cost < b.cost);
             if better {
                 self.best = Some((g.clone(), e.clone()));
+                self.best_costs.clone_from(c);
                 self.last_improved_gen = self.generation;
             }
             self.history.push(self.best.as_ref().map_or(f64::INFINITY, |(_, b)| b.cost));
@@ -555,7 +566,10 @@ impl DiGamma {
         let mut state = SearchState {
             population: Vec::new(),
             evals: Vec::new(),
+            costs: Vec::new(),
             best: None,
+            best_costs: Vec::new(),
+            costs_problem: problem.identity(),
             history: Vec::with_capacity(budget),
             samples: 0,
             generation: 0,
@@ -606,12 +620,12 @@ impl DiGamma {
         while population.len() < init_count {
             let mut g = Genome::random(&mut rng, unique, platform, cfg.num_levels);
             if let Constraint::FixedHw(hw) = problem.constraint() {
-                g.fanouts = hw.fanouts.clone();
+                pin_fanouts(&mut g, hw);
             }
             population.push(g);
         }
-        let evals = problem.evaluate_batch(&population, cfg.threads);
-        state.record(&population, &evals);
+        let (evals, costs) = unzip(problem.evaluate_children(&population, &[], cfg.threads));
+        state.record(&population, &evals, &costs);
         if cfg.analytics {
             // Generation 0 returns after the cost point; the
             // accumulator arguments are never read.
@@ -619,6 +633,7 @@ impl DiGamma {
         }
         state.population = population;
         state.evals = evals;
+        state.costs = costs;
         state
     }
 
@@ -657,11 +672,19 @@ impl DiGamma {
             tags
         });
         let mut children: Vec<Genome> = Vec::with_capacity(want);
-        // Elites survive unchanged (re-evaluated only to keep the
-        // bookkeeping simple; evaluation is deterministic — and with a
-        // fitness cache attached the re-evaluation is a pure cache hit).
+        // Each child names the parents whose per-layer costs it may
+        // reuse — none when the costs were computed on another problem.
+        let reuse = state.costs_problem == problem.identity();
+        let member = |i: usize| {
+            reuse.then(|| Parent { genome: &state.population[i], costs: &state.costs[i] })
+        };
+        let mut parents: Vec<[Option<Parent<'_>>; 2]> = Vec::with_capacity(want);
+        // Elites survive unchanged. Each is its own parent, so it reuses
+        // every per-layer cost and is only re-aggregated; an attached
+        // genome memo is still probed and answers it.
         for &i in order.iter().take(elites.min(want)) {
             children.push(state.population[i].clone());
+            parents.push([member(i), None]);
             if let Some(tags) = &mut provenance {
                 tags.push((OpKind::Elite, state.evals[i].cost));
             }
@@ -677,9 +700,10 @@ impl DiGamma {
         for _ in 0..immigrants {
             let mut g = Genome::random(&mut rng, unique, platform, cfg.num_levels);
             if let Constraint::FixedHw(hw) = problem.constraint() {
-                g.fanouts = hw.fanouts.clone();
+                pin_fanouts(&mut g, hw);
             }
             children.push(g);
+            parents.push([None, None]);
             if let Some(tags) = &mut provenance {
                 tags.push((OpKind::Immigrant, median_cost));
             }
@@ -688,6 +712,8 @@ impl DiGamma {
         // best — cheap hill-climbing woven into the generation.
         if let Some((best_genome, best_eval)) = &state.best {
             let incumbent_cost = best_eval.cost;
+            let incumbent =
+                reuse.then_some(Parent { genome: best_genome, costs: &state.best_costs });
             let exploiters = (want / 10).min(want.saturating_sub(children.len()));
             for _ in 0..exploiters {
                 let mut g = best_genome.clone();
@@ -705,9 +731,10 @@ impl DiGamma {
                 };
                 repair(&mut g, unique, platform);
                 if let Constraint::FixedHw(hw) = problem.constraint() {
-                    g.fanouts = hw.fanouts.clone();
+                    pin_fanouts(&mut g, hw);
                 }
                 children.push(g);
+                parents.push([incumbent, None]);
                 if let Some(tags) = &mut provenance {
                     tags.push((kind, incumbent_cost));
                 }
@@ -718,15 +745,19 @@ impl DiGamma {
             let parent_a = &state.population[parent_a_idx];
             let parent_a_cost = state.evals[parent_a_idx].cost;
             let crossed = rng.gen_bool(cfg.crossover_rate) && state.population.len() >= 2;
-            let (mut child, reference) = if crossed {
+            let (mut child, reference, parent_b) = if crossed {
                 let parent_b_idx = tournament(&mut rng, &order, &state.evals);
                 let parent_b = &state.population[parent_b_idx];
                 // A crossover child improves when it beats its *better*
                 // parent — beating the worse one is not a win.
                 let reference = parent_a_cost.min(state.evals[parent_b_idx].cost);
-                (operators::crossover(&mut rng, parent_a, parent_b), reference)
+                (
+                    operators::crossover(&mut rng, parent_a, parent_b),
+                    reference,
+                    member(parent_b_idx),
+                )
             } else {
-                (parent_a.clone(), parent_a_cost)
+                (parent_a.clone(), parent_a_cost, None)
             };
             operators::reorder(&mut rng, &mut child, cfg.reorder_rate);
             operators::mutate_map(&mut rng, &mut child, unique, cfg.mutate_map_rate);
@@ -740,9 +771,10 @@ impl DiGamma {
             }
             repair(&mut child, unique, platform);
             if let Constraint::FixedHw(hw) = problem.constraint() {
-                child.fanouts = hw.fanouts.clone();
+                pin_fanouts(&mut child, hw);
             }
             children.push(child);
+            parents.push([member(parent_a_idx), parent_b]);
             if let Some(tags) = &mut provenance {
                 // One tag per child: the most structural operator that
                 // fired wins (crossover ≻ grow/age ≻ mutate-hw ≻
@@ -765,7 +797,8 @@ impl DiGamma {
             }
         }
 
-        let child_evals = problem.evaluate_batch(&children, cfg.threads);
+        let (child_evals, child_costs) =
+            unzip(problem.evaluate_children(&children, &parents, cfg.threads));
         // Attribution: replay the incumbent locally over this batch so
         // every child is judged against the incumbent *at its own
         // position*, matching what `record` is about to do.
@@ -788,20 +821,23 @@ impl DiGamma {
             }
             state.scratch.tags = tags;
         }
-        state.record(&children, &child_evals);
+        state.record(&children, &child_evals, &child_costs);
         if cfg.analytics {
             state.push_analytics(&children, &child_evals, cost_sum, feasible);
         }
         state.population = children;
         state.evals = child_evals;
+        state.costs = child_costs;
+        state.costs_problem = problem.identity();
         true
     }
 
     /// Rebuilds a [`SearchState`] from checkpointed data.
     ///
-    /// Per-genome evaluations are *recomputed* (evaluation is pure and
-    /// deterministic, and cheap again under a fitness cache), so
-    /// checkpoints carry only genomes, history, and counters. The
+    /// Per-genome evaluations and per-layer costs are *recomputed*
+    /// (evaluation is pure and deterministic, and cheap again under a
+    /// fitness cache), so checkpoints carry only genomes, history, and
+    /// counters. The
     /// restored state continues exactly where [`DiGamma::step`] left off:
     /// resuming reproduces an uninterrupted run bit-for-bit because each
     /// generation reseeds its RNG from `(seed, generation)`.
@@ -826,15 +862,22 @@ impl DiGamma {
     ) -> SearchState {
         assert!(!population.is_empty(), "cannot restore an empty population");
         assert_eq!(history.len(), samples, "history must have one entry per sample");
-        let evals = problem.evaluate_batch(&population, self.config.threads);
-        let best = best.map(|g| {
-            let e = problem.evaluate(&g);
-            (g, e)
-        });
+        let (evals, costs) =
+            unzip(problem.evaluate_children(&population, &[], self.config.threads));
+        let (best, best_costs) = match best {
+            Some(g) => {
+                let (e, c) = problem.evaluate_with_costs(&g);
+                (Some((g, e)), c)
+            }
+            None => (None, Vec::new()),
+        };
         SearchState {
             population,
             evals,
+            costs,
             best,
+            best_costs,
+            costs_problem: problem.identity(),
             history,
             samples,
             generation,
@@ -847,6 +890,23 @@ impl DiGamma {
             last_improved_gen: generation,
             scratch: StepScratch::default(),
         }
+    }
+}
+
+/// Splits a batch's `(evaluation, per-layer costs)` pairs.
+fn unzip(
+    scored: Vec<(DesignEvaluation, Vec<LayerCost>)>,
+) -> (Vec<DesignEvaluation>, Vec<Vec<LayerCost>>) {
+    scored.into_iter().unzip()
+}
+
+/// Pins `g` to the fixed hardware's fan-outs, dropping any level a
+/// layer holds past them: Grow adds one that decoding would ignore, and
+/// a genome's layers never hold more levels than it has fan-outs.
+fn pin_fanouts(g: &mut Genome, hw: &HwConfig) {
+    g.fanouts.clone_from(&hw.fanouts);
+    for lg in &mut g.layers {
+        lg.levels.truncate(hw.fanouts.len());
     }
 }
 
@@ -887,7 +947,7 @@ pub mod operators {
         if a.num_levels() == b.num_levels() {
             for (cl, bl) in child.layers.iter_mut().zip(&b.layers) {
                 if rng.gen_bool(0.5) {
-                    *cl = bl.clone();
+                    *cl = *bl;
                 }
             }
             if rng.gen_bool(0.5) {
@@ -954,7 +1014,7 @@ pub mod operators {
             3..=5 => genes.tile[dim] = (genes.tile[dim] / 2).max(1),
             6 => {
                 let max = extents[dim];
-                genes.tile[dim] = super::log_uniform(rng, max);
+                genes.tile[dim] = log_uniform(rng, max);
             }
             _ => genes.spatial_dim = Dim::from_index(rng.gen_range(0..NUM_DIMS)),
         }
@@ -989,7 +1049,7 @@ pub mod operators {
             }
             _ => {
                 let i = rng.gen_range(0..levels);
-                g.fanouts[i] = super::log_uniform(rng, max_pes);
+                g.fanouts[i] = log_uniform(rng, max_pes);
             }
         }
     }
@@ -1044,16 +1104,6 @@ pub mod operators {
             lg.levels.remove(victim);
         }
     }
-}
-
-/// Log-uniform sample in `[1, max]` (shared with the encoding crate's
-/// sampler semantics).
-fn log_uniform(rng: &mut SmallRng, max: u64) -> u64 {
-    if max <= 1 {
-        return 1;
-    }
-    let exp = rng.gen_range(0.0..=(max as f64).ln());
-    (exp.exp().round() as u64).clamp(1, max)
 }
 
 #[cfg(test)]
@@ -1344,6 +1394,363 @@ mod tests {
         cfg.threads = 4;
         let par = DiGamma::new(cfg).search(&small_problem(), 120);
         assert_eq!(seq.best_cost(), par.best_cost());
+    }
+
+    /// The lineage path (children reusing their parents' per-layer
+    /// costs) against from-scratch evaluation on a memo-less problem.
+    mod lineage {
+        use super::super::operators::*;
+        use super::*;
+        use crate::problem::Memo;
+        use digamma_costmodel::CostReport;
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+        use std::collections::HashMap;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::{Arc, Mutex};
+
+        /// An in-memory memo for either layer that counts its probes.
+        #[derive(Debug)]
+        struct CountingMemo<V> {
+            map: Mutex<HashMap<u64, V>>,
+            hits: AtomicU64,
+            misses: AtomicU64,
+        }
+
+        impl<V> Default for CountingMemo<V> {
+            fn default() -> Self {
+                CountingMemo {
+                    map: Mutex::new(HashMap::new()),
+                    hits: AtomicU64::new(0),
+                    misses: AtomicU64::new(0),
+                }
+            }
+        }
+
+        impl<V: Clone + Send + std::fmt::Debug> Memo<V> for CountingMemo<V> {
+            fn lookup(&self, key: u64) -> Option<V> {
+                let found = self.map.lock().unwrap().get(&key).cloned();
+                let counter = if found.is_some() { &self.hits } else { &self.misses };
+                counter.fetch_add(1, Ordering::Relaxed);
+                found
+            }
+            fn store(&self, key: u64, value: V) {
+                self.map.lock().unwrap().insert(key, value);
+            }
+        }
+
+        fn fixed_hw() -> HwConfig {
+            HwConfig {
+                fanouts: vec![8, 16],
+                l2_words: 32 * 1024,
+                mid_words_per_unit: vec![],
+                l1_words_per_pe: 128,
+            }
+        }
+
+        fn problem(fixed: bool) -> CoOptProblem {
+            let p = CoOptProblem::new(zoo::ncf(), Platform::edge(), Objective::Latency);
+            if fixed {
+                p.with_constraint(Constraint::FixedHw(fixed_hw()))
+            } else {
+                p
+            }
+        }
+
+        /// Field-by-field, bit-for-bit equality of two evaluations.
+        fn assert_same(got: &DesignEvaluation, want: &DesignEvaluation, what: &str) {
+            let bits = |e: &DesignEvaluation| {
+                [e.cost, e.latency_cycles, e.energy_pj, e.area_um2, e.pe_area_um2].map(f64::to_bits)
+            };
+            assert_eq!(bits(got), bits(want), "{what}: cost fields differ");
+            assert_eq!(got.feasible, want.feasible, "{what}: feasibility differs");
+            assert_eq!(got.hw, want.hw, "{what}: hardware differs");
+        }
+
+        /// Checks every child of one batch against `reference`: the
+        /// evaluation bit for bit, and the costs either empty or the
+        /// from-scratch costs (never empty without a genome memo unless
+        /// the evaluation failed).
+        fn check_batch(
+            scored: &[(DesignEvaluation, Vec<LayerCost>)],
+            children: &[Genome],
+            reference: &CoOptProblem,
+            genome_memo: bool,
+        ) {
+            let fresh = reference.evaluate_children(children, &[], 1);
+            for (i, ((e, costs), (want, want_costs))) in scored.iter().zip(&fresh).enumerate() {
+                assert_same(e, &reference.evaluate(&children[i]), &format!("child {i}"));
+                assert_same(e, want, &format!("child {i} (batch)"));
+                if !costs.is_empty() {
+                    assert_eq!(costs, want_costs, "child {i}: reused costs differ");
+                } else if !genome_memo {
+                    assert!(want_costs.is_empty(), "child {i} lost its costs");
+                }
+            }
+        }
+
+        /// One member's parent handle.
+        fn parent<'a>(
+            population: &'a [Genome],
+            scored: &'a [(DesignEvaluation, Vec<LayerCost>)],
+            i: usize,
+        ) -> Option<Parent<'a>> {
+            Some(Parent { genome: &population[i], costs: &scored[i].1 })
+        }
+
+        /// The children of every operator, each with the parents it
+        /// names (indices into `population`), as `DiGamma::step` makes
+        /// them; member 0 is the incumbent.
+        fn offspring(
+            rng: &mut SmallRng,
+            population: &[Genome],
+            p: &CoOptProblem,
+        ) -> (Vec<Genome>, Vec<[Option<usize>; 2]>) {
+            let unique = p.unique_layers();
+            let platform = p.platform();
+            let finish = |g: &mut Genome| {
+                repair(g, unique, platform);
+                if let Constraint::FixedHw(hw) = p.constraint() {
+                    pin_fanouts(g, hw);
+                }
+            };
+            let n = population.len();
+            let mut children = Vec::new();
+            let mut parents = Vec::new();
+            let mut push = |g: Genome, a: Option<usize>, b: Option<usize>| {
+                children.push(g);
+                parents.push([a, b]);
+            };
+            // Elites, the broken member among them.
+            for i in [0, 1, n - 1] {
+                push(population[i].clone(), Some(i), None);
+            }
+            // Exploiters: one layer or the PE array of the incumbent.
+            for _ in 0..2 {
+                let mut g = population[0].clone();
+                let li = rng.gen_range(0..g.layers.len());
+                mutate_one_layer(rng, &mut g, unique, li);
+                finish(&mut g);
+                push(g, Some(0), None);
+            }
+            let mut g = population[0].clone();
+            mutate_hw(rng, &mut g, platform.max_pes);
+            finish(&mut g);
+            push(g, Some(0), None);
+            // Grow/age on every member, so 3-level genomes grow, age
+            // back, and (under a fixed PE array) get pinned.
+            for (i, member) in population.iter().enumerate() {
+                let mut g = member.clone();
+                grow_or_age(rng, &mut g);
+                finish(&mut g);
+                push(g, Some(i), None);
+            }
+            // Crossover over every pair, across unequal level counts
+            // too, then Reorder and Mutate-Map as the main loop does.
+            for a in 0..n {
+                for b in [(a + 1) % n, (a + 3) % n] {
+                    let mut g = crossover(rng, &population[a], &population[b]);
+                    reorder(rng, &mut g, 0.1);
+                    if rng.gen_bool(0.5) {
+                        mutate_map(rng, &mut g, unique, 0.1);
+                    }
+                    finish(&mut g);
+                    push(g, Some(a), Some(b));
+                }
+            }
+            // An immigrant, and a duplicate child for the batch dedupe.
+            let mut g = Genome::random(rng, unique, platform, 2);
+            finish(&mut g);
+            push(g, None, None);
+            children.push(children[4].clone());
+            parents.push(parents[4]);
+            (children, parents)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Three generations of every operator's children, evaluated
+            /// through their parents' costs, match from-scratch
+            /// evaluation under both constraints, with a parent whose
+            /// evaluation failed, and with each memo attached.
+            #[test]
+            fn lineage_matches_from_scratch_evaluation(
+                seed in 0u64..1_000_000,
+                fixed in 0usize..2,
+                memos in 0usize..4,
+                threads in 1usize..3,
+            ) {
+                let fixed = fixed == 1;
+                let reference = problem(fixed);
+                let genome_memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
+                let cache = Arc::new(CountingMemo::<Arc<CostReport>>::default());
+                let mut p = problem(fixed);
+                if memos & 1 == 1 {
+                    p = p.with_cache(Arc::clone(&cache) as _);
+                }
+                if memos & 2 == 2 {
+                    p = p.with_genome_memo(Arc::clone(&genome_memo) as _);
+                }
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let unique = p.unique_layers();
+                let mut population: Vec<Genome> = (0..6)
+                    .map(|_| Genome::random(&mut rng, unique, p.platform(), 2))
+                    .collect();
+                // A 3-level member, and one whose evaluation fails (a
+                // loop order that is no permutation).
+                grow_or_age(&mut rng, &mut population[1]);
+                population[5].layers[0].levels[0].order = [Dim::K; NUM_DIMS];
+                for g in &mut population {
+                    repair(g, unique, p.platform());
+                    if let Constraint::FixedHw(hw) = p.constraint() {
+                        pin_fanouts(g, hw);
+                    }
+                }
+                let mut scored = p.evaluate_children(&population, &[], threads);
+                check_batch(&scored, &population, &reference, memos & 2 == 2);
+                prop_assert!(scored[5].1.is_empty(), "a failed evaluation keeps no costs");
+                prop_assert!(scored[5].0.cost >= 1e18);
+
+                for _ in 0..3 {
+                    let (children, lineage) = offspring(&mut rng, &population, &p);
+                    let parents: Vec<[Option<Parent<'_>>; 2]> = lineage
+                        .iter()
+                        .map(|pair| pair.map(|i| i.and_then(|i| parent(&population, &scored, i))))
+                        .collect();
+                    let probes = genome_memo.hits.load(Ordering::Relaxed)
+                        + genome_memo.misses.load(Ordering::Relaxed);
+                    let next = p.evaluate_children(&children, &parents, threads);
+                    check_batch(&next, &children, &reference, memos & 2 == 2);
+                    if memos & 2 == 2 {
+                        let after = genome_memo.hits.load(Ordering::Relaxed)
+                            + genome_memo.misses.load(Ordering::Relaxed);
+                        prop_assert_eq!(after - probes, children.len() as u64);
+                    }
+                    // Elites of members with costs keep all of them.
+                    for (i, pair) in lineage.iter().enumerate().take(2) {
+                        let from = pair[0].unwrap();
+                        prop_assert_eq!(&next[i].1, &scored[from].1);
+                    }
+                    // The next parents, with the costs this batch gave
+                    // them: the incumbent's elite copy, an exploiter,
+                    // a grown or aged member, two crossover children,
+                    // and the broken member's elite copy last.
+                    let keep = [0, 3, 7, 12, 15, 2];
+                    population = keep.iter().map(|&i| children[i].clone()).collect();
+                    scored = keep.iter().map(|&i| next[i].clone()).collect();
+                    prop_assert!(scored[5].1.is_empty());
+                }
+            }
+        }
+
+        /// Every generation of real searches — grow/aging at a high rate,
+        /// with and without a fixed PE array, with a genome memo — holds
+        /// evaluations and per-layer costs equal to from-scratch ones.
+        #[test]
+        fn search_state_matches_from_scratch_every_generation() {
+            for (fixed, memo) in [(false, false), (true, false), (false, true)] {
+                let reference = problem(fixed);
+                let mut p = problem(fixed);
+                if memo {
+                    let memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
+                    p = p.with_genome_memo(memo as _);
+                }
+                let ga = DiGamma::new(DiGammaConfig { grow_aging_rate: 0.5, ..quick_config(5) });
+                let mut state = ga.init(&p, 200);
+                while ga.step(&p, &mut state, 200) {
+                    let fresh = reference.evaluate_children(&state.population, &[], 1);
+                    for (i, (want, want_costs)) in fresh.iter().enumerate() {
+                        assert_same(&state.evals[i], want, &format!("member {i}"));
+                        let costs = &state.costs[i];
+                        assert!(costs.is_empty() || costs == want_costs, "member {i}");
+                        assert!(memo || !costs.is_empty() || want_costs.is_empty(), "member {i}");
+                    }
+                }
+            }
+        }
+
+        /// A state stepped on another problem than the one its costs
+        /// were computed on reuses none of them.
+        #[test]
+        fn step_on_another_problem_reuses_no_costs() {
+            let edge = problem(false);
+            let cloud = CoOptProblem::new(zoo::ncf(), Platform::cloud(), Objective::Latency);
+            let ga = DiGamma::new(quick_config(9));
+            let mut state = ga.init(&edge, 64);
+            ga.step(&cloud, &mut state, 64);
+            for (g, e) in state.population.iter().zip(&state.evals) {
+                assert_same(e, &cloud.evaluate(g), "stepped on cloud");
+            }
+        }
+
+        /// A genome-memo hit keeps per-layer costs only when every layer
+        /// is reused from a parent.
+        #[test]
+        fn memo_hit_keeps_costs_only_when_every_layer_is_reused() {
+            let memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
+            let p = problem(false).with_genome_memo(Arc::clone(&memo) as _);
+            let unique = p.unique_layers();
+            let mut rng = SmallRng::seed_from_u64(3);
+            let x = Genome::random(&mut rng, unique, p.platform(), 2);
+            let last = x.layers.len() - 1;
+            assert!(last >= 1, "needs a layer before the mutated one");
+            let mut y = x.clone();
+            while y.layers[last] == x.layers[last] {
+                mutate_one_layer(&mut rng, &mut y, unique, last);
+                repair(&mut y, unique, p.platform());
+            }
+            let scored = p.evaluate_children(&[x.clone(), y.clone()], &[], 1);
+            assert!(!scored[0].1.is_empty() && !scored[1].1.is_empty());
+            let child_of = |g: &Genome, costs: &[LayerCost]| {
+                p.evaluate_children(
+                    std::slice::from_ref(&x),
+                    &[[Some(Parent { genome: g, costs }), None]],
+                    1,
+                )
+                .remove(0)
+            };
+            // `x` again as `y`'s child: a hit whose last layer changed.
+            let (e, costs) = child_of(&y, &scored[1].1);
+            assert_same(&e, &scored[0].0, "hit");
+            assert!(costs.is_empty(), "a hit with a changed layer keeps no costs");
+            // `x` as its own child: every layer reused.
+            let (e, costs) = child_of(&x, &scored[0].1);
+            assert_same(&e, &scored[0].0, "elite hit");
+            assert_eq!(costs, scored[0].1);
+            assert_eq!(memo.hits.load(Ordering::Relaxed), 2);
+            assert_eq!(memo.misses.load(Ordering::Relaxed), 2);
+        }
+
+        /// A search's per-layer cache sees the same misses as replaying
+        /// its populations with no parents: a reused layer's key was
+        /// always computed for an ancestor first. Hits fall, because
+        /// reused layers are not probed.
+        #[test]
+        fn lineage_computes_each_distinct_layer_key_once() {
+            for fixed in [false, true] {
+                let cache = Arc::new(CountingMemo::<Arc<CostReport>>::default());
+                let p = problem(fixed).with_cache(Arc::clone(&cache) as _);
+                let ga = DiGamma::new(DiGammaConfig { grow_aging_rate: 0.3, ..quick_config(8) });
+                let mut state = ga.init(&p, 240);
+                let mut populations = vec![state.population().to_vec()];
+                while ga.step(&p, &mut state, 240) {
+                    populations.push(state.population().to_vec());
+                }
+                let replay_cache = Arc::new(CountingMemo::<Arc<CostReport>>::default());
+                let replay = problem(fixed).with_cache(Arc::clone(&replay_cache) as _);
+                for population in &populations {
+                    replay.evaluate_batch(population, 1);
+                }
+                let count = |m: &CountingMemo<Arc<CostReport>>| {
+                    (m.hits.load(Ordering::Relaxed), m.misses.load(Ordering::Relaxed))
+                };
+                let ((hits, misses), (replay_hits, replay_misses)) =
+                    (count(&cache), count(&replay_cache));
+                assert_eq!(misses, replay_misses, "fixed = {fixed}");
+                assert!(hits < replay_hits, "fixed = {fixed}: {hits} vs {replay_hits}");
+            }
+        }
     }
 
     mod operator_tests {

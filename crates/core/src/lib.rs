@@ -63,6 +63,6 @@ pub use gamma::{Gamma, GammaConfig};
 pub use hwopt::{hw_grid_search, GridSearchResult};
 pub use objective::Objective;
 pub use parallel::{default_threads, parallel_map, scoped_workers};
-pub use problem::{CoOptProblem, Constraint, DesignEvaluation, EvalHooks, Memo};
+pub use problem::{CoOptProblem, Constraint, DesignEvaluation, EvalHooks, LayerCost, Memo, Parent};
 pub use result::{DesignPoint, SearchResult};
 pub use templates::MappingStyle;

@@ -4,29 +4,33 @@
 //! allocation → constraint check) for any optimizer. Two optional memo
 //! layers, both behind the one [`Memo`] trait, short-circuit repeated
 //! work: a whole-genome memo ([`CoOptProblem::with_genome_memo`]) above
-//! a per-layer report cache ([`CoOptProblem::with_cache`]). One optional
-//! [`EvalHooks`] ([`CoOptProblem::with_hooks`]) carries everything a
-//! served job instruments the block with — metric handles, the trace
-//! parent and the failpoint set — so [`CoOptProblem::evaluate_batch`]
-//! has one bare arm and one hooked arm.
+//! a per-layer report cache ([`CoOptProblem::with_cache`]). Below both,
+//! the one batch evaluator ([`CoOptProblem::evaluate_children`]) scores
+//! only the layers a GA child changed and reuses its parents' per-layer
+//! [`LayerCost`]s for the rest. One optional [`EvalHooks`]
+//! ([`CoOptProblem::with_hooks`]) carries everything a served job
+//! instruments the block with — metric handles, the trace parent and
+//! the failpoint set — so the batch evaluator has one bare arm and one
+//! hooked arm.
 
 use crate::objective::Objective;
 use digamma_costmodel::{
-    CostReport, EvalError, Evaluator, HwConfig, Mapping, Platform, StableHasher,
+    BufferRequirement, CostReport, EvalError, Evaluator, HwConfig, Mapping, Platform, StableHasher,
 };
 use digamma_encoding::Genome;
 use digamma_obs::{
     Counter, FailAction, FailSet, Histogram, MetricsRegistry, SampleTick, SpanContext, SpanRecord,
     Tracer, DEFAULT_LATENCY_BUCKETS,
 };
-use digamma_workload::{Model, UniqueLayer};
-use std::collections::HashMap;
+use digamma_workload::{Layer, Model, UniqueLayer};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-evaluation latency is sampled 1-in-N rather than timed on every
-/// call: a scratch eval runs in ~450ns (see `BENCH_eval.json`), so two
+/// call: a cost-model call runs in a few hundred ns (`costmodel.eval_ns`
+/// from `python3 e2ebench/run.py --workload search --trace 1`), so two
 /// clock reads per eval would distort the very number being measured.
 /// 64 keeps the whole instrumented delta under the harness's 3%
 /// overhead budget while a smoke-sized job (≈100 evals) still lands a
@@ -38,13 +42,13 @@ const EVAL_LATENCY_SAMPLE_EVERY: u64 = 64;
 /// problem: a tenant's eval metric handles, the optional trace parent
 /// and job id, the failpoint set, and one 1-in-64 [`SampleTick`].
 ///
-/// [`CoOptProblem::evaluate_batch`] consults the hooks twice per batch:
+/// [`CoOptProblem::evaluate_children`] consults the hooks twice per batch:
 /// on entry the `worker.eval` failpoint (one relaxed load while
 /// disarmed), on exit the eval and dedupe counters, the batch-latency
 /// histogram and, when traced, an `eval.batch` span. Each distinct
 /// evaluation advances the sample tick; sampled ones are timed into
 /// `digamma_eval_seconds` and, when traced, an `eval.layer` span, so the
-/// ~450ns hot path is not dominated by clock reads. Handles from a
+/// sub-microsecond hot path is not dominated by clock reads. Handles from a
 /// disabled [`MetricsRegistry`] are detached cells, so an uninstrumented
 /// server runs this same path; a problem without hooks pays one branch
 /// per batch.
@@ -229,6 +233,41 @@ pub struct DesignEvaluation {
     pub hw: HwConfig,
 }
 
+/// What aggregation reads of one layer's [`CostReport`]: latency,
+/// energy, the buffer requirement and whether the mapping fits a fixed
+/// PE array. A population member keeps one per layer so its children
+/// can reuse them (see [`CoOptProblem::evaluate_children`]); the rest
+/// of the report (traffic, derived hardware) is not kept.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayerCost {
+    latency_cycles: f64,
+    energy_pj: f64,
+    buffers: BufferRequirement,
+    /// Whether the mapping fits the problem's Fixed-HW constraint
+    /// (always true without one).
+    fits_fixed_hw: bool,
+}
+
+/// A population member whose per-layer costs its children may reuse:
+/// its genome and the costs [`CoOptProblem::evaluate_children`]
+/// returned for it.
+#[derive(Debug, Clone, Copy)]
+pub struct Parent<'a> {
+    /// The parent's genome.
+    pub genome: &'a Genome,
+    /// Its per-layer costs; empty when it has none to give.
+    pub costs: &'a [LayerCost],
+}
+
+/// Where one layer's cost comes from in [`CoOptProblem::evaluate_children`].
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// A parent's cost for the same genes under the same fan-outs.
+    Reused(&'a LayerCost),
+    /// The batch's work slot that evaluates it.
+    Slot(usize),
+}
+
 /// A `(model, platform, objective, constraint)` bundle that scores
 /// genomes. This is the generic interface the paper exposes to *any*
 /// optimization algorithm (Sec. III-B1).
@@ -251,7 +290,7 @@ pub struct CoOptProblem {
     /// server's per-job problem copies report one total).
     batch_dedup_skipped: Arc<AtomicU64>,
     /// Wall-clock nanoseconds spent inside [`CoOptProblem::evaluate`] /
-    /// [`CoOptProblem::evaluate_batch`], shared across clones like the
+    /// [`CoOptProblem::evaluate_children`], shared across clones like the
     /// dedupe counter — a job's timing breakdown reads one total even
     /// when the search uses constrained problem copies.
     eval_wall_ns: Arc<AtomicU64>,
@@ -324,7 +363,7 @@ impl CoOptProblem {
     }
 
     /// Total wall time spent inside [`CoOptProblem::evaluate`] and
-    /// [`CoOptProblem::evaluate_batch`] across all clones of this
+    /// [`CoOptProblem::evaluate_children`] across all clones of this
     /// problem — the "eval" slice of a job's timing breakdown.
     pub fn eval_wall(&self) -> Duration {
         Duration::from_nanos(self.eval_wall_ns.load(Ordering::Relaxed))
@@ -376,15 +415,6 @@ impl CoOptProblem {
         }
     }
 
-    /// Decodes a genome under the active constraint without cloning the
-    /// genome to override fields: `Constraint::None` decodes in place,
-    /// and Fixed-HW threads the pinned fan-outs straight into the
-    /// decoder.
-    fn decode_effective<'a>(&'a self, genome: &'a Genome) -> (&'a [u64], Vec<Mapping>) {
-        let fanouts = self.effective_fanouts(genome);
-        (fanouts, genome.decode_with_fanouts(&self.unique, fanouts))
-    }
-
     /// Scores a genome: the full evaluation block (decode → cost model →
     /// buffer allocation → constraint check), short-circuited by the
     /// genome memo when one is attached and already holds this genome.
@@ -392,32 +422,41 @@ impl CoOptProblem {
     /// Structurally invalid genomes (which repair should have prevented)
     /// are treated as maximally infeasible rather than panicking.
     pub fn evaluate(&self, genome: &Genome) -> DesignEvaluation {
-        let started = Instant::now();
-        let evaluation = self.evaluate_timed(genome);
-        self.eval_wall_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        evaluation
+        self.evaluate_with_costs(genome).0
     }
 
-    /// [`CoOptProblem::evaluate`] below the wall-clock accumulator.
-    fn evaluate_timed(&self, genome: &Genome) -> DesignEvaluation {
-        let Some(memo) = &self.genome_memo else {
-            return self.evaluate_unmemoized(genome);
+    /// [`CoOptProblem::evaluate`] with the genome's per-layer costs,
+    /// which are empty when the genome memo answered or evaluation
+    /// failed.
+    pub(crate) fn evaluate_with_costs(
+        &self,
+        genome: &Genome,
+    ) -> (DesignEvaluation, Vec<LayerCost>) {
+        let started = Instant::now();
+        let scored = match &self.genome_memo {
+            None => self.evaluate_unmemoized(genome),
+            Some(memo) => {
+                let key = self.genome_key(genome);
+                match memo.lookup(key) {
+                    Some(hit) => ((*hit).clone(), Vec::new()),
+                    None => {
+                        let scored = self.evaluate_unmemoized(genome);
+                        memo.store(key, Arc::new(scored.0.clone()));
+                        scored
+                    }
+                }
+            }
         };
-        let key = self.genome_key(genome);
-        if let Some(hit) = memo.lookup(key) {
-            return (*hit).clone();
-        }
-        let evaluation = self.evaluate_unmemoized(genome);
-        memo.store(key, Arc::new(evaluation.clone()));
-        evaluation
+        self.eval_wall_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        scored
     }
 
     /// The evaluation pipeline below the genome memo.
-    fn evaluate_unmemoized(&self, genome: &Genome) -> DesignEvaluation {
-        let (fanouts, mappings) = self.decode_effective(genome);
-        match self.evaluate_mappings(fanouts, &mappings) {
-            Ok(eval) => eval,
-            Err(_) => Self::invalid_evaluation(fanouts.to_vec()),
+    fn evaluate_unmemoized(&self, genome: &Genome) -> (DesignEvaluation, Vec<LayerCost>) {
+        let fanouts = self.effective_fanouts(genome);
+        match self.mapping_costs(&genome.decode_with_fanouts(&self.unique, fanouts)) {
+            Ok(costs) => (self.aggregate(fanouts, &costs), costs),
+            Err(_) => (Self::invalid_evaluation(fanouts.to_vec()), Vec::new()),
         }
     }
 
@@ -435,134 +474,175 @@ impl CoOptProblem {
         }
     }
 
-    /// Scores a whole batch of genomes (a GA population), deduplicating
-    /// identical `(layer shape, mapping)` evaluations *within the batch*
-    /// before they reach the cache or the cost model.
-    ///
-    /// Elites survive generations unchanged and crossover children
-    /// inherit whole per-layer gene sets from surviving parents, so one
-    /// generation's batch re-states many identical per-layer evaluations
-    /// — on deep CNNs (many unique shapes, few mutated per child) most of
-    /// a child's layers duplicate an elite's. A batch-local map collapses
-    /// each distinct key to one evaluation (and one shared-cache probe),
-    /// and [`CoOptProblem::batch_dedup_skipped`] counts the skips.
+    /// Scores a whole batch of genomes with no parents to reuse costs
+    /// from: [`CoOptProblem::evaluate_children`] with every layer
+    /// evaluated, its per-layer costs dropped.
     ///
     /// Results are identical to calling [`CoOptProblem::evaluate`] per
-    /// genome, in order, for any `threads` value — evaluation is pure, so
-    /// deduplication is semantics-preserving.
+    /// genome, in order, for any `threads` value.
     pub fn evaluate_batch(&self, genomes: &[Genome], threads: usize) -> Vec<DesignEvaluation> {
+        self.evaluate_children(genomes, &[], threads).into_iter().map(|(e, _)| e).collect()
+    }
+
+    /// Scores a batch of children (a GA generation), each naming up to
+    /// two parents, and returns every child's evaluation with its
+    /// per-layer costs: the one batch evaluator.
+    ///
+    /// A child's layer whose genes equal the same layer of a parent,
+    /// under equal effective fan-outs, decodes to the same mapping, so it
+    /// reuses that parent's cost. DiGamma's operators are local —
+    /// Reorder and Mutate-Map touch single layers, crossover copies whole
+    /// per-layer gene sets, elites are copies — so most layers are
+    /// reused. Only the others are decoded, keyed, deduplicated within
+    /// the batch (the first occurrence of a key claims a work slot;
+    /// [`CoOptProblem::batch_dedup_skipped`] counts the repeats), probed
+    /// in the per-layer cache and scored, the distinct ones in parallel.
+    ///
+    /// With a genome memo attached every child is probed first, whatever
+    /// its parents; a hit keeps per-layer costs only when all of its
+    /// layers are reused. Children with no costs to give — a hit with
+    /// changed layers, or a failed evaluation — return empty costs, and
+    /// their own children are evaluated in full.
+    ///
+    /// `parents` holds one entry per child, or none at all. Results are
+    /// identical to calling [`CoOptProblem::evaluate`] per child, in
+    /// order, for any `threads` value: evaluation is pure, so reuse and
+    /// deduplication preserve semantics.
+    pub fn evaluate_children(
+        &self,
+        children: &[Genome],
+        parents: &[[Option<Parent<'_>>; 2]],
+        threads: usize,
+    ) -> Vec<(DesignEvaluation, Vec<LayerCost>)> {
         if let Some(hooks) = &self.hooks {
             hooks.enter_batch();
         }
         let started = Instant::now();
-        let mut out: Vec<Option<DesignEvaluation>> = genomes.iter().map(|_| None).collect();
+        let layers = self.unique.len();
 
-        // Layer 0: the genome memo. Hits skip decoding entirely; only
-        // the misses proceed into the per-layer pipeline below.
-        let mut miss_keys: Vec<u64> = Vec::new();
-        let misses: Vec<usize> = match &self.genome_memo {
-            None => (0..genomes.len()).collect(),
-            Some(memo) => {
-                let mut misses = Vec::with_capacity(genomes.len());
-                for (i, genome) in genomes.iter().enumerate() {
-                    let key = self.genome_key(genome);
-                    match memo.lookup(key) {
-                        Some(hit) => out[i] = Some((*hit).clone()),
-                        None => {
-                            misses.push(i);
-                            miss_keys.push(key);
-                        }
-                    }
-                }
-                misses
-            }
+        // The genome memo first: every child is probed before any store.
+        let probes: Vec<Result<Arc<DesignEvaluation>, u64>> = match &self.genome_memo {
+            None => children.iter().map(|_| Err(0)).collect(),
+            Some(memo) => children
+                .iter()
+                .map(|g| {
+                    let key = self.genome_key(g);
+                    memo.lookup(key).ok_or(key)
+                })
+                .collect(),
         };
 
-        // Decode every miss once (no genome clones: the constraint's
-        // fan-outs thread straight into the decoder).
-        let decoded: Vec<(&[u64], Vec<Mapping>)> =
-            misses.iter().map(|&i| self.decode_effective(&genomes[i])).collect();
-
-        // Layer 1: batch-local dedupe. First occurrence of a key claims
-        // a work slot; repeats reuse it. `layout` remembers, per genome
-        // and layer, which slot holds its report.
+        // Per child, each layer's source: a parent's cost or a work
+        // slot. A memo hit takes sources only when every layer is
+        // reused; it claims no slots.
+        let mut sources: Vec<Source<'_>> = Vec::with_capacity(children.len() * layers);
+        let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(children.len());
         let mut slots: HashMap<u64, usize> = HashMap::new();
-        let mut work: Vec<(usize, &Mapping)> = Vec::new();
-        let mut layout: Vec<Vec<usize>> = Vec::with_capacity(decoded.len());
+        let mut work: Vec<(usize, Mapping, u64)> = Vec::new();
         let mut skipped = 0u64;
-        for (_, mappings) in &decoded {
-            let mut per_genome = Vec::with_capacity(mappings.len());
-            for (li, mapping) in mappings.iter().enumerate() {
-                let key = self.evaluator.cache_key(&self.unique[li].layer, mapping);
-                let slot = match slots.get(&key) {
-                    Some(&slot) => {
-                        skipped += 1;
-                        slot
+        for (i, (child, probe)) in children.iter().zip(&probes).enumerate() {
+            let fanouts = self.effective_fanouts(child);
+            let donors = parents.get(i).map_or([None, None], |pair| {
+                pair.map(|p| {
+                    p.filter(|p| {
+                        p.costs.len() == layers && self.effective_fanouts(p.genome) == fanouts
+                    })
+                })
+            });
+            let inherited = |li: usize| {
+                donors.iter().flatten().find_map(|p| {
+                    (p.genome.layers.get(li) == child.layers.get(li)).then(|| &p.costs[li])
+                })
+            };
+            let start = sources.len();
+            if probe.is_ok() {
+                sources.extend((0..layers).map_while(|li| inherited(li).map(Source::Reused)));
+                if sources.len() - start < layers {
+                    sources.truncate(start);
+                }
+            } else {
+                assert_eq!(child.layers.len(), layers, "layer count mismatch");
+                assert_eq!(fanouts.len(), child.num_levels(), "fan-out count mismatch");
+                for (li, u) in self.unique.iter().enumerate() {
+                    if let Some(cost) = inherited(li) {
+                        sources.push(Source::Reused(cost));
+                        continue;
                     }
-                    None => {
-                        let slot = work.len();
-                        slots.insert(key, slot);
-                        work.push((li, mapping));
-                        slot
-                    }
-                };
-                per_genome.push(slot);
+                    let mapping = child.layers[li].decode(&u.layer, fanouts);
+                    let key = self.evaluator.cache_key(&u.layer, &mapping);
+                    let slot = match slots.entry(key) {
+                        Entry::Occupied(slot) => {
+                            skipped += 1;
+                            *slot.get()
+                        }
+                        Entry::Vacant(slot) => {
+                            work.push((li, mapping, key));
+                            *slot.insert(work.len() - 1)
+                        }
+                    };
+                    sources.push(Source::Slot(slot));
+                }
             }
-            layout.push(per_genome);
+            spans.push(start..sources.len());
         }
         self.batch_dedup_skipped.fetch_add(skipped, Ordering::Relaxed);
 
-        // Layer 2: only distinct evaluations fan out to workers (and
-        // probe the attached shared per-layer cache, when there is one).
-        // Hooked problems tick the hooks' 1-in-64 sampler per evaluation
-        // so the clock reads stay off the common path; unhooked problems
-        // take the bare arm.
-        let eval = |&(li, mapping): &(usize, &Mapping)| {
-            self.evaluate_layer(&self.unique[li].layer, mapping)
+        // Only distinct evaluations fan out to workers (and probe the
+        // attached per-layer cache, when there is one). Hooked problems
+        // tick the hooks' 1-in-64 sampler per evaluation so the clock
+        // reads stay off the common path; unhooked problems take the
+        // bare arm.
+        let eval = |(li, mapping, key): &(usize, Mapping, u64)| {
+            self.layer_cost(&self.unique[*li].layer, mapping, Some(*key))
         };
-        let results: Vec<Result<Arc<CostReport>, EvalError>> = match &self.hooks {
+        let results: Vec<Result<LayerCost, EvalError>> = match &self.hooks {
             None => crate::parallel::parallel_map(&work, threads, eval),
             Some(hooks) => crate::parallel::parallel_map(&work, threads, |item| {
                 hooks.evaluate(item.0, || eval(item))
             }),
         };
 
-        for (mi, (&i, ((fanouts, mappings), per_genome))) in
-            misses.iter().zip(decoded.iter().zip(&layout)).enumerate()
-        {
-            let mut reports = Vec::with_capacity(per_genome.len());
-            let mut failed = false;
-            for &slot in per_genome {
-                match &results[slot] {
-                    Ok(r) => reports.push(Arc::clone(r)),
-                    Err(_) => {
-                        failed = true;
-                        break;
+        let scored = children
+            .iter()
+            .zip(probes)
+            .zip(spans)
+            .map(|((child, probe), span)| {
+                let costs: Option<Vec<LayerCost>> = sources[span]
+                    .iter()
+                    .map(|source| match *source {
+                        Source::Reused(cost) => Some(cost.clone()),
+                        Source::Slot(slot) => results[slot].as_ref().ok().cloned(),
+                    })
+                    .collect();
+                match probe {
+                    Ok(hit) => ((*hit).clone(), costs.unwrap_or_default()),
+                    Err(key) => {
+                        let fanouts = self.effective_fanouts(child);
+                        let scored = match costs {
+                            Some(costs) => (self.aggregate(fanouts, &costs), costs),
+                            None => (Self::invalid_evaluation(fanouts.to_vec()), Vec::new()),
+                        };
+                        if let Some(memo) = &self.genome_memo {
+                            memo.store(key, Arc::new(scored.0.clone()));
+                        }
+                        scored
                     }
                 }
-            }
-            let evaluation = if failed {
-                Self::invalid_evaluation(fanouts.to_vec())
-            } else {
-                self.aggregate(fanouts, mappings, &reports)
-            };
-            if let Some(memo) = &self.genome_memo {
-                memo.store(miss_keys[mi], Arc::new(evaluation.clone()));
-            }
-            out[i] = Some(evaluation);
-        }
+            })
+            .collect();
 
         let elapsed = started.elapsed();
         self.eval_wall_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         if let Some(hooks) = &self.hooks {
-            hooks.exit_batch(genomes.len(), work.len(), skipped, elapsed);
+            hooks.exit_batch(children.len(), work.len(), skipped, elapsed);
         }
-        out.into_iter().map(|e| e.expect("every genome evaluated")).collect()
+        scored
     }
 
     /// Identical `(layer shape, mapping)` evaluations skipped so far by
-    /// [`CoOptProblem::evaluate_batch`]'s batch-local dedupe map. The
-    /// counter is shared across clones of this problem.
+    /// the batch-local dedupe map of [`CoOptProblem::evaluate_children`]
+    /// (and so [`CoOptProblem::evaluate_batch`]). The counter is shared
+    /// across clones of this problem.
     pub fn batch_dedup_skipped(&self) -> u64 {
         self.batch_dedup_skipped.load(Ordering::Relaxed)
     }
@@ -611,6 +691,13 @@ impl CoOptProblem {
             }
         }
         h.finish()
+    }
+
+    /// A digest of everything but the genes that evaluation reads: equal
+    /// digests mean per-layer costs computed on one problem hold on the
+    /// other.
+    pub(crate) fn identity(&self) -> u64 {
+        self.genome_key_prefix.finish()
     }
 
     /// Hashes the problem-identity prefix of [`CoOptProblem::genome_key`]:
@@ -675,24 +762,21 @@ impl CoOptProblem {
         fanouts: &[u64],
         mappings: &[Mapping],
     ) -> Result<DesignEvaluation, EvalError> {
-        assert_eq!(mappings.len(), self.unique.len(), "one mapping per unique layer");
-        let mut reports = Vec::with_capacity(mappings.len());
-        for (u, mapping) in self.unique.iter().zip(mappings) {
-            reports.push(self.evaluate_layer(&u.layer, mapping)?);
-        }
-        Ok(self.aggregate(fanouts, mappings, &reports))
+        Ok(self.aggregate(fanouts, &self.mapping_costs(mappings)?))
     }
 
-    /// Combines per-layer cost reports into one design evaluation: sum
-    /// latency/energy weighted by layer multiplicity, derive the
-    /// minimum-footprint hardware (or check the fixed one), and score
-    /// against the area budget.
-    fn aggregate(
-        &self,
-        fanouts: &[u64],
-        mappings: &[Mapping],
-        reports: &[Arc<CostReport>],
-    ) -> DesignEvaluation {
+    /// Each layer's cost under one mapping per unique layer, stopping at
+    /// the first structurally invalid mapping.
+    fn mapping_costs(&self, mappings: &[Mapping]) -> Result<Vec<LayerCost>, EvalError> {
+        assert_eq!(mappings.len(), self.unique.len(), "one mapping per unique layer");
+        self.unique.iter().zip(mappings).map(|(u, m)| self.layer_cost(&u.layer, m, None)).collect()
+    }
+
+    /// Combines per-layer costs into one design evaluation: sum
+    /// latency/energy weighted by layer multiplicity, in layer order,
+    /// derive the minimum-footprint hardware (or check the fixed one),
+    /// and score against the area budget.
+    fn aggregate(&self, fanouts: &[u64], costs: &[LayerCost]) -> DesignEvaluation {
         let mut latency = 0.0;
         let mut energy = 0.0;
         let mut derived = HwConfig {
@@ -703,13 +787,11 @@ impl CoOptProblem {
         };
         let mut fits_fixed = true;
 
-        for ((u, mapping), report) in self.unique.iter().zip(mappings).zip(reports) {
-            latency += report.latency_cycles * u.count as f64;
-            energy += report.energy_pj * u.count as f64;
-            if let Constraint::FixedHw(hw) = &self.constraint {
-                fits_fixed &= hw.accommodates(&mapping.pe_shape(), &report.buffers);
-            }
-            derived.grow_to_fit(&report.buffers);
+        for (u, cost) in self.unique.iter().zip(costs) {
+            latency += cost.latency_cycles * u.count as f64;
+            energy += cost.energy_pj * u.count as f64;
+            fits_fixed &= cost.fits_fixed_hw;
+            derived.grow_to_fit(&cost.buffers);
         }
 
         // The hardware that must exist: the fixed one, or the derived
@@ -744,24 +826,40 @@ impl CoOptProblem {
     }
 
     /// One per-layer cost-model call, routed through the attached memo
-    /// cache when there is one. Errors (structurally invalid mappings)
-    /// are never cached — repair upstream makes them rare, and a penalty
+    /// cache when there is one (under `key`, computed here when the
+    /// caller has none). Errors (structurally invalid mappings) are
+    /// never cached — repair upstream makes them rare, and a penalty
     /// evaluation is cheap anyway.
-    fn evaluate_layer(
+    fn layer_cost(
         &self,
-        layer: &digamma_workload::Layer,
+        layer: &Layer,
         mapping: &Mapping,
-    ) -> Result<Arc<CostReport>, EvalError> {
+        key: Option<u64>,
+    ) -> Result<LayerCost, EvalError> {
         let Some(cache) = &self.cache else {
-            return Ok(Arc::new(self.evaluator.evaluate(layer, mapping)?));
+            return Ok(self.layer_cost_of(&self.evaluator.evaluate(layer, mapping)?, mapping));
         };
-        let key = self.evaluator.cache_key(layer, mapping);
+        let key = key.unwrap_or_else(|| self.evaluator.cache_key(layer, mapping));
         if let Some(report) = cache.lookup(key) {
-            return Ok(report);
+            return Ok(self.layer_cost_of(&report, mapping));
         }
         let report = Arc::new(self.evaluator.evaluate(layer, mapping)?);
         cache.store(key, Arc::clone(&report));
-        Ok(report)
+        Ok(self.layer_cost_of(&report, mapping))
+    }
+
+    /// What aggregation reads of `report`, with the Fixed-HW fit of
+    /// `mapping`'s PE shape resolved under this problem's constraint.
+    fn layer_cost_of(&self, report: &CostReport, mapping: &Mapping) -> LayerCost {
+        LayerCost {
+            latency_cycles: report.latency_cycles,
+            energy_pj: report.energy_pj,
+            buffers: report.buffers.clone(),
+            fits_fixed_hw: match &self.constraint {
+                Constraint::None => true,
+                Constraint::FixedHw(hw) => hw.accommodates(&mapping.pe_shape(), &report.buffers),
+            },
+        }
     }
 }
 

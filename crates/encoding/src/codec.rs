@@ -14,9 +14,9 @@
 //! [`repair`]), which is what makes the comparison of Fig. 5 fair: no
 //! baseline ever wastes samples on structurally broken mappings.
 
-use crate::genome::{Genome, LayerGenes, LevelGenes};
+use crate::genome::{Genome, LayerGenes, LevelGenes, Levels};
 use crate::repair::repair;
-use digamma_costmodel::Platform;
+use digamma_costmodel::{Platform, MAX_LEVELS};
 use digamma_workload::{Dim, DimVec, UniqueLayer, NUM_DIMS};
 
 /// Genes per (layer, level): 6 order keys + 1 parallel bucket + 6 tiles.
@@ -32,8 +32,12 @@ pub struct Codec {
 
 impl Codec {
     /// Creates a codec for a model's unique layers on a platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `num_levels` is in `1..=MAX_LEVELS`.
     pub fn new(unique: &[UniqueLayer], platform: &Platform, num_levels: usize) -> Codec {
-        assert!(num_levels >= 1, "need at least one level");
+        assert!((1..=MAX_LEVELS).contains(&num_levels), "need 1..={MAX_LEVELS} levels");
         Codec { unique: unique.to_vec(), platform: platform.clone(), num_levels }
     }
 
@@ -65,7 +69,7 @@ impl Codec {
         let mut layers = Vec::with_capacity(self.unique.len());
         let mut off = self.num_levels;
         for u in &self.unique {
-            let mut levels = Vec::with_capacity(self.num_levels);
+            let mut levels = Levels::new();
             for _ in 0..self.num_levels {
                 let keys = &x[off..off + NUM_DIMS];
                 let order = order_from_keys(keys);

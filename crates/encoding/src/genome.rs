@@ -1,10 +1,11 @@
 //! The structured design-point genome.
 
 use crate::repair;
-use digamma_costmodel::{LevelSpec, Mapping, Platform};
-use digamma_workload::{Dim, DimVec, UniqueLayer, NUM_DIMS};
+use digamma_costmodel::{LevelSpec, Mapping, Platform, MAX_LEVELS};
+use digamma_workload::{Dim, DimVec, Layer, UniqueLayer, NUM_DIMS};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::ops::{Deref, DerefMut};
 
 /// Mapping genes for one cluster level of one layer: the key order, the
 /// `P` gene, and the tile-size values of the paper's key/value encoding
@@ -24,15 +25,197 @@ impl LevelGenes {
     pub fn unit() -> LevelGenes {
         LevelGenes { spatial_dim: Dim::K, order: Dim::ALL, tile: DimVec::splat(1) }
     }
+
+    /// This level's tile clamped into `[1, parent]`: the nesting repair
+    /// and decoding apply, outermost level first.
+    fn nested_tile(&self, parent: &DimVec<u64>) -> DimVec<u64> {
+        self.tile.map(|t| t.max(1)).min(parent)
+    }
+}
+
+/// The per-level genes of one layer, outermost first: an inline array
+/// of at most [`MAX_LEVELS`] levels that derefs to `[LevelGenes]`.
+/// Being inline keeps [`LayerGenes`] `Copy`, so cloning a genome costs
+/// two allocations whatever its layer count. Equality compares only the
+/// live levels.
+#[derive(Clone, Copy)]
+pub struct Levels {
+    len: usize,
+    genes: [LevelGenes; MAX_LEVELS],
+}
+
+impl Levels {
+    /// No levels.
+    pub fn new() -> Levels {
+        Levels { len: 0, genes: [LevelGenes::unit(); MAX_LEVELS] }
+    }
+
+    /// Appends a level.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`MAX_LEVELS`] levels are already present.
+    pub fn push(&mut self, genes: LevelGenes) {
+        self.insert(self.len, genes);
+    }
+
+    /// Inserts a level at `index`, shifting the deeper ones inward.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index > len` or [`MAX_LEVELS`] levels are already
+    /// present.
+    pub fn insert(&mut self, index: usize, genes: LevelGenes) {
+        assert!(self.len < MAX_LEVELS, "a layer holds at most {MAX_LEVELS} levels");
+        assert!(index <= self.len, "insert index {index} past {} levels", self.len);
+        self.genes.copy_within(index..self.len, index + 1);
+        self.genes[index] = genes;
+        self.len += 1;
+    }
+
+    /// Removes and returns the level at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= len`.
+    pub fn remove(&mut self, index: usize) -> LevelGenes {
+        let removed = self[index];
+        self.genes.copy_within(index + 1..self.len, index);
+        self.len -= 1;
+        removed
+    }
+
+    /// Keeps the outermost `len` levels (no-op when there are fewer).
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+}
+
+impl Default for Levels {
+    fn default() -> Levels {
+        Levels::new()
+    }
+}
+
+impl Deref for Levels {
+    type Target = [LevelGenes];
+
+    fn deref(&self) -> &[LevelGenes] {
+        &self.genes[..self.len]
+    }
+}
+
+impl DerefMut for Levels {
+    fn deref_mut(&mut self) -> &mut [LevelGenes] {
+        &mut self.genes[..self.len]
+    }
+}
+
+impl PartialEq for Levels {
+    fn eq(&self, other: &Levels) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Levels {}
+
+impl std::fmt::Debug for Levels {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<LevelGenes> for Levels {
+    /// # Panics
+    ///
+    /// Panics when the iterator yields more than [`MAX_LEVELS`] levels.
+    fn from_iter<I: IntoIterator<Item = LevelGenes>>(iter: I) -> Levels {
+        let mut levels = Levels::new();
+        for genes in iter {
+            levels.push(genes);
+        }
+        levels
+    }
+}
+
+impl From<Vec<LevelGenes>> for Levels {
+    /// # Panics
+    ///
+    /// Panics when `levels` holds more than [`MAX_LEVELS`] levels.
+    fn from(levels: Vec<LevelGenes>) -> Levels {
+        levels.into_iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a Levels {
+    type Item = &'a LevelGenes;
+    type IntoIter = std::slice::Iter<'a, LevelGenes>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Levels {
+    type Item = &'a mut LevelGenes;
+    type IntoIter = std::slice::IterMut<'a, LevelGenes>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
 }
 
 /// Mapping genes for one unique layer: one [`LevelGenes`] per cluster
 /// level, outermost first. The level count always matches the genome's
 /// hardware fan-out count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerGenes {
     /// Per-level genes, outermost first.
-    pub levels: Vec<LevelGenes>,
+    pub levels: Levels,
+}
+
+impl LayerGenes {
+    /// Decodes this layer's genes on the PE array `fanouts` into one
+    /// [`Mapping`] for `layer`: the one per-layer decode, which
+    /// [`Genome::decode_with_fanouts`] runs for every layer.
+    ///
+    /// Tiles are clamped into the layer's extents and nested (each
+    /// level's tile fits its parent's) on the way, exactly as
+    /// [`repair`](crate::repair) would, so the result is structurally
+    /// valid whatever the genes hold. Levels pair with `fanouts`
+    /// outermost first; levels past the shorter of the two are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no level pairs with a fan-out.
+    pub fn decode(&self, layer: &Layer, fanouts: &[u64]) -> Mapping {
+        let mut parent = *layer.dims();
+        Mapping::new(
+            self.levels
+                .iter()
+                .zip(fanouts)
+                .map(|(genes, &fanout)| {
+                    parent = genes.nested_tile(&parent);
+                    LevelSpec {
+                        fanout,
+                        spatial_dim: genes.spatial_dim,
+                        order: genes.order,
+                        tile: parent,
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// Clamps and nests this layer's tiles in place (see
+    /// [`LayerGenes::decode`]).
+    pub(crate) fn nest_tiles(&mut self, layer: &Layer) {
+        let mut parent = *layer.dims();
+        for level in &mut self.levels {
+            level.tile = level.nested_tile(&parent);
+            parent = level.tile;
+        }
+    }
 }
 
 /// A full design point: shared hardware genes plus per-unique-layer
@@ -72,7 +255,7 @@ impl Genome {
         platform: &Platform,
         num_levels: usize,
     ) -> Genome {
-        assert!(num_levels >= 1, "need at least one level");
+        assert!((1..=MAX_LEVELS).contains(&num_levels), "need 1..={MAX_LEVELS} levels");
         let max_fanout = platform.max_pes;
         let fanouts = (0..num_levels).map(|_| log_uniform(rng, max_fanout)).collect();
         let layers = unique
@@ -127,9 +310,10 @@ impl Genome {
 
     /// Decodes into one validated [`Mapping`] per unique layer.
     ///
-    /// Decoding repairs a copy of the genome first (clamping and nesting
-    /// tiles), so the result is always structurally valid — genetic
-    /// operators and continuous optimizers may hand in sloppy genomes.
+    /// Decoding clamps and nests tiles on the way (see
+    /// [`LayerGenes::decode`]), so the result is always structurally
+    /// valid — genetic operators and continuous optimizers may hand in
+    /// sloppy genomes.
     ///
     /// # Panics
     ///
@@ -140,10 +324,8 @@ impl Genome {
 
     /// [`Genome::decode`] with the hardware fan-outs overridden — the
     /// Fixed-HW path, where a constraint pins the PE array. Equivalent
-    /// to cloning the genome, overwriting `fanouts`, and decoding, but
-    /// without materializing that intermediate clone (decoding already
-    /// clones once internally for repair; evaluators batch-decode whole
-    /// populations, so the saving is per genome per generation).
+    /// to cloning the genome, overwriting `fanouts`, and decoding; each
+    /// layer goes through [`LayerGenes::decode`] and nothing is cloned.
     ///
     /// # Panics
     ///
@@ -152,30 +334,7 @@ impl Genome {
     pub fn decode_with_fanouts(&self, unique: &[UniqueLayer], fanouts: &[u64]) -> Vec<Mapping> {
         assert_eq!(unique.len(), self.layers.len(), "layer count mismatch");
         assert_eq!(fanouts.len(), self.num_levels(), "fan-out count mismatch");
-        let mut repaired = self.clone();
-        if repaired.fanouts != fanouts {
-            repaired.fanouts.clear();
-            repaired.fanouts.extend_from_slice(fanouts);
-        }
-        repair::nest_tiles(&mut repaired, unique);
-        repaired
-            .layers
-            .iter()
-            .map(|lg| {
-                Mapping::new(
-                    lg.levels
-                        .iter()
-                        .zip(&repaired.fanouts)
-                        .map(|(genes, &fanout)| LevelSpec {
-                            fanout,
-                            spatial_dim: genes.spatial_dim,
-                            order: genes.order,
-                            tile: genes.tile,
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
+        self.layers.iter().zip(unique).map(|(lg, u)| lg.decode(&u.layer, fanouts)).collect()
     }
 }
 
@@ -201,8 +360,9 @@ impl std::fmt::Display for Genome {
     }
 }
 
-/// Samples log-uniformly from `[1, max]` (inclusive).
-pub(crate) fn log_uniform<R: Rng + ?Sized>(rng: &mut R, max: u64) -> u64 {
+/// Samples log-uniformly from `[1, max]` (inclusive): the sampler for
+/// fan-outs and tile extents, shared with the GA's mutation operators.
+pub fn log_uniform<R: Rng + ?Sized>(rng: &mut R, max: u64) -> u64 {
     if max <= 1 {
         return 1;
     }

@@ -43,11 +43,7 @@ pub(crate) fn repair_fanouts(genome: &mut Genome, platform: &Platform) {
 /// Clamps tiles into layer extents and enforces parent⊇child nesting.
 pub(crate) fn nest_tiles(genome: &mut Genome, unique: &[UniqueLayer]) {
     for (layer_genes, u) in genome.layers.iter_mut().zip(unique) {
-        let mut parent = *u.layer.dims();
-        for level in &mut layer_genes.levels {
-            level.tile = level.tile.map(|t| t.max(1)).min(&parent);
-            parent = level.tile;
-        }
+        layer_genes.nest_tiles(&u.layer);
     }
 }
 
@@ -68,7 +64,8 @@ mod tests {
                 levels: vec![
                     LevelGenes { tile: DimVec::splat(0), ..LevelGenes::unit() },
                     LevelGenes { tile: DimVec::splat(u64::MAX), ..LevelGenes::unit() },
-                ],
+                ]
+                .into(),
             }],
         }
     }
@@ -103,7 +100,8 @@ mod tests {
                 levels: vec![
                     LevelGenes { tile: DimVec([16, 32, 8, 16, 3, 3]), ..LevelGenes::unit() },
                     LevelGenes { tile: DimVec([4, 8, 2, 4, 3, 1]), ..LevelGenes::unit() },
-                ],
+                ]
+                .into(),
             }],
         };
         let before = g.clone();

@@ -21,6 +21,7 @@
 //! `8,16|K,KCYXRS,4,4,16,16,3,3;Y,CKYXRS,1,4,2,16,3,3`
 
 use crate::genome::{Genome, LayerGenes, LevelGenes};
+use digamma_costmodel::MAX_LEVELS;
 use digamma_workload::{Dim, DimVec, NUM_DIMS};
 use std::fmt;
 
@@ -123,10 +124,11 @@ impl Genome {
     ///
     /// # Errors
     ///
-    /// Returns [`GenomeParseError`] on malformed input; structural checks
-    /// beyond the grammar (level counts matching fan-outs, tile nesting)
-    /// are the caller's business, exactly as with a freshly mutated
-    /// genome.
+    /// Returns [`GenomeParseError`] on malformed input, on more than
+    /// [`MAX_LEVELS`] fan-outs, and on a layer whose level count differs
+    /// from the fan-out count. Other structural checks (the layer count
+    /// a model needs, tile nesting) are the caller's business, exactly
+    /// as with a freshly mutated genome.
     pub fn from_text(s: &str) -> Result<Genome, GenomeParseError> {
         let mut parts = s.trim().split('|');
         let fanout_part = parts.next().unwrap_or("");
@@ -136,6 +138,12 @@ impl Genome {
             .collect::<Result<Vec<u64>, _>>()?;
         if fanouts.is_empty() {
             return Err(GenomeParseError::new("no fanouts"));
+        }
+        if fanouts.len() > MAX_LEVELS {
+            return Err(GenomeParseError::new(format!(
+                "{} fanouts, at most {MAX_LEVELS} levels are supported",
+                fanouts.len()
+            )));
         }
         let mut layers = Vec::new();
         for layer_part in parts {
@@ -148,7 +156,7 @@ impl Genome {
                     fanouts.len()
                 )));
             }
-            layers.push(LayerGenes { levels });
+            layers.push(LayerGenes { levels: levels.into() });
         }
         Ok(Genome { fanouts, layers })
     }
@@ -205,6 +213,7 @@ mod tests {
             "8,16|K,KCYXR,1,2,3,4,5,6",                        // short order
             "8,16|K,KCYXRS,1,2,3,4,5,6",                       // 1 level vs 2 fanouts
             "8,16|KC,KCYXRS,1,2,3,4,5,6;K,KCYXRS,1,1,1,1,1,1", // long P gene
+            "1,2,2,2|K,KCYXRS,1,1,1,1,1,1;K,KCYXRS,1,1,1,1,1,1;K,KCYXRS,1,1,1,1,1,1;K,KCYXRS,1,1,1,1,1,1", // 4 levels
         ] {
             assert!(Genome::from_text(bad).is_err(), "accepted {bad:?}");
         }

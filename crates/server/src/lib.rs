@@ -40,7 +40,7 @@
 //! job.population_size = 12;
 //! let reports = server.run(&[job]);
 //! assert!(reports[0].best.is_some());
-//! assert!(reports[0].cache_hits > 0, "elite re-evaluations hit the memo");
+//! assert!(reports[0].cache_hits > 0, "changed layers restating scored mappings hit the memo");
 //! ```
 
 #![warn(missing_docs)]

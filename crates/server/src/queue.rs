@@ -917,8 +917,8 @@ mod tests {
     #[test]
     fn shared_cache_reports_per_job_hits() {
         // Genome memo off: the per-layer cache is the first memo layer,
-        // so elite re-evaluations hit it directly (the original
-        // behaviour, still reachable by configuration).
+        // so a changed layer whose mapping an earlier child already
+        // scored hits it directly (reused layers are never probed).
         let server = SearchServer::new(ServerConfig {
             workers: 1,
             genome_cache_capacity: 0,
@@ -927,7 +927,7 @@ mod tests {
         // The same search twice: the second run should hit constantly.
         let jobs = vec![spec("first", JobAlgorithm::DiGamma), spec("again", JobAlgorithm::DiGamma)];
         let reports = server.run(&jobs);
-        assert!(reports[0].cache_hits > 0, "elite re-evaluation hits within one search");
+        assert!(reports[0].cache_hits > 0, "restated layer mappings hit within one search");
         assert!(
             reports[1].cache_hit_rate() > reports[0].cache_hit_rate(),
             "a repeated search reuses the first one's entries: {} vs {}",

@@ -115,7 +115,9 @@ impl Snapshot {
     ///
     /// Returns [`TextError`] when `expected_fingerprint` differs from
     /// the snapshot's — resuming a different job from this checkpoint
-    /// would silently corrupt both.
+    /// would silently corrupt both — and when a stored genome's layer
+    /// count differs from the problem's unique-layer count, which
+    /// evaluation cannot score.
     pub fn restore(
         &self,
         ga: &DiGamma,
@@ -136,6 +138,14 @@ impl Snapshot {
                 "snapshot history has {} entries for {} samples",
                 self.history.len(),
                 self.samples
+            )));
+        }
+        let layers = problem.unique_layers().len();
+        if let Some(g) = self.population.iter().chain(&self.best).find(|g| g.layers.len() != layers)
+        {
+            return Err(TextError::new(format!(
+                "snapshot genome has {} layers, the model has {layers}",
+                g.layers.len()
             )));
         }
         let mut state = ga.restore(

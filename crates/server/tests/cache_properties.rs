@@ -240,5 +240,5 @@ fn search_trajectory_is_cache_invariant() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
     assert_eq!(bare.best.as_ref().map(|b| &b.genome), cached.best.as_ref().map(|b| &b.genome));
-    assert!(shared.stats().hits > 0, "elite re-evaluation must hit");
+    assert!(shared.stats().hits > 0, "restated layer mappings must hit");
 }

@@ -54,6 +54,43 @@ fn reference_snapshot() -> String {
     .render()
 }
 
+/// A snapshot that parses but does not fit the job's model — a genome
+/// with a layer too many, in the population or as the best — fails to
+/// restore instead of panicking the resumed job, and a genome with more
+/// levels than the cost model supports does not parse.
+#[test]
+fn structurally_foreign_snapshots_are_rejected() {
+    let problem = CoOptProblem::new(zoo::ncf(), Platform::edge(), Objective::Latency);
+    let ga = digamma::DiGamma::new(digamma::DiGammaConfig {
+        population_size: 4,
+        threads: 1,
+        ..Default::default()
+    });
+    let good = reference_snapshot();
+    let fingerprint = "job 1 ncf edge latency";
+    assert!(Snapshot::parse(&good).unwrap().restore(&ga, &problem, fingerprint).is_ok());
+
+    let extra_layer = "|K,KCYXRS,1,1,1,1,1,1;K,KCYXRS,1,1,1,1,1,1";
+    let mut foreign = Snapshot::parse(&good).unwrap();
+    let mut grown = foreign.population[1].to_text();
+    grown.push_str(extra_layer);
+    foreign.population[1] = Genome::from_text(&grown).unwrap();
+    let parsed = Snapshot::parse(&foreign.render()).expect("a foreign genome still parses");
+    let err = parsed.restore(&ga, &problem, fingerprint).unwrap_err();
+    assert!(err.to_string().contains("layers"), "{err}");
+
+    let mut foreign = Snapshot::parse(&good).unwrap();
+    foreign.best = Some(Genome::from_text(&grown).unwrap());
+    assert!(foreign.restore(&ga, &problem, fingerprint).is_err());
+
+    let level = "K,KCYXRS,1,1,1,1,1,1";
+    let four_levels = format!("1,2,2,2|{}", [level; 4].join(";"));
+    assert!(Genome::from_text(&four_levels).is_err());
+    let first_genome = good.lines().find_map(|l| l.strip_prefix("genome = ")).unwrap();
+    let deep = good.replacen(first_genome, &four_levels, 1);
+    assert!(Snapshot::parse(&deep).is_err(), "a 4-level genome must not parse");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -51,7 +51,7 @@ fn main() {
         problem.unique_layers().iter().position(|u| u.layer.name().contains("scores")).unwrap_or(0);
     let single = Genome {
         fanouts: best.genome.fanouts.clone(),
-        layers: vec![best.genome.layers[score_idx].clone()],
+        layers: vec![best.genome.layers[score_idx]],
     };
     print!("{single}");
 }

@@ -30,9 +30,7 @@ fn main() {
 
     // 4. The genome is a full per-layer mapping description.
     println!("\nfirst unique layer's mapping genes:");
-    let single = Genome {
-        fanouts: best.genome.fanouts.clone(),
-        layers: vec![best.genome.layers[0].clone()],
-    };
+    let single =
+        Genome { fanouts: best.genome.fanouts.clone(), layers: vec![best.genome.layers[0]] };
     print!("{single}");
 }
