@@ -837,10 +837,10 @@ impl DiGamma {
     /// Per-genome evaluations and per-layer costs are *recomputed*
     /// (evaluation is pure and deterministic, and cheap again under a
     /// fitness cache), so checkpoints carry only genomes, history, and
-    /// counters. The
-    /// restored state continues exactly where [`DiGamma::step`] left off:
-    /// resuming reproduces an uninterrupted run bit-for-bit because each
-    /// generation reseeds its RNG from `(seed, generation)`.
+    /// counters. The restored state continues exactly where
+    /// [`DiGamma::step`] left off: resuming reproduces an uninterrupted
+    /// run bit-for-bit because each generation reseeds its RNG from
+    /// `(seed, generation)`.
     ///
     /// Bit-identical resumption assumes the resumed run keeps the
     /// original total budget: the final generation of a budget is
@@ -1401,43 +1401,12 @@ mod tests {
     mod lineage {
         use super::super::operators::*;
         use super::*;
-        use crate::problem::Memo;
+        use crate::problem::tests::CountingMemo;
         use digamma_costmodel::CostReport;
         use proptest::prelude::*;
         use rand::SeedableRng;
-        use std::collections::HashMap;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::{Arc, Mutex};
-
-        /// An in-memory memo for either layer that counts its probes.
-        #[derive(Debug)]
-        struct CountingMemo<V> {
-            map: Mutex<HashMap<u64, V>>,
-            hits: AtomicU64,
-            misses: AtomicU64,
-        }
-
-        impl<V> Default for CountingMemo<V> {
-            fn default() -> Self {
-                CountingMemo {
-                    map: Mutex::new(HashMap::new()),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                }
-            }
-        }
-
-        impl<V: Clone + Send + std::fmt::Debug> Memo<V> for CountingMemo<V> {
-            fn lookup(&self, key: u64) -> Option<V> {
-                let found = self.map.lock().unwrap().get(&key).cloned();
-                let counter = if found.is_some() { &self.hits } else { &self.misses };
-                counter.fetch_add(1, Ordering::Relaxed);
-                found
-            }
-            fn store(&self, key: u64, value: V) {
-                self.map.lock().unwrap().insert(key, value);
-            }
-        }
+        use std::sync::atomic::Ordering;
+        use std::sync::Arc;
 
         fn fixed_hw() -> HwConfig {
             HwConfig {

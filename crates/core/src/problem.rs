@@ -521,6 +521,7 @@ impl CoOptProblem {
         let layers = self.unique.len();
 
         // The genome memo first: every child is probed before any store.
+        // `Ok` holds a hit, `Err` a miss's key (unused without a memo).
         let probes: Vec<Result<Arc<DesignEvaluation>, u64>> = match &self.genome_memo {
             None => children.iter().map(|_| Err(0)).collect(),
             Some(memo) => children
@@ -864,7 +865,7 @@ impl CoOptProblem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use digamma_workload::zoo;
     use rand::rngs::SmallRng;
@@ -916,16 +917,26 @@ mod tests {
         );
     }
 
-    /// A test genome memo that counts traffic and records stores.
-    #[derive(Debug, Default)]
-    struct CountingMemo {
-        map: std::sync::Mutex<HashMap<u64, Arc<DesignEvaluation>>>,
-        hits: AtomicU64,
-        misses: AtomicU64,
+    /// A test memo for either layer that counts its probes.
+    #[derive(Debug)]
+    pub(crate) struct CountingMemo<V> {
+        map: std::sync::Mutex<HashMap<u64, V>>,
+        pub(crate) hits: AtomicU64,
+        pub(crate) misses: AtomicU64,
     }
 
-    impl Memo<Arc<DesignEvaluation>> for CountingMemo {
-        fn lookup(&self, key: u64) -> Option<Arc<DesignEvaluation>> {
+    impl<V> Default for CountingMemo<V> {
+        fn default() -> Self {
+            CountingMemo {
+                map: std::sync::Mutex::new(HashMap::new()),
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl<V: Clone + Send + std::fmt::Debug> Memo<V> for CountingMemo<V> {
+        fn lookup(&self, key: u64) -> Option<V> {
             let found = self.map.lock().unwrap().get(&key).cloned();
             match &found {
                 Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -933,14 +944,14 @@ mod tests {
             };
             found
         }
-        fn store(&self, key: u64, evaluation: Arc<DesignEvaluation>) {
-            self.map.lock().unwrap().insert(key, evaluation);
+        fn store(&self, key: u64, value: V) {
+            self.map.lock().unwrap().insert(key, value);
         }
     }
 
     #[test]
     fn genome_memo_hits_preserve_results_exactly() {
-        let memo = Arc::new(CountingMemo::default());
+        let memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
         let without = problem();
         let with = problem().with_genome_memo(Arc::clone(&memo) as _);
         let mut rng = SmallRng::seed_from_u64(12);

@@ -16,7 +16,7 @@
 
 use crate::genome::{Genome, LayerGenes, LevelGenes, Levels};
 use crate::repair::repair;
-use digamma_costmodel::{Platform, MAX_LEVELS};
+use digamma_costmodel::Platform;
 use digamma_workload::{Dim, DimVec, UniqueLayer, NUM_DIMS};
 
 /// Genes per (layer, level): 6 order keys + 1 parallel bucket + 6 tiles.
@@ -32,12 +32,8 @@ pub struct Codec {
 
 impl Codec {
     /// Creates a codec for a model's unique layers on a platform.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `num_levels` is in `1..=MAX_LEVELS`.
     pub fn new(unique: &[UniqueLayer], platform: &Platform, num_levels: usize) -> Codec {
-        assert!((1..=MAX_LEVELS).contains(&num_levels), "need 1..={MAX_LEVELS} levels");
+        assert!(num_levels >= 1, "need at least one level");
         Codec { unique: unique.to_vec(), platform: platform.clone(), num_levels }
     }
 
@@ -69,7 +65,7 @@ impl Codec {
         let mut layers = Vec::with_capacity(self.unique.len());
         let mut off = self.num_levels;
         for u in &self.unique {
-            let mut levels = Levels::new();
+            let mut levels = Levels::default();
             for _ in 0..self.num_levels {
                 let keys = &x[off..off + NUM_DIMS];
                 let order = order_from_keys(keys);

@@ -45,11 +45,6 @@ pub struct Levels {
 }
 
 impl Levels {
-    /// No levels.
-    pub fn new() -> Levels {
-        Levels { len: 0, genes: [LevelGenes::unit(); MAX_LEVELS] }
-    }
-
     /// Appends a level.
     ///
     /// # Panics
@@ -92,8 +87,9 @@ impl Levels {
 }
 
 impl Default for Levels {
+    /// No levels.
     fn default() -> Levels {
-        Levels::new()
+        Levels { len: 0, genes: [LevelGenes::unit(); MAX_LEVELS] }
     }
 }
 
@@ -130,7 +126,7 @@ impl FromIterator<LevelGenes> for Levels {
     ///
     /// Panics when the iterator yields more than [`MAX_LEVELS`] levels.
     fn from_iter<I: IntoIterator<Item = LevelGenes>>(iter: I) -> Levels {
-        let mut levels = Levels::new();
+        let mut levels = Levels::default();
         for genes in iter {
             levels.push(genes);
         }
@@ -255,7 +251,7 @@ impl Genome {
         platform: &Platform,
         num_levels: usize,
     ) -> Genome {
-        assert!((1..=MAX_LEVELS).contains(&num_levels), "need 1..={MAX_LEVELS} levels");
+        assert!(num_levels >= 1, "need at least one level");
         let max_fanout = platform.max_pes;
         let fanouts = (0..num_levels).map(|_| log_uniform(rng, max_fanout)).collect();
         let layers = unique
