@@ -6,28 +6,30 @@
 //! * **nocache** — the plain library call, every evaluation runs the
 //!   cost model,
 //! * **cold** — a fresh [`ShardedFitnessCache`] attached: first-run
-//!   overhead (hashing + insertions) against within-run reuse (elites
-//!   re-evaluate every generation),
+//!   overhead (hashing + insertions) against within-run reuse (a
+//!   child's changed layer whose mapping an earlier design already
+//!   scored),
 //! * **warm** — the cache pre-populated by an identical prior search,
 //!   the service steady state for repeated/co-tenant requests: every
 //!   per-layer evaluation is a hit.
 //!
-//! Recorded numbers (this container, release profile,
+//! Recorded numbers (a shared 2-vCPU host, release profile,
 //! `budget = 600`, `population = 16`, seed 1; medians of the criterion
-//! shim's batches, 2026-07-29, after the batch-local dedupe landed —
-//! intra-batch duplicate evaluations now never reach the cache at all,
-//! which narrows cold's win and is why these differ from the PR 2
-//! numbers):
+//! shim's batches, three runs, after lineage reuse landed — children
+//! reuse their parents' per-layer costs, so unchanged layers, elites
+//! included, never reach the cache at all):
 //!
 //! | configuration | time/search | vs nocache |
 //! |---------------|-------------|------------|
-//! | nocache       | 3.21 ms     | 1.00×      |
-//! | cold          | 2.87 ms     | 1.12×      |
-//! | warm          | 1.89 ms     | 1.70×      |
+//! | nocache       | 1.75–1.94 ms | 1.00×     |
+//! | cold          | 2.12–2.44 ms | 0.80–0.84× |
+//! | warm          | 1.16–1.37 ms | 1.42–1.53× |
 //!
-//! Cold still beats no cache at all — elite re-evaluations across
-//! generations short-circuit to `Arc` clones — and a warm cache (the
-//! repeated-request steady state) runs the search with **zero**
+//! Within one search a cold cache costs more than it saves: elites and
+//! inherited layers reuse their parents' costs without a probe, so the
+//! cache mostly pays its hashing and insertions. Its value is across
+//! searches: a warm cache
+//! (the repeated-request steady state) runs the search with **zero**
 //! cost-model calls. `ncf` is the *least* favourable model for this
 //! comparison: its four unique GEMM layers make single evaluations
 //! nearly as cheap as the key hash; models with more unique layers or
