@@ -508,12 +508,22 @@ impl CoOptProblem {
     /// identical to calling [`CoOptProblem::evaluate`] per child, in
     /// order, for any `threads` value: evaluation is pure, so reuse and
     /// deduplication preserve semantics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parents` is neither empty nor one entry per child, or
+    /// (as [`Genome::decode_with_fanouts`]) if a child the genome memo
+    /// does not answer has the wrong layer or fan-out count.
     pub fn evaluate_children(
         &self,
         children: &[Genome],
         parents: &[[Option<Parent<'_>>; 2]],
         threads: usize,
     ) -> Vec<(DesignEvaluation, Vec<LayerCost>)> {
+        assert!(
+            parents.is_empty() || parents.len() == children.len(),
+            "one parent pair per child, or none"
+        );
         if let Some(hooks) = &self.hooks {
             hooks.enter_batch();
         }
