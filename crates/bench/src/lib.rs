@@ -8,23 +8,21 @@
 //! * [`fig7`] — found-solution breakdown for MnasNet at edge,
 //! * [`ablation`] — operator ablations of the DiGamma GA (E5),
 //! * [`pareto`] — the latency-vs-area sweep (an extension),
-//! * [`cachebench`] — cold- vs warm-cache search comparison for the
-//!   server's fitness memo (recorded numbers in its module docs),
 //! * [`perfjson`] — the evaluator perf harness: fixed seeded workloads
 //!   through four off-vs-on A/B sections (metrics, tracing,
 //!   failpoints, analytics) plus memo hit-rate measurements, emitted
 //!   as `BENCH_eval.json` (the repo's perf trajectory file),
 //! * [`report`] — the markdown/TSV table writer the binaries share.
 //!
-//! The binaries (`fig5`, `fig6`, `fig7`, `pareto`, `space`, `ablation`)
-//! are thin wrappers over these modules; everything here is
-//! unit-testable at small budgets.
+//! The binaries (`fig5`, `fig6`, `fig7`, `pareto`, `space`, `ablation`,
+//! `probe`, `perf`) are thin wrappers over these modules; everything
+//! here is unit-testable at small budgets. The end-to-end benchmark
+//! (`python3 e2ebench/run.py`) measures the search and the service.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod ablation;
-pub mod cachebench;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;

@@ -296,9 +296,12 @@ pub fn handle(
             Ok(keep)
         }
         ("POST", ["shutdown"]) => {
+            // Answer (`write_response` flushes) before setting the flag:
+            // once it is set, any other connection can wake the accept
+            // loop and end the process before this 202 is written.
+            let answered = write_response(stream, 202, "shutting down\n", false);
             shutdown.set();
-            write_response(stream, 202, "shutting down\n", false)?;
-            Ok(false)
+            answered.map(|()| false)
         }
         // Known routes reached with the wrong method are 405; anything
         // else — including unknown sub-resources under /jobs — is 404.

@@ -1,7 +1,8 @@
 //! Wire-protocol integration: a real `NetServer` on an ephemeral port,
 //! a real TCP client, the full job lifecycle.
 
-use digamma_net::{client, NetServer, ShutdownHandle};
+use digamma_net::httpio::Request;
+use digamma_net::{client, routes, NetServer, ShutdownFlag, ShutdownHandle};
 use digamma_server::{JobRegistry, ServerConfig, TenantSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -355,4 +356,44 @@ fn keep_alive_serves_multiple_requests_per_connection() {
         assert_eq!(response.status, 200);
         assert!(response.body.contains("workers = 1"));
     }
+}
+
+#[test]
+fn shutdown_is_answered_before_its_flag_is_set() {
+    // Records, at each write and flush, whether the flag was already
+    // set: a set flag lets another connection wake the accept loop and
+    // end the process before the 202 reaches the client.
+    struct Probe {
+        flag: ShutdownFlag,
+        bytes: Vec<u8>,
+        calls: Vec<(&'static str, bool)>,
+    }
+    impl std::io::Write for Probe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls.push(("write", self.flag.is_set()));
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.calls.push(("flush", self.flag.is_set()));
+            Ok(())
+        }
+    }
+    let registry =
+        JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None).unwrap();
+    let flag = ShutdownFlag::new();
+    let request = Request {
+        method: "POST".to_owned(),
+        target: "/shutdown".to_owned(),
+        headers: Vec::new(),
+        body: Vec::new(),
+    };
+    let mut probe = Probe { flag: flag.clone(), bytes: Vec::new(), calls: Vec::new() };
+    let keep = routes::handle(&registry, &flag, &request, &mut probe, None).unwrap();
+    registry.shutdown();
+    assert!(!keep, "a shutdown answer closes the connection");
+    assert!(String::from_utf8_lossy(&probe.bytes).starts_with("HTTP/1.1 202"));
+    assert!(flag.is_set(), "the request still shuts the service down");
+    assert_eq!(probe.calls.last().map(|c| c.0), Some("flush"), "{:?}", probe.calls);
+    assert!(probe.calls.iter().all(|&(_, set)| !set), "flag set mid-answer: {:?}", probe.calls);
 }

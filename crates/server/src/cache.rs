@@ -23,8 +23,9 @@
 //!   cannot grow without bound. FIFO keeps the hot path a single
 //!   `HashMap` probe; LRU pays one recency-queue push per hit to keep
 //!   long-lived hot keys (template seeds, co-tenant models) resident
-//!   through churn. `digamma_bench::cachebench` records the measured
-//!   difference on a long multi-model batch.
+//!   through churn. The queue test
+//!   `lru_keeps_a_recurring_spec_resident_through_churn` asserts the
+//!   difference on a multi-model batch.
 //! * **Counted** — hits, misses, insertions, and evictions are atomic
 //!   counters; a [`JobMemo`] layers one job's counters, its tenant's
 //!   probe metrics and a sampled probe-latency histogram over a shared
@@ -47,7 +48,8 @@ pub enum EvictionPolicy {
     Fifo,
     /// Evict the least-recently-used entry. Hits refresh recency (one
     /// lazy queue push per hit), so keys that stay hot across jobs
-    /// survive churn from one-off requests.
+    /// survive churn from one-off requests (asserted by the queue test
+    /// `lru_keeps_a_recurring_spec_resident_through_churn`).
     Lru,
 }
 

@@ -80,16 +80,6 @@ pub struct ServerConfig {
     /// fresh inactive set — one relaxed load per site — and is armed by
     /// `digamma-netd --failpoints` or a test.
     pub faults: Arc<FailSet>,
-    /// Per-job analytics window: the newest this many per-generation
-    /// [`GenStats`] records are retained for `GET /jobs/{id}/analytics`
-    /// and the `netc top` dashboard; older records are dropped (the
-    /// cumulative operator counters are never windowed).
-    pub analytics_capacity: usize,
-    /// After this many stagnant generations (no incumbent improvement)
-    /// the job's event log gains a `stalled` line — once per stall
-    /// episode, re-armed by the next improvement. `0` disables the
-    /// stall detector.
-    pub stall_after: u64,
 }
 
 impl Default for ServerConfig {
@@ -107,8 +97,6 @@ impl Default for ServerConfig {
             shed_queue_depth: 0,
             drain_deadline: Duration::from_secs(10),
             faults: Arc::new(FailSet::new()),
-            analytics_capacity: 512,
-            stall_after: 25,
         }
     }
 }
@@ -934,9 +922,57 @@ mod tests {
             reports[1].cache_hit_rate(),
             reports[0].cache_hit_rate()
         );
+        assert_eq!(reports[1].cache_misses, 0, "an identical rerun is fully memoized");
         assert_eq!(reports[0].genome_hits + reports[1].genome_hits, 0, "memo disabled");
         let stats = server.cache_stats().expect("cache enabled");
         assert_eq!(stats.hits, reports[0].cache_hits + reports[1].cache_hits);
+    }
+
+    #[test]
+    fn lru_keeps_a_recurring_spec_resident_through_churn() {
+        // Each round runs a hot ncf spec (seed 1 every round, so its
+        // keys recur) and then a resnet18 churn spec with a fresh seed
+        // (its keys never recur in a later round), against a per-layer
+        // cache smaller than the batch's working set. The genome memo
+        // is off: it would absorb the hot recurrence above the layer
+        // cache.
+        let job = |name: String, model, seed| JobSpec {
+            model,
+            budget: 400,
+            seed,
+            ..spec(&name, JobAlgorithm::DiGamma)
+        };
+        let jobs: Vec<JobSpec> = (0..3u64)
+            .flat_map(|round| {
+                [
+                    job(format!("hot-{round}"), zoo::ncf(), 1),
+                    job(format!("churn-{round}"), zoo::resnet18(), 1000 + round),
+                ]
+            })
+            .collect();
+        let hot_hit_rate = |policy: EvictionPolicy| {
+            let server = SearchServer::new(ServerConfig {
+                workers: 1,
+                cache_capacity: 4096,
+                genome_cache_capacity: 0,
+                eviction: policy,
+                ..ServerConfig::default()
+            });
+            let reports = server.run(&jobs);
+            let evictions = server.cache_stats().expect("cache enabled").evictions;
+            assert!(evictions > 0, "{policy}: the capacity must bind");
+            // Round 0 inserts the hot spec's keys; later rounds re-probe
+            // exactly those keys, so every miss there is an eviction.
+            let later: Vec<f64> = reports
+                .iter()
+                .filter(|r| r.name.starts_with("hot-") && r.name != "hot-0")
+                .map(JobReport::cache_hit_rate)
+                .collect();
+            later.iter().sum::<f64>() / later.len() as f64
+        };
+        let (fifo, lru) = (hot_hit_rate(EvictionPolicy::Fifo), hot_hit_rate(EvictionPolicy::Lru));
+        assert_eq!(lru, 1.0, "LRU's hits refresh the hot keys past the churn");
+        assert!(fifo < lru, "FIFO ages the hot keys out: {fifo} vs {lru}");
     }
 
     #[test]

@@ -222,8 +222,7 @@ pub struct RegistryStats {
     /// Jobs that panicked and were failed by their worker.
     pub failed: usize,
     /// Running jobs currently inside a stall episode (no incumbent
-    /// improvement for at least [`ServerConfig::stall_after`]
-    /// generations).
+    /// improvement for at least 25 generations).
     pub stalled: usize,
     /// Cumulative per-operator search attribution, aggregated across
     /// every job the registry has seen.
@@ -301,8 +300,8 @@ struct JobEntry {
     /// Tracer-clock reading when the job entered its queue — the start
     /// of its `job.queued` span.
     queued_ns: u64,
-    /// The job's per-generation telemetry window
-    /// ([`ServerConfig::analytics_capacity`] newest records).
+    /// The job's per-generation telemetry window (the newest
+    /// [`ANALYTICS_WINDOW`] records).
     analytics: AnalyticsRing,
     /// Cumulative per-operator attribution, absolute (after a resume it
     /// includes the restored pre-kill half).
@@ -634,13 +633,7 @@ impl JobRegistry {
             }
             let queued_ns = inner.server.tracer().now_ns();
             for (id, spec) in replayed {
-                let entry = JobEntry::new(
-                    spec,
-                    make_control(&inner, id),
-                    None,
-                    queued_ns,
-                    inner.server.config().analytics_capacity,
-                );
+                let entry = JobEntry::new(spec, make_control(&inner, id), None, queued_ns);
                 state.enqueue(id, entry);
             }
             for (scope, key, ids) in idempotency {
@@ -834,13 +827,7 @@ impl JobRegistry {
         state.next_id += specs.len() as JobId;
         let queued_ns = self.inner.server.tracer().now_ns();
         for (&id, spec) in ids.iter().zip(specs) {
-            let entry = JobEntry::new(
-                spec,
-                make_control(&self.inner, id),
-                trace,
-                queued_ns,
-                self.inner.server.config().analytics_capacity,
-            );
+            let entry = JobEntry::new(spec, make_control(&self.inner, id), trace, queued_ns);
             state.enqueue(id, entry);
         }
         if let Some(key) = dedupe_key {
@@ -1095,7 +1082,7 @@ impl JobRegistry {
                 .gauge(
                     "digamma_jobs_stalled",
                     "Running jobs currently inside a stall episode (no incumbent \
-                     improvement for stall_after generations).",
+                     improvement for 25 generations).",
                     &[],
                 )
                 .set(stats.stalled as f64);
@@ -1185,6 +1172,11 @@ impl JobRegistry {
     }
 }
 
+/// After this many stagnant generations (no incumbent improvement) a
+/// job's event log gains a `stalled` line — once per stall episode,
+/// re-armed by the next improvement.
+const STALL_AFTER: u64 = 25;
+
 /// Builds a job's control: its cancel flag is what [`JobRegistry::cancel`]
 /// flips, and its progress sink appends event lines and refreshes the
 /// live view under the registry lock (taken fresh per generation — the
@@ -1210,8 +1202,7 @@ fn make_control(inner: &Arc<Inner>, id: JobId) -> Arc<JobControl> {
             })
             .with_analytics(move |update: AnalyticsUpdate| {
                 let Some(inner) = weak_analytics.upgrade() else { return };
-                let config = inner.server.config();
-                let (capacity, stall_after) = (config.event_log_capacity, config.stall_after);
+                let capacity = inner.server.config().event_log_capacity;
                 let stats = update.stats;
                 // Per-operator incumbent deltas against the last seen
                 // absolutes (after a resume the first update carries the
@@ -1241,10 +1232,7 @@ fn make_control(inner: &Arc<Inner>, id: JobId) -> Arc<JobControl> {
                     entry.analytics.push(stats);
                     if stats.stale_gens == 0 {
                         entry.stall_emitted = false;
-                    } else if stall_after > 0
-                        && stats.stale_gens >= stall_after
-                        && !entry.stall_emitted
-                    {
+                    } else if stats.stale_gens >= STALL_AFTER && !entry.stall_emitted {
                         entry.stall_emitted = true;
                         entry.push_event(
                             format!(
@@ -1277,13 +1265,18 @@ fn make_control(inner: &Arc<Inner>, id: JobId) -> Arc<JobControl> {
     )
 }
 
+/// Per-job analytics window: the newest this many per-generation
+/// records are retained for `GET /jobs/{id}/analytics` and the `netc
+/// top` dashboard; older records are dropped (the cumulative operator
+/// counters are never windowed).
+const ANALYTICS_WINDOW: usize = 512;
+
 impl JobEntry {
     fn new(
         spec: JobSpec,
         control: Arc<JobControl>,
         trace: Option<SpanContext>,
         queued_ns: u64,
-        analytics_capacity: usize,
     ) -> JobEntry {
         JobEntry {
             spec,
@@ -1299,7 +1292,7 @@ impl JobEntry {
             report: None,
             trace,
             queued_ns,
-            analytics: AnalyticsRing::new(analytics_capacity),
+            analytics: AnalyticsRing::new(ANALYTICS_WINDOW),
             ops: OpCounters::new(),
             cost_points: Vec::new(),
             stall_emitted: false,
@@ -1976,7 +1969,7 @@ mod tests {
                 let id = next;
                 next += 1;
                 state.tenants.get_mut(tid).unwrap().queue.push_back(id);
-                state.jobs.insert(id, JobEntry::new(s, Arc::new(JobControl::new()), None, 0, 8));
+                state.jobs.insert(id, JobEntry::new(s, Arc::new(JobControl::new()), None, 0));
             }
         }
         // Claim 8 with a roomy pool, releasing each claim's threads so
@@ -2006,8 +1999,8 @@ mod tests {
         wide.threads = 2;
         let mut narrow = spec("narrow", 64);
         narrow.tenant = "capped".to_owned();
-        state.jobs.insert(1, JobEntry::new(wide, Arc::new(JobControl::new()), None, 0, 8));
-        state.jobs.insert(2, JobEntry::new(narrow, Arc::new(JobControl::new()), None, 0, 8));
+        state.jobs.insert(1, JobEntry::new(wide, Arc::new(JobControl::new()), None, 0));
+        state.jobs.insert(2, JobEntry::new(narrow, Arc::new(JobControl::new()), None, 0));
         let sched = state.tenants.get_mut("capped").unwrap();
         sched.queue.push_back(1);
         sched.queue.push_back(2);
