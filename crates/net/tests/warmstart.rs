@@ -1,9 +1,11 @@
-//! The persistent-cache acceptance test: a real `digamma-netd`, killed
-//! with SIGKILL after finishing a job, restarted on the same checkpoint
+//! The persistent-cache acceptance tests: a real `digamma-netd`, killed
+//! with SIGKILL after finishing jobs, restarted on the same checkpoint
 //! directory — the new life must warm-start its fitness memo from the
 //! spill file and serve the first resubmitted job from it (nonzero
 //! cache hits, zero misses), keeping accumulated cost-model work and
-//! not just the job queue.
+//! not just the job queue. Across several spills (a base, then
+//! appended records) the new life must hold every entry the old one
+//! had.
 
 use digamma_net::client;
 use std::io::BufRead;
@@ -105,6 +107,39 @@ fn killed_netd_warm_starts_its_fitness_memo() {
     };
     assert_eq!(best(&first), best(&rerun));
 
+    reborn.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn killed_netd_reloads_every_appended_spill() {
+    let dir =
+        std::env::temp_dir().join(format!("digamma-warmstart-appends-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let job = |seed: u64| {
+        format!(
+            "[job]\nname = seed-{seed}\nmodel = ncf\nbudget = 160\npopulation = 8\nseed = {seed}\n"
+        )
+    };
+
+    // Life one: two distinct searches, so the second one's spill appends
+    // to the base the first one wrote; then SIGKILL.
+    let daemon = Daemon::start(&dir);
+    let mut entries = Vec::new();
+    for (id, seed) in [(1, 9), (2, 10)] {
+        let accepted = client::post(&daemon.addr, "/jobs", Some(&job(seed))).unwrap();
+        assert!(accepted.contains(&format!("id = {id}")), "{accepted}");
+        wait_done(&daemon.addr, id);
+        entries.push(field(&client::get(&daemon.addr, "/stats").unwrap(), "entries"));
+    }
+    assert!(entries[1] > entries[0], "the second seed must memoize new entries: {entries:?}");
+    daemon.kill();
+
+    // Life two holds every entry life one had memoized.
+    let reborn = Daemon::start(&dir);
+    let stats = client::get(&reborn.addr, "/stats").unwrap();
+    assert_eq!(field(&stats, "entries"), entries[1], "every spill must reload:\n{stats}");
     reborn.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -107,6 +107,9 @@ struct Entry<V> {
     /// under LRU). The order queue pairs carrying an older tick for this
     /// key are stale.
     touched: u64,
+    /// Tick of the insertion. Only a disk spill reads it, to find the
+    /// entries inserted after its shard's watermark.
+    inserted: u64,
 }
 
 #[derive(Debug)]
@@ -117,11 +120,14 @@ struct Shard<V> {
     /// lazily at eviction and swept by [`Shard::compact`].
     order: VecDeque<(u64, u64)>,
     tick: u64,
+    /// The spill watermark: entries inserted at or before this tick
+    /// are already in the spill file.
+    spilled: u64,
 }
 
 impl<V> Default for Shard<V> {
     fn default() -> Shard<V> {
-        Shard { map: HashMap::new(), order: VecDeque::new(), tick: 0 }
+        Shard { map: HashMap::new(), order: VecDeque::new(), tick: 0, spilled: 0 }
     }
 }
 
@@ -270,18 +276,43 @@ impl<V: Clone> ShardedMemo<V> {
         }
     }
 
-    /// A point-in-time copy of every resident `(key, value)` pair — what
-    /// the disk spill persists (shard by shard: concurrent writers may
-    /// land between shards, which is fine for that use).
+    /// A point-in-time copy of every resident `(key, value)` pair (shard
+    /// by shard: concurrent writers may land between shards).
     pub fn entries(&self) -> Vec<(u64, V)> {
-        let mut out = Vec::with_capacity(self.len());
+        self.unspilled(true).0
+    }
+
+    /// The resident entries a disk spill must write — those inserted
+    /// since the last [`ShardedMemo::mark_spilled`], or all of them when
+    /// `all` (a fresh base) — with the mark that records them as
+    /// written. Entries inserted after a shard was read stay unspilled.
+    pub(crate) fn unspilled(&self, all: bool) -> (Vec<(u64, V)>, SpillMark) {
+        let mut out = Vec::new();
+        let mut ticks = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let shard = shard.lock().expect("cache shard poisoned");
-            out.extend(shard.map.iter().map(|(&k, e)| (k, e.value.clone())));
+            let since = if all { 0 } else { shard.spilled };
+            let fresh = shard.map.iter().filter(|(_, e)| e.inserted > since);
+            out.extend(fresh.map(|(&k, e)| (k, e.value.clone())));
+            ticks.push(shard.tick);
         }
-        out
+        (out, SpillMark(ticks))
+    }
+
+    /// Advances each shard's spill watermark to `mark`, once the entries
+    /// [`ShardedMemo::unspilled`] returned with it are durable.
+    pub(crate) fn mark_spilled(&self, mark: &SpillMark) {
+        for (shard, &tick) in self.shards.iter().zip(&mark.0) {
+            let mut shard = shard.lock().expect("cache shard poisoned");
+            shard.spilled = shard.spilled.max(tick);
+        }
     }
 }
+
+/// Per-shard ticks up to which a spill read a [`ShardedMemo`]; see
+/// [`ShardedMemo::unspilled`].
+#[derive(Debug)]
+pub(crate) struct SpillMark(Vec<u64>);
 
 impl<V: Clone + fmt::Debug + Send + Sync> Memo<V> for ShardedMemo<V> {
     fn lookup(&self, key: u64) -> Option<V> {
@@ -308,7 +339,7 @@ impl<V: Clone + fmt::Debug + Send + Sync> Memo<V> for ShardedMemo<V> {
             return;
         }
         let tick = shard.next_tick();
-        shard.map.insert(key, Entry { value, touched: tick });
+        shard.map.insert(key, Entry { value, touched: tick, inserted: tick });
         shard.order.push_back((tick, key));
         let evicted = shard.evict_to(self.shard_capacity);
         drop(shard);

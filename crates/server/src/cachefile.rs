@@ -1,41 +1,60 @@
-//! On-disk persistence for the fitness memo: spill shards at checkpoint
-//! cadence, warm-start at boot.
+//! On-disk persistence for the fitness memo: a base plus the records
+//! each later spill appended, replayed at boot.
 //!
 //! The per-layer memo's keys are already stable across processes
 //! ([`digamma_costmodel::cachekey`], versioned via `KEY_VERSION`), so a
 //! restarted `digamma-netd` can keep its accumulated *cost-model* work —
 //! not just its jobs — by writing `(key, CostReport)` pairs to a text
-//! file and reloading them at startup. Format (built on
-//! [`crate::textio`]):
+//! file and reloading them at startup. Format (the [`crate::textio`]
+//! syntax):
 //!
 //! ```text
 //! [fitness-memo]
-//! version = 1            # this file format
+//! version = 2            # this file format
 //! key_version = 1        # digamma_costmodel::cachekey::KEY_VERSION
-//! count = 2
+//! count = 2              # records in the base
 //!
 //! [entry]
+//! crc = 4b6e9a21cc03fd10 # FNV-1a 64 of the record without this line
 //! key = 16-hex stable cache key
 //! latency_cycles = 16-hex f64 bits        # every f64 is bit-exact
 //! ...                                      # see render_entry
 //! ```
 //!
+//! The header and the `count` records after it are the *base*, which
+//! [`write_cache_file`] writes whole (write, fsync, rename). Every later
+//! spill hands [`append_cache_file`] only the entries memoized since the
+//! previous one, and pays one append and one fsync: a spill costs what a
+//! job added, not what the memo holds, and never touches the header.
+//! Each record is sealed as a journal record is: its `crc` is FNV-1a 64
+//! over the record rendered without that line, and comes first, so a
+//! torn tail keeps the checksum that convicts it.
+//!
+//! A full write is only ever a compaction: a fresh base holding exactly
+//! the resident memo. The server compacts when warm start found skipped,
+//! duplicate or evicted records, after a failed append, and once the
+//! records appended since the base would exceed the memo's capacity.
+//!
 //! Robustness contract:
 //!
 //! * **bit-exact round-trip** — every `f64` travels as its IEEE-754 bit
 //!   pattern, every `u128` as decimal; a reloaded report compares equal
-//!   to the bit (property-tested in `tests/cachefile.rs`),
+//!   to the bit (the unit tests below),
 //! * **versioned** — a `version` or `key_version` mismatch discards the
-//!   whole file (stale keys must never alias a new cost model),
-//! * **corrupt-tolerant** — a malformed `[entry]` section is skipped
-//!   (counted, not fatal), so a partially damaged file still warms the
-//!   cache with its intact entries; an unreadable or unparsable file
-//!   degrades to a cold start, never a crash.
+//!   whole file (stale keys must never alias a new cost model). Version
+//!   2 sealed the records and added appends; a version-1 file is a cold
+//!   start, and the first spill replaces it with a fresh base,
+//! * **corrupt-tolerant** — warm start checks each record's `crc` over
+//!   its lines as read and skips (and counts) a record that fails it or
+//!   lacks a field, so a torn or bit-flipped file still warms the memo
+//!   with every intact record. A line that is neither a `[name]` header
+//!   nor `key = value` ends the record it interrupts, so damage never
+//!   merges two records. An unreadable file or a damaged header is a
+//!   cold start, never a crash (`tests/corruption.rs` truncates and
+//!   bit-flips a base with appended records).
 
-use crate::textio::{
-    f64_from_text, f64_to_text, f64s_from_text, f64s_to_text, parse_sections, render_sections,
-    Section, TextError,
-};
+use crate::journal::{fnv64, fnv64_extend};
+use crate::textio::{f64_from_text, f64_to_text, f64s_from_text, f64s_to_text, Section, TextError};
 use digamma_costmodel::latency::{Bottleneck, LatencyBreakdown};
 use digamma_costmodel::{
     analysis::LinkTraffic, cachekey::KEY_VERSION, BufferRequirement, CostReport, HwConfig,
@@ -45,16 +64,21 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Current spill-file format version.
-pub const CACHE_FILE_VERSION: u64 = 1;
+/// Current spill-file format version. Version 2 sealed every record
+/// with a `crc` and let spills append records after the base.
+pub const CACHE_FILE_VERSION: u64 = 2;
 
-/// What a load reports back (for logs and tests).
+/// What a load reports back (for logs, tests, and the server's
+/// compaction rule).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLoad {
     /// Entries parsed and usable.
     pub loaded: usize,
-    /// Malformed `[entry]` sections skipped.
+    /// Damaged records skipped: a `crc` that does not match the lines
+    /// as read, or a missing or malformed field.
     pub skipped: usize,
+    /// How many of the loaded entries were appended after the base.
+    pub appended: usize,
 }
 
 fn u64s_to_text(values: &[u64]) -> String {
@@ -87,7 +111,10 @@ fn u128s_from_text(s: &str) -> Result<Vec<u128>, TextError> {
         .collect()
 }
 
-fn render_entry(key: u64, report: &CostReport) -> Section {
+/// Renders one sealed `[entry]` record: its `crc` line first, then the
+/// fields. The checksum covers exactly what the journal's `record_crc`
+/// covers — the record rendered without its `crc` line.
+fn render_entry(key: u64, report: &CostReport) -> String {
     let mut s = Section::new("entry");
     s.push("key", format!("{key:016x}"));
     s.push("latency_cycles", f64_to_text(report.latency_cycles));
@@ -121,21 +148,35 @@ fn render_entry(key: u64, report: &CostReport) -> Section {
     s.push("traffic", u128s_to_text(&traffic));
     s.push("utilization", f64_to_text(report.utilization));
     s.push("macs", report.macs.to_string());
-    s
+    let unsealed = s.render();
+    let fields = &unsealed["[entry]\n".len()..];
+    format!("[entry]\ncrc = {:016x}\n{fields}", fnv64(unsealed.as_bytes()))
 }
 
-/// A required scalar: unlike `get_parsed_or`, a missing or unparsable
-/// field is an error — within an `[entry]` every field is always
-/// rendered, so absence means corruption and the entry must be skipped,
-/// never filled with a default that would silently poison evaluations.
-fn require_parsed<T: std::str::FromStr>(s: &Section, key: &str) -> Result<T, TextError> {
-    s.require(key)?.parse().map_err(|_| TextError::new(format!("bad `{key}` in [entry]")))
+/// A required field of a record: within an `[entry]` every field is
+/// always rendered, so absence means corruption and the entry must be
+/// skipped, never filled with a default that would silently poison
+/// evaluations.
+fn require<'a>(fields: &[(&str, &'a str)], key: &str) -> Result<&'a str, TextError> {
+    fields
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|&(_, v)| v)
+        .ok_or_else(|| TextError::new(format!("[entry] is missing `{key}`")))
 }
 
-fn parse_entry(s: &Section) -> Result<(u64, CostReport), TextError> {
-    let key = u64::from_str_radix(s.require("key")?, 16)
+fn require_parsed<T: std::str::FromStr>(
+    fields: &[(&str, &str)],
+    key: &str,
+) -> Result<T, TextError> {
+    require(fields, key)?.parse().map_err(|_| TextError::new(format!("bad `{key}` in [entry]")))
+}
+
+fn parse_entry(fields: &[(&str, &str)]) -> Result<(u64, CostReport), TextError> {
+    let s = |key| require(fields, key);
+    let key = u64::from_str_radix(s("key")?, 16)
         .map_err(|_| TextError::new("bad entry key (need 16 hex digits)"))?;
-    let bottleneck = match s.require("bottleneck")? {
+    let bottleneck = match s("bottleneck")? {
         "compute" => Bottleneck::Compute,
         "dram" => Bottleneck::Dram,
         other => match other.strip_prefix("noc:").and_then(|i| i.parse().ok()) {
@@ -144,14 +185,14 @@ fn parse_entry(s: &Section) -> Result<(u64, CostReport), TextError> {
         },
     };
     let latency = LatencyBreakdown {
-        compute_cycles: f64_from_text(s.require("compute_cycles")?)?,
-        dram_cycles: f64_from_text(s.require("dram_cycles")?)?,
-        noc_cycles: f64s_from_text(s.require("noc_cycles")?)?,
-        fill_cycles: f64_from_text(s.require("fill_cycles")?)?,
-        total_cycles: f64_from_text(s.require("total_cycles")?)?,
+        compute_cycles: f64_from_text(s("compute_cycles")?)?,
+        dram_cycles: f64_from_text(s("dram_cycles")?)?,
+        noc_cycles: f64s_from_text(s("noc_cycles")?)?,
+        fill_cycles: f64_from_text(s("fill_cycles")?)?,
+        total_cycles: f64_from_text(s("total_cycles")?)?,
         bottleneck,
     };
-    let flat = u128s_from_text(s.require("traffic")?)?;
+    let flat = u128s_from_text(s("traffic")?)?;
     if !flat.len().is_multiple_of(4) {
         return Err(TextError::new("traffic list must hold 4 counters per level"));
     }
@@ -160,68 +201,187 @@ fn parse_entry(s: &Section) -> Result<(u64, CostReport), TextError> {
         .map(|c| LinkTraffic { weight: c[0], input: c[1], output_write: c[2], output_read: c[3] })
         .collect();
     let report = CostReport {
-        latency_cycles: f64_from_text(s.require("latency_cycles")?)?,
+        latency_cycles: f64_from_text(s("latency_cycles")?)?,
         latency,
-        energy_pj: f64_from_text(s.require("energy_pj")?)?,
-        area_um2: f64_from_text(s.require("area_um2")?)?,
-        pe_area_um2: f64_from_text(s.require("pe_area_um2")?)?,
+        energy_pj: f64_from_text(s("energy_pj")?)?,
+        area_um2: f64_from_text(s("area_um2")?)?,
+        pe_area_um2: f64_from_text(s("pe_area_um2")?)?,
         hw: HwConfig {
-            fanouts: u64s_from_text(s.require("hw_fanouts")?)?,
-            l2_words: require_parsed(s, "hw_l2_words")?,
-            mid_words_per_unit: u64s_from_text(s.require("hw_mid_words")?)?,
-            l1_words_per_pe: require_parsed(s, "hw_l1_words")?,
+            fanouts: u64s_from_text(s("hw_fanouts")?)?,
+            l2_words: require_parsed(fields, "hw_l2_words")?,
+            mid_words_per_unit: u64s_from_text(s("hw_mid_words")?)?,
+            l1_words_per_pe: require_parsed(fields, "hw_l1_words")?,
         },
         buffers: BufferRequirement {
-            l2_words: require_parsed(s, "buf_l2_words")?,
-            mid_words_per_unit: u64s_from_text(s.require("buf_mid_words")?)?,
-            l1_words_per_pe: require_parsed(s, "buf_l1_words")?,
+            l2_words: require_parsed(fields, "buf_l2_words")?,
+            mid_words_per_unit: u64s_from_text(s("buf_mid_words")?)?,
+            l1_words_per_pe: require_parsed(fields, "buf_l1_words")?,
         },
         traffic,
-        utilization: f64_from_text(s.require("utilization")?)?,
-        macs: require_parsed(s, "macs")?,
+        utilization: f64_from_text(s("utilization")?)?,
+        macs: require_parsed(fields, "macs")?,
     };
     Ok((key, report))
 }
 
-/// Renders a full spill document for the given memo entries.
+/// Checks a record's `crc` against its lines as read — the `[entry]`
+/// header, then every other line with its newline, the bytes
+/// [`render_entry`] hashed — and parses its fields.
+fn parse_record(lines: &[&str]) -> Result<(u64, CostReport), TextError> {
+    let mut declared = None;
+    let mut hash = fnv64(b"[entry]\n");
+    let mut fields = Vec::with_capacity(lines.len());
+    for raw in lines {
+        let Some((key, value)) = raw.split_once('=') else { continue };
+        let (key, value) = (key.trim(), value.trim());
+        if key == "crc" && declared.is_none() {
+            declared = Some(value);
+            continue;
+        }
+        hash = fnv64_extend(fnv64_extend(hash, raw.as_bytes()), b"\n");
+        fields.push((key, value));
+    }
+    if declared.and_then(|crc| u64::from_str_radix(crc, 16).ok()) != Some(hash) {
+        return Err(TextError::new("[entry] does not match its crc"));
+    }
+    parse_entry(&fields)
+}
+
+/// One line of a memo file, as [`Blocks`] reads it.
+enum Line<'a> {
+    Blank,
+    /// A `[name]` header.
+    Header(&'a str),
+    /// A `key = value` line.
+    Field,
+    /// Anything else: damage.
+    Junk,
+}
+
+impl Line<'_> {
+    /// Classifies a line. One that opens with `[` but does not close
+    /// with `]` is junk, not a field: a header glued to the next line by
+    /// a damaged newline must end the record before it.
+    fn classify(raw: &str) -> Line<'_> {
+        let line = raw.trim();
+        if line.is_empty() {
+            Line::Blank
+        } else if let Some(rest) = line.strip_prefix('[') {
+            rest.strip_suffix(']').map_or(Line::Junk, |name| Line::Header(name.trim()))
+        } else if line.contains('=') {
+            Line::Field
+        } else {
+            Line::Junk
+        }
+    }
+}
+
+/// The blocks of a memo file: each block's `[name]` and its `key =
+/// value` lines, borrowed as read. A block opens at a `[name]` line, or
+/// nameless at a `key = value` line that junk cut off from its header,
+/// and a junk line closes it. So a damaged byte costs at most the record
+/// it lands in: it never glues that record onto a neighbour.
+struct Blocks<'a> {
+    lines: std::str::Lines<'a>,
+    /// The next block's name and first line, already read.
+    next: Option<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Blocks<'a> {
+    fn new(text: &'a str) -> Blocks<'a> {
+        Blocks { lines: text.lines(), next: None }
+    }
+}
+
+impl<'a> Iterator for Blocks<'a> {
+    type Item = (&'a str, Vec<&'a str>);
+
+    fn next(&mut self) -> Option<(&'a str, Vec<&'a str>)> {
+        let (name, first) = loop {
+            if let Some(opening) = self.next.take() {
+                break opening;
+            }
+            let raw = self.lines.next()?;
+            self.next = match Line::classify(raw) {
+                Line::Header(name) => Some((name, None)),
+                Line::Field => Some(("", Some(raw))),
+                Line::Blank | Line::Junk => None,
+            };
+        };
+        let mut lines: Vec<&str> = first.into_iter().collect();
+        for raw in self.lines.by_ref() {
+            match Line::classify(raw) {
+                Line::Blank => {}
+                Line::Header(name) => {
+                    self.next = Some((name, None));
+                    break;
+                }
+                Line::Field => lines.push(raw),
+                Line::Junk => break,
+            }
+        }
+        Some((name, lines))
+    }
+}
+
+/// Renders `entries` as sealed records, each after a blank line: what a
+/// base carries after its header, and what an append adds.
+fn render_records(entries: &[(u64, Arc<CostReport>)]) -> String {
+    let mut out = String::new();
+    for (key, report) in entries {
+        out.push('\n');
+        out.push_str(&render_entry(*key, report));
+    }
+    out
+}
+
+/// Renders a full spill document — a base — for the given memo entries.
 pub fn render_cache_file(entries: &[(u64, Arc<CostReport>)]) -> String {
     let mut head = Section::new("fitness-memo");
     head.push("version", CACHE_FILE_VERSION.to_string());
     head.push("key_version", KEY_VERSION.to_string());
     head.push("count", entries.len().to_string());
-    let mut sections = vec![head];
-    sections.extend(entries.iter().map(|(key, report)| render_entry(*key, report)));
-    render_sections(&sections)
+    head.render() + &render_records(entries)
 }
 
-/// Parses a spill document. A header mismatch (wrong format or key
-/// version) yields zero entries; malformed `[entry]` sections are
-/// skipped and counted.
+/// Parses a spill document: the base, then every appended record. A
+/// header mismatch (wrong format or key version) yields zero entries;
+/// damaged records are skipped and counted.
 ///
 /// # Errors
 ///
-/// Returns [`TextError`] only when the document is not even
-/// section-structured text; every finer-grained problem degrades to
-/// skipped entries.
+/// Returns [`TextError`] only when the document does not open with a
+/// `[fitness-memo]` header; every finer-grained problem degrades to
+/// skipped records.
 pub fn parse_cache_file(text: &str) -> Result<(Vec<(u64, CostReport)>, CacheLoad), TextError> {
-    let sections = parse_sections(text)?;
-    let Some(head) = sections.first().filter(|s| s.name == "fitness-memo") else {
+    let mut blocks = Blocks::new(text);
+    let Some(("fitness-memo", head)) = blocks.next() else {
         return Err(TextError::new("not a fitness-memo file"));
     };
-    let version = head.get_parsed_or("version", 0u64)?;
-    let key_version = head.get_parsed_or("key_version", 0u64)?;
-    if version != CACHE_FILE_VERSION || key_version != KEY_VERSION {
+    let field = |key: &str| {
+        head.iter().find_map(|raw| {
+            let (k, v) = raw.split_once('=')?;
+            (k.trim() == key).then(|| v.trim())
+        })
+    };
+    // Versions compare as text, so a damaged line (`02`, `+2`) never
+    // passes for the current one.
+    if field("version") != Some(&CACHE_FILE_VERSION.to_string())
+        || field("key_version") != Some(&KEY_VERSION.to_string())
+    {
         // A stale file must never alias into a newer cost model: treat
         // it as empty rather than failing the boot.
         return Ok((Vec::new(), CacheLoad::default()));
     }
+    let base: u64 = field("count").and_then(|v| v.parse().ok()).unwrap_or(0);
     let mut entries = Vec::new();
     let mut load = CacheLoad::default();
-    for section in sections.iter().filter(|s| s.name == "entry") {
-        match parse_entry(section) {
+    for (record, (_, lines)) in (0u64..).zip(blocks) {
+        match parse_record(&lines) {
             Ok(pair) => {
                 entries.push(pair);
                 load.loaded += 1;
+                load.appended += usize::from(record >= base);
             }
             Err(_) => load.skipped += 1,
         }
@@ -229,11 +389,34 @@ pub fn parse_cache_file(text: &str) -> Result<(Vec<(u64, CostReport)>, CacheLoad
     Ok((entries, load))
 }
 
+/// Writes `bytes` to `file` through the named failpoint: `short` writes
+/// half of them and fails (a torn write), `err`/`enospc` fail before
+/// writing anything.
+fn write_faulted(
+    file: &mut std::fs::File,
+    bytes: &[u8],
+    faults: &FailSet,
+    point: &str,
+) -> std::io::Result<()> {
+    match faults.fired(point) {
+        Some(FailAction::Short) => {
+            file.write_all(&bytes[..bytes.len() / 2])?;
+            let _ = file.sync_all();
+            Err(std::io::Error::other(format!("injected torn write at failpoint {point:?}")))
+        }
+        Some(action) => match action.to_io_error(point) {
+            Some(e) => Err(e),
+            None => file.write_all(bytes),
+        },
+        None => file.write_all(bytes),
+    }
+}
+
 /// Writes `bytes` to `tmp`, fsyncs, then atomically renames onto
-/// `path` — the durability discipline every spill and snapshot shares.
-/// The rename only ever promotes fully durable bytes, so a kill or
-/// power cut at any instant leaves either the old file or the new one,
-/// never a truncated hybrid. The named failpoint injects storage
+/// `path` — the durability discipline every snapshot and memo base
+/// shares. The rename only ever promotes fully durable bytes, so a kill
+/// or power cut at any instant leaves either the old file or the new
+/// one, never a truncated hybrid. The named failpoint injects storage
 /// faults: `short` tears the tmp write (the old file survives untouched
 /// since the rename never runs), `err`/`enospc` fail it outright.
 ///
@@ -249,29 +432,16 @@ pub(crate) fn persist_atomic(
     point: &str,
 ) -> std::io::Result<()> {
     let mut file = std::fs::File::create(tmp)?;
-    match faults.fired(point) {
-        Some(FailAction::Short) => {
-            file.write_all(&bytes[..bytes.len() / 2])?;
-            let _ = file.sync_all();
-            return Err(std::io::Error::other(format!(
-                "injected torn write at failpoint {point:?}"
-            )));
-        }
-        Some(action) => {
-            if let Some(e) = action.to_io_error(point) {
-                return Err(e);
-            }
-        }
-        None => {}
-    }
-    file.write_all(bytes)?;
+    write_faulted(&mut file, bytes, faults, point)?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(tmp, path)
 }
 
-/// Atomically writes the spill file (write + fsync + rename of a
-/// temporary file; the `cache.spill` failpoint injects faults).
+/// Atomically writes a fresh base holding `entries` (write + fsync +
+/// rename of a temporary file, then an fsync of its directory; the
+/// `cache.spill` failpoint injects faults). This is the only full
+/// write: the server calls it for the first spill and to compact.
 ///
 /// # Errors
 ///
@@ -283,16 +453,44 @@ pub fn write_cache_file(
     faults: &FailSet,
 ) -> std::io::Result<()> {
     let tmp = path.with_extension("cache.tmp");
-    persist_atomic(&tmp, path, render_cache_file(entries).as_bytes(), faults, "cache.spill")
+    persist_atomic(&tmp, path, render_cache_file(entries).as_bytes(), faults, "cache.spill")?;
+    // Later spills append to the renamed file, so its directory entry
+    // must be as durable as their records.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Appends `entries` to an existing spill file as sealed records, then
+/// fsyncs once. A missing file is an error, so records never land
+/// without a header. The `cache.spill` failpoint injects faults:
+/// `short` leaves half the bytes on disk, a torn tail that warm start
+/// skips; `err`/`enospc` fail before writing.
+///
+/// # Errors
+///
+/// Returns [`std::io::Error`] from the open, write, or sync. The file
+/// may then end in a torn record, so the caller must compact before
+/// appending again; every record of earlier spills survives.
+pub fn append_cache_file(
+    path: &Path,
+    entries: &[(u64, Arc<CostReport>)],
+    faults: &FailSet,
+) -> std::io::Result<()> {
+    let records = render_records(entries);
+    let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
+    write_faulted(&mut file, records.as_bytes(), faults, "cache.spill")?;
+    file.sync_all()
 }
 
 /// Best-effort load: a missing, unreadable, or corrupt file is a cold
-/// start (empty result), never an error.
+/// start (empty result), never an error. Bytes that are not UTF-8 (a
+/// flipped high bit) cost only the record they land in, whose `crc`
+/// cannot match the replacement characters.
 pub fn read_cache_file(path: &Path) -> (Vec<(u64, CostReport)>, CacheLoad) {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return (Vec::new(), CacheLoad::default());
     };
-    parse_cache_file(&text).unwrap_or_default()
+    parse_cache_file(&String::from_utf8_lossy(&bytes)).unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -69,11 +69,19 @@ use std::sync::Arc;
 /// verification.
 pub const JOURNAL_VERSION: u64 = 3;
 
-/// FNV-1a 64 — the same stable hash family the cache keys use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 — the same stable hash family the cache keys use —
+/// continued from `hash` over `bytes`, so a record can be hashed piece
+/// by piece as it is read.
+pub(crate) fn fnv64_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+}
+
+/// FNV-1a 64 of `bytes`.
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_extend(FNV_OFFSET, bytes)
 }
 
 /// The checksum of a record: FNV-1a 64 over the section rendered

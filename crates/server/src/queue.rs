@@ -30,7 +30,7 @@ use digamma_obs::{
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -243,12 +243,9 @@ pub struct SearchServer {
     /// The fitness-memo spill file (`<checkpoint_dir>/fitness-memo.cache`)
     /// when both checkpointing and caching are on.
     cache_file: Option<PathBuf>,
-    /// `insertions` counter value at the last spill; a spill is skipped
-    /// while nothing new was memoized.
-    spilled_insertions: AtomicU64,
-    /// Serializes spills: concurrent finishing jobs must not interleave
-    /// writes to the shared tmp file.
-    spill_lock: Mutex<()>,
+    /// What the spill file holds. The lock also serializes spills:
+    /// concurrent finishing jobs must not interleave their writes.
+    spill: Mutex<SpillLog>,
     /// The server's metric store ([`MetricsRegistry::disabled`] when
     /// `config.metrics_enabled` is off). Everything downstream — the
     /// net front-end, the job registry, per-job eval metrics — records
@@ -264,8 +261,9 @@ pub struct SearchServer {
 impl SearchServer {
     /// Builds a server (allocating its shared caches up front). With a
     /// checkpoint directory configured, the fitness memo **warm-starts**
-    /// from the previous life's spill file — a corrupt or version-stale
-    /// file degrades to a cold start.
+    /// from the previous life's spill file — damaged records are
+    /// skipped, and an unreadable or version-stale file degrades to a
+    /// cold start.
     pub fn new(config: ServerConfig) -> SearchServer {
         let cache = (config.cache_capacity > 0).then(|| {
             Arc::new(ShardedFitnessCache::with_policy(config.cache_capacity, config.eviction))
@@ -288,8 +286,7 @@ impl SearchServer {
             cache,
             genome_memo,
             cache_file,
-            spilled_insertions: AtomicU64::new(0),
-            spill_lock: Mutex::new(()),
+            spill: Mutex::new(SpillLog { insertions: 0, file: SpillFile::Absent }),
             metrics,
             tracer,
         };
@@ -316,61 +313,122 @@ impl SearchServer {
         &self.config.faults
     }
 
-    /// Loads the spill file (if any) into the fresh cache.
+    /// Loads the spill file (if any) into the fresh cache, and decides
+    /// how the next spill writes: appending to a clean file, or
+    /// compacting one that holds records the memo did not keep.
     fn warm_start(&self) {
         let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return };
-        let (entries, _load) = cachefile::read_cache_file(path);
+        let (entries, load) = cachefile::read_cache_file(path);
+        if load.skipped > 0 {
+            digamma_obs::log::global().log(
+                LogLevel::Warn,
+                "server",
+                None,
+                "fitness memo warm start skipped corrupt records",
+                &[
+                    ("path", path.display().to_string()),
+                    ("loaded", load.loaded.to_string()),
+                    ("skipped", load.skipped.to_string()),
+                ],
+            );
+        }
+        let records = entries.len();
         for (key, report) in entries {
             cache.store(key, Arc::new(report));
         }
-        // The warm-start insertions are already on disk; don't let them
-        // alone trigger a rewrite.
-        self.spilled_insertions.store(cache.stats().insertions, Ordering::Relaxed);
+        // Everything loaded is already on disk.
+        cache.mark_spilled(&cache.unspilled(true).1);
+        let mut log = self.spill.lock().expect("spill lock poisoned");
+        log.insertions = cache.stats().insertions;
+        log.file = if records == 0 {
+            SpillFile::Absent
+        } else if load.skipped > 0 || cache.len() != records {
+            // Damaged, duplicate or evicted records: a rewrite drops them.
+            SpillFile::Stale
+        } else {
+            SpillFile::Base { appended: load.appended }
+        };
     }
 
-    /// New insertions a *cadence* spill waits for before rewriting the
-    /// file. A spill serializes the whole resident cache (potentially
-    /// hundreds of thousands of entries) on the searching thread, so
-    /// mid-search spills must amortize: a long job spills only per this
-    /// many new memoizations, while job completion and shutdown spill
-    /// on any dirt at all.
+    /// New insertions a *cadence* spill waits for before writing. A
+    /// spill appends only what was memoized since the last one, but each
+    /// pays an fsync on the searching thread, so mid-search spills
+    /// amortize: a long job spills only per this many new memoizations,
+    /// while job completion and shutdown spill on any dirt at all.
     const SPILL_CADENCE_MIN_INSERTIONS: u64 = 4096;
 
     /// Spills the fitness memo to its file when new entries were
-    /// memoized since the last spill. Called at job completion and
-    /// registry shutdown; cheap when clean (one atomic read). Errors
-    /// are swallowed — a spill is an optimization, never worth failing
-    /// a search over.
+    /// memoized since the last spill, or a compaction is pending. Called
+    /// at job completion and registry shutdown; cheap when clean (a
+    /// counter check, no I/O). Errors are swallowed — a spill is an
+    /// optimization, never worth failing a search over.
     pub fn spill_cache_if_dirty(&self) {
         self.spill_cache(1);
     }
 
     /// Spills once at least `min_new_insertions` (minimum 1) entries
-    /// were memoized since the last spill, and returns how long the
-    /// spill took when one happened (so callers can trace only real
-    /// writes, not clean-exit no-ops).
+    /// were memoized since the last spill, or at once when the file holds
+    /// records a rewrite must drop, and returns how long the spill took
+    /// when one happened (so callers can trace only real writes, not
+    /// clean-exit no-ops).
+    ///
+    /// A spill appends the entries inserted since the last one. It
+    /// writes a fresh base of the whole resident memo instead — the
+    /// compaction — when the file has no base to append to, when it
+    /// holds stale records, or when the records appended since its base
+    /// would exceed `cache_capacity`.
     fn spill_cache(&self, min_new_insertions: u64) -> Option<Duration> {
         let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return None };
-        let _guard = self.spill_lock.lock().expect("spill lock poisoned");
+        let mut log = self.spill.lock().expect("spill lock poisoned");
         let insertions = cache.stats().insertions;
-        let since_last = insertions.saturating_sub(self.spilled_insertions.load(Ordering::Relaxed));
-        if since_last < min_new_insertions.max(1) {
+        let since_last = insertions.saturating_sub(log.insertions);
+        if log.file != SpillFile::Stale && since_last < min_new_insertions.max(1) {
             return None;
         }
-        self.spilled_insertions.store(insertions, Ordering::Relaxed);
         let spill_started = Instant::now();
-        if let Err(e) = cachefile::write_cache_file(path, &cache.entries(), &self.config.faults) {
-            // A failed spill (disk full, torn write) loses nothing but
-            // warmth: the atomic-rename discipline keeps the previous
-            // good file, and the next spill retries from scratch.
-            self.spilled_insertions.store(insertions.saturating_sub(since_last), Ordering::Relaxed);
-            digamma_obs::log::global().log(
-                LogLevel::Warn,
-                "server",
-                None,
-                "cache spill failed; previous spill file retained",
-                &[("path", path.display().to_string()), ("err", e.to_string())],
-            );
+        let appendable = match log.file {
+            SpillFile::Base { appended } => Some(appended),
+            SpillFile::Absent | SpillFile::Stale => None,
+        };
+        let (mut entries, mut mark) = cache.unspilled(appendable.is_none());
+        let append_to = appendable
+            .map(|appended| appended + entries.len())
+            .filter(|&appended| appended <= self.config.cache_capacity);
+        if append_to.is_none() && appendable.is_some() {
+            (entries, mark) = cache.unspilled(true);
+        }
+        let faults = &self.config.faults;
+        let written = match append_to {
+            // Everything new was evicted, or an earlier spill took it.
+            Some(appended) if entries.is_empty() => Ok(SpillFile::Base { appended }),
+            Some(appended) => cachefile::append_cache_file(path, &entries, faults)
+                .map(|()| SpillFile::Base { appended }),
+            None => cachefile::write_cache_file(path, &entries, faults)
+                .map(|()| SpillFile::Base { appended: 0 }),
+        };
+        match written {
+            Ok(file) => {
+                cache.mark_spilled(&mark);
+                log.file = file;
+                log.insertions = insertions;
+            }
+            Err(e) => {
+                // A failed compaction loses nothing but warmth: the
+                // atomic-rename discipline keeps the previous good file.
+                // A failed append may leave a torn record, so the next
+                // spill compacts. Either way the watermark stays put and
+                // the next spill retries these entries.
+                if append_to.is_some() {
+                    log.file = SpillFile::Stale;
+                }
+                digamma_obs::log::global().log(
+                    LogLevel::Warn,
+                    "server",
+                    None,
+                    "cache spill failed; earlier spills retained",
+                    &[("path", path.display().to_string()), ("err", e.to_string())],
+                );
+            }
         }
         let elapsed = spill_started.elapsed();
         self.metrics
@@ -675,6 +733,32 @@ impl SearchServer {
     }
 }
 
+/// What the fitness-memo spill file holds, which decides how the next
+/// spill writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SpillFile {
+    /// No base a spill can append to: no file, or one that loaded
+    /// nothing (stale, unreadable or empty). The next spill with new
+    /// entries writes a base.
+    Absent,
+    /// A clean base plus `appended` records: spills append.
+    Base { appended: usize },
+    /// Records the memo did not keep — damaged, duplicate or evicted at
+    /// warm start, or a torn append. The next spill compacts, even with
+    /// nothing new memoized.
+    Stale,
+}
+
+/// The spill bookkeeping [`SearchServer::spill_cache`] keeps under its
+/// lock.
+#[derive(Debug)]
+struct SpillLog {
+    /// The memo's `insertions` counter at the last spill; a spill is
+    /// skipped while nothing new was memoized.
+    insertions: u64,
+    file: SpillFile,
+}
+
 /// What [`SearchServer::drive_ga`] (or a baseline run) produced, plus
 /// the timing the report breaks out.
 struct GaOutcome {
@@ -754,8 +838,7 @@ impl DriveObserver<'_> {
     /// Spills the fitness memo, tracing the write when one happens. A
     /// cadence spill waits for
     /// [`SearchServer::SPILL_CADENCE_MIN_INSERTIONS`] new entries,
-    /// bounding how often a long search pays the serialize-everything
-    /// cost mid-run.
+    /// bounding how many fsyncs a long search pays mid-run.
     fn spill(&self, at_cadence: bool) {
         let min_new = if at_cadence { SearchServer::SPILL_CADENCE_MIN_INSERTIONS } else { 1 };
         if let Some(elapsed) = self.server.spill_cache(min_new) {
@@ -1067,6 +1150,126 @@ mod tests {
             r2.best.as_ref().map(|b| b.cost.to_bits()),
             "replayed reports must not change results"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh, empty directory under the system temp dir.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("digamma-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn spills_append_only_the_entries_a_job_added() {
+        let dir = scratch_dir("spill-append");
+        let config = ServerConfig {
+            workers: 1,
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let path = dir.join("fitness-memo.cache");
+        let server = SearchServer::new(config.clone());
+        server.run_job(&spec("a", JobAlgorithm::DiGamma));
+        let f1 = std::fs::read(&path).unwrap();
+        let after_a = server.cache_stats().unwrap();
+
+        // The identical rerun memoizes nothing, so it writes nothing.
+        server.run_job(&spec("a-again", JobAlgorithm::DiGamma));
+        assert_eq!(server.cache_stats().unwrap().insertions, after_a.insertions);
+        assert!(std::fs::read(&path).unwrap() == f1, "a clean spill must not touch the file");
+
+        // A distinct search appends exactly the entries it added.
+        server.run_job(&JobSpec { seed: 6, ..spec("b", JobAlgorithm::DiGamma) });
+        let f2 = std::fs::read(&path).unwrap();
+        let after_b = server.cache_stats().unwrap();
+        assert!(after_b.entries > after_a.entries, "a new seed memoizes new entries");
+        assert!(f2.starts_with(&f1), "a spill appends; it never rewrites the earlier bytes");
+        let appended = String::from_utf8(f2[f1.len()..].to_vec()).unwrap();
+        assert_eq!(
+            appended.matches("\n[entry]\n").count() as u64,
+            after_b.entries - after_a.entries,
+            "one record per new entry"
+        );
+        drop(server);
+
+        let reborn = SearchServer::new(config);
+        assert_eq!(reborn.cache_stats().unwrap().entries, after_b.entries);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_appends_keep_earlier_spills_and_the_next_spill_compacts() {
+        let dir = scratch_dir("spill-fault");
+        let server = SearchServer::new(ServerConfig {
+            workers: 1,
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let path = dir.join("fitness-memo.cache");
+        let run = |seed| {
+            let before = server.cache_stats().unwrap().insertions;
+            server
+                .run_job(&JobSpec { seed, ..spec(&format!("job-{seed}"), JobAlgorithm::DiGamma) });
+            assert!(server.cache_stats().unwrap().insertions > before, "seed {seed} adds entries");
+        };
+        // Each entry as its rendered record, so comparisons are bit-exact.
+        let records = |entries: Vec<(u64, Arc<digamma_costmodel::CostReport>)>| {
+            let rendered = entries
+                .into_iter()
+                .map(|(key, report)| (key, cachefile::render_cache_file(&[(key, report)])));
+            rendered.collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let resident = || records(server.cache.as_ref().unwrap().entries());
+        let on_disk = || {
+            let (entries, load) = cachefile::read_cache_file(&path);
+            (records(entries.into_iter().map(|(k, r)| (k, Arc::new(r))).collect()), load)
+        };
+
+        for (round, fault) in
+            ["cache.spill=short,once", "cache.spill=enospc,once"].iter().enumerate()
+        {
+            let seed = 10 * round as u64;
+            run(seed + 1);
+            let base = std::fs::read(&path).unwrap();
+            run(seed + 2);
+            let before = std::fs::read(&path).unwrap();
+            assert!(
+                before.len() > base.len() && before.starts_with(&base),
+                "a clean spill appends"
+            );
+            let earlier = resident();
+            assert_eq!(on_disk().0, earlier);
+
+            server.faults().configure(fault).unwrap();
+            run(seed + 3);
+            let after = std::fs::read(&path).unwrap();
+            assert!(after.starts_with(&before), "{fault}: earlier bytes survive");
+            if fault.contains("short") {
+                assert!(after.len() > before.len(), "the torn append left bytes behind");
+            } else {
+                assert_eq!(after.len(), before.len(), "ENOSPC writes nothing");
+            }
+            let (loaded, load) = on_disk();
+            let now = resident();
+            for (key, record) in &earlier {
+                assert_eq!(loaded.get(key), Some(record), "{fault}: an earlier entry was lost");
+            }
+            for (key, record) in &loaded {
+                assert_eq!(now.get(key), Some(record), "{fault}: loaded bits the memo never held");
+            }
+            assert!(load.skipped <= 1, "{fault}: only the torn record is skipped");
+
+            // The next spill compacts, though nothing new was memoized.
+            server.spill_cache_if_dirty();
+            let text = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
+            assert_eq!(
+                on_disk(),
+                (now.clone(), cachefile::CacheLoad { loaded: now.len(), ..Default::default() })
+            );
+            assert!(text.contains(&format!("\ncount = {}\n", now.len())), "{fault}: a fresh base");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,19 +1,31 @@
-//! The storage corruption suite: journals and snapshots fed truncated,
-//! bit-flipped, and duplicated input must never panic, never replay
-//! damaged records as good ones, and must count the damage they skip.
+//! The storage corruption suite: journals, snapshots and fitness-memo
+//! files fed truncated, bit-flipped, and duplicated input must never
+//! panic, never replay damaged records as good ones, and must count the
+//! damage they skip.
 //!
 //! The journal under test carries the full record zoo — a keyed batch
 //! (`[submitted]` × 2 + `[idempotency]`), a `[finished]` terminal
 //! record, and a second batch — so every parser path faces the damage.
+//! The memo file under test is a base plus two appended segments, the
+//! shape spills leave behind.
 
 use digamma::{CoOptProblem, Objective};
-use digamma_costmodel::Platform;
+use digamma_costmodel::{CostReport, Evaluator, Mapping, Platform};
 use digamma_encoding::Genome;
-use digamma_server::{JobAlgorithm, JobSpec, JobStatus, Journal, Snapshot};
+use digamma_obs::FailSet;
+use digamma_server::cachefile::{
+    append_cache_file, parse_cache_file, read_cache_file, write_cache_file, CacheLoad,
+};
+use digamma_server::{
+    JobAlgorithm, JobSpec, JobStatus, Journal, SearchServer, ServerConfig, Snapshot,
+};
 use digamma_workload::zoo;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
+use std::path::Path;
+use std::sync::Arc;
 
 fn spec(name: &str, budget: usize) -> JobSpec {
     let mut s =
@@ -262,4 +274,218 @@ fn duplicated_journal_records_replay_once_per_id() {
     assert_eq!(replay.corrupt, 0, "duplicates are valid records, not corruption");
     assert_eq!(replay.next_id, 4);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `count` distinct `(key, report)` pairs: a few mapping shapes of each
+/// unique layer of a handful of models, in evaluation order.
+fn memo_entries(count: usize) -> Vec<(u64, Arc<CostReport>)> {
+    let eval = Evaluator::new(Platform::edge());
+    let mut seen = HashSet::new();
+    let mut entries = Vec::new();
+    for model in [zoo::ncf(), zoo::resnet18(), zoo::mobilenet_v2(), zoo::bert()] {
+        for u in model.unique_layers() {
+            for (rows, cols) in [(1, 1), (2, 2), (4, 2), (8, 4), (16, 8), (4, 16), (32, 2)] {
+                let mapping = Mapping::row_major_example(&u.layer, rows, cols);
+                let key = eval.cache_key(&u.layer, &mapping);
+                if let Ok(report) = eval.evaluate(&u.layer, &mapping) {
+                    if seen.insert(key) {
+                        entries.push((key, Arc::new(report)));
+                    }
+                }
+                if entries.len() == count {
+                    return entries;
+                }
+            }
+        }
+    }
+    panic!("only {} distinct memo entries, wanted {count}", entries.len());
+}
+
+/// Writes a memo file of `entries` as spills leave one: a base holding
+/// the first `base`, then the rest appended in two segments, the first
+/// holding `first`. Returns the file's bytes.
+fn write_memo(
+    path: &Path,
+    entries: &[(u64, Arc<CostReport>)],
+    base: usize,
+    first: usize,
+) -> Vec<u8> {
+    let faults = FailSet::new();
+    write_cache_file(path, &entries[..base], &faults).unwrap();
+    append_cache_file(path, &entries[base..base + first], &faults).unwrap();
+    append_cache_file(path, &entries[base + first..], &faults).unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// Loads memo-file bytes as `read_cache_file` decodes a file, without
+/// the disk round trip, so a sweep can try every cut and every flip.
+fn load(bytes: &[u8]) -> (HashMap<u64, CostReport>, CacheLoad) {
+    let (entries, load) = parse_cache_file(&String::from_utf8_lossy(bytes)).unwrap_or_default();
+    (entries.into_iter().collect(), load)
+}
+
+/// Whether `loaded` holds exactly the bits written under `key`: every
+/// `f64` compared by its bit pattern, so even a sign flip of a zero
+/// counts.
+fn written_bits(entries: &[(u64, Arc<CostReport>)], key: u64, loaded: &CostReport) -> bool {
+    let Some((_, a)) = entries.iter().find(|(k, _)| *k == key) else { return false };
+    let b = loaded;
+    let f = |x: f64, y: f64| x.to_bits() == y.to_bits();
+    let fs = |x: &[f64], y: &[f64]| x.len() == y.len() && x.iter().zip(y).all(|(p, q)| f(*p, *q));
+    f(a.latency_cycles, b.latency_cycles)
+        && f(a.latency.compute_cycles, b.latency.compute_cycles)
+        && f(a.latency.dram_cycles, b.latency.dram_cycles)
+        && fs(&a.latency.noc_cycles, &b.latency.noc_cycles)
+        && f(a.latency.fill_cycles, b.latency.fill_cycles)
+        && f(a.latency.total_cycles, b.latency.total_cycles)
+        && a.latency.bottleneck == b.latency.bottleneck
+        && f(a.energy_pj, b.energy_pj)
+        && f(a.area_um2, b.area_um2)
+        && f(a.pe_area_um2, b.pe_area_um2)
+        && (&a.hw, &a.buffers, &a.traffic) == (&b.hw, &b.buffers, &b.traffic)
+        && f(a.utilization, b.utilization)
+        && a.macs == b.macs
+}
+
+/// The byte span of each `[entry]` record in a memo file, its final
+/// newline included (the blank line before a record is in no span).
+fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let text = std::str::from_utf8(bytes).unwrap();
+    let starts: Vec<usize> = text.match_indices("\n[entry]\n").map(|(at, _)| at + 1).collect();
+    let ends = starts.iter().skip(1).map(|&next| next - 1).chain([text.len()]);
+    starts.iter().copied().zip(ends).collect()
+}
+
+/// A memo file shaped by `(base, first, second)` records in its base and
+/// two appended segments, written to a fresh directory: its entries in
+/// file order, and its bytes. Reading it back from disk loads them all.
+fn reference_memo(
+    tag: &str,
+    (base, first, second): (usize, usize, usize),
+) -> (Vec<(u64, Arc<CostReport>)>, Vec<u8>) {
+    let dir =
+        std::env::temp_dir().join(format!("digamma-corrupt-memo-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fitness-memo.cache");
+    let entries = memo_entries(base + first + second);
+    let bytes = write_memo(&path, &entries, base, first);
+    let (loaded, load) = read_cache_file(&path);
+    assert_eq!((loaded.len(), load.skipped, load.appended), (entries.len(), 0, first + second));
+    std::fs::remove_dir_all(&dir).ok();
+    (entries, bytes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// For memo files of several shapes, a truncation at every byte
+    /// loads without panic every record wholly before the cut, and
+    /// nothing else: a torn record fails its crc.
+    #[test]
+    fn truncated_memo_files_load_every_whole_record(shape in (0usize..4, 0usize..3, 1usize..3)) {
+        let (entries, bytes) = reference_memo("trunc", shape);
+        let spans = record_spans(&bytes);
+        for cut in 0..=bytes.len() {
+            let (loaded, load) = load(&bytes[..cut]);
+            for (i, ((key, _), (_, end))) in entries.iter().zip(&spans).enumerate() {
+                if *end <= cut {
+                    prop_assert!(loaded.contains_key(key), "cut {}: whole record {} lost", cut, i);
+                } else if *end > cut + 1 {
+                    // Only a record missing nothing but its last newline is whole.
+                    prop_assert!(!loaded.contains_key(key), "cut {}: torn record {} loaded", cut, i);
+                }
+            }
+            for (key, report) in &loaded {
+                prop_assert!(written_bits(&entries, *key, report), "cut {}: altered bits", cut);
+            }
+            prop_assert!(load.skipped <= 1, "cut {}: one tear, {} skipped", cut, load.skipped);
+        }
+    }
+
+    /// For memo files of several shapes, flipping one bit of any byte
+    /// (each byte in turn, a seeded bit each) never panics, never loads
+    /// bits that differ from what was written, and costs at most the
+    /// record it lands in. A flip in the header's version lines is a
+    /// cold start; elsewhere in the header it loses everything or
+    /// nothing.
+    #[test]
+    fn bit_flipped_memo_files_lose_at_most_the_flipped_record(
+        shape in (0usize..4, 0usize..3, 1usize..3),
+        bit_seed in 0u64..u64::MAX,
+    ) {
+        let (entries, bytes) = reference_memo("flip", shape);
+        let spans = record_spans(&bytes);
+        let text = std::str::from_utf8(&bytes).unwrap();
+        let line_of = |prefix: &str| {
+            let start = text.find(prefix).unwrap() + 1;
+            start..start + text[start..].find('\n').unwrap()
+        };
+        let version_lines = [line_of("\nversion = "), line_of("\nkey_version = ")];
+        let mut rng = SmallRng::seed_from_u64(bit_seed);
+        for at in 0..bytes.len() {
+            let bit: u32 = rng.gen_range(0..8);
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << bit;
+            let (loaded, _) = load(&flipped);
+            for (key, report) in &loaded {
+                prop_assert!(
+                    written_bits(&entries, *key, report),
+                    "flip {}:{} altered bits", at, bit
+                );
+            }
+            if version_lines.iter().any(|line| line.contains(&at)) {
+                prop_assert!(loaded.is_empty(), "flip {}:{} in a version line loaded", at, bit);
+            } else if at < spans[0].0 {
+                prop_assert!(
+                    loaded.is_empty() || loaded.len() == entries.len(),
+                    "flip {}:{} in the header loaded {} of {}",
+                    at, bit, loaded.len(), entries.len()
+                );
+            } else {
+                let hit = spans.iter().position(|(start, end)| (*start..*end).contains(&at));
+                for (i, (key, _)) in entries.iter().enumerate() {
+                    if Some(i) != hit {
+                        prop_assert!(loaded.contains_key(key), "flip {}:{} lost {}", at, bit, i);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A memo file holding more records than the server's
+    /// `cache_capacity` is evicted into at warm start, so one spill —
+    /// with nothing new memoized — rewrites it down to the resident
+    /// memo.
+    #[test]
+    fn oversized_memo_files_compact_after_one_spill(capacity in 1usize..=128) {
+        let dir = std::env::temp_dir()
+            .join(format!("digamma-corrupt-compact-{}-{capacity}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fitness-memo.cache");
+        let entries = memo_entries(200);
+        let written = write_memo(&path, &entries, 100, 50);
+
+        let server = SearchServer::new(ServerConfig {
+            workers: 1,
+            cache_capacity: capacity,
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let resident = server.cache_stats().unwrap().entries as usize;
+        prop_assert!(resident < entries.len(), "{} of {} resident", resident, entries.len());
+        prop_assert_eq!(std::fs::read(&path).unwrap(), written, "warm start never writes");
+
+        server.spill_cache_if_dirty();
+        let compacted = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
+        prop_assert_eq!(compacted.matches("\n[entry]\n").count(), resident);
+        let (loaded, load) = read_cache_file(&path);
+        prop_assert_eq!((loaded.len(), load.skipped, load.appended), (resident, 0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
