@@ -650,6 +650,29 @@ mod tests {
     }
 
     #[test]
+    fn appends_need_a_base_and_reload_after_it() {
+        let dir =
+            std::env::temp_dir().join(format!("digamma-cachefile-append-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fitness-memo.cache");
+        let entries = sample_entries();
+        let faults = FailSet::new();
+        assert!(append_cache_file(&path, &entries, &faults).is_err(), "no base, no append");
+        assert!(!path.exists(), "a failed append never creates a headerless file");
+        write_cache_file(&path, &entries[..2], &faults).unwrap();
+        append_cache_file(&path, &entries[2..], &faults).unwrap();
+        let (back, load) = read_cache_file(&path);
+        let appended = entries.len() - 2;
+        assert_eq!(load, CacheLoad { loaded: entries.len(), skipped: 0, appended });
+        for ((ka, ra), (kb, rb)) in entries.iter().zip(&back) {
+            assert_eq!(ka, kb);
+            assert_report_bits(ra, rb);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn injected_storage_faults_never_clobber_the_previous_spill() {
         let dir =
             std::env::temp_dir().join(format!("digamma-cachefile-fault-{}", std::process::id()));
