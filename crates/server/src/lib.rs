@@ -53,6 +53,7 @@ mod journal;
 mod manifest;
 mod queue;
 mod registry;
+mod sealed;
 mod snapshot;
 pub mod textio;
 

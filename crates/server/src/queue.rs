@@ -18,6 +18,7 @@ use crate::cache::{
 };
 use crate::cachefile;
 use crate::job::{JobAlgorithm, JobReport, JobSpec};
+use crate::sealed;
 use crate::snapshot::Snapshot;
 use digamma::{
     run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, Gamma,
@@ -658,7 +659,7 @@ impl SearchServer {
         let mut resumed_at = None;
         let restored = path
             .as_ref()
-            .and_then(|p| std::fs::read_to_string(p).ok())
+            .and_then(|p| sealed::read(p).ok())
             .and_then(|text| Snapshot::parse(&text).ok())
             .and_then(|snap| snap.restore(ga, problem, &fingerprint).ok());
         let mut state = match restored {
@@ -699,7 +700,7 @@ impl SearchServer {
         let checkpoint_wall = observer.checkpoint_wall;
         if !cancelled {
             if let Some(p) = &path {
-                let _ = std::fs::remove_file(p);
+                let _ = sealed::remove(p);
             }
         }
         let generations = state.generation();
@@ -850,18 +851,13 @@ impl DriveObserver<'_> {
         let Some(p) = self.path else { return };
         let write_started = Instant::now();
         let rendered = Snapshot::capture(self.fingerprint, state).render();
-        // Write, fsync, then rename: a kill or power cut mid-write must
-        // never destroy the previous good snapshot or promote a
-        // half-written new one. Failures (including the injected
-        // `snapshot.write` faults) keep the old snapshot and warn.
-        let tmp = p.with_extension("snapshot.tmp");
-        if let Err(e) = cachefile::persist_atomic(
-            &tmp,
-            p,
-            rendered.as_bytes(),
-            &self.server.config.faults,
-            "snapshot.write",
-        ) {
+        // An atomic replace: a kill or power cut mid-write never destroys
+        // the previous good snapshot or promotes a half-written new one.
+        // The rename is not made durable (see `crate::sealed`). Failures
+        // (including the injected `snapshot.write` faults) keep the old
+        // snapshot and warn.
+        let faults = &self.server.config.faults;
+        if let Err(e) = sealed::replace(p, rendered.as_bytes(), faults, "snapshot.write") {
             digamma_obs::log::global().log(
                 LogLevel::Warn,
                 "server",

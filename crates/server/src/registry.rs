@@ -608,7 +608,7 @@ impl JobRegistry {
             .metrics()
             .counter(
                 "digamma_journal_corrupt_records_total",
-                "Journal records whose checksum failed at replay (skipped, not replayed).",
+                "Damaged journal records skipped at replay (failed or missing checksum).",
                 &[],
             )
             .add(corrupt);

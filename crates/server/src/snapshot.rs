@@ -8,17 +8,27 @@
 //! killed search to continue **bit-identically**, which
 //! `tests/resume.rs` proves end to end.
 //!
-//! Format (built on [`crate::textio`]):
+//! Format (sealed records, see [`crate::sealed`]):
 //!
 //! ```text
 //! [snapshot]
-//! version = 2
+//! crc = 1f0c...                       # each record is sealed (version 4)
+//! version = 4
 //! fingerprint = ncf/edge/latency/digamma/b600/s1/p16
 //! generation = 12
 //! samples = 208
+//! population = 16                     # genomes in [population]
 //! history = 7ff0...x16,4111e1c0...x24,...  # RLE: 16-hex f64 bits x count
 //! best = 8,16|K,KCYXRS,...            # absent while nothing feasible
+//!
+//! [analytics]
+//! crc = 6d2a...
+//! last_improved_gen = 11
+//! op = crossover 96 7 2               # attempted improved incumbents
+//! point = 1 16 4111e1c000000000       # generation evals best-bits
+//!
 //! [population]
+//! crc = 90b4...
 //! genome = 8,16|K,KCYXRS,...          # repeated, in population order
 //! ```
 //!
@@ -40,15 +50,23 @@
 //! from its boundary under the *new* trajectory, which bit-matches a
 //! fresh run of this build from that boundary, not the old build's
 //! finished curve.
+//!
+//! Version 4 seals each of the three records with a `crc`. A version-4
+//! document parses only when it holds exactly those three records, each
+//! intact, and no junk line: no damaged byte can parse as a different
+//! snapshot that a resumed job would adopt. Every version rejects a
+//! junk line or a field before the first header, as the strict
+//! [`crate::textio::parse_sections`] always did.
 
+use crate::sealed::{self, Record, Records, Seal};
 use crate::textio::{self, Section, TextError};
 use digamma::{CoOptProblem, DiGamma, SearchState};
 use digamma_encoding::Genome;
 use digamma_obs::{CostPoint, OpCounters, OpKind};
 
 /// Current snapshot format version. Parsing accepts this and versions
-/// 1–2 (pre-analytics; version 1 is additionally pre-RLE).
-pub const SNAPSHOT_VERSION: u64 = 3;
+/// 1–3 (unsealed; 1–2 are pre-analytics, and 1 is pre-RLE).
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// A parsed (or about-to-be-rendered) checkpoint.
 #[derive(Debug, Clone)]
@@ -197,36 +215,49 @@ impl Snapshot {
         for g in &self.population {
             pop.push("genome", g.to_text());
         }
-        textio::render_sections(&[head, analytics, pop])
+        [head, analytics, pop].iter().map(sealed::seal).collect()
     }
 
     /// Parses a document rendered by [`Snapshot::render`].
     ///
     /// # Errors
     ///
-    /// Returns [`TextError`] on malformed input, a version mismatch, or
+    /// Returns [`TextError`] on malformed input, a version mismatch, a
+    /// version-4 record that is missing, repeated or fails its `crc`, or
     /// internal inconsistency (declared population/sample counts not
     /// matching the document body — the signature of a file truncated
     /// mid-write).
     pub fn parse(text: &str) -> Result<Snapshot, TextError> {
-        let sections = textio::parse_sections(text)?;
-        let head = sections
-            .iter()
-            .find(|s| s.name == "snapshot")
-            .ok_or_else(|| TextError::new("missing [snapshot] section"))?;
+        // Every version keeps the strict text rules: no junk line, no
+        // field before the first header.
+        let mut reader = Records::new(text);
+        let records: Vec<Record> = reader.by_ref().collect();
+        if reader.junk > 0 || records.iter().any(|r| r.name.is_empty()) {
+            return Err(TextError::new("snapshot has a line outside `[section]` / `key = value`"));
+        }
+        let section = |name| records.iter().find(|r| r.name == name).map(Record::to_section);
+        let head =
+            section("snapshot").ok_or_else(|| TextError::new("missing [snapshot] section"))?;
         let version: u64 = head.get_parsed_or("version", 0)?;
         if !(1..=SNAPSHOT_VERSION).contains(&version) {
             return Err(TextError::new(format!(
                 "snapshot version {version} unsupported (this build reads 1..={SNAPSHOT_VERSION})"
             )));
         }
+        // Version 4 is exactly its three sealed records, each intact.
+        let sealed_records = ["snapshot", "analytics", "population"];
+        if version >= 4
+            && (records.len() != sealed_records.len()
+                || records.iter().any(|r| r.seal != Seal::Intact)
+                || sealed_records.iter().any(|&name| records.iter().all(|r| r.name != name)))
+        {
+            return Err(TextError::new("version-4 snapshot is not its three records, intact"));
+        }
         let parse_genome =
             |s: &str| Genome::from_text(s).map_err(|e| TextError::new(format!("bad genome: {e}")));
         let best = head.get("best").map(parse_genome).transpose()?;
-        let pop = sections
-            .iter()
-            .find(|s| s.name == "population")
-            .ok_or_else(|| TextError::new("missing [population] section"))?;
+        let pop =
+            section("population").ok_or_else(|| TextError::new("missing [population] section"))?;
         let population = pop
             .get_all("genome")
             .into_iter()
@@ -263,7 +294,7 @@ impl Snapshot {
         let mut ops = OpCounters::new();
         let mut last_improved_gen = generation;
         let mut cost_points = Vec::new();
-        if let Some(analytics) = sections.iter().find(|s| s.name == "analytics") {
+        if let Some(analytics) = section("analytics") {
             last_improved_gen = analytics.get_parsed_or("last_improved_gen", generation)?;
             for raw in analytics.get_all("op") {
                 let mut parts = raw.split_whitespace();

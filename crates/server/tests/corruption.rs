@@ -276,6 +276,83 @@ fn duplicated_journal_records_replay_once_per_id() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A torn append costs only its own record: the next acknowledged
+/// append opens with a blank line that ends the torn line, so it is
+/// never glued onto the torn record and lost with it.
+#[test]
+fn torn_journal_appends_cost_only_the_torn_record() {
+    let dir = std::env::temp_dir().join(format!("digamma-corrupt-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let faults = Arc::new(FailSet::new());
+    let journal = Journal::with_faults(dir.join("torn.journal"), Arc::clone(&faults));
+    journal.append_submitted(1, &spec("alpha", 100)).unwrap();
+    faults.configure("journal.append=short,once").unwrap();
+    assert!(journal.append_submitted(2, &spec("beta", 200)).is_err(), "a torn submit fails");
+    journal.append_submitted(3, &spec("gamma", 300)).unwrap();
+    journal.append_finished(1, JobStatus::Done).unwrap();
+
+    let replay = journal.replay().unwrap();
+    let pending: Vec<u64> = replay.pending.iter().map(|(id, _)| *id).collect();
+    assert_eq!(pending, vec![3], "the acknowledged submit after the tear replays");
+    assert_eq!(replay.finished, vec![(1, JobStatus::Done)]);
+    assert_eq!(replay.corrupt, 1, "only the torn record is convicted");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A byte that is not UTF-8 anywhere in the journal — the high bit of
+/// each byte flipped in turn — never fails the replay (which would
+/// refuse the daemon's start), never replays an altered record, and any
+/// deviation from the pristine state comes with a conviction.
+#[test]
+fn journals_replay_past_any_non_utf8_byte() {
+    let dir = std::env::temp_dir().join(format!("digamma-corrupt-utf8-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("flipped.journal");
+    write_reference_journal(&path);
+    let bytes = std::fs::read(&path).unwrap();
+    for at in 0..bytes.len() {
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0x80;
+        std::fs::write(&path, &flipped).unwrap();
+        let replay = Journal::new(&path)
+            .replay()
+            .unwrap_or_else(|e| panic!("flip at {at} failed the replay: {e}"));
+        for (id, spec) in &replay.pending {
+            let wanted = match id {
+                1 => ("alpha", 100),
+                2 => ("beta", 200),
+                3 => ("gamma", 300),
+                other => panic!("flip at {at} invented job id {other}"),
+            };
+            assert_eq!((spec.name.as_str(), spec.budget), wanted, "flip at {at} altered a record");
+        }
+        let pristine = replay.pending.iter().map(|(i, _)| *i).collect::<Vec<_>>() == vec![2, 3]
+            && replay.finished == vec![(1, JobStatus::Done)]
+            && replay.idempotency == vec![("acme".to_owned(), "k-chaos".to_owned(), vec![1, 2])];
+        assert!(pristine || replay.corrupt >= 1, "flip at {at} changed the replay unconvicted");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// No flip of any bit of any byte of a snapshot, read the way a resuming
+/// job reads it (lossy), parses as a different snapshot: the document
+/// either fails to parse or renders exactly as the original did.
+#[test]
+fn bit_flipped_snapshots_never_parse_as_a_different_snapshot() {
+    let text = reference_snapshot();
+    for at in 0..text.len() {
+        for bit in 0..8 {
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] ^= 1 << bit;
+            if let Ok(snapshot) = Snapshot::parse(&String::from_utf8_lossy(&bytes)) {
+                assert_eq!(snapshot.render(), text, "flip {at}:{bit} parsed as another snapshot");
+            }
+        }
+    }
+}
+
 /// `count` distinct `(key, report)` pairs: a few mapping shapes of each
 /// unique layer of a handful of models, in evaluation order.
 fn memo_entries(count: usize) -> Vec<(u64, Arc<CostReport>)> {
