@@ -480,7 +480,7 @@ mod tests {
         }
 
         /// Every content the file at `path` may hold after a crash once
-        /// the first `prefix` operations were issued (`None`: no file).
+        /// the first `prefix` operations ran (`None`: no file).
         /// Renames and removals before the last directory fsync hold;
         /// each later one holds or is lost.
         fn states(&self, path: &Path, prefix: usize) -> BTreeSet<Option<Vec<u8>>> {
