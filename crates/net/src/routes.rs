@@ -3,7 +3,7 @@
 //! | Endpoint                  | Effect |
 //! |---------------------------|--------|
 //! | `POST /jobs`              | submit a manifest; returns one `[submitted]` section per job |
-//! | `GET /jobs`               | list every job (id, name, status) |
+//! | `GET /jobs`               | list every job the registry holds (id, name, status) |
 //! | `GET /jobs/{id}`          | status, live progress, and the report (best-so-far design) |
 //! | `GET /jobs/{id}/events`   | chunked stream: one line per GA generation, then `end status=...` (`?from=N` to skip) |
 //! | `GET /jobs/{id}/analytics`| JSON: per-generation search telemetry, operator attribution, convergence curve |
@@ -17,6 +17,11 @@
 //! Responses are `text/plain` in the workspace's `[section]` /
 //! `key = value` format, so the same parsers read manifests, snapshots,
 //! journals, and wire responses.
+//!
+//! The registry keeps every queued and running job but only the newest
+//! 1024 finished ones. A job route for an id it retired answers `404`
+//! with a body saying the job expired; an id it never held answers
+//! `404 no such job`.
 //!
 //! # Authentication
 //!
@@ -43,7 +48,7 @@ use crate::httpio::{
 };
 use digamma_obs::{render_chrome_trace, SpanContext};
 use digamma_server::textio::Section;
-use digamma_server::{JobId, JobRegistry, JobView, Submission, SubmitError};
+use digamma_server::{JobId, JobMissing, JobRegistry, JobView, Submission, SubmitError};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -135,17 +140,19 @@ pub fn handle(
                 ..Submission::manifest(&body)
             };
             match registry.submit(submission) {
-                Ok(ids) => {
-                    let sections: Vec<Section> = ids
-                        .iter()
-                        .map(|&id| {
-                            let view = registry.job(id).expect("just submitted");
+                Ok(submitted) => {
+                    // Rendered from what submit accepted: a job of a
+                    // large batch may finish and retire before this
+                    // answer is written.
+                    let sections: Vec<Section> = submitted
+                        .jobs()
+                        .map(|(id, name, tenant)| {
                             let mut s = Section::new("submitted");
                             s.push("id", id.to_string());
-                            s.push("name", view.name);
-                            s.push("tenant", view.spec.tenant);
-                            if let Some(trace) = registry.trace_of(id) {
-                                s.push("trace", trace.to_string());
+                            s.push("name", name);
+                            s.push("tenant", tenant);
+                            if let Some(ctx) = ctx {
+                                s.push("trace", ctx.trace.to_string());
                             }
                             s
                         })
@@ -195,17 +202,17 @@ pub fn handle(
             Ok(keep)
         }
         ("GET", ["jobs", id]) => {
-            let Some(view) = parse_id(id).and_then(|id| registry.job(id)) else {
-                write_response(stream, 404, "no such job\n", keep)?;
-                return Ok(keep);
+            let id = parse_id(id);
+            let Some(view) = id.and_then(|id| registry.job(id)) else {
+                return not_held(registry, id, stream, keep);
             };
             write_response(stream, 200, &render_job_view(&view), keep)?;
             Ok(keep)
         }
         ("GET", ["jobs", id, "events"]) => {
-            let Some(id) = parse_id(id).filter(|&id| registry.job(id).is_some()) else {
-                write_response(stream, 404, "no such job\n", keep)?;
-                return Ok(keep);
+            let id = match held(registry, parse_id(id)) {
+                Ok((id, _)) => id,
+                Err(missing) => return answer_missing(missing, stream, keep),
             };
             let from = request.query("from").and_then(|v| v.parse().ok()).unwrap_or(0);
             stream_events(registry, shutdown, id, from, stream)?;
@@ -213,37 +220,36 @@ pub fn handle(
             Ok(false)
         }
         ("GET", ["jobs", id, "analytics"]) => {
-            match parse_id(id).and_then(|id| registry.analytics_json(id)) {
-                Some(body) => {
-                    write_response_typed(stream, 200, "application/json", &body, keep)?;
-                }
-                None => write_response(stream, 404, "no such job\n", keep)?,
-            }
+            let id = parse_id(id);
+            let Some(body) = id.and_then(|id| registry.analytics_json(id)) else {
+                return not_held(registry, id, stream, keep);
+            };
+            write_response_typed(stream, 200, "application/json", &body, keep)?;
             Ok(keep)
         }
         ("POST", ["jobs", id, "cancel"]) => {
+            let (id, owner) = match held(registry, parse_id(id)) {
+                Ok(held) => held,
+                Err(missing) => return answer_missing(missing, stream, keep),
+            };
             // Reads are open to any authenticated tenant; cancellation
             // mutates, so it is owner-only.
-            if let (Some(identity), Some(view)) =
-                (&identity, parse_id(id).and_then(|id| registry.job(id)))
-            {
-                if view.spec.tenant != *identity {
-                    write_response(
-                        stream,
-                        403,
-                        &format!("job {} belongs to tenant {:?}\n", view.id, view.spec.tenant),
-                        keep,
-                    )?;
-                    return Ok(keep);
-                }
+            if identity.as_ref().is_some_and(|identity| *identity != owner) {
+                write_response(
+                    stream,
+                    403,
+                    &format!("job {id} belongs to tenant {owner:?}\n"),
+                    keep,
+                )?;
+                return Ok(keep);
             }
-            match parse_id(id).and_then(|id| registry.cancel(id)) {
+            match registry.cancel(id) {
                 Some(status) => {
                     write_response(stream, 202, &format!("status = {status}\n"), keep)?;
+                    Ok(keep)
                 }
-                None => write_response(stream, 404, "no such job\n", keep)?,
+                None => not_held(registry, Some(id), stream, keep),
             }
-            Ok(keep)
         }
         ("GET", ["stats"]) => {
             write_response(stream, 200, &render_stats(registry), keep)?;
@@ -278,9 +284,9 @@ pub fn handle(
                 write_response(stream, 404, "tracing is disabled (--no-trace)\n", keep)?;
                 return Ok(keep);
             }
-            let Some(id) = parse_id(id).filter(|&id| registry.job(id).is_some()) else {
-                write_response(stream, 404, "no such job\n", keep)?;
-                return Ok(keep);
+            let id = match held(registry, parse_id(id)) {
+                Ok((id, _)) => id,
+                Err(missing) => return answer_missing(missing, stream, keep),
             };
             let Some(trace) = registry.trace_of(id) else {
                 write_response(
@@ -327,6 +333,33 @@ pub fn handle(
 
 fn parse_id(raw: &str) -> Option<JobId> {
     raw.parse().ok()
+}
+
+/// The id and owning tenant of a job the registry holds, or why it holds
+/// none (an id that does not parse was never issued).
+fn held(registry: &JobRegistry, id: Option<JobId>) -> Result<(JobId, String), JobMissing> {
+    let id = id.ok_or(JobMissing::Unknown)?;
+    registry.tenant_of(id).map(|tenant| (id, tenant))
+}
+
+/// Answers `404` for an id the registry holds no job under, saying
+/// whether the job expired or was never known.
+fn not_held(
+    registry: &JobRegistry,
+    id: Option<JobId>,
+    stream: &mut impl Write,
+    keep: bool,
+) -> std::io::Result<bool> {
+    answer_missing(held(registry, id).err().unwrap_or(JobMissing::Unknown), stream, keep)
+}
+
+fn answer_missing(
+    missing: JobMissing,
+    stream: &mut impl Write,
+    keep: bool,
+) -> std::io::Result<bool> {
+    write_response(stream, 404, &format!("{missing}\n"), keep)?;
+    Ok(keep)
 }
 
 fn stream_events(

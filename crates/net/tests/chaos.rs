@@ -155,6 +155,24 @@ fn torn_submit_response_retries_under_its_key_without_duplicates() {
 }
 
 #[test]
+fn a_failed_journal_append_answers_503_and_a_keyed_retry_lands() {
+    let dir = temp_dir("append");
+    // The first submit's journal append fails: nothing is accepted, the
+    // daemon answers 503 + Retry-After, and the client's retry lands.
+    let daemon = Daemon::start(&dir, &["--failpoints", "journal.append=err,once"]);
+
+    let manifest = "[job]\nname = retried\nmodel = ncf\nbudget = 96\npopulation = 8\nseed = 3\n";
+    let body = client::submit_keyed(&daemon.addr, manifest, None, "chaos-append-1", fast_retry())
+        .expect("a storage failure is retried, not refused");
+    assert!(body.contains("id = 1"), "the failed attempt issued no id: {body}");
+    assert!(!body.contains("id = 2"), "{body}");
+    wait_status(&daemon.addr, 1, &["done"], Duration::from_secs(60));
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn injected_worker_panic_fails_one_job_and_budgets_balance() {
     let dir = temp_dir("panic");
     let daemon = Daemon::start(&dir, &["--failpoints", "worker.eval=panic,once"]);

@@ -397,3 +397,49 @@ fn shutdown_is_answered_before_its_flag_is_set() {
     assert_eq!(probe.calls.last().map(|c| c.0), Some("flush"), "{:?}", probe.calls);
     assert!(probe.calls.iter().all(|&(_, set)| !set), "flag set mid-answer: {:?}", probe.calls);
 }
+
+#[test]
+fn a_batch_past_the_retention_bound_retires_its_first_finished_jobs() {
+    // One batch of more tiny jobs than the registry keeps once they
+    // finish. One worker runs them in id order, so job 1 ends first.
+    const JOBS: usize = 1030;
+    let registry =
+        JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None).unwrap();
+    let flag = ShutdownFlag::new();
+    let handle = |method: &str, target: &str, body: Vec<u8>| {
+        let request = Request {
+            method: method.to_owned(),
+            target: target.to_owned(),
+            headers: Vec::new(),
+            body,
+        };
+        let mut out = Vec::new();
+        routes::handle(&registry, &flag, &request, &mut out, None).unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    let manifest: String = (0..JOBS)
+        .map(|k| format!("[job]\nname = tiny-{k}\nmodel = ncf\nbudget = 8\npopulation = 8\n"))
+        .collect();
+    let submitted = handle("POST", "/jobs", manifest.into_bytes());
+    assert!(submitted.starts_with("HTTP/1.1 202"), "{submitted}");
+    assert_eq!(submitted.matches("[submitted]").count(), JOBS, "one section per job");
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while registry.stats().done < JOBS {
+        assert!(std::time::Instant::now() < deadline, "{:?}", registry.stats());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(registry.job(1).is_none(), "the first job to finish retired");
+    assert!(registry.job(JOBS as u64).is_some(), "the newest finished jobs stay");
+    assert!(registry.jobs().len() <= 1024, "{} listed", registry.jobs().len());
+    let stats = handle("GET", "/stats", Vec::new());
+    assert!(stats.contains(&format!("\ndone = {JOBS}\n")), "retired jobs still count:\n{stats}");
+    let expired = handle("GET", "/jobs/1", Vec::new());
+    assert!(expired.starts_with("HTTP/1.1 404"), "{expired}");
+    assert!(
+        expired.contains("job expired: only the newest 1024 finished jobs are kept"),
+        "{expired}"
+    );
+    let unknown = handle("GET", &format!("/jobs/{}", JOBS + 1), Vec::new());
+    assert!(unknown.starts_with("HTTP/1.1 404") && unknown.contains("no such job"), "{unknown}");
+    registry.shutdown();
+}

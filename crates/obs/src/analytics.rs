@@ -132,7 +132,7 @@ impl OpCounters {
         self.counters.iter().map(|c| c.incumbents).sum()
     }
 
-    /// Adds another set of counters member-wise (the `/stats` aggregate).
+    /// Adds another set of counters member-wise.
     pub fn merge(&mut self, other: &OpCounters) {
         for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
             mine.attempted += theirs.attempted;
@@ -196,10 +196,11 @@ pub struct AnalyticsRing {
 }
 
 impl AnalyticsRing {
-    /// A ring holding at most `capacity` records (floored at 1).
+    /// A ring holding at most `capacity` records (floored at 1). It
+    /// reserves nothing up front and grows with the records pushed, so a
+    /// queued or short job costs only what it recorded.
     pub fn new(capacity: usize) -> AnalyticsRing {
-        let capacity = capacity.max(1);
-        AnalyticsRing { ring: VecDeque::with_capacity(capacity.min(256)), capacity, total: 0 }
+        AnalyticsRing { ring: VecDeque::new(), capacity: capacity.max(1), total: 0 }
     }
 
     /// Appends a record, evicting the oldest when full.
@@ -326,6 +327,16 @@ mod tests {
         let gens: Vec<u64> = ring.iter().map(|s| s.generation).collect();
         assert_eq!(gens, vec![7, 8, 9, 10], "oldest records evict first");
         assert_eq!(ring.latest().unwrap().generation, 10);
+    }
+
+    #[test]
+    fn rings_reserve_nothing_until_records_arrive() {
+        let mut ring = AnalyticsRing::new(512);
+        assert_eq!(ring.ring.capacity(), 0, "a queued job's ring costs no slots");
+        for g in 1..=3 {
+            ring.push(stats(g));
+        }
+        assert!(ring.ring.capacity() < 256, "grows with use: {}", ring.ring.capacity());
     }
 
     #[test]

@@ -76,6 +76,14 @@ use std::sync::Arc;
 pub const JOURNAL_VERSION: u64 = 3;
 
 /// An append-only job journal at a fixed path.
+///
+/// Callers must serialize appends; the registry does so by appending
+/// under its state lock. Unserialized, two first appends would both
+/// find no journal and race in `sealed::replace` over one temporary
+/// file, and later appends could interleave their records. This is why
+/// the registry's finish-path append still runs under the lock, where
+/// claims and submits wait on its fsync, until a single writer thread
+/// owns the journal.
 #[derive(Debug, Clone)]
 pub struct Journal {
     path: PathBuf,

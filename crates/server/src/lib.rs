@@ -68,8 +68,8 @@ pub use job::{JobAlgorithm, JobReport, JobSpec};
 pub use manifest::{parse_manifest, parse_manifest_full, render_job, Manifest, ServerOverrides};
 pub use queue::{AnalyticsUpdate, JobControl, JobProgress, SearchServer, ServerConfig};
 pub use registry::{
-    JobId, JobRegistry, JobStatus, JobView, RegistryStats, Submission, SubmitError, SubmittedJobs,
-    TenantStats,
+    JobId, JobMissing, JobRegistry, JobStatus, JobView, RegistryStats, Submission, SubmitError,
+    Submitted, SubmittedJobs, TenantStats,
 };
 pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 pub use tenant::{valid_tenant_id, TenantSet, TenantSpec, DEFAULT_TENANT};

@@ -33,6 +33,15 @@
 //!   logged before they run and marked when they finish; a restarted
 //!   registry replays the journal and resubmits every unfinished job,
 //!   each of which resumes from its surviving checkpoint.
+//! * **Stay bounded** — the registry holds every queued and running job
+//!   but only the newest `RETAINED_FINISHED_JOBS` (1024) finished ones:
+//!   each terminal transition queues its job for retirement, and past
+//!   the bound the job that finished first leaves (its id then answers
+//!   [`JobMissing::Expired`]). A shutdown's stop is not terminal and is
+//!   never retired. What `/stats` reports — counts by state, per-tenant
+//!   outcomes, the operator aggregate — lives in counters that each
+//!   transition updates, and a live-name index answers submit's name
+//!   check, so no request walks the jobs ever served.
 
 use crate::job::{JobReport, JobSpec};
 use crate::journal::Journal;
@@ -52,6 +61,33 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// Identifies a job for the lifetime of the service (journal-stable
 /// across restarts).
 pub type JobId = u64;
+
+/// How many finished jobs the registry keeps after they end, for
+/// `GET /jobs/{id}`, their events, analytics and trace. Past it the job
+/// that finished first leaves the registry.
+const RETAINED_FINISHED_JOBS: usize = 1024;
+
+/// Why the registry holds no job under an id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobMissing {
+    /// This registry held the job (submitted or resumed it) and retired
+    /// it after it finished, past the retention bound.
+    Expired,
+    /// This registry never held a job under the id.
+    Unknown,
+}
+
+impl std::fmt::Display for JobMissing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobMissing::Expired => write!(
+                f,
+                "job expired: only the newest {RETAINED_FINISHED_JOBS} finished jobs are kept"
+            ),
+            JobMissing::Unknown => f.write_str("no such job"),
+        }
+    }
+}
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,8 +126,8 @@ impl std::fmt::Display for JobStatus {
 /// (429).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The spec or manifest itself is unacceptable (bad name, zero
-    /// threads, parse error, shutdown in progress).
+    /// The spec or manifest itself is unacceptable (bad name, a name a
+    /// live job holds, zero threads, bad tenant id, parse error).
     Invalid(String),
     /// The spec names a tenant the service's roster does not list (only
     /// possible when a non-empty [`TenantSet`] is configured).
@@ -100,9 +136,11 @@ pub enum SubmitError {
     /// `max_evals` quota; nothing was accepted.
     QuotaExceeded(String),
     /// The service cannot accept work *right now* — it is draining,
-    /// shutting down, or shedding load past its queue-depth watermark.
-    /// The wire layer answers 503 with `Retry-After`; nothing about the
-    /// request itself was wrong.
+    /// shutting down, shedding load past its queue-depth watermark, or
+    /// its journal append failed. The wire layer answers 503 with
+    /// `Retry-After`; nothing about the request itself was wrong, and
+    /// nothing was accepted: the next id did not move, so a retry gets
+    /// the ids this attempt would have.
     Unavailable(String),
 }
 
@@ -172,6 +210,38 @@ impl<'a> Submission<'a> {
     /// A manifest's jobs, untraced, unkeyed and under their own tenants.
     pub fn manifest(text: &'a str) -> Submission<'a> {
         Submission { jobs: SubmittedJobs::Manifest(text), ..Submission::specs(Vec::new()) }
+    }
+}
+
+/// What one [`JobRegistry::submit`] accepted, in batch order. It
+/// dereferences to the jobs' ids; [`Submitted::jobs`] adds each job's
+/// name and tenant, so an answer can be rendered without reading back
+/// jobs that may already have finished and retired.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Submitted {
+    ids: Vec<JobId>,
+    /// `(name, tenant)` per id.
+    labels: Vec<(String, String)>,
+}
+
+impl Submitted {
+    /// `(id, name, tenant)` per accepted job. A replayed idempotency key
+    /// answers with the ids it first answered; each is named from its
+    /// job while the registry holds it, else from this request's spec at
+    /// the same position (by the key's contract, the same batch).
+    pub fn jobs(&self) -> impl Iterator<Item = (JobId, &str, &str)> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.labels)
+            .map(|(&id, (name, tenant))| (id, name.as_str(), tenant.as_str()))
+    }
+}
+
+impl std::ops::Deref for Submitted {
+    type Target = [JobId];
+
+    fn deref(&self) -> &[JobId] {
+        &self.ids
     }
 }
 
@@ -338,6 +408,12 @@ struct TenantSched {
     deficit: u64,
     /// Jobs currently running (what `spec.max_running` caps).
     running: usize,
+    /// Jobs that ended done, retired ones included.
+    done: usize,
+    /// Jobs that ended cancelled (a shutdown's stop included).
+    cancelled: usize,
+    /// Jobs that ended failed.
+    failed: usize,
     usage: TenantUsage,
 }
 
@@ -348,14 +424,35 @@ impl TenantSched {
             queue: VecDeque::new(),
             deficit: 0,
             running: 0,
+            done: 0,
+            cancelled: 0,
+            failed: 0,
             usage: TenantUsage::default(),
         }
     }
 }
 
+/// How a running job ended, as [`RegState::finish`] reports it.
+struct Ended {
+    status: JobStatus,
+    /// Whether the end is journaled as finished: everything but a
+    /// shutdown's stop.
+    terminal: bool,
+    queue_wait: Duration,
+}
+
+/// The registry's state behind its lock. Every method here is plain
+/// bookkeeping — no lock, thread, clock or I/O — so tests drive the
+/// scheduler, the counters and retention directly.
 #[derive(Default)]
 struct RegState {
     next_id: JobId,
+    /// The first id this life's submits issued; ids from it up to
+    /// `next_id`, and the `replayed` ones, are the ids this registry
+    /// held.
+    first_submitted: JobId,
+    /// Ids the journal replay resubmitted at start, ascending.
+    replayed: Vec<JobId>,
     /// Scheduler state per tenant id. Tenants from the configured
     /// roster are seeded at start; unknown ids (permissive mode, old
     /// journals) register on first use with default weight and no
@@ -370,7 +467,18 @@ struct RegState {
     cursor: usize,
     /// Σ `spec.threads` over running jobs.
     running_threads: usize,
+    /// Every queued and running job, and the newest finished ones.
     jobs: HashMap<JobId, JobEntry>,
+    /// Terminally ended jobs still held, in the order they ended: what
+    /// [`RegState::retire`] drops past its bound.
+    finished: VecDeque<JobId>,
+    /// Queued and running jobs per name (names key checkpoint files, so
+    /// submit refuses a live one).
+    live_names: HashMap<String, usize>,
+    /// Running jobs inside a stall episode.
+    stalled: usize,
+    /// Σ every job's operator counters, retired jobs included.
+    operators: OpCounters,
     busy_workers: usize,
     shutdown: bool,
     /// Set by [`JobRegistry::drain`]: stop admitting, keep working off
@@ -394,15 +502,271 @@ impl RegState {
         self.tenants.get_mut(id).expect("just registered")
     }
 
-    /// Registers an accepted job: into the jobs map and onto its
-    /// tenant's queue, with its budget charged against `max_evals`.
+    /// Registers an accepted job: into the jobs map, the live-name index
+    /// and its tenant's queue, with its budget charged against
+    /// `max_evals`.
     fn enqueue(&mut self, id: JobId, entry: JobEntry) {
         let tenant = entry.spec.tenant.clone();
         let budget = entry.spec.budget as u64;
+        *self.live_names.entry(entry.spec.name.clone()).or_default() += 1;
         self.jobs.insert(id, entry);
         let sched = self.tenant_mut(&tenant);
         sched.queue.push_back(id);
         sched.usage.evals_submitted += budget;
+    }
+
+    /// Whether a queued or running job carries `name`.
+    fn name_is_live(&self, name: &str) -> bool {
+        self.live_names.contains_key(name)
+    }
+
+    /// The held job under `id`, or why there is none.
+    fn entry(&self, id: JobId) -> Result<&JobEntry, JobMissing> {
+        self.jobs.get(&id).ok_or_else(|| {
+            let held = (self.first_submitted..self.next_id).contains(&id)
+                || self.replayed.binary_search(&id).is_ok();
+            if held {
+                JobMissing::Expired
+            } else {
+                JobMissing::Unknown
+            }
+        })
+    }
+
+    /// Ends a queued or running job in `status` (done, cancelled or
+    /// failed): writes its last event line, counts the end for its
+    /// tenant, and frees its name and its stall. A `terminal` end also
+    /// queues the job for [`RegState::retire`]; a shutdown's stop is not
+    /// terminal (the job stays pending in the journal) and is never
+    /// retired.
+    fn end(&mut self, id: JobId, status: JobStatus, terminal: bool, capacity: usize) {
+        let Some(entry) = self.jobs.get_mut(&id) else { return };
+        if entry.status == JobStatus::Running && entry.stall_emitted {
+            self.stalled -= 1;
+        }
+        entry.status = status;
+        entry.push_event(format!("end status={status}"), capacity);
+        entry.events_done = true;
+        if let Some(live) = self.live_names.get_mut(&entry.spec.name) {
+            *live -= 1;
+            if *live == 0 {
+                self.live_names.remove(&entry.spec.name);
+            }
+        }
+        if let Some(sched) = self.tenants.get_mut(&entry.spec.tenant) {
+            match status {
+                JobStatus::Done => sched.done += 1,
+                JobStatus::Cancelled => sched.cancelled += 1,
+                JobStatus::Failed => sched.failed += 1,
+                JobStatus::Queued | JobStatus::Running => {}
+            }
+        }
+        if terminal {
+            self.finished.push_back(id);
+        }
+    }
+
+    /// A user's cancel. A queued job ends cancelled at once and leaves
+    /// its tenant's queue; a running one is flagged and stops at its
+    /// next generation boundary. Returns the status after the request
+    /// and whether it ended the job (so the caller journals the end).
+    fn cancel(&mut self, id: JobId, capacity: usize) -> Option<(JobStatus, bool)> {
+        let entry = self.jobs.get_mut(&id)?;
+        match entry.status {
+            JobStatus::Queued => {
+                entry.user_cancelled = true;
+                if let Some(sched) = self.tenants.get_mut(&entry.spec.tenant) {
+                    sched.queue.retain(|&queued| queued != id);
+                }
+                self.end(id, JobStatus::Cancelled, true, capacity);
+                Some((JobStatus::Cancelled, true))
+            }
+            JobStatus::Running => {
+                entry.user_cancelled = true;
+                entry.control.cancel();
+                Some((JobStatus::Running, false))
+            }
+            status @ (JobStatus::Done | JobStatus::Cancelled | JobStatus::Failed) => {
+                Some((status, false))
+            }
+        }
+    }
+
+    /// A worker's end of a claimed job, with its report (`None` after a
+    /// panic): charges the tenant's meters — a panic refunds the budget
+    /// the job did not evaluate — stores the report, releases the worker
+    /// and its threads, and ends the job. A cancelled report is terminal
+    /// only when a user asked for it.
+    fn finish(&mut self, id: JobId, report: Option<JobReport>, capacity: usize) -> Option<Ended> {
+        let entry = self.jobs.get_mut(&id)?;
+        let status = match &report {
+            Some(report) if report.cancelled => JobStatus::Cancelled,
+            Some(_) => JobStatus::Done,
+            None => JobStatus::Failed,
+        };
+        let terminal = status != JobStatus::Cancelled || entry.user_cancelled;
+        let queue_wait = entry.queue_wait;
+        // What a panicked job evaluated before dying: its last reported
+        // generation's running total.
+        let consumed_at_failure = entry.progress.map_or(0, |p| p.samples as u64);
+        let (tenant, budget, threads) =
+            (entry.spec.tenant.clone(), entry.spec.budget as u64, entry.spec.threads);
+        let usage = &mut self.tenant_mut(&tenant).usage;
+        match &report {
+            Some(report) => {
+                usage.evals_consumed += report.samples as u64;
+                usage.cache_hits += report.cache_hits;
+                usage.cache_misses += report.cache_misses;
+                usage.cache_insertions += report.cache_insertions;
+                usage.genome_hits += report.genome_hits;
+                usage.genome_misses += report.genome_misses;
+                usage.genome_insertions += report.genome_insertions;
+            }
+            None => {
+                // Refund the unconsumed budget so the `max_evals` meter
+                // balances: the tenant pays for what the job evaluated,
+                // not for the budget its crash stranded.
+                usage.evals_consumed += consumed_at_failure;
+                usage.evals_submitted = usage
+                    .evals_submitted
+                    .saturating_sub(budget.saturating_sub(consumed_at_failure));
+            }
+        }
+        let sched = self.tenant_mut(&tenant);
+        sched.running = sched.running.saturating_sub(1);
+        self.busy_workers = self.busy_workers.saturating_sub(1);
+        self.running_threads = self.running_threads.saturating_sub(threads);
+        self.end(id, status, terminal, capacity);
+        if let (Some(entry), Some(mut report)) = (self.jobs.get_mut(&id), report) {
+            report.queue_wait = queue_wait;
+            entry.report = Some(report);
+        }
+        Some(Ended { status, terminal, queue_wait })
+    }
+
+    /// Folds one generation boundary's analytics into a running job: its
+    /// window, cost curve and operator counters (and the registry-wide
+    /// aggregate, which keeps retired jobs' counts), and its stall
+    /// episode, whose start writes one `stalled` event line. Returns the
+    /// per-operator incumbent deltas, for the metrics.
+    fn record_analytics(
+        &mut self,
+        id: JobId,
+        update: AnalyticsUpdate,
+        capacity: usize,
+    ) -> Vec<(&'static str, u64)> {
+        let mut deltas = Vec::new();
+        let Some(entry) = self.jobs.get_mut(&id) else { return deltas };
+        let stats = update.stats;
+        // `update.ops` is absolute (after a resume the first update
+        // carries the whole restored history), so diff against the last
+        // seen absolutes.
+        for (kind, now) in update.ops.iter() {
+            let was = entry.ops.get(kind);
+            let total = self.operators.get_mut(kind);
+            total.attempted = total.attempted - was.attempted + now.attempted;
+            total.improved = total.improved - was.improved + now.improved;
+            total.incumbents = total.incumbents - was.incumbents + now.incumbents;
+            let delta = now.incumbents.saturating_sub(was.incumbents);
+            if delta > 0 {
+                deltas.push((kind.name(), delta));
+            }
+        }
+        entry.ops = update.ops;
+        if let Some(seed) = update.seed_points {
+            entry.cost_points = compress_points(&seed);
+        }
+        match entry.cost_points.last() {
+            Some(last) if last.best.to_bits() == stats.best.to_bits() => {}
+            _ => entry.cost_points.push(CostPoint {
+                generation: stats.generation,
+                evals: stats.evals,
+                best: stats.best,
+            }),
+        }
+        entry.analytics.push(stats);
+        let running = entry.status == JobStatus::Running;
+        if stats.stale_gens == 0 {
+            if entry.stall_emitted && running {
+                self.stalled -= 1;
+            }
+            entry.stall_emitted = false;
+        } else if stats.stale_gens >= STALL_AFTER && !entry.stall_emitted {
+            entry.stall_emitted = true;
+            if running {
+                self.stalled += 1;
+            }
+            let best = match stats.best.is_finite() {
+                true => format!("{:.6e}", stats.best),
+                false => "none".to_owned(),
+            };
+            entry.push_event(
+                format!("stalled gen={} stale={} best={best}", stats.generation, stats.stale_gens),
+                capacity,
+            );
+        }
+        deltas
+    }
+
+    /// Drops the jobs that ended first while more than `bound` ended
+    /// jobs are held, and hands them back so the caller frees them after
+    /// releasing the lock. Only terminal ends queue a job here, so a
+    /// queued, running or shutdown-stopped job is never retired.
+    fn retire(&mut self, bound: usize) -> Vec<JobEntry> {
+        let excess = self.finished.len().saturating_sub(bound);
+        self.finished.drain(..excess).filter_map(|id| self.jobs.remove(&id)).collect()
+    }
+
+    /// Jobs waiting in tenant queues.
+    fn queued(&self) -> usize {
+        self.tenants.values().map(|sched| sched.queue.len()).sum()
+    }
+
+    /// Jobs currently running.
+    fn running(&self) -> usize {
+        self.tenants.values().map(|sched| sched.running).sum()
+    }
+
+    /// The scheduler's counters as [`RegistryStats`], O(tenants) however
+    /// many jobs were served; the process fields stay zero.
+    fn stats(&self) -> RegistryStats {
+        let tenants: Vec<TenantStats> = self
+            .tenants
+            .iter()
+            .map(|(id, sched)| TenantStats {
+                id: id.clone(),
+                weight: sched.spec.weight,
+                queued: sched.queue.len(),
+                running: sched.running,
+                done: sched.done,
+                cancelled: sched.cancelled,
+                failed: sched.failed,
+                evals_submitted: sched.usage.evals_submitted,
+                evals_consumed: sched.usage.evals_consumed,
+                cache_hits: sched.usage.cache_hits,
+                cache_misses: sched.usage.cache_misses,
+                cache_insertions: sched.usage.cache_insertions,
+                genome_hits: sched.usage.genome_hits,
+                genome_misses: sched.usage.genome_misses,
+                genome_insertions: sched.usage.genome_insertions,
+            })
+            .collect();
+        RegistryStats {
+            busy_workers: self.busy_workers,
+            running_threads: self.running_threads,
+            // Queue depth is the scheduler's truth (Σ tenant queues), not
+            // a recount of statuses: a stale id lingering in a queue
+            // *should* show up here as a bug.
+            queued: self.queued(),
+            running: self.running(),
+            done: tenants.iter().map(|t| t.done).sum(),
+            cancelled: tenants.iter().map(|t| t.cancelled).sum(),
+            failed: tenants.iter().map(|t| t.failed).sum(),
+            stalled: self.stalled,
+            operators: self.operators,
+            tenants,
+            ..RegistryStats::default()
+        }
     }
 }
 
@@ -586,7 +950,12 @@ impl JobRegistry {
             workers,
             journal,
             tenants,
-            state: Mutex::new(RegState { next_id, ..RegState::default() }),
+            state: Mutex::new(RegState {
+                next_id,
+                first_submitted: next_id,
+                replayed: replayed.iter().map(|&(id, _)| id).collect(),
+                ..RegState::default()
+            }),
             cond: Condvar::new(),
             started: Instant::now(),
             start_unix: SystemTime::now()
@@ -660,8 +1029,9 @@ impl JobRegistry {
         &self.inner.tenants
     }
 
-    /// Submits a batch of jobs **atomically** and returns their ids once
-    /// every one is queued (and journaled, when a journal is attached).
+    /// Submits a batch of jobs **atomically** and returns their ids,
+    /// names and tenants once every one is queued (and journaled, when a
+    /// journal is attached).
     /// The manifest is parsed, and every spec validated against live
     /// names (and against the rest of the batch), the roster and every
     /// quota, before anything is journaled or enqueued, so a rejected
@@ -679,12 +1049,13 @@ impl JobRegistry {
     /// through the runtime submit path), when another *live* (queued or
     /// running) job already uses a name — names key checkpoint files,
     /// so two live jobs sharing one would corrupt each other's
-    /// snapshots — when `threads` is zero or a tenant id is malformed,
-    /// or when the journal append fails. [`SubmitError::UnknownTenant`]
-    /// and [`SubmitError::QuotaExceeded`] per the configured roster.
+    /// snapshots — or when `threads` is zero or a tenant id is
+    /// malformed. [`SubmitError::UnknownTenant`] and
+    /// [`SubmitError::QuotaExceeded`] per the configured roster.
     /// [`SubmitError::Unavailable`] while the registry drains, shuts
-    /// down, or sheds load past [`ServerConfig::shed_queue_depth`].
-    pub fn submit(&self, submission: Submission<'_>) -> Result<Vec<JobId>, SubmitError> {
+    /// down, or sheds load past [`ServerConfig::shed_queue_depth`], and
+    /// when the journal append fails.
+    pub fn submit(&self, submission: Submission<'_>) -> Result<Submitted, SubmitError> {
         let Submission { jobs, trace, idempotency_key, tenant } = submission;
         let mut specs = match jobs {
             SubmittedJobs::Specs(specs) => specs,
@@ -707,7 +1078,7 @@ impl JobRegistry {
         }
         let idempotency = idempotency_key.map(|key| (tenant.unwrap_or(""), key));
         if specs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Submitted::default());
         }
         let workers = self.inner.workers;
         let mut state = self.inner.state.lock().expect("registry poisoned");
@@ -722,14 +1093,22 @@ impl JobRegistry {
         let dedupe_key = idempotency.map(|(scope, key)| (scope.to_owned(), key.to_owned()));
         if let Some(key) = &dedupe_key {
             if let Some(ids) = state.idempotency.get(key) {
-                return Ok(ids.clone());
+                let labels = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(i, id)| {
+                        let spec = state.jobs.get(id).map(|entry| &entry.spec).or(specs.get(i));
+                        spec.map(|s| (s.name.clone(), s.tenant.clone())).unwrap_or_default()
+                    })
+                    .collect();
+                return Ok(Submitted { ids: ids.clone(), labels });
             }
         }
         // Load shedding: past the watermark the healthy answer is a
         // fast 503 + Retry-After, not an ever-deeper queue.
         let shed = self.inner.server.config().shed_queue_depth;
         if shed > 0 {
-            let queued: usize = state.tenants.values().map(|s| s.queue.len()).sum();
+            let queued = state.queued();
             if queued + specs.len() > shed {
                 self.inner
                     .server
@@ -749,11 +1128,7 @@ impl JobRegistry {
         // intra-batch duplicates, tenant identity, and thread counts.
         let mut batch_names = std::collections::HashSet::new();
         for spec in &mut specs {
-            let live_collision = state.jobs.values().any(|entry| {
-                entry.spec.name == spec.name
-                    && matches!(entry.status, JobStatus::Queued | JobStatus::Running)
-            });
-            if live_collision {
+            if state.name_is_live(&spec.name) {
                 return Err(SubmitError::Invalid(format!(
                     "a live job is already named {:?} (names key checkpoint files)",
                     spec.name
@@ -820,12 +1195,13 @@ impl JobRegistry {
         // enqueues: an error accepts nothing.
         if let Some(journal) = &self.inner.journal {
             let batch: Vec<(JobId, &JobSpec)> = ids.iter().copied().zip(&specs).collect();
-            journal
-                .append_submitted_keyed(&batch, idempotency)
-                .map_err(|e| SubmitError::Invalid(format!("journal append failed: {e}")))?;
+            journal.append_submitted_keyed(&batch, idempotency).map_err(|e| {
+                SubmitError::Unavailable(format!("journal append failed: {e}; retry later"))
+            })?;
         }
         state.next_id += specs.len() as JobId;
         let queued_ns = self.inner.server.tracer().now_ns();
+        let labels = specs.iter().map(|s| (s.name.clone(), s.tenant.clone())).collect();
         for (&id, spec) in ids.iter().zip(specs) {
             let entry = JobEntry::new(spec, make_control(&self.inner, id), trace, queued_ns);
             state.enqueue(id, entry);
@@ -835,13 +1211,13 @@ impl JobRegistry {
         }
         drop(state);
         self.inner.cond.notify_all();
-        Ok(ids)
+        Ok(Submitted { ids, labels })
     }
 
     /// The trace id of a job's lifecycle spans, once one exists: set at
     /// submit when the request carried a span context, or at claim for
-    /// jobs submitted without one. `None` for unknown jobs or jobs not
-    /// yet claimed under a tracing-off server.
+    /// jobs submitted without one. `None` for jobs the registry does not
+    /// hold or jobs not yet claimed under a tracing-off server.
     pub fn trace_of(&self, id: JobId) -> Option<TraceId> {
         let state = self.inner.state.lock().expect("registry poisoned");
         state.jobs.get(&id).and_then(|e| e.trace).map(|ctx| ctx.trace)
@@ -853,13 +1229,29 @@ impl JobRegistry {
         self.inner.server.tracer()
     }
 
-    /// Snapshots one job.
+    /// Snapshots one job: any queued or running job, or one of the
+    /// newest 1024 finished ones. `None` otherwise;
+    /// [`JobRegistry::tenant_of`] tells an expired id from an unknown
+    /// one.
     pub fn job(&self, id: JobId) -> Option<JobView> {
         let state = self.inner.state.lock().expect("registry poisoned");
         state.jobs.get(&id).map(|entry| entry.view(id))
     }
 
-    /// Snapshots every job, in id order.
+    /// The tenant that owns a held job, or why the registry holds no job
+    /// under `id`: expired (retired after it finished) or unknown. A
+    /// cheap existence check that clones no spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`JobMissing`] reason when no job is held under `id`.
+    pub fn tenant_of(&self, id: JobId) -> Result<String, JobMissing> {
+        let state = self.inner.state.lock().expect("registry poisoned");
+        state.entry(id).map(|entry| entry.spec.tenant.clone())
+    }
+
+    /// Snapshots every job the registry holds, in id order: every queued
+    /// and running job and the newest 1024 finished ones.
     pub fn jobs(&self) -> Vec<JobView> {
         let state = self.inner.state.lock().expect("registry poisoned");
         let mut views: Vec<JobView> = state.jobs.iter().map(|(&id, e)| e.view(id)).collect();
@@ -872,34 +1264,19 @@ impl JobRegistry {
     /// headroom update without waiting for a worker to trip over the
     /// corpse); a running one stops cooperatively at its next generation
     /// boundary (snapshotting first). Returns the job's status after the
-    /// request, or `None` for an unknown id.
+    /// request, or `None` for an id the registry does not hold.
     pub fn cancel(&self, id: JobId) -> Option<JobStatus> {
         let mut state = self.inner.state.lock().expect("registry poisoned");
-        let journal = self.inner.journal.clone();
         let capacity = self.inner.server.config().event_log_capacity;
-        let entry = state.jobs.get_mut(&id)?;
-        let tenant = entry.spec.tenant.clone();
-        match entry.status {
-            JobStatus::Queued => {
-                entry.status = JobStatus::Cancelled;
-                entry.user_cancelled = true;
-                entry.push_event("end status=cancelled".to_owned(), capacity);
-                entry.events_done = true;
-                if let Some(sched) = state.tenants.get_mut(&tenant) {
-                    sched.queue.retain(|&queued| queued != id);
-                }
-                if let Some(journal) = &journal {
-                    let _ = journal.append_finished(id, JobStatus::Cancelled);
-                }
+        let (status, ended) = state.cancel(id, capacity)?;
+        if ended {
+            if let Some(journal) = &self.inner.journal {
+                let _ = journal.append_finished(id, status);
             }
-            JobStatus::Running => {
-                entry.user_cancelled = true;
-                entry.control.cancel();
-            }
-            JobStatus::Done | JobStatus::Cancelled | JobStatus::Failed => {}
         }
-        let status = state.jobs[&id].status;
+        let retired = state.retire(RETAINED_FINISHED_JOBS);
         drop(state);
+        drop(retired);
         self.inner.cond.notify_all();
         Some(status)
     }
@@ -913,7 +1290,8 @@ impl JobRegistry {
     /// history. A `from` beyond the end of the stream answers
     /// immediately with `(end, [], done)` so a confused subscriber
     /// learns the real cursor instead of stalling. Blocks up to
-    /// `timeout` for news when there is none yet; an unknown id returns
+    /// `timeout` for news when there is none yet; an id the registry
+    /// does not hold (or stops holding while the call waits) returns
     /// `None`.
     pub fn events(
         &self,
@@ -946,8 +1324,8 @@ impl JobRegistry {
     /// Renders one job's analytics document — the [`GenStats`] window,
     /// cumulative operator attribution, and the cost-vs-evaluations
     /// curve — as the JSON body `GET /jobs/{id}/analytics` serves.
-    /// Works for queued (empty window), live, and finished jobs alike;
-    /// an unknown id returns `None`.
+    /// Works for queued (empty window), live, and finished jobs alike
+    /// while the registry holds them; any other id returns `None`.
     ///
     /// [`GenStats`]: digamma_obs::GenStats
     pub fn analytics_json(&self, id: JobId) -> Option<String> {
@@ -957,76 +1335,18 @@ impl JobRegistry {
     }
 
     /// Aggregate queue/worker counters, with a per-tenant breakdown.
+    /// Every count covers every job this registry has run, retired ones
+    /// included, and comes from counters the transitions keep, so the
+    /// call costs the same however many jobs were served.
     pub fn stats(&self) -> RegistryStats {
         let state = self.inner.state.lock().expect("registry poisoned");
-        let mut stats = RegistryStats {
+        RegistryStats {
             start_unix: self.inner.start_unix,
             uptime_seconds: self.inner.started.elapsed().as_secs(),
             replayed_jobs: self.inner.replayed,
             workers: self.inner.workers,
-            busy_workers: state.busy_workers,
-            running_threads: state.running_threads,
-            ..RegistryStats::default()
-        };
-        let mut per_tenant: BTreeMap<&str, TenantStats> = state
-            .tenants
-            .iter()
-            .map(|(id, sched)| {
-                (
-                    id.as_str(),
-                    TenantStats {
-                        id: id.clone(),
-                        weight: sched.spec.weight,
-                        queued: sched.queue.len(),
-                        running: sched.running,
-                        evals_submitted: sched.usage.evals_submitted,
-                        evals_consumed: sched.usage.evals_consumed,
-                        cache_hits: sched.usage.cache_hits,
-                        cache_misses: sched.usage.cache_misses,
-                        cache_insertions: sched.usage.cache_insertions,
-                        genome_hits: sched.usage.genome_hits,
-                        genome_misses: sched.usage.genome_misses,
-                        genome_insertions: sched.usage.genome_insertions,
-                        ..TenantStats::default()
-                    },
-                )
-            })
-            .collect();
-        for entry in state.jobs.values() {
-            let tenant = per_tenant.get_mut(entry.spec.tenant.as_str());
-            stats.operators.merge(&entry.ops);
-            if entry.status == JobStatus::Running && entry.stall_emitted {
-                stats.stalled += 1;
-            }
-            match entry.status {
-                JobStatus::Queued => {}
-                JobStatus::Running => stats.running += 1,
-                JobStatus::Done => {
-                    stats.done += 1;
-                    if let Some(tenant) = tenant {
-                        tenant.done += 1;
-                    }
-                }
-                JobStatus::Cancelled => {
-                    stats.cancelled += 1;
-                    if let Some(tenant) = tenant {
-                        tenant.cancelled += 1;
-                    }
-                }
-                JobStatus::Failed => {
-                    stats.failed += 1;
-                    if let Some(tenant) = tenant {
-                        tenant.failed += 1;
-                    }
-                }
-            }
+            ..state.stats()
         }
-        // Queue depth is the scheduler's truth (Σ tenant queues), not a
-        // recount of statuses: a stale id lingering in a queue *should*
-        // show up here as a bug.
-        stats.queued = state.tenants.values().map(|sched| sched.queue.len()).sum();
-        stats.tenants = per_tenant.into_values().collect();
-        stats
     }
 
     /// Renders the full Prometheus text exposition for `/metrics`:
@@ -1131,9 +1451,7 @@ impl JobRegistry {
         self.inner.cond.notify_all();
         let mut state = self.inner.state.lock().expect("registry poisoned");
         loop {
-            let queued: usize = state.tenants.values().map(|sched| sched.queue.len()).sum();
-            let running = state.jobs.values().filter(|e| e.status == JobStatus::Running).count();
-            if (queued == 0 && running == 0) || started.elapsed() >= deadline {
+            if (state.queued() == 0 && state.running() == 0) || started.elapsed() >= deadline {
                 break;
             }
             // Short slices rather than one long wait: job completions
@@ -1203,52 +1521,13 @@ fn make_control(inner: &Arc<Inner>, id: JobId) -> Arc<JobControl> {
             .with_analytics(move |update: AnalyticsUpdate| {
                 let Some(inner) = weak_analytics.upgrade() else { return };
                 let capacity = inner.server.config().event_log_capacity;
-                let stats = update.stats;
-                // Per-operator incumbent deltas against the last seen
-                // absolutes (after a resume the first update carries the
-                // whole restored history as one delta). Gathered under
-                // the lock, fed to the metrics registry after it drops.
-                let mut deltas: Vec<(&'static str, u64)> = Vec::new();
-                let mut state = inner.state.lock().expect("registry poisoned");
-                if let Some(entry) = state.jobs.get_mut(&id) {
-                    for (kind, now) in update.ops.iter() {
-                        let delta = now.incumbents.saturating_sub(entry.ops.get(kind).incumbents);
-                        if delta > 0 {
-                            deltas.push((kind.name(), delta));
-                        }
-                    }
-                    entry.ops = update.ops;
-                    if let Some(seed) = update.seed_points {
-                        entry.cost_points = compress_points(&seed);
-                    }
-                    match entry.cost_points.last() {
-                        Some(last) if last.best.to_bits() == stats.best.to_bits() => {}
-                        _ => entry.cost_points.push(CostPoint {
-                            generation: stats.generation,
-                            evals: stats.evals,
-                            best: stats.best,
-                        }),
-                    }
-                    entry.analytics.push(stats);
-                    if stats.stale_gens == 0 {
-                        entry.stall_emitted = false;
-                    } else if stats.stale_gens >= STALL_AFTER && !entry.stall_emitted {
-                        entry.stall_emitted = true;
-                        entry.push_event(
-                            format!(
-                                "stalled gen={} stale={} best={}",
-                                stats.generation,
-                                stats.stale_gens,
-                                match stats.best.is_finite() {
-                                    true => format!("{:.6e}", stats.best),
-                                    false => "none".to_owned(),
-                                }
-                            ),
-                            capacity,
-                        );
-                    }
-                }
-                drop(state);
+                // Gathered under the lock, fed to the metrics registry
+                // after it drops.
+                let deltas = inner
+                    .state
+                    .lock()
+                    .expect("registry poisoned")
+                    .record_analytics(id, update, capacity);
                 let metrics = inner.server.metrics();
                 for (operator, delta) in deltas {
                     metrics
@@ -1416,12 +1695,8 @@ fn worker_loop(inner: &Arc<Inner>) {
         }));
         let run_wall = run_started.elapsed();
 
-        let mut state = inner.state.lock().expect("registry poisoned");
-        let (status, mut report) = match outcome {
-            Ok(report) => {
-                let status = if report.cancelled { JobStatus::Cancelled } else { JobStatus::Done };
-                (status, Some(report))
-            }
+        let report = match outcome {
+            Ok(report) => Some(report),
             Err(panic) => {
                 digamma_obs::log::global().log(
                     LogLevel::Warn,
@@ -1430,67 +1705,25 @@ fn worker_loop(inner: &Arc<Inner>) {
                     "job panicked; failing it and keeping the worker",
                     &[("job", id.to_string()), ("panic", panic_message(panic.as_ref()))],
                 );
-                (JobStatus::Failed, None)
+                None
             }
         };
+        let capacity = inner.server.config().event_log_capacity;
+        let mut state = inner.state.lock().expect("registry poisoned");
+        let Ended { status, terminal, queue_wait } =
+            state.finish(id, report, capacity).expect("running jobs are never retired");
         // A shutdown's cooperative stop is not terminal: the job stays
         // pending in the journal (its snapshot survives) and resumes on
         // the next start. A user's cancel is terminal and journaled, as
         // is a panic-failure.
-        let terminal =
-            status != JobStatus::Cancelled || state.jobs.get(&id).is_some_and(|e| e.user_cancelled);
-        let capacity = inner.server.config().event_log_capacity;
-        // What a panicked job actually evaluated before dying: its last
-        // reported generation's running total (read before the usage
-        // borrow below).
-        let consumed_at_failure =
-            state.jobs.get(&id).and_then(|e| e.progress).map_or(0, |p| p.samples as u64);
-        {
-            // Charge the tenant's lifetime meters before the report
-            // moves into the entry.
-            let usage = &mut state.tenant_mut(&spec.tenant).usage;
-            match &report {
-                Some(report) => {
-                    usage.evals_consumed += report.samples as u64;
-                    usage.cache_hits += report.cache_hits;
-                    usage.cache_misses += report.cache_misses;
-                    usage.cache_insertions += report.cache_insertions;
-                    usage.genome_hits += report.genome_hits;
-                    usage.genome_misses += report.genome_misses;
-                    usage.genome_insertions += report.genome_insertions;
-                }
-                None => {
-                    // Refund the unconsumed budget so the `max_evals`
-                    // meter balances: the tenant pays for what the job
-                    // evaluated, not for the budget its crash stranded.
-                    usage.evals_consumed += consumed_at_failure;
-                    usage.evals_submitted = usage
-                        .evals_submitted
-                        .saturating_sub((spec.budget as u64).saturating_sub(consumed_at_failure));
-                }
-            }
-        }
-        let mut queue_wait = Duration::ZERO;
-        if let Some(entry) = state.jobs.get_mut(&id) {
-            queue_wait = entry.queue_wait;
-            entry.status = status;
-            entry.push_event(format!("end status={status}"), capacity);
-            entry.events_done = true;
-            if let Some(mut report) = report.take() {
-                report.queue_wait = queue_wait;
-                entry.report = Some(report);
-            }
-        }
-        state.busy_workers -= 1;
-        state.running_threads = state.running_threads.saturating_sub(spec.threads);
-        let sched = state.tenant_mut(&spec.tenant);
-        sched.running = sched.running.saturating_sub(1);
         if terminal {
             if let Some(journal) = &inner.journal {
                 let _ = journal.append_finished(id, status);
             }
         }
+        let retired = state.retire(RETAINED_FINISHED_JOBS);
         drop(state);
+        drop(retired);
         let tenant_label: &[(&'static str, &str)] = &[("tenant", &spec.tenant)];
         metrics
             .histogram(
@@ -2240,11 +2473,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("jobs.journal");
-        let registry = JobRegistry::start(
-            ServerConfig { workers: 1, ..ServerConfig::default() },
-            Some(journal.clone()),
-        )
-        .unwrap();
+        // The first evaluation sleeps, so job 1 stays live through the
+        // next two submits however fast the build runs it.
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        config.faults.configure("worker.eval=delay:1000,once").unwrap();
+        let registry = JobRegistry::start(config, Some(journal.clone())).unwrap();
         let keyed = |tenant| Submission {
             idempotency_key: Some("key-1"),
             tenant: Some(tenant),
@@ -2261,7 +2494,7 @@ mod tests {
             Err(SubmitError::Invalid(msg)) => assert!(msg.contains("idem"), "{msg}"),
             other => panic!("a different scope must not dedupe, got {other:?}"),
         }
-        wait_done(&registry, ids[0]);
+        assert_eq!(wait_done(&registry, ids[0]).status, JobStatus::Done);
         registry.shutdown();
         // Second life: the key replayed from the journal, so a retry
         // arriving after a restart still answers the original ids.
@@ -2274,5 +2507,204 @@ mod tests {
         assert_eq!(after, ids);
         reborn.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_journal_append_answers_unavailable_and_a_retry_gets_the_same_ids() {
+        let dir = std::env::temp_dir().join(format!("digamma-reg-append-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        config.faults.configure("journal.append=err,once").unwrap();
+        let registry = JobRegistry::start(config, Some(dir.join("jobs.journal"))).unwrap();
+        let batch = || Submission::specs(vec![spec("first", 96), spec("second", 96)]);
+        match registry.submit(batch()) {
+            Err(SubmitError::Unavailable(msg)) => {
+                assert!(msg.contains("journal append failed"), "{msg}")
+            }
+            other => panic!("a storage failure is retryable, not a bad manifest: {other:?}"),
+        }
+        assert!(registry.job(1).is_none(), "nothing was accepted");
+        let submitted = registry.submit(batch()).expect("the retry lands");
+        assert_eq!(*submitted, [1, 2], "the failed attempt issued no ids");
+        for id in [1, 2] {
+            assert_eq!(wait_done(&registry, id).status, JobStatus::Done);
+        }
+        registry.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn report(cancelled: bool) -> JobReport {
+        JobReport {
+            name: String::new(),
+            algorithm: String::new(),
+            best: None,
+            samples: 64,
+            generations: 7,
+            resumed_at: None,
+            cancelled,
+            cache_hits: 0,
+            cache_misses: 0,
+            genome_hits: 0,
+            genome_misses: 0,
+            cache_insertions: 0,
+            genome_insertions: 0,
+            dedup_skipped: 0,
+            wall: Duration::ZERO,
+            queue_wait: Duration::ZERO,
+            eval_wall: Duration::ZERO,
+            checkpoint_wall: Duration::ZERO,
+        }
+    }
+
+    /// One generation boundary's analytics: absolute counters `ops`,
+    /// `stale_gens` generations since the last improvement.
+    fn boundary(ops: OpCounters, stale_gens: u64) -> AnalyticsUpdate {
+        let stats = digamma_obs::GenStats {
+            generation: 1,
+            evals: 16,
+            best: 1.0,
+            median: 2.0,
+            mean: 2.0,
+            worst: 3.0,
+            feasible_frac: 1.0,
+            diversity: 0.5,
+            stale_gens,
+        };
+        AnalyticsUpdate { stats, ops, seed_points: None }
+    }
+
+    fn counters(k: u64) -> OpCounters {
+        let mut ops = OpCounters::new();
+        for (i, kind) in digamma_obs::OpKind::ALL.into_iter().enumerate() {
+            let c = ops.get_mut(kind);
+            c.attempted = k * 7 + i as u64;
+            c.improved = k * 3 + i as u64 / 2;
+            c.incumbents = k % 4;
+        }
+        ops
+    }
+
+    /// Accepts a job as `submit` does: the next id, onto its queue.
+    fn accept(state: &mut RegState, name: &str, tenant: &str) -> JobId {
+        let mut s = spec(name, 64);
+        s.tenant = tenant.to_owned();
+        let id = state.next_id;
+        state.next_id += 1;
+        state.enqueue(id, JobEntry::new(s, Arc::new(JobControl::new()), None, 0));
+        id
+    }
+
+    /// Claims the next job as a worker does.
+    fn claim(state: &mut RegState) -> JobId {
+        let (id, _) = claim_next(state, 64).expect("work is available");
+        state.busy_workers += 1;
+        id
+    }
+
+    #[test]
+    fn retention_holds_live_jobs_while_counters_keep_every_end() {
+        const BOUND: usize = 8;
+        const EVENTS: usize = 16;
+        // As `start_with_tenants` leaves it after replaying job 42, with
+        // this life's ids issued from 100 on. Tenant "parked" may run
+        // nothing, so its job stays queued.
+        let mut state = RegState {
+            next_id: 100,
+            first_submitted: 100,
+            replayed: vec![42],
+            ..RegState::default()
+        };
+        let mut parked = TenantSpec::named("parked");
+        parked.max_running = Some(0);
+        for tspec in [TenantSpec::named("a"), TenantSpec::named("b"), parked] {
+            state.rotation.push(tspec.id.clone());
+            state.tenants.insert(tspec.id.clone(), TenantSched::new(tspec));
+        }
+        // (done, cancelled, failed) per tenant, and Σ operator counters.
+        let mut want: BTreeMap<&str, (usize, usize, usize)> = BTreeMap::new();
+        let mut want_ops = OpCounters::new();
+
+        let mut replayed = spec("revenant", 64);
+        replayed.tenant = "a".to_owned();
+        state.enqueue(42, JobEntry::new(replayed, Arc::new(JobControl::new()), None, 0));
+        assert_eq!(claim(&mut state), 42);
+        assert!(state.finish(42, Some(report(false)), EVENTS).unwrap().terminal);
+        want.entry("a").or_default().0 += 1;
+
+        let runner = accept(&mut state, "runner", "a");
+        assert_eq!(claim(&mut state), runner);
+        state.record_analytics(runner, boundary(counters(5), STALL_AFTER), EVENTS);
+        want_ops.merge(&counters(5));
+        let queued = accept(&mut state, "queued", "parked");
+        // A shutdown's stop: cancelled, but not by a user.
+        let stopped = accept(&mut state, "stopped", "b");
+        assert_eq!(claim(&mut state), stopped);
+        assert!(!state.finish(stopped, Some(report(true)), EVENTS).unwrap().terminal);
+        want.entry("b").or_default().1 += 1;
+        let unretirable = [runner, queued, stopped];
+
+        let mut first_loop_id = None;
+        for k in 0..3 * BOUND as u64 + 5 {
+            let tenant = if k % 2 == 0 { "a" } else { "b" };
+            let id = accept(&mut state, &format!("job-{k}"), tenant);
+            first_loop_id.get_or_insert(id);
+            let slot = want.entry(tenant).or_default();
+            if k % 4 == 0 {
+                assert_eq!(state.cancel(id, EVENTS), Some((JobStatus::Cancelled, true)));
+                slot.1 += 1;
+            } else {
+                assert_eq!(claim(&mut state), id);
+                // Counters are absolute: only the latest update counts.
+                state.record_analytics(id, boundary(counters(k / 2), 0), EVENTS);
+                state.record_analytics(id, boundary(counters(k), STALL_AFTER + k), EVENTS);
+                want_ops.merge(&counters(k));
+                let report = match k % 4 {
+                    1 => {
+                        slot.0 += 1;
+                        Some(report(false))
+                    }
+                    2 => {
+                        assert_eq!(state.cancel(id, EVENTS), Some((JobStatus::Running, false)));
+                        slot.1 += 1;
+                        Some(report(true))
+                    }
+                    _ => {
+                        slot.2 += 1;
+                        None
+                    }
+                };
+                assert!(state.finish(id, report, EVENTS).unwrap().terminal);
+            }
+            drop(state.retire(BOUND));
+            assert!(state.jobs.len() <= BOUND + unretirable.len(), "{} held", state.jobs.len());
+            for held in unretirable {
+                assert!(state.jobs.contains_key(&held), "job {held} retired at k = {k}");
+            }
+        }
+        assert_eq!(state.jobs.len(), BOUND + unretirable.len());
+
+        let stats = state.stats();
+        for tenant in &stats.tenants {
+            let (done, cancelled, failed) =
+                want.get(tenant.id.as_str()).copied().unwrap_or_default();
+            assert_eq!((tenant.done, tenant.cancelled, tenant.failed), (done, cancelled, failed));
+        }
+        let sum =
+            |pick: fn(&(usize, usize, usize)) -> usize| want.values().map(pick).sum::<usize>();
+        assert_eq!(stats.done, sum(|w| w.0));
+        assert_eq!(stats.cancelled, sum(|w| w.1));
+        assert_eq!(stats.failed, sum(|w| w.2));
+        assert_eq!(stats.operators, want_ops, "retired jobs keep their operator counts");
+        assert_eq!((stats.queued, stats.running, stats.stalled), (1, 1, 1));
+        assert_eq!((stats.busy_workers, stats.running_threads), (1, 1));
+
+        assert!(state.name_is_live("runner") && state.name_is_live("queued"));
+        assert!(!state.name_is_live("job-0") && !state.name_is_live("stopped"));
+        assert!(state.entry(runner).is_ok());
+        assert_eq!(state.entry(42).err(), Some(JobMissing::Expired), "replayed, then retired");
+        assert_eq!(state.entry(first_loop_id.unwrap()).err(), Some(JobMissing::Expired));
+        assert_eq!(state.entry(41).err(), Some(JobMissing::Unknown), "never held");
+        assert_eq!(state.entry(state.next_id).err(), Some(JobMissing::Unknown), "not issued");
     }
 }
