@@ -562,9 +562,7 @@ fn smoke(
 
     println!("smoke: starting {}", netd.display());
     let mut command = std::process::Command::new(&netd);
-    command
-        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--eviction", "lru", "--checkpoint-dir"])
-        .arg(&ckpt);
+    command.args(["--addr", "127.0.0.1:0", "--workers", "2", "--checkpoint-dir"]).arg(&ckpt);
     if let Some(path) = tenants_path {
         command.args(["--tenants", path]);
     }

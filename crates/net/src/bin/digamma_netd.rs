@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! digamma-netd [--addr 127.0.0.1:7171] [--workers N] [--cache-capacity N]
-//!              [--genome-cache-capacity N] [--event-log-capacity N]
-//!              [--eviction fifo|lru] [--checkpoint-dir DIR]
+//!              [--genome-cache-capacity N] [--checkpoint-dir DIR]
 //!              [--tenants FILE] [--no-metrics] [--no-trace]
 //!              [--log-level debug|info|warn|error]
 //!              [--shed-queue-depth N] [--drain-deadline-ms N]
@@ -47,7 +46,7 @@
 
 use digamma_net::NetServer;
 use digamma_obs::{log, LogLevel};
-use digamma_server::{EvictionPolicy, JobRegistry, ServerConfig, TenantSet};
+use digamma_server::{JobRegistry, ServerConfig, TenantSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,16 +109,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     value("--genome-cache-capacity")?.parse().map_err(|_| {
                         "--genome-cache-capacity needs an integer (0 disables)".to_owned()
                     })?;
-            }
-            "--event-log-capacity" => {
-                config.event_log_capacity = value("--event-log-capacity")?
-                    .parse()
-                    .map_err(|_| "--event-log-capacity needs a positive integer".to_owned())?;
-            }
-            "--eviction" => {
-                let raw = value("--eviction")?;
-                config.eviction = EvictionPolicy::parse(raw)
-                    .ok_or_else(|| format!("--eviction must be fifo or lru, got {raw:?}"))?;
             }
             "--checkpoint-dir" => {
                 config.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?));

@@ -518,7 +518,6 @@ pub fn render_stats(registry: &JobRegistry) -> String {
         let mut c = Section::new("cache");
         c.push("entries", cache.entries.to_string());
         c.push("capacity", registry.server().config().cache_capacity.to_string());
-        c.push("eviction", registry.server().config().eviction.to_string());
         c.push("hits", cache.hits.to_string());
         c.push("misses", cache.misses.to_string());
         c.push("hit_rate", format!("{:.4}", cache.hit_rate()));

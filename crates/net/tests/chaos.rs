@@ -11,77 +11,17 @@
 //!   and the body cap (413) instead of pinning threads;
 //! - SIGTERM drains: new submits shed with 503, in-flight work
 //!   checkpoints within the drain deadline, the process exits 0, and a
-//!   restart resumes the drained job.
+//!   restart resumes the drained job;
+//! - a test that panics before shutting its daemon down leaves no
+//!   daemon running (the shared harness kills it on drop).
 
+mod common;
+
+use common::{process_exists, Daemon};
 use digamma_net::client::{self, RetryPolicy};
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-extern "C" {
-    fn kill(pid: i32, sig: i32) -> i32;
-}
-const SIGTERM: i32 = 15;
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    /// Spawns a netd with `extra` flags appended (failpoints, drain
-    /// deadline, ...) and waits for the handshake line.
-    fn start(checkpoint_dir: &Path, extra: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_digamma-netd"))
-            .args(["--addr", "127.0.0.1:0", "--workers", "2", "--checkpoint-dir"])
-            .arg(checkpoint_dir)
-            .args(extra)
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn digamma-netd");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufReader::new(stdout).lines();
-        let first = lines.next().expect("a handshake line").expect("readable stdout");
-        let addr = first
-            .strip_prefix("digamma-netd listening on ")
-            .unwrap_or_else(|| panic!("unexpected handshake {first:?}"))
-            .to_owned();
-        std::thread::spawn(move || for _ in lines.by_ref() {});
-        Daemon { child, addr }
-    }
-
-    fn term(&self) {
-        let rc = unsafe { kill(self.child.id() as i32, SIGTERM) };
-        assert_eq!(rc, 0, "kill(SIGTERM) failed");
-    }
-
-    /// Waits for the process to exit on its own, asserting it did so
-    /// cleanly within `timeout`.
-    fn wait_clean_exit(mut self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.child.try_wait().expect("try_wait netd") {
-                Some(status) => {
-                    assert!(status.success(), "netd exited {status}");
-                    return;
-                }
-                None if Instant::now() >= deadline => {
-                    self.child.kill().ok();
-                    panic!("netd did not exit within {timeout:?}");
-                }
-                None => std::thread::sleep(Duration::from_millis(20)),
-            }
-        }
-    }
-
-    fn shutdown(mut self) {
-        let _ = client::post(&self.addr, "/shutdown", None);
-        let status = self.child.wait().expect("reap netd");
-        assert!(status.success(), "netd exited {status}");
-    }
-}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("digamma-chaos-{tag}-{}", std::process::id()));
@@ -124,7 +64,7 @@ fn torn_submit_response_retries_under_its_key_without_duplicates() {
     let dir = temp_dir("torn");
     // The very first request's response is eaten *after* the request is
     // processed — the client cannot tell whether its submit landed.
-    let daemon = Daemon::start(&dir, &["--failpoints", "sock.write=drop,nth:1"]);
+    let daemon = Daemon::start(2, &dir, &["--failpoints", "sock.write=drop,nth:1"]);
 
     let manifest = "[job]\nname = torn\nmodel = ncf\nbudget = 2000\npopulation = 8\nseed = 3\n";
     let body = client::submit_keyed(&daemon.addr, manifest, None, "chaos-torn-1", fast_retry())
@@ -159,7 +99,7 @@ fn a_failed_journal_append_answers_503_and_a_keyed_retry_lands() {
     let dir = temp_dir("append");
     // The first submit's journal append fails: nothing is accepted, the
     // daemon answers 503 + Retry-After, and the client's retry lands.
-    let daemon = Daemon::start(&dir, &["--failpoints", "journal.append=err,once"]);
+    let daemon = Daemon::start(2, &dir, &["--failpoints", "journal.append=err,once"]);
 
     let manifest = "[job]\nname = retried\nmodel = ncf\nbudget = 96\npopulation = 8\nseed = 3\n";
     let body = client::submit_keyed(&daemon.addr, manifest, None, "chaos-append-1", fast_retry())
@@ -175,7 +115,7 @@ fn a_failed_journal_append_answers_503_and_a_keyed_retry_lands() {
 #[test]
 fn injected_worker_panic_fails_one_job_and_budgets_balance() {
     let dir = temp_dir("panic");
-    let daemon = Daemon::start(&dir, &["--failpoints", "worker.eval=panic,once"]);
+    let daemon = Daemon::start(2, &dir, &["--failpoints", "worker.eval=panic,once"]);
 
     // Two jobs, two workers: whichever evaluates first panics (once);
     // the other must be unaffected by its sibling's death.
@@ -214,7 +154,7 @@ fn injected_worker_panic_fails_one_job_and_budgets_balance() {
 #[test]
 fn slow_and_oversized_requests_are_bounded() {
     let dir = temp_dir("bounds");
-    let daemon = Daemon::start(&dir, &["--io-timeout-ms", "250"]);
+    let daemon = Daemon::start(2, &dir, &["--io-timeout-ms", "250"]);
 
     // Slow-loris: open a connection, trickle half a request head, stall.
     let mut loris = TcpStream::connect(&daemon.addr).unwrap();
@@ -245,7 +185,7 @@ fn sigterm_drains_sheds_submits_and_leaves_the_job_resumable() {
     let dir = temp_dir("drain");
     // A drain deadline far shorter than the job: the drain must give up
     // waiting, checkpoint the in-flight search, and exit anyway.
-    let daemon = Daemon::start(&dir, &["--drain-deadline-ms", "1500"]);
+    let daemon = Daemon::start(2, &dir, &["--drain-deadline-ms", "1500"]);
 
     let accepted = client::post(
         &daemon.addr,
@@ -287,9 +227,27 @@ fn sigterm_drains_sheds_submits_and_leaves_the_job_resumable() {
     daemon.wait_clean_exit(Duration::from_secs(30));
 
     // The drained job is not lost: a restart replays it and resumes.
-    let reborn = Daemon::start(&dir, &[]);
+    let reborn = Daemon::start(2, &dir, &[]);
     wait_status(&reborn.addr, 1, &["running", "queued", "done"], Duration::from_secs(30));
     let _ = client::post(&reborn.addr, "/jobs/1/cancel", None);
     reborn.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_test_that_panics_leaves_no_daemon_running() {
+    let dir = temp_dir("orphan");
+    let (started, pid) = std::sync::mpsc::channel();
+    let test = std::thread::spawn({
+        let dir = dir.clone();
+        move || {
+            let daemon = Daemon::start(1, &dir, &[]);
+            started.send(daemon.pid()).expect("the test waits for the pid");
+            panic!("a test failing before its shutdown");
+        }
+    });
+    assert!(test.join().is_err(), "the thread panicked");
+    let pid = pid.recv().expect("the daemon started");
+    assert!(!process_exists(pid), "netd {pid} outlived the test that started it");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,51 +3,11 @@
 //! directory — the in-flight job must come back under its id and resume
 //! from its snapshot rather than starting over.
 
+mod common;
+
+use common::Daemon;
 use digamma_net::client;
-use std::io::BufRead;
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn start(checkpoint_dir: &Path) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_digamma-netd"))
-            .args(["--addr", "127.0.0.1:0", "--workers", "1", "--checkpoint-dir"])
-            .arg(checkpoint_dir)
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn digamma-netd");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufReader::new(stdout).lines();
-        let first = lines.next().expect("a handshake line").expect("readable stdout");
-        let addr = first
-            .strip_prefix("digamma-netd listening on ")
-            .unwrap_or_else(|| panic!("unexpected handshake {first:?}"))
-            .to_owned();
-        // Keep draining stdout so the pipe never closes under the
-        // daemon (println! to a closed pipe would abort it).
-        std::thread::spawn(move || for _ in lines.by_ref() {});
-        Daemon { child, addr }
-    }
-
-    /// SIGKILL — no cooperative anything; only the snapshot + journal
-    /// survive.
-    fn kill(mut self) {
-        self.child.kill().expect("kill netd");
-        self.child.wait().expect("reap netd");
-    }
-
-    fn shutdown(mut self) {
-        let _ = client::post(&self.addr, "/shutdown", None);
-        let status = self.child.wait().expect("reap netd");
-        assert!(status.success(), "netd exited {status}");
-    }
-}
 
 #[test]
 fn killed_netd_resumes_in_flight_jobs_on_restart() {
@@ -57,7 +17,7 @@ fn killed_netd_resumes_in_flight_jobs_on_restart() {
 
     // Life one: submit a job big enough to outlive us, snapshotting
     // every generation.
-    let daemon = Daemon::start(&dir);
+    let daemon = Daemon::start(1, &dir, &[]);
     let accepted = client::post(
         &daemon.addr,
         "/jobs",
@@ -86,7 +46,7 @@ fn killed_netd_resumes_in_flight_jobs_on_restart() {
 
     // Life two: same directory. The journal replays the job under id 1
     // and the search resumes from the snapshot.
-    let reborn = Daemon::start(&dir);
+    let reborn = Daemon::start(1, &dir, &[]);
     let mut resumed_generation = None;
     for _ in 0..600 {
         let body = client::get(&reborn.addr, "/jobs/1").unwrap();
@@ -131,7 +91,7 @@ fn clean_shutdown_leaves_queued_jobs_resumable() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let daemon = Daemon::start(&dir);
+    let daemon = Daemon::start(1, &dir, &[]);
     client::post(
         &daemon.addr,
         "/jobs",
@@ -143,7 +103,7 @@ fn clean_shutdown_leaves_queued_jobs_resumable() {
     let _ = client::stream_events(&daemon.addr, 1, 0, |line| !line.starts_with("gen=2"));
     daemon.shutdown();
 
-    let reborn = Daemon::start(&dir);
+    let reborn = Daemon::start(1, &dir, &[]);
     let mut came_back = false;
     for _ in 0..600 {
         let body = client::get(&reborn.addr, "/jobs/1").unwrap();

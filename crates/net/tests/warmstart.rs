@@ -7,47 +7,11 @@
 //! appended records) the new life must hold every entry the old one
 //! had.
 
+mod common;
+
+use common::Daemon;
 use digamma_net::client;
-use std::io::BufRead;
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn start(checkpoint_dir: &Path) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_digamma-netd"))
-            .args(["--addr", "127.0.0.1:0", "--workers", "1", "--checkpoint-dir"])
-            .arg(checkpoint_dir)
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn digamma-netd");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufReader::new(stdout).lines();
-        let first = lines.next().expect("a handshake line").expect("readable stdout");
-        let addr = first
-            .strip_prefix("digamma-netd listening on ")
-            .unwrap_or_else(|| panic!("unexpected handshake {first:?}"))
-            .to_owned();
-        std::thread::spawn(move || for _ in lines.by_ref() {});
-        Daemon { child, addr }
-    }
-
-    fn kill(mut self) {
-        self.child.kill().expect("kill netd");
-        self.child.wait().expect("reap netd");
-    }
-
-    fn shutdown(mut self) {
-        let _ = client::post(&self.addr, "/shutdown", None);
-        let status = self.child.wait().expect("reap netd");
-        assert!(status.success(), "netd exited {status}");
-    }
-}
 
 fn wait_done(addr: &str, id: u64) -> String {
     for _ in 0..1200 {
@@ -79,7 +43,7 @@ fn killed_netd_warm_starts_its_fitness_memo() {
     // Life one: run a small job to completion (its finish spills the
     // memo), then SIGKILL — no cooperative shutdown, only the spill
     // file survives.
-    let daemon = Daemon::start(&dir);
+    let daemon = Daemon::start(1, &dir, &[]);
     let accepted = client::post(&daemon.addr, "/jobs", Some(&job("seed-run"))).unwrap();
     assert!(accepted.contains("id = 1"), "{accepted}");
     let first = wait_done(&daemon.addr, 1);
@@ -88,7 +52,7 @@ fn killed_netd_warm_starts_its_fitness_memo() {
     assert!(dir.join("fitness-memo.cache").exists(), "spill file must survive the kill");
 
     // Life two: before any job runs, the memo is already warm.
-    let reborn = Daemon::start(&dir);
+    let reborn = Daemon::start(1, &dir, &[]);
     let stats = client::get(&reborn.addr, "/stats").unwrap();
     let preloaded = field(&stats, "entries");
     assert!(preloaded > 0, "restart must preload the spill:\n{stats}");
@@ -125,7 +89,7 @@ fn killed_netd_reloads_every_appended_spill() {
 
     // Life one: two distinct searches, so the second one's spill appends
     // to the base the first one wrote; then SIGKILL.
-    let daemon = Daemon::start(&dir);
+    let daemon = Daemon::start(1, &dir, &[]);
     let mut entries = Vec::new();
     for (id, seed) in [(1, 9), (2, 10)] {
         let accepted = client::post(&daemon.addr, "/jobs", Some(&job(seed))).unwrap();
@@ -137,7 +101,7 @@ fn killed_netd_reloads_every_appended_spill() {
     daemon.kill();
 
     // Life two holds every entry life one had memoized.
-    let reborn = Daemon::start(&dir);
+    let reborn = Daemon::start(1, &dir, &[]);
     let stats = client::get(&reborn.addr, "/stats").unwrap();
     assert_eq!(field(&stats, "entries"), entries[1], "every spill must reload:\n{stats}");
     reborn.shutdown();

@@ -3,39 +3,28 @@
 //!
 //! ```text
 //! digamma-serve --manifest jobs.txt [--workers N] [--cache-capacity N]
-//!               [--eviction fifo|lru] [--checkpoint-dir DIR]
+//!               [--checkpoint-dir DIR]
 //! ```
 //!
-//! Reads the job manifest (see [`digamma_server::parse_manifest_full`]
-//! for the format — an optional `[server]` section sets service
-//! defaults, which the CLI flags above override), schedules every job
-//! across the worker pool with the shared fitness cache, and prints one
-//! report line per job plus the aggregate cache counters. With
-//! `--checkpoint-dir`, GA jobs snapshot periodically and a re-invocation
-//! after a kill resumes them bit-identically.
+//! Reads the job manifest (see [`digamma_server::parse_manifest`] for
+//! the format; the flags above are the only service settings),
+//! schedules every job across the worker pool with the shared fitness
+//! cache, and prints one report line per job plus the aggregate cache
+//! counters. With `--checkpoint-dir`, GA jobs snapshot periodically and
+//! a re-invocation after a kill resumes them bit-identically.
 //!
 //! For a network front-end over the same machinery (submit jobs over
 //! HTTP while searches run, stream progress, cancel), see
 //! `digamma-netd` in the `digamma-net` crate.
 
-use digamma_server::{parse_manifest_full, EvictionPolicy, SearchServer, ServerConfig};
+use digamma_server::{parse_manifest, SearchServer, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Options {
-    manifest: PathBuf,
-    workers: Option<usize>,
-    cache_capacity: Option<usize>,
-    eviction: Option<EvictionPolicy>,
-    checkpoint_dir: Option<PathBuf>,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
+/// Parses the flags into the manifest path and the service settings.
+fn parse_args(args: &[String]) -> Result<(PathBuf, ServerConfig), String> {
     let mut manifest: Option<PathBuf> = None;
-    let mut workers = None;
-    let mut cache_capacity = None;
-    let mut eviction = None;
-    let mut checkpoint_dir = None;
+    let mut config = ServerConfig::default();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| {
@@ -44,60 +33,34 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match flag.as_str() {
             "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
             "--workers" => {
-                workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers needs a positive integer".to_owned())?,
-                );
+                config.workers = value("--workers")?
+                    .parse()
+                    .map_err(|_| "--workers needs a positive integer".to_owned())?;
             }
             "--cache-capacity" => {
-                cache_capacity =
-                    Some(value("--cache-capacity")?.parse().map_err(|_| {
-                        "--cache-capacity needs an integer (0 disables)".to_owned()
-                    })?);
-            }
-            "--eviction" => {
-                let raw = value("--eviction")?;
-                eviction = Some(
-                    EvictionPolicy::parse(raw)
-                        .ok_or_else(|| format!("--eviction must be fifo or lru, got {raw:?}"))?,
-                );
+                config.cache_capacity = value("--cache-capacity")?
+                    .parse()
+                    .map_err(|_| "--cache-capacity needs an integer (0 disables)".to_owned())?;
             }
             "--checkpoint-dir" => {
-                checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?));
+                config.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?));
             }
             other => return Err(format!("unknown flag {other:?} (see --help in the README)")),
         }
     }
     let manifest = manifest.ok_or_else(|| "--manifest <path> is required".to_owned())?;
-    if workers == Some(0) {
+    if config.workers == 0 {
         return Err("--workers must be at least 1".to_owned());
     }
-    Ok(Options { manifest, workers, cache_capacity, eviction, checkpoint_dir })
+    Ok((manifest, config))
 }
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = parse_args(&args)?;
-    let text = std::fs::read_to_string(&options.manifest)
-        .map_err(|e| format!("cannot read {}: {e}", options.manifest.display()))?;
-    let manifest = parse_manifest_full(&text).map_err(|e| format!("bad manifest: {e}"))?;
-
-    // Defaults ← manifest [server] overrides ← CLI flags.
-    let mut config = ServerConfig::default();
-    manifest.server.apply(&mut config);
-    if let Some(workers) = options.workers {
-        config.workers = workers;
-    }
-    if let Some(capacity) = options.cache_capacity {
-        config.cache_capacity = capacity;
-    }
-    if let Some(eviction) = options.eviction {
-        config.eviction = eviction;
-    }
-    if let Some(dir) = options.checkpoint_dir {
-        config.checkpoint_dir = Some(dir);
-    }
+    let (manifest, config) = parse_args(&args)?;
+    let text = std::fs::read_to_string(&manifest)
+        .map_err(|e| format!("cannot read {}: {e}", manifest.display()))?;
+    let jobs = parse_manifest(&text).map_err(|e| format!("bad manifest: {e}"))?;
     if let Some(dir) = &config.checkpoint_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
@@ -105,14 +68,13 @@ fn run() -> Result<(), String> {
 
     let server = SearchServer::new(config);
     println!(
-        "digamma-serve: {} job(s), {} worker(s), cache capacity {} ({})",
-        manifest.jobs.len(),
+        "digamma-serve: {} job(s), {} worker(s), cache capacity {}",
+        jobs.len(),
         server.config().workers,
-        server.config().cache_capacity,
-        server.config().eviction
+        server.config().cache_capacity
     );
     let started = std::time::Instant::now();
-    let reports = server.run(&manifest.jobs);
+    let reports = server.run(&jobs);
     for report in &reports {
         println!("{}", report.summary());
     }

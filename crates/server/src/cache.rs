@@ -19,13 +19,15 @@
 //!   shards, so worker threads hammering the cache contend only when
 //!   they collide on a shard, not on every lookup.
 //! * **Capacity-bounded** — each shard evicts past its capacity share
-//!   under a selectable [`EvictionPolicy`], so a long-running service
-//!   cannot grow without bound. FIFO keeps the hot path a single
-//!   `HashMap` probe; LRU pays one recency-queue push per hit to keep
-//!   long-lived hot keys (template seeds, co-tenant models) resident
-//!   through churn. The queue test
-//!   `lru_keeps_a_recurring_spec_resident_through_churn` asserts the
-//!   difference on a multi-model batch.
+//!   by second chance (CLOCK), so a long-running service cannot grow
+//!   without bound. A hit sets its entry's `referenced` bit under the
+//!   shard lock the probe already holds; eviction pops the oldest key
+//!   and, if its bit is set, clears it and re-queues the key once
+//!   instead of evicting it. Long-lived hot keys (template seeds,
+//!   co-tenant models) stay resident through churn from one-off
+//!   requests, which the queue test
+//!   `lru_keeps_a_recurring_spec_resident_through_churn` asserts on a
+//!   multi-model batch, and each hit buys at most one extra pop.
 //! * **Counted** — hits, misses, insertions, and evictions are atomic
 //!   counters; a [`JobMemo`] layers one job's counters, its tenant's
 //!   probe metrics and a sampled probe-latency histogram over a shared
@@ -39,39 +41,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// How a shard evicts once it exceeds its capacity share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict in insertion order. Cheapest: lookups never write.
-    #[default]
-    Fifo,
-    /// Evict the least-recently-used entry. Hits refresh recency (one
-    /// lazy queue push per hit), so keys that stay hot across jobs
-    /// survive churn from one-off requests (asserted by the queue test
-    /// `lru_keeps_a_recurring_spec_resident_through_churn`).
-    Lru,
-}
-
-impl EvictionPolicy {
-    /// Parses a manifest/CLI spelling (`fifo` or `lru`).
-    pub fn parse(s: &str) -> Option<EvictionPolicy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fifo" => Some(EvictionPolicy::Fifo),
-            "lru" => Some(EvictionPolicy::Lru),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EvictionPolicy::Fifo => f.write_str("fifo"),
-            EvictionPolicy::Lru => f.write_str("lru"),
-        }
-    }
-}
 
 /// A point-in-time view of a cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,10 +72,8 @@ impl CacheStats {
 #[derive(Debug)]
 struct Entry<V> {
     value: V,
-    /// Tick of the last ordering-relevant touch (insertion; plus hits
-    /// under LRU). The order queue pairs carrying an older tick for this
-    /// key are stale.
-    touched: u64,
+    /// Set by a hit; cleared when eviction passes the entry over once.
+    referenced: bool,
     /// Tick of the insertion. Only a disk spill reads it, to find the
     /// entries inserted after its shard's watermark.
     inserted: u64,
@@ -115,10 +82,9 @@ struct Entry<V> {
 #[derive(Debug)]
 struct Shard<V> {
     map: HashMap<u64, Entry<V>>,
-    /// `(tick, key)` pairs in tick order. A pair is live only while the
-    /// entry's `touched` still equals its tick; stale pairs are skipped
-    /// lazily at eviction and swept by [`Shard::compact`].
-    order: VecDeque<(u64, u64)>,
+    /// Every resident key exactly once, oldest at the front.
+    order: VecDeque<u64>,
+    /// Insertions so far: the newest entry's `inserted` tick.
     tick: u64,
     /// The spill watermark: entries inserted at or before this tick
     /// are already in the spill file.
@@ -132,38 +98,21 @@ impl<V> Default for Shard<V> {
 }
 
 impl<V> Shard<V> {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Refreshes `key`'s recency (the LRU hit path).
-    fn touch(&mut self, key: u64) {
-        let tick = self.next_tick();
-        if let Some(entry) = self.map.get_mut(&key) {
-            entry.touched = tick;
-            self.order.push_back((tick, key));
-        }
-        // Hits never evict, so the lazy queue needs an occasional sweep
-        // to stay proportional to the resident set.
-        if self.order.len() > 2 * self.map.len() + 64 {
-            self.compact();
-        }
-    }
-
-    /// Drops stale `(tick, key)` pairs, keeping live ones in tick order.
-    fn compact(&mut self) {
-        let map = &self.map;
-        self.order.retain(|&(tick, key)| map.get(&key).is_some_and(|e| e.touched == tick));
-    }
-
-    /// Evicts oldest-live-tick entries until at most `capacity` remain;
-    /// returns how many were dropped.
-    fn evict_to(&mut self, capacity: usize) -> u64 {
+    /// Makes room for one more entry under `capacity` by second chance:
+    /// pops the oldest key, re-queues it once with its `referenced` bit
+    /// cleared if a hit set it, and otherwise evicts it. Returns how
+    /// many entries were evicted. Every pass clears a bit or evicts, and
+    /// only a hit (which needs this shard's lock) sets a bit, so the
+    /// loop ends.
+    fn evict_for_one(&mut self, capacity: usize) -> u64 {
         let mut evicted = 0u64;
-        while self.map.len() > capacity {
-            let Some((tick, key)) = self.order.pop_front() else { break };
-            if self.map.get(&key).is_some_and(|e| e.touched == tick) {
+        while self.map.len() >= capacity {
+            let key = self.order.pop_front().expect("the queue holds every resident key");
+            let entry = self.map.get_mut(&key).expect("queued keys are resident");
+            if entry.referenced {
+                entry.referenced = false;
+                self.order.push_back(key);
+            } else {
                 self.map.remove(&key);
                 evicted += 1;
             }
@@ -174,12 +123,11 @@ impl<V> Shard<V> {
 
 /// The value-generic sharded memo behind both memo layers (see the
 /// module docs): a fixed set of independently locked shards, each
-/// bounded to its capacity share under the selected [`EvictionPolicy`].
+/// bounded to its capacity share by second-chance eviction.
 #[derive(Debug)]
 pub struct ShardedMemo<V> {
     shards: Vec<Mutex<Shard<V>>>,
     shard_capacity: usize,
-    policy: EvictionPolicy,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -199,37 +147,21 @@ pub type ShardedGenomeMemo = ShardedMemo<Arc<DesignEvaluation>>;
 const DEFAULT_SHARDS: usize = 64;
 
 impl<V: Clone> ShardedMemo<V> {
-    /// Creates a FIFO-evicting memo bounded to roughly `capacity`
-    /// entries total, with the default shard count.
+    /// Creates a memo bounded to roughly `capacity` entries total, with
+    /// the default shard count.
     pub fn new(capacity: usize) -> ShardedMemo<V> {
-        ShardedMemo::with_shards_and_policy(capacity, DEFAULT_SHARDS, EvictionPolicy::Fifo)
+        ShardedMemo::with_shards(capacity, DEFAULT_SHARDS)
     }
 
-    /// Creates a memo with the given eviction policy and the default
-    /// shard count.
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> ShardedMemo<V> {
-        ShardedMemo::with_shards_and_policy(capacity, DEFAULT_SHARDS, policy)
-    }
-
-    /// Creates a FIFO memo with an explicit shard count.
-    pub fn with_shards(capacity: usize, shards: usize) -> ShardedMemo<V> {
-        ShardedMemo::with_shards_and_policy(capacity, shards, EvictionPolicy::Fifo)
-    }
-
-    /// The fully-explicit constructor. The shard count is rounded up to
-    /// a power of two (minimum 1); total capacity splits evenly across
+    /// Creates a memo with an explicit shard count, rounded up to a
+    /// power of two (minimum 1); total capacity splits evenly across
     /// shards, each holding at least one entry.
-    pub fn with_shards_and_policy(
-        capacity: usize,
-        shards: usize,
-        policy: EvictionPolicy,
-    ) -> ShardedMemo<V> {
+    pub fn with_shards(capacity: usize, shards: usize) -> ShardedMemo<V> {
         let shards = shards.max(1).next_power_of_two();
         let shard_capacity = capacity.div_ceil(shards).max(1);
         ShardedMemo {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity,
-            policy,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -242,11 +174,6 @@ impl<V: Clone> ShardedMemo<V> {
         // bits (FNV mixes well, but this is free insurance).
         let mixed = key ^ (key >> 32);
         &self.shards[(mixed as usize) & (self.shards.len() - 1)]
-    }
-
-    /// The active eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Entries currently resident across all shards.
@@ -317,10 +244,10 @@ pub(crate) struct SpillMark(Vec<u64>);
 impl<V: Clone + fmt::Debug + Send + Sync> Memo<V> for ShardedMemo<V> {
     fn lookup(&self, key: u64) -> Option<V> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        let found = shard.map.get(&key).map(|e| e.value.clone());
-        if found.is_some() && self.policy == EvictionPolicy::Lru {
-            shard.touch(key);
-        }
+        let found = shard.map.get_mut(&key).map(|entry| {
+            entry.referenced = true;
+            entry.value.clone()
+        });
         drop(shard);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -332,16 +259,17 @@ impl<V: Clone + fmt::Debug + Send + Sync> Memo<V> for ShardedMemo<V> {
     fn store(&self, key: u64, value: V) {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         // Two workers may race to evaluate the same key; the racing
-        // re-store refreshes the value without a new order-queue pair
-        // (the existing tick stays authoritative).
+        // re-store refreshes the value and keeps the key's queue place.
         if let Some(entry) = shard.map.get_mut(&key) {
             entry.value = value;
             return;
         }
-        let tick = shard.next_tick();
-        shard.map.insert(key, Entry { value, touched: tick, inserted: tick });
-        shard.order.push_back((tick, key));
-        let evicted = shard.evict_to(self.shard_capacity);
+        // Room first, so the newcomer is never its own victim.
+        let evicted = shard.evict_for_one(self.shard_capacity);
+        shard.tick += 1;
+        let inserted = shard.tick;
+        shard.map.insert(key, Entry { value, referenced: false, inserted });
+        shard.order.push_back(key);
         drop(shard);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted > 0 {
@@ -480,9 +408,15 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
+    /// Whether `key` is resident, without the hit a lookup records.
+    fn resident<V: Clone>(memo: &ShardedMemo<V>, key: u64) -> bool {
+        memo.shard(key).lock().unwrap().map.contains_key(&key)
+    }
+
     #[test]
     fn capacity_bound_evicts_oldest_first() {
-        // One shard makes the FIFO order observable.
+        // Without hits, eviction follows insertion order; one shard
+        // makes that order observable.
         let cache = ShardedFitnessCache::with_shards(2, 1);
         let (k1, r) = report_for(2, 2);
         let (k2, _) = report_for(4, 2);
@@ -499,47 +433,88 @@ mod tests {
 
     #[test]
     fn lru_keeps_recently_used_entries() {
-        // One shard, capacity 2. Under LRU, touching k1 makes k2 the
-        // eviction victim; under FIFO (tested above) k1 would go.
-        let cache = ShardedFitnessCache::with_shards_and_policy(2, 1, EvictionPolicy::Lru);
+        // One shard, capacity 2. The hit on k1 buys it a second chance,
+        // so k2 is the eviction victim; without the hit k1 would go
+        // (tested above).
+        let cache = ShardedFitnessCache::with_shards(2, 1);
         let (k1, r) = report_for(2, 2);
         let (k2, _) = report_for(4, 2);
         let (k3, _) = report_for(8, 2);
         cache.store(k1, Arc::clone(&r));
         cache.store(k2, Arc::clone(&r));
-        assert!(cache.lookup(k1).is_some(), "refreshes k1's recency");
+        assert!(cache.lookup(k1).is_some(), "sets k1's referenced bit");
         cache.store(k3, Arc::clone(&r));
         assert!(cache.lookup(k1).is_some(), "recently-used entry survives");
-        assert!(cache.lookup(k2).is_none(), "least-recently-used entry evicted");
+        assert!(cache.lookup(k2).is_none(), "unreferenced entry evicted");
         assert!(cache.lookup(k3).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn lru_order_queue_stays_bounded() {
-        // Hammering one key with hits must not grow the shard's lazy
-        // recency queue without bound.
-        let cache = ShardedFitnessCache::with_shards_and_policy(4, 1, EvictionPolicy::Lru);
-        let (key, report) = report_for(8, 4);
-        cache.store(key, Arc::clone(&report));
-        for _ in 0..10_000 {
-            assert!(cache.lookup(key).is_some());
+        // Hits never push onto the order queue, and evictions take keys
+        // off it: it stays exactly the resident set.
+        let cache = ShardedMemo::<u64>::with_shards(4, 1);
+        for key in 0..64 {
+            cache.store(key, key);
+            for _ in 0..200 {
+                assert_eq!(cache.lookup(key), Some(key));
+            }
         }
         let shard = cache.shards[0].lock().unwrap();
-        assert!(shard.order.len() <= 2 * shard.map.len() + 65, "queue len {}", shard.order.len());
+        assert_eq!(shard.map.len(), 4);
+        assert_eq!(shard.order.len(), shard.map.len(), "queue {:?}", shard.order);
+        assert!(shard.order.iter().all(|key| shard.map.contains_key(key)));
     }
 
     #[test]
-    fn eviction_policy_parses_and_displays() {
-        assert_eq!(EvictionPolicy::parse("LRU"), Some(EvictionPolicy::Lru));
-        assert_eq!(EvictionPolicy::parse(" fifo "), Some(EvictionPolicy::Fifo));
-        assert_eq!(EvictionPolicy::parse("2q"), None);
-        assert_eq!(EvictionPolicy::Lru.to_string(), "lru");
-        assert_eq!(ShardedFitnessCache::new(8).policy(), EvictionPolicy::Fifo);
-        assert_eq!(
-            ShardedFitnessCache::with_policy(8, EvictionPolicy::Lru).policy(),
-            EvictionPolicy::Lru
-        );
+    fn a_store_into_a_fully_referenced_shard_evicts_only_the_oldest() {
+        // Every resident entry was hit: eviction must clear each bit
+        // once and come round to the oldest entry, neither spinning on
+        // the bits nor taking the newcomer.
+        const CAPACITY: u64 = 4;
+        let memo = Arc::new(ShardedMemo::<u64>::with_shards(CAPACITY as usize, 1));
+        for key in 0..CAPACITY {
+            memo.store(key, key);
+        }
+        for key in 0..CAPACITY {
+            assert_eq!(memo.lookup(key), Some(key));
+        }
+        let (returned, stored) = std::sync::mpsc::channel();
+        let writer = Arc::clone(&memo);
+        let store = std::thread::spawn(move || {
+            writer.store(CAPACITY, CAPACITY);
+            returned.send(()).expect("the test waits for the store");
+        });
+        stored.recv_timeout(std::time::Duration::from_secs(10)).expect("the store must return");
+        store.join().expect("the store must not panic");
+        assert_eq!(memo.stats().evictions, 1);
+        assert!(!resident(&memo, 0), "the oldest entry goes");
+        assert!((1..=CAPACITY).all(|key| resident(&memo, key)));
+        // The pass cleared every bit, so the next store takes the next
+        // oldest entry at once.
+        memo.store(CAPACITY + 1, CAPACITY + 1);
+        assert!(!resident(&memo, 1));
+        assert_eq!(memo.stats().evictions, 2);
+    }
+
+    #[test]
+    fn a_single_hit_cannot_pin_an_entry() {
+        const CAPACITY: u64 = 4;
+        let memo = ShardedMemo::<u64>::with_shards(CAPACITY as usize, 1);
+        for key in 0..CAPACITY {
+            memo.store(key, key);
+        }
+        assert_eq!(memo.lookup(0), Some(0));
+        memo.store(CAPACITY, CAPACITY);
+        assert!(resident(&memo, 0), "the hit bought the oldest entry a second chance");
+        assert!(!resident(&memo, 1), "the next oldest went instead");
+        // Never hit again, the entry is evicted within two passes of
+        // the queue.
+        for key in CAPACITY + 1..=3 * CAPACITY {
+            memo.store(key, key);
+        }
+        assert!(!resident(&memo, 0), "one hit must not keep an entry forever");
     }
 
     #[test]

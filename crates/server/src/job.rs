@@ -90,7 +90,7 @@ pub struct JobSpec {
     /// adds oversubscription.
     pub threads: usize,
     /// Snapshot every N generations when the server has a checkpoint
-    /// directory (`None` = only the server default cadence).
+    /// directory (`None` = every 8 generations).
     pub checkpoint_every: Option<u64>,
 }
 

@@ -61,11 +61,9 @@ mod tenant;
 
 pub use journal::{Journal, JOURNAL_VERSION};
 
-pub use cache::{
-    CacheStats, EvictionPolicy, JobMemo, ShardedFitnessCache, ShardedGenomeMemo, ShardedMemo,
-};
+pub use cache::{CacheStats, JobMemo, ShardedFitnessCache, ShardedGenomeMemo, ShardedMemo};
 pub use job::{JobAlgorithm, JobReport, JobSpec};
-pub use manifest::{parse_manifest, parse_manifest_full, render_job, Manifest, ServerOverrides};
+pub use manifest::{parse_manifest, render_job};
 pub use queue::{AnalyticsUpdate, JobControl, JobProgress, SearchServer, ServerConfig};
 pub use registry::{
     JobId, JobMissing, JobRegistry, JobStatus, JobView, RegistryStats, Submission, SubmitError,

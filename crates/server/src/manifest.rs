@@ -2,19 +2,11 @@
 //! and at `digamma-netd`'s `POST /jobs` endpoint.
 //!
 //! A manifest is a [`crate::textio`] document with one `[job]` section
-//! per search request, plus an optional leading `[server]` section
-//! overriding service knobs:
+//! per search request and nothing else; the service itself is
+//! configured by the binaries' flags:
 //!
 //! ```text
 //! # Co-design batch for the edge SoC tape-out.
-//! [server]
-//! workers = 4                    # worker threads (optional)
-//! cache_capacity = 262144        # fitness memo entries, 0 = off
-//! genome_cache_capacity = 65536  # whole-genome memo entries, 0 = off
-//! event_log_capacity = 1024      # per-job event ring, newest N lines
-//! eviction = lru                 # fifo | lru (default fifo)
-//! checkpoint_every = 8           # default snapshot cadence
-//!
 //! [job]
 //! name = ncf-edge                # default: job-<index>
 //! model = ncf                    # required; any zoo name
@@ -29,6 +21,7 @@
 //! threads = 1                    # per-job eval threads (>= 1; the
 //!                                # registry clamps to its worker count)
 //! checkpoint_every = 8           # generations between snapshots
+//!                                # (default 8)
 //! tenant = alpha                 # owning tenant id (default "default";
 //!                                # ignored when the wire front-end
 //!                                # authenticates — the token decides)
@@ -50,64 +43,11 @@
 //! max_evals = 1000000            # lifetime submitted-eval-budget cap
 //! ```
 
-use crate::cache::EvictionPolicy;
 use crate::job::{JobAlgorithm, JobSpec};
-use crate::queue::ServerConfig;
 use crate::textio::{self, Section, TextError};
 use digamma::Objective;
 use digamma_costmodel::Platform;
 use std::collections::HashSet;
-
-/// Service knobs a manifest's optional `[server]` section overrides.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerOverrides {
-    /// Worker threads, when given.
-    pub workers: Option<usize>,
-    /// Fitness-cache capacity (`0` disables), when given.
-    pub cache_capacity: Option<usize>,
-    /// Whole-genome memo capacity (`0` disables), when given.
-    pub genome_cache_capacity: Option<usize>,
-    /// Cache eviction policy, when given.
-    pub eviction: Option<EvictionPolicy>,
-    /// Default snapshot cadence, when given.
-    pub checkpoint_every: Option<u64>,
-    /// Per-job event-log ring capacity, when given.
-    pub event_log_capacity: Option<usize>,
-}
-
-impl ServerOverrides {
-    /// Applies the overrides on top of a base configuration.
-    pub fn apply(&self, config: &mut ServerConfig) {
-        if let Some(workers) = self.workers {
-            config.workers = workers;
-        }
-        if let Some(capacity) = self.cache_capacity {
-            config.cache_capacity = capacity;
-        }
-        if let Some(capacity) = self.genome_cache_capacity {
-            config.genome_cache_capacity = capacity;
-        }
-        if let Some(eviction) = self.eviction {
-            config.eviction = eviction;
-        }
-        if let Some(every) = self.checkpoint_every {
-            config.checkpoint_every = every;
-        }
-        if let Some(capacity) = self.event_log_capacity {
-            config.event_log_capacity = capacity;
-        }
-    }
-}
-
-/// A fully parsed manifest: optional server overrides plus jobs in
-/// document order.
-#[derive(Debug, Clone)]
-pub struct Manifest {
-    /// Overrides from the optional `[server]` section.
-    pub server: ServerOverrides,
-    /// The requested jobs, in document order.
-    pub jobs: Vec<JobSpec>,
-}
 
 /// Parses one `[job]` section into a spec. `index` positions the job in
 /// its document (for the default name and error messages); `name`
@@ -186,89 +126,32 @@ pub fn render_job(spec: &JobSpec) -> Section {
     section
 }
 
-fn parse_server_section(section: &Section) -> Result<ServerOverrides, TextError> {
-    let mut overrides = ServerOverrides::default();
-    for (key, value) in &section.entries {
-        match key.as_str() {
-            "workers" => overrides.workers = Some(section.get_parsed_or("workers", 0)?),
-            "cache_capacity" => {
-                overrides.cache_capacity = Some(section.get_parsed_or("cache_capacity", 0)?);
-            }
-            "genome_cache_capacity" => {
-                overrides.genome_cache_capacity =
-                    Some(section.get_parsed_or("genome_cache_capacity", 0)?);
-            }
-            "event_log_capacity" => {
-                overrides.event_log_capacity =
-                    Some(section.get_parsed_or("event_log_capacity", 0)?);
-            }
-            "eviction" => {
-                overrides.eviction = Some(EvictionPolicy::parse(value).ok_or_else(|| {
-                    TextError::new(format!("[server] has bad `eviction`: {value:?} (fifo | lru)"))
-                })?);
-            }
-            "checkpoint_every" => {
-                overrides.checkpoint_every = Some(section.get_parsed_or("checkpoint_every", 0)?);
-            }
-            other => {
-                return Err(TextError::new(format!("[server] has unknown key `{other}`")));
-            }
-        }
-    }
-    if overrides.workers == Some(0) {
-        return Err(TextError::new("[server] workers must be at least 1"));
-    }
-    Ok(overrides)
-}
-
-/// Parses a whole manifest: an optional leading `[server]` section plus
-/// job specs in document order.
+/// Parses a manifest's job specs, in document order.
 ///
 /// # Errors
 ///
 /// Returns [`TextError`] on syntax errors, unknown names or sections,
 /// duplicate job names, or an empty manifest.
-pub fn parse_manifest_full(text: &str) -> Result<Manifest, TextError> {
-    let sections = textio::parse_sections(text)?;
-    let mut server = ServerOverrides::default();
+pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, TextError> {
     let mut jobs = Vec::new();
     let mut names = HashSet::new();
-    for section in &sections {
-        match section.name.as_str() {
-            "server" => {
-                if !jobs.is_empty() {
-                    return Err(TextError::new("[server] must precede the [job] sections"));
-                }
-                server = parse_server_section(section)?;
-            }
-            "job" => {
-                let spec = parse_job_section(section, jobs.len())?;
-                if !names.insert(spec.name.clone()) {
-                    return Err(TextError::new(format!("duplicate job name {:?}", spec.name)));
-                }
-                jobs.push(spec);
-            }
-            other => {
-                return Err(TextError::new(format!(
-                    "unknown section [{other}] (manifests contain [server] and [job])"
-                )));
-            }
+    for section in &textio::parse_sections(text)? {
+        if section.name != "job" {
+            return Err(TextError::new(format!(
+                "unknown section [{}] (manifests contain [job] sections only)",
+                section.name
+            )));
         }
+        let spec = parse_job_section(section, jobs.len())?;
+        if !names.insert(spec.name.clone()) {
+            return Err(TextError::new(format!("duplicate job name {:?}", spec.name)));
+        }
+        jobs.push(spec);
     }
     if jobs.is_empty() {
         return Err(TextError::new("manifest has no [job] sections"));
     }
-    Ok(Manifest { server, jobs })
-}
-
-/// Parses a manifest's job specs, in document order (the historical
-/// entry point; server overrides, if any, are validated and dropped).
-///
-/// # Errors
-///
-/// See [`parse_manifest_full`].
-pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, TextError> {
-    Ok(parse_manifest_full(text)?.jobs)
+    Ok(jobs)
 }
 
 #[cfg(test)]
@@ -317,41 +200,6 @@ algorithm = cma
         assert_eq!(jobs[1].algorithm, JobAlgorithm::Gamma(HwPreset::ComputeFocused));
         assert_eq!(jobs[2].algorithm, JobAlgorithm::Baseline(Algorithm::Cma));
         assert_eq!(jobs[2].budget, 600, "defaults apply");
-    }
-
-    #[test]
-    fn server_section_overrides_apply() {
-        let text = "\
-[server]
-workers = 3
-cache_capacity = 1024
-genome_cache_capacity = 512
-event_log_capacity = 64
-eviction = lru
-
-[job]
-model = ncf
-";
-        let manifest = parse_manifest_full(text).unwrap();
-        let mut config = ServerConfig::default();
-        manifest.server.apply(&mut config);
-        assert_eq!(config.workers, 3);
-        assert_eq!(config.cache_capacity, 1024);
-        assert_eq!(config.genome_cache_capacity, 512);
-        assert_eq!(config.event_log_capacity, 64);
-        assert_eq!(config.eviction, EvictionPolicy::Lru);
-        // Absent keys leave the base config alone.
-        assert_eq!(config.checkpoint_every, ServerConfig::default().checkpoint_every);
-        // Bad values and misplaced sections are named errors.
-        for (text, needle) in [
-            ("[server]\neviction = 2q\n[job]\nmodel = ncf\n", "eviction"),
-            ("[server]\nworkers = 0\n[job]\nmodel = ncf\n", "workers"),
-            ("[server]\nquota = 9\n[job]\nmodel = ncf\n", "unknown key"),
-            ("[job]\nmodel = ncf\n[server]\nworkers = 2\n", "precede"),
-        ] {
-            let err = parse_manifest_full(text).unwrap_err();
-            assert!(err.to_string().contains(needle), "{text:?} → {err}");
-        }
     }
 
     #[test]
@@ -405,6 +253,7 @@ checkpoint_every = 5
             ("[job]\nmodel = ncf\ntenant = no spaces\n", "bad tenant id"),
             ("[job]\nname = a\nmodel = ncf\n[job]\nname = a\nmodel = ncf\n", "duplicate"),
             ("[batch]\n", "unknown section"),
+            ("[server]\nworkers = 2\n[job]\nmodel = ncf\n", "unknown section [server]"),
         ] {
             let err = parse_manifest(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{text:?} → {err}");

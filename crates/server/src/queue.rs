@@ -13,9 +13,7 @@
 //! re-submitted job whose snapshot survives resumes bit-identically
 //! instead of starting over.
 
-use crate::cache::{
-    CacheStats, EvictionPolicy, JobMemo, ShardedFitnessCache, ShardedGenomeMemo, ShardedMemo,
-};
+use crate::cache::{CacheStats, JobMemo, ShardedFitnessCache, ShardedGenomeMemo, ShardedMemo};
 use crate::cachefile;
 use crate::job::{JobAlgorithm, JobReport, JobSpec};
 use crate::sealed;
@@ -35,6 +33,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Snapshot cadence in generations for a GA job whose spec sets no
+/// `checkpoint_every`.
+const DEFAULT_CHECKPOINT_EVERY: u64 = 8;
+
 /// Server-wide knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -46,17 +48,9 @@ pub struct ServerConfig {
     /// Whole-genome memo capacity in memoized design evaluations; `0`
     /// disables the genome layer (the per-layer cache still applies).
     pub genome_cache_capacity: usize,
-    /// How the fitness cache evicts past capacity.
-    pub eviction: EvictionPolicy,
     /// Where GA jobs write checkpoints; `None` disables checkpointing
     /// (and with it the fitness-memo disk spill).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Default snapshot cadence in generations (jobs may override).
-    pub checkpoint_every: u64,
-    /// Per-job event-log ring capacity: the newest this many event
-    /// lines are retained for late subscribers; older lines are dropped
-    /// (the stream reports the first retained sequence number).
-    pub event_log_capacity: usize,
     /// Whether the server's [`MetricsRegistry`] records anything. Off,
     /// the registry hands out detached cells: instrumentation still
     /// compiles and runs, but costs only a few dead atomic ops and
@@ -89,10 +83,7 @@ impl Default for ServerConfig {
             workers: digamma::default_threads(),
             cache_capacity: 256 * 1024,
             genome_cache_capacity: 64 * 1024,
-            eviction: EvictionPolicy::Fifo,
             checkpoint_dir: None,
-            checkpoint_every: 8,
-            event_log_capacity: 1024,
             metrics_enabled: true,
             trace_enabled: true,
             shed_queue_depth: 0,
@@ -128,8 +119,8 @@ impl JobProgress {
 }
 
 /// One generation boundary's search telemetry, forwarded from the GA to
-/// whoever attached an analytics sink (the registry pushes it into the
-/// job's [`GenStats`] ring and keeps the attribution counters current).
+/// the job's generation sink (the registry pushes it into the job's
+/// [`GenStats`] ring and keeps the attribution counters current).
 /// `ops` is the job's *cumulative absolute* attribution — after a
 /// resume it already includes the pre-kill half restored from the
 /// snapshot, so consumers tracking deltas must diff against their last
@@ -148,14 +139,17 @@ pub struct AnalyticsUpdate {
     pub seed_points: Option<Vec<digamma_obs::CostPoint>>,
 }
 
+/// What a job's control hands each generation boundary: the job's
+/// progress and, when the GA produced one, the boundary's analytics.
+type GenerationSink = dyn Fn(JobProgress, Option<AnalyticsUpdate>) + Send + Sync;
+
 /// External handles into a running job: a cooperative cancellation flag
 /// (checked at generation boundaries) and an optional per-generation
-/// progress sink.
+/// sink.
 #[derive(Default)]
 pub struct JobControl {
     cancel: AtomicBool,
-    progress: Option<Box<dyn Fn(JobProgress) + Send + Sync>>,
-    analytics: Option<Box<dyn Fn(AnalyticsUpdate) + Send + Sync>>,
+    sink: Option<Box<GenerationSink>>,
     /// The job's identity inside the span store: its id plus the claim
     /// span its run should nest under. Stamped by the registry's worker
     /// at claim time, read by [`SearchServer::run_job_controlled`].
@@ -168,23 +162,15 @@ impl JobControl {
         JobControl::default()
     }
 
-    /// Attaches a per-generation progress callback.
-    pub fn with_progress(
+    /// Attaches the per-generation sink, called once per stepped
+    /// generation with the job's [`JobProgress`] and, when the GA
+    /// produced one, the boundary's [`AnalyticsUpdate`] (its
+    /// [`GenStats`] and the cumulative operator counters).
+    pub fn with_generation_sink(
         mut self,
-        progress: impl Fn(JobProgress) + Send + Sync + 'static,
+        sink: impl Fn(JobProgress, Option<AnalyticsUpdate>) + Send + Sync + 'static,
     ) -> JobControl {
-        self.progress = Some(Box::new(progress));
-        self
-    }
-
-    /// Attaches a per-generation analytics callback (see
-    /// [`AnalyticsUpdate`]); called once per stepped generation with the
-    /// boundary's [`GenStats`] and the cumulative operator counters.
-    pub fn with_analytics(
-        mut self,
-        analytics: impl Fn(AnalyticsUpdate) + Send + Sync + 'static,
-    ) -> JobControl {
-        self.analytics = Some(Box::new(analytics));
+        self.sink = Some(Box::new(sink));
         self
     }
 
@@ -210,15 +196,9 @@ impl JobControl {
         *self.trace.lock().expect("trace slot poisoned")
     }
 
-    fn report(&self, progress: JobProgress) {
-        if let Some(sink) = &self.progress {
-            sink(progress);
-        }
-    }
-
-    fn report_analytics(&self, update: AnalyticsUpdate) {
-        if let Some(sink) = &self.analytics {
-            sink(update);
+    fn report(&self, progress: JobProgress, analytics: Option<AnalyticsUpdate>) {
+        if let Some(sink) = &self.sink {
+            sink(progress, analytics);
         }
     }
 }
@@ -227,8 +207,7 @@ impl fmt::Debug for JobControl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JobControl")
             .field("cancel", &self.is_cancelled())
-            .field("progress", &self.progress.as_ref().map(|_| "fn"))
-            .field("analytics", &self.analytics.as_ref().map(|_| "fn"))
+            .field("sink", &self.sink.as_ref().map(|_| "fn"))
             .finish()
     }
 }
@@ -266,12 +245,10 @@ impl SearchServer {
     /// skipped, and an unreadable or version-stale file degrades to a
     /// cold start.
     pub fn new(config: ServerConfig) -> SearchServer {
-        let cache = (config.cache_capacity > 0).then(|| {
-            Arc::new(ShardedFitnessCache::with_policy(config.cache_capacity, config.eviction))
-        });
-        let genome_memo = (config.genome_cache_capacity > 0).then(|| {
-            Arc::new(ShardedGenomeMemo::with_policy(config.genome_cache_capacity, config.eviction))
-        });
+        let cache = (config.cache_capacity > 0)
+            .then(|| Arc::new(ShardedFitnessCache::new(config.cache_capacity)));
+        let genome_memo = (config.genome_cache_capacity > 0)
+            .then(|| Arc::new(ShardedGenomeMemo::new(config.genome_cache_capacity)));
         let cache_file = match (&config.checkpoint_dir, &cache) {
             (Some(dir), Some(_)) => Some(dir.join("fitness-memo.cache")),
             _ => None,
@@ -486,8 +463,8 @@ impl SearchServer {
         self.run_job_controlled(spec, &JobControl::new())
     }
 
-    /// Runs one job under external control: `control`'s progress sink is
-    /// invoked at every generation boundary, and its cancellation flag
+    /// Runs one job under external control: `control`'s generation sink
+    /// is invoked at every generation boundary, and its cancellation flag
     /// stops the job cooperatively at the next boundary (snapshotting
     /// first when checkpointing is on, so the partial search is
     /// resumable and its best-so-far design survives in the report).
@@ -669,7 +646,7 @@ impl SearchServer {
             }
             None => ga.init(problem, spec.budget),
         };
-        let every = spec.checkpoint_every.unwrap_or(self.config.checkpoint_every).max(1);
+        let every = spec.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY).max(1);
         let mut observer = DriveObserver {
             server: self,
             path: path.as_deref(),
@@ -893,21 +870,18 @@ impl StepObserver for DriveObserver<'_> {
                 ],
             });
         }
-        self.control.report(JobProgress {
+        let analytics = state.last_gen_stats().map(|stats| {
+            let seed_points = (!self.analytics_seeded).then(|| state.cost_points().to_vec());
+            self.analytics_seeded = true;
+            AnalyticsUpdate { stats, ops: *state.op_counters(), seed_points }
+        });
+        let progress = JobProgress {
             generation: state.generation(),
             samples: state.samples(),
             budget,
             best_cost: state.best_cost(),
-        });
-        if let Some(stats) = state.last_gen_stats() {
-            let seed_points = (!self.analytics_seeded).then(|| state.cost_points().to_vec());
-            self.analytics_seeded = true;
-            self.control.report_analytics(AnalyticsUpdate {
-                stats,
-                ops: *state.op_counters(),
-                seed_points,
-            });
-        }
+        };
+        self.control.report(progress, analytics);
         if self.control.is_cancelled() {
             self.snapshot(state);
             self.spill(false);
@@ -1029,29 +1003,24 @@ mod tests {
                 ]
             })
             .collect();
-        let hot_hit_rate = |policy: EvictionPolicy| {
-            let server = SearchServer::new(ServerConfig {
-                workers: 1,
-                cache_capacity: 4096,
-                genome_cache_capacity: 0,
-                eviction: policy,
-                ..ServerConfig::default()
-            });
-            let reports = server.run(&jobs);
-            let evictions = server.cache_stats().expect("cache enabled").evictions;
-            assert!(evictions > 0, "{policy}: the capacity must bind");
-            // Round 0 inserts the hot spec's keys; later rounds re-probe
-            // exactly those keys, so every miss there is an eviction.
-            let later: Vec<f64> = reports
-                .iter()
-                .filter(|r| r.name.starts_with("hot-") && r.name != "hot-0")
-                .map(JobReport::cache_hit_rate)
-                .collect();
-            later.iter().sum::<f64>() / later.len() as f64
-        };
-        let (fifo, lru) = (hot_hit_rate(EvictionPolicy::Fifo), hot_hit_rate(EvictionPolicy::Lru));
-        assert_eq!(lru, 1.0, "LRU's hits refresh the hot keys past the churn");
-        assert!(fifo < lru, "FIFO ages the hot keys out: {fifo} vs {lru}");
+        let server = SearchServer::new(ServerConfig {
+            workers: 1,
+            cache_capacity: 4096,
+            genome_cache_capacity: 0,
+            ..ServerConfig::default()
+        });
+        let reports = server.run(&jobs);
+        let evictions = server.cache_stats().expect("cache enabled").evictions;
+        assert!(evictions > 0, "the capacity must bind");
+        // Round 0 inserts the hot spec's keys; later rounds re-probe
+        // exactly those keys, so every miss there is an eviction.
+        let later: Vec<f64> = reports
+            .iter()
+            .filter(|r| r.name.starts_with("hot-") && r.name != "hot-0")
+            .map(JobReport::cache_hit_rate)
+            .collect();
+        let hot_hit_rate = later.iter().sum::<f64>() / later.len() as f64;
+        assert_eq!(hot_hit_rate, 1.0, "hits keep the hot keys resident past the churn");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   typed [`SubmitError`]s so the wire layer can answer 403/429 rather
 //!   than 500.
 //! * **Observe** — every job keeps an event log (one line per GA
-//!   generation, fed by the [`JobControl`] progress seam) that
+//!   generation, fed by the [`JobControl`] generation sink) that
 //!   subscribers can poll or block on; [`JobView`] snapshots a job's
 //!   status, live progress, and best-so-far/final report, and
 //!   [`RegistryStats`] breaks queue depth, eval consumption, and cache
@@ -644,6 +644,25 @@ impl RegState {
         Some(Ended { status, terminal, queue_wait })
     }
 
+    /// Folds one generation boundary into a job: its live progress and
+    /// progress event line, then the analytics when the GA produced any
+    /// (see [`RegState::record_analytics`], whose `stalled` line follows
+    /// the progress line). Returns the per-operator incumbent deltas,
+    /// for the metrics.
+    fn record_generation(
+        &mut self,
+        id: JobId,
+        progress: JobProgress,
+        analytics: Option<AnalyticsUpdate>,
+        capacity: usize,
+    ) -> Vec<(&'static str, u64)> {
+        if let Some(entry) = self.jobs.get_mut(&id) {
+            entry.progress = Some(progress);
+            entry.push_event(progress.line(), capacity);
+        }
+        analytics.map_or_else(Vec::new, |update| self.record_analytics(id, update, capacity))
+    }
+
     /// Folds one generation boundary's analytics into a running job: its
     /// window, cost curve and operator counters (and the registry-wide
     /// aggregate, which keeps retired jobs' counts), and its stall
@@ -1044,13 +1063,11 @@ impl JobRegistry {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Invalid`] when the manifest does not parse or
-    /// carries a `[server]` section (service knobs cannot be changed
-    /// through the runtime submit path), when another *live* (queued or
-    /// running) job already uses a name — names key checkpoint files,
-    /// so two live jobs sharing one would corrupt each other's
-    /// snapshots — or when `threads` is zero or a tenant id is
-    /// malformed. [`SubmitError::UnknownTenant`] and
+    /// [`SubmitError::Invalid`] when the manifest does not parse, when
+    /// another *live* (queued or running) job already uses a name —
+    /// names key checkpoint files, so two live jobs sharing one would
+    /// corrupt each other's snapshots — or when `threads` is zero or a
+    /// tenant id is malformed. [`SubmitError::UnknownTenant`] and
     /// [`SubmitError::QuotaExceeded`] per the configured roster.
     /// [`SubmitError::Unavailable`] while the registry drains, shuts
     /// down, or sheds load past [`ServerConfig::shed_queue_depth`], and
@@ -1059,17 +1076,7 @@ impl JobRegistry {
         let Submission { jobs, trace, idempotency_key, tenant } = submission;
         let mut specs = match jobs {
             SubmittedJobs::Specs(specs) => specs,
-            SubmittedJobs::Manifest(text) => {
-                let manifest = crate::manifest::parse_manifest_full(text)?;
-                if manifest.server != crate::manifest::ServerOverrides::default() {
-                    return Err(SubmitError::Invalid(
-                        "[server] overrides are not accepted at runtime (a live service's \
-                         workers/cache are fixed at startup; configure them via CLI flags)"
-                            .to_owned(),
-                    ));
-                }
-                manifest.jobs
-            }
+            SubmittedJobs::Manifest(text) => crate::manifest::parse_manifest(text)?,
         };
         if let Some(tenant) = tenant {
             for spec in &mut specs {
@@ -1267,8 +1274,7 @@ impl JobRegistry {
     /// request, or `None` for an id the registry does not hold.
     pub fn cancel(&self, id: JobId) -> Option<JobStatus> {
         let mut state = self.inner.state.lock().expect("registry poisoned");
-        let capacity = self.inner.server.config().event_log_capacity;
-        let (status, ended) = state.cancel(id, capacity)?;
+        let (status, ended) = state.cancel(id, EVENT_LOG_CAPACITY)?;
         if ended {
             if let Some(journal) = &self.inner.journal {
                 let _ = journal.append_finished(id, status);
@@ -1282,8 +1288,8 @@ impl JobRegistry {
     }
 
     /// Returns the job's event lines starting at sequence `from`, as
-    /// `(first_seq, lines, done)`. Event logs are bounded rings
-    /// ([`ServerConfig::event_log_capacity`]): when `from` points at
+    /// `(first_seq, lines, done)`. Event logs are rings of the newest
+    /// `EVENT_LOG_CAPACITY` (1024) lines: when `from` points at
     /// history the ring already dropped, `first_seq > from` and the
     /// lines resume from the oldest retained sequence — late
     /// subscribers resume from an offset instead of replaying unbounded
@@ -1370,7 +1376,6 @@ impl JobRegistry {
                 .gauge("digamma_process_uptime_seconds", "Seconds since the registry started.", &[])
                 .set(self.inner.started.elapsed().as_secs_f64());
             let workers = self.inner.workers.to_string();
-            let eviction = config.eviction.to_string();
             let checkpoint_dir = config
                 .checkpoint_dir
                 .as_deref()
@@ -1379,11 +1384,7 @@ impl JobRegistry {
                 .gauge(
                     "digamma_process_info",
                     "Constant 1; the labels carry the service configuration.",
-                    &[
-                        ("checkpoint_dir", &checkpoint_dir),
-                        ("eviction", &eviction),
-                        ("workers", &workers),
-                    ],
+                    &[("checkpoint_dir", &checkpoint_dir), ("workers", &workers)],
                 )
                 .set(1.0);
             metrics
@@ -1496,52 +1497,37 @@ impl JobRegistry {
 const STALL_AFTER: u64 = 25;
 
 /// Builds a job's control: its cancel flag is what [`JobRegistry::cancel`]
-/// flips, and its progress sink appends event lines and refreshes the
-/// live view under the registry lock (taken fresh per generation — the
-/// worker holds no lock while searching). The closure captures only a
-/// [`std::sync::Weak`] — `Inner` owns every control through its jobs
-/// map, so a strong capture would be a reference cycle keeping the
-/// whole registry (cache included) alive forever.
+/// flips, and its generation sink folds each boundary into the job
+/// ([`RegState::record_generation`]) under the registry lock, taken once
+/// per generation (the worker holds no lock while searching). The
+/// closure captures only a [`std::sync::Weak`] — `Inner` owns every
+/// control through its jobs map, so a strong capture would be a
+/// reference cycle keeping the whole registry (cache included) alive
+/// forever.
 fn make_control(inner: &Arc<Inner>, id: JobId) -> Arc<JobControl> {
     let weak = Arc::downgrade(inner);
-    let weak_analytics = Arc::downgrade(inner);
-    Arc::new(
-        JobControl::new()
-            .with_progress(move |progress: JobProgress| {
-                let Some(inner) = weak.upgrade() else { return };
-                let capacity = inner.server.config().event_log_capacity;
-                let mut state = inner.state.lock().expect("registry poisoned");
-                if let Some(entry) = state.jobs.get_mut(&id) {
-                    entry.progress = Some(progress);
-                    entry.push_event(progress.line(), capacity);
-                }
-                drop(state);
-                inner.cond.notify_all();
-            })
-            .with_analytics(move |update: AnalyticsUpdate| {
-                let Some(inner) = weak_analytics.upgrade() else { return };
-                let capacity = inner.server.config().event_log_capacity;
-                // Gathered under the lock, fed to the metrics registry
-                // after it drops.
-                let deltas = inner
-                    .state
-                    .lock()
-                    .expect("registry poisoned")
-                    .record_analytics(id, update, capacity);
-                let metrics = inner.server.metrics();
-                for (operator, delta) in deltas {
-                    metrics
-                        .counter(
-                            "digamma_search_improvements_total",
-                            "New incumbent designs produced, by the GA operator that \
-                             generated them.",
-                            &[("operator", operator)],
-                        )
-                        .add(delta);
-                }
-                inner.cond.notify_all();
-            }),
-    )
+    Arc::new(JobControl::new().with_generation_sink(move |progress, analytics| {
+        let Some(inner) = weak.upgrade() else { return };
+        // Gathered under the lock, fed to the metrics registry after it
+        // drops.
+        let deltas = inner.state.lock().expect("registry poisoned").record_generation(
+            id,
+            progress,
+            analytics,
+            EVENT_LOG_CAPACITY,
+        );
+        inner.cond.notify_all();
+        let metrics = inner.server.metrics();
+        for (operator, delta) in deltas {
+            metrics
+                .counter(
+                    "digamma_search_improvements_total",
+                    "New incumbent designs produced, by the GA operator that generated them.",
+                    &[("operator", operator)],
+                )
+                .add(delta);
+        }
+    }))
 }
 
 /// Per-job analytics window: the newest this many per-generation
@@ -1549,6 +1535,11 @@ fn make_control(inner: &Arc<Inner>, id: JobId) -> Arc<JobControl> {
 /// top` dashboard; older records are dropped (the cumulative operator
 /// counters are never windowed).
 const ANALYTICS_WINDOW: usize = 512;
+
+/// Per-job event ring: the newest this many event lines are retained
+/// for late subscribers; older lines are dropped (the stream reports the
+/// first retained sequence number).
+const EVENT_LOG_CAPACITY: usize = 1024;
 
 impl JobEntry {
     fn new(
@@ -1708,10 +1699,9 @@ fn worker_loop(inner: &Arc<Inner>) {
                 None
             }
         };
-        let capacity = inner.server.config().event_log_capacity;
         let mut state = inner.state.lock().expect("registry poisoned");
         let Ended { status, terminal, queue_wait } =
-            state.finish(id, report, capacity).expect("running jobs are never retired");
+            state.finish(id, report, EVENT_LOG_CAPACITY).expect("running jobs are never retired");
         // A shutdown's cooperative stop is not terminal: the job stays
         // pending in the journal (its snapshot survives) and resumes on
         // the next start. A user's cancel is terminal and journaled, as
@@ -1971,11 +1961,9 @@ mod tests {
 
     #[test]
     fn events_past_the_end_answer_immediately_with_the_real_cursor() {
-        let registry = JobRegistry::start(
-            ServerConfig { workers: 1, checkpoint_every: 1_000_000, ..ServerConfig::default() },
-            None,
-        )
-        .unwrap();
+        let registry =
+            JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
+                .unwrap();
         let id = submit(&registry, spec("overshoot", 600_000)).unwrap();
         // Wait for at least one event so the stream is live but far
         // from sequence 10_000.
@@ -2087,37 +2075,6 @@ mod tests {
             other => panic!("zero threads must be Invalid, got {other:?}"),
         }
         wait_done(&registry, id);
-        registry.shutdown();
-    }
-
-    #[test]
-    fn event_ring_drops_oldest_and_reports_resume_offset() {
-        // Capacity 4: a ~20-generation job must overflow the ring, and
-        // a late subscriber asking from 0 must land at the oldest
-        // retained sequence instead of replaying everything.
-        let registry = JobRegistry::start(
-            ServerConfig { workers: 1, event_log_capacity: 4, ..ServerConfig::default() },
-            None,
-        )
-        .unwrap();
-        let id = submit(&registry, spec("ring", 160)).unwrap();
-        wait_done(&registry, id);
-        let (first_seq, lines, done) =
-            registry.events(id, 0, Duration::from_millis(100)).expect("known job");
-        assert!(done);
-        assert_eq!(lines.len(), 4, "ring retains exactly its capacity");
-        assert!(first_seq > 0, "late subscriber must see the drop offset");
-        assert_eq!(lines.last().unwrap(), "end status=done", "terminal line survives");
-        // Resuming from a retained offset yields exactly the tail.
-        let (seq2, tail, _) =
-            registry.events(id, first_seq + 2, Duration::from_millis(100)).unwrap();
-        assert_eq!(seq2, first_seq + 2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail, lines[2..].to_vec());
-        // Asking exactly at the end of a finished stream returns no lines.
-        let (_, empty, done) =
-            registry.events(id, first_seq + 4, Duration::from_millis(100)).unwrap();
-        assert!(done && empty.is_empty());
         registry.shutdown();
     }
 
@@ -2600,6 +2557,41 @@ mod tests {
         let (id, _) = claim_next(state, 64).expect("work is available");
         state.busy_workers += 1;
         id
+    }
+
+    #[test]
+    fn event_ring_drops_oldest_and_reports_resume_offset() {
+        // Capacity 4: a 20-generation job must overflow the ring, and
+        // a late subscriber asking from 0 must land at the oldest
+        // retained sequence instead of replaying everything.
+        const EVENTS: usize = 4;
+        let mut state = RegState::default();
+        let id = accept(&mut state, "ring", "default");
+        assert_eq!(claim(&mut state), id);
+        for generation in 1..=20 {
+            let progress = JobProgress {
+                generation,
+                samples: 8 * generation as usize,
+                budget: 160,
+                best_cost: None,
+            };
+            state.record_generation(id, progress, None, EVENTS);
+        }
+        assert!(state.finish(id, Some(report(false)), EVENTS).unwrap().terminal);
+        let entry = state.entry(id).expect("held");
+        let (first_seq, lines) = entry.events_from(0);
+        assert!(entry.events_done);
+        assert_eq!(lines.len(), 4, "ring retains exactly its capacity");
+        assert!(first_seq > 0, "late subscriber must see the drop offset");
+        assert_eq!(lines.last().unwrap(), "end status=done", "terminal line survives");
+        // Resuming from a retained offset yields exactly the tail.
+        let (seq2, tail) = entry.events_from(first_seq + 2);
+        assert_eq!(seq2, first_seq + 2);
+        assert_eq!(tail.len(), 2);
+        assert_eq!(tail, lines[2..].to_vec());
+        // Asking exactly at the end of a finished stream returns no lines.
+        let (_, empty) = entry.events_from(first_seq + 4);
+        assert!(entry.events_done && empty.is_empty());
     }
 
     #[test]
