@@ -5,11 +5,10 @@
 //! ```
 //!
 //! Runs the fixed seeded workloads (`gemm`, `vgg16`, `bert`) through
-//! the cold/warm memo searches and the four A/B sections
-//! (`instrumentation`, `tracing`, `fault_injection`, `analytics`),
-//! writes the JSON report, re-validates it, and exits non-zero if any
-//! A/B row's on and off paths diverged bit-wise or the file is
-//! malformed. Recorded numbers come from `--mode full` on a release
+//! the cold/warm memo searches and the three A/B sections
+//! (`instrumentation`, `tracing`, `analytics`), writes the JSON report,
+//! re-validates it, and exits non-zero if any A/B row's on and off
+//! paths diverged bit-wise or the file is malformed. Recorded numbers come from `--mode full` on a release
 //! build; CI runs `--mode smoke`.
 
 use digamma_bench::perfjson::{check_bit_identity, render_json, run, validate_json, PerfConfig};

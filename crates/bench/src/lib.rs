@@ -9,9 +9,9 @@
 //! * [`ablation`] — operator ablations of the DiGamma GA (E5),
 //! * [`pareto`] — the latency-vs-area sweep (an extension),
 //! * [`perfjson`] — the evaluator perf harness: fixed seeded workloads
-//!   through four off-vs-on A/B sections (metrics, tracing,
-//!   failpoints, analytics) plus memo hit-rate measurements, emitted
-//!   as `BENCH_eval.json` (the repo's perf trajectory file),
+//!   through three off-vs-on A/B sections (eval hooks, tracing,
+//!   analytics) plus memo hit-rate measurements, emitted as
+//!   `BENCH_eval.json` (the repo's perf trajectory file),
 //! * [`report`] — the markdown/TSV table writer the binaries share.
 //!
 //! The binaries (`fig5`, `fig6`, `fig7`, `pareto`, `space`, `ablation`,

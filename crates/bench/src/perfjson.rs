@@ -11,20 +11,19 @@
 //! by a **memo** section — a cold search followed by an identical warm
 //! search on a shared server, recording the genome-memo / per-layer-cache
 //! / batch-dedupe counters and the warm-over-cold wall-clock ratio — and
-//! by four A/B sections. Each A/B section times the same seeded work
+//! by three A/B sections. Each A/B section times the same seeded work
 //! with a feature off and on through one measurement (`ab_ratio`),
 //! behind a bit-identity gate (a ratio measured on diverging results
 //! would be meaningless), and emits one [`AbRow`] per workload:
 //!
-//! * **instrumentation**, **tracing** and **fault_injection** —
-//!   `CoOptProblem::evaluate_batch` on a bare problem (off) vs one with
-//!   an [`EvalHooks`] attached (on) that has exactly one piece live:
-//!   metric handles from an enabled registry, sampled eval spans
-//!   recording into a live [`Tracer`], or a *disarmed* [`FailSet`]
-//!   (the other pieces detached, absent or disarmed). They guard the
-//!   promise that the hooked arm stays within a few percent of the bare
-//!   one, and that the ability to inject faults costs every production
-//!   batch at most one relaxed atomic load (≈1% budget).
+//! * **instrumentation** and **tracing** — `CoOptProblem::evaluate_batch`
+//!   on a bare problem (off) vs one with an [`EvalHooks`] attached (on):
+//!   metric handles and a *disarmed* [`FailSet`], the hooks every served
+//!   job carries without a trace, and the same hooks plus sampled eval
+//!   spans recording into a live [`Tracer`]. They guard the promise that
+//!   the hooked arm stays within a few percent of the bare one, and that
+//!   the ability to inject faults costs every production batch at most
+//!   one relaxed atomic load.
 //! * **analytics** — a full seeded `DiGamma::search` (unit
 //!   `design-points`) with [`digamma::DiGammaConfig::analytics`] off vs
 //!   on. The analytics path draws no RNG, so the gate is the whole
@@ -54,7 +53,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The `schema` value [`render_json`] writes.
-const SCHEMA: &str = "digamma-bench-eval/7";
+const SCHEMA: &str = "digamma-bench-eval/8";
 
 /// Every field of an A/B row, in render order.
 const AB_FIELDS: [&str; 7] =
@@ -74,7 +73,7 @@ const MEMO_FIELDS: [&str; 9] = [
 ];
 
 /// The A/B sections, in run and render order.
-const AB_SECTIONS: [&str; 4] = ["instrumentation", "tracing", "fault_injection", "analytics"];
+const AB_SECTIONS: [&str; 3] = ["instrumentation", "tracing", "analytics"];
 
 /// Harness knobs. `full()` is what recorded numbers use; `smoke()` is
 /// the CI-sized variant.
@@ -278,8 +277,7 @@ fn measure_memo(model: &Model, config: &PerfConfig) -> MemoPerf {
     }
 }
 
-/// `instrumentation`, `tracing` and `fault_injection`: the same seeded
-/// genomes through `evaluate_batch` on a bare problem (off) and on one
+/// `instrumentation` and `tracing`: the same seeded genomes through `evaluate_batch` on a bare problem (off) and on one
 /// with `hooks` attached (on). No caches and no memo on either problem:
 /// the measurement isolates the hooks, not the memo layers.
 fn measure_hook(model: &Model, config: &PerfConfig, hooks: EvalHooks) -> AbRow {
@@ -358,21 +356,17 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     let models = workloads();
     let rows = |measure: &dyn Fn(&Model) -> AbRow| models.iter().map(measure).collect::<Vec<_>>();
     let memo = models.iter().map(|m| measure_memo(m, config)).collect();
-    // Each hook section makes one piece of the hooks live: an enabled
-    // registry, a live tracer, or the (disarmed) failpoint set.
-    let hooks = |registry: MetricsRegistry, trace: Option<(Tracer, SpanContext, u64)>| {
-        EvalHooks::new(&registry, "bench", trace, Arc::new(FailSet::new()))
+    // The hooks a served job carries (metric handles and a disarmed
+    // failpoint set), without and with a live trace.
+    let hooks = |trace: Option<(Tracer, SpanContext, u64)>| {
+        EvalHooks::new(&MetricsRegistry::new(), "bench", trace, Arc::new(FailSet::new()))
     };
-    let instrumentation = rows(&|m| measure_hook(m, config, hooks(MetricsRegistry::new(), None)));
+    let instrumentation = rows(&|m| measure_hook(m, config, hooks(None)));
     let tracing = rows(&|m| {
-        let trace = (Tracer::new(), SpanContext::generate(), 1);
-        measure_hook(m, config, hooks(MetricsRegistry::disabled(), Some(trace)))
+        measure_hook(m, config, hooks(Some((Tracer::new(), SpanContext::generate(), 1))))
     });
-    let fault_injection =
-        rows(&|m| measure_hook(m, config, hooks(MetricsRegistry::disabled(), None)));
     let analytics = rows(&|m| measure_analytics(m, config));
-    let sections =
-        AB_SECTIONS.into_iter().zip([instrumentation, tracing, fault_injection, analytics]);
+    let sections = AB_SECTIONS.into_iter().zip([instrumentation, tracing, analytics]);
     PerfReport { config: config.clone(), memo, sections: sections.collect() }
 }
 
@@ -573,10 +567,10 @@ mod tests {
         validate_json(&json).unwrap();
         assert!(validate_json(&json[..json.len() - 3]).is_err(), "truncation must fail");
         assert!(validate_json(&json.replace("\"analytics\"", "\"analytic\"")).is_err());
-        assert!(validate_json(&json.replace(SCHEMA, "digamma-bench-eval/6")).is_err());
+        assert!(validate_json(&json.replace(SCHEMA, "digamma-bench-eval/7")).is_err());
         assert!(validate_json(&json.replace("\"ratio\"", "\"ratoi\"")).is_err());
         assert!(validate_json(&json.replace("\"on_per_sec\"", "\"on\"")).is_err());
-        assert!(validate_json(&json.replace("\"fault_injection\"", "\"faults\"")).is_err());
+        assert!(validate_json(&json.replace("\"instrumentation\"", "\"metrics\"")).is_err());
         assert!(validate_json(&json.replace("\"cold_wall_ms\"", "\"cold\"")).is_err());
         assert!(validate_json("{\"unterminated").is_err());
         // A field deleted from every row of one section must fail even

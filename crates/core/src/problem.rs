@@ -48,10 +48,8 @@ const EVAL_LATENCY_SAMPLE_EVERY: u64 = 64;
 /// histogram and, when traced, an `eval.batch` span. Each distinct
 /// evaluation advances the sample tick; sampled ones are timed into
 /// `digamma_eval_seconds` and, when traced, an `eval.layer` span, so the
-/// sub-microsecond hot path is not dominated by clock reads. Handles from a
-/// disabled [`MetricsRegistry`] are detached cells, so an uninstrumented
-/// server runs this same path; a problem without hooks pays one branch
-/// per batch.
+/// sub-microsecond hot path is not dominated by clock reads. A problem
+/// without hooks pays one branch per batch.
 #[derive(Debug)]
 pub struct EvalHooks {
     evals: Counter,
@@ -1072,7 +1070,7 @@ pub(crate) mod tests {
             span.context().expect("enabled tracer yields contexts")
         };
         let hooks = EvalHooks::new(
-            &MetricsRegistry::disabled(),
+            &MetricsRegistry::new(),
             "t",
             Some((tracer.clone(), root, 9)),
             Arc::new(FailSet::new()),

@@ -480,9 +480,6 @@ fn pretty_metrics(text: &str) -> Result<String, String> {
         }
         out.push('\n');
     }
-    if out.is_empty() {
-        out.push_str("(no metrics: daemon runs with --no-metrics)\n");
-    }
     Ok(out)
 }
 

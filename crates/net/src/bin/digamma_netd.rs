@@ -3,8 +3,7 @@
 //! ```text
 //! digamma-netd [--addr 127.0.0.1:7171] [--workers N] [--cache-capacity N]
 //!              [--genome-cache-capacity N] [--checkpoint-dir DIR]
-//!              [--tenants FILE] [--no-metrics] [--no-trace]
-//!              [--log-level debug|info|warn|error]
+//!              [--tenants FILE] [--log-level debug|info|warn|error]
 //!              [--shed-queue-depth N] [--drain-deadline-ms N]
 //!              [--io-timeout-ms N] [--failpoints SPEC]
 //! ```
@@ -116,12 +115,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--tenants" => {
                 tenants_path = Some(PathBuf::from(value("--tenants")?));
             }
-            // Turns the metrics registry off: instrumentation degrades
-            // to dead atomic ops and `GET /metrics` renders empty.
-            "--no-metrics" => config.metrics_enabled = false,
-            // Turns the span tracer off: spans become no-ops and the
-            // `/trace` endpoints answer 404.
-            "--no-trace" => config.trace_enabled = false,
             "--log-level" => {
                 let raw = value("--log-level")?;
                 let level = LogLevel::parse(raw).ok_or_else(|| {

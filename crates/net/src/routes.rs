@@ -269,10 +269,6 @@ pub fn handle(
         }
         ("GET", ["trace"]) => {
             let tracer = registry.tracer();
-            if !tracer.enabled() {
-                write_response(stream, 404, "tracing is disabled (--no-trace)\n", keep)?;
-                return Ok(keep);
-            }
             let limit = request.query("limit").and_then(|v| v.parse().ok()).unwrap_or(512);
             let body = render_chrome_trace(&tracer.recent(limit));
             write_response_typed(stream, 200, "application/json", &body, keep)?;
@@ -280,10 +276,6 @@ pub fn handle(
         }
         ("GET", ["trace", id]) => {
             let tracer = registry.tracer();
-            if !tracer.enabled() {
-                write_response(stream, 404, "tracing is disabled (--no-trace)\n", keep)?;
-                return Ok(keep);
-            }
             let id = match held(registry, parse_id(id)) {
                 Ok((id, _)) => id,
                 Err(missing) => return answer_missing(missing, stream, keep),

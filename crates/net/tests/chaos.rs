@@ -12,23 +12,17 @@
 //! - SIGTERM drains: new submits shed with 503, in-flight work
 //!   checkpoints within the drain deadline, the process exits 0, and a
 //!   restart resumes the drained job;
-//! - a test that panics before shutting its daemon down leaves no
-//!   daemon running (the shared harness kills it on drop).
+//! - a test that panics before shutting its daemon down leaves neither
+//!   the daemon running nor its checkpoint directory behind (the shared
+//!   harness kills the one and removes the other on drop).
 
 mod common;
 
-use common::{process_exists, Daemon};
+use common::{process_exists, Daemon, TempDir};
 use digamma_net::client::{self, RetryPolicy};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("digamma-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn fast_retry() -> RetryPolicy {
     RetryPolicy {
@@ -61,10 +55,10 @@ fn wait_status(addr: &str, id: u64, wanted: &[&str], timeout: Duration) -> Strin
 
 #[test]
 fn torn_submit_response_retries_under_its_key_without_duplicates() {
-    let dir = temp_dir("torn");
+    let dir = TempDir::new("digamma-chaos-torn");
     // The very first request's response is eaten *after* the request is
     // processed — the client cannot tell whether its submit landed.
-    let daemon = Daemon::start(2, &dir, &["--failpoints", "sock.write=drop,nth:1"]);
+    let daemon = Daemon::start(2, dir.path(), &["--failpoints", "sock.write=drop,nth:1"]);
 
     let manifest = "[job]\nname = torn\nmodel = ncf\nbudget = 2000\npopulation = 8\nseed = 3\n";
     let body = client::submit_keyed(&daemon.addr, manifest, None, "chaos-torn-1", fast_retry())
@@ -91,15 +85,14 @@ fn torn_submit_response_retries_under_its_key_without_duplicates() {
     wait_status(&daemon.addr, 1, &["done"], Duration::from_secs(60));
 
     daemon.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_failed_journal_append_answers_503_and_a_keyed_retry_lands() {
-    let dir = temp_dir("append");
+    let dir = TempDir::new("digamma-chaos-append");
     // The first submit's journal append fails: nothing is accepted, the
     // daemon answers 503 + Retry-After, and the client's retry lands.
-    let daemon = Daemon::start(2, &dir, &["--failpoints", "journal.append=err,once"]);
+    let daemon = Daemon::start(2, dir.path(), &["--failpoints", "journal.append=err,once"]);
 
     let manifest = "[job]\nname = retried\nmodel = ncf\nbudget = 96\npopulation = 8\nseed = 3\n";
     let body = client::submit_keyed(&daemon.addr, manifest, None, "chaos-append-1", fast_retry())
@@ -109,13 +102,12 @@ fn a_failed_journal_append_answers_503_and_a_keyed_retry_lands() {
     wait_status(&daemon.addr, 1, &["done"], Duration::from_secs(60));
 
     daemon.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn injected_worker_panic_fails_one_job_and_budgets_balance() {
-    let dir = temp_dir("panic");
-    let daemon = Daemon::start(2, &dir, &["--failpoints", "worker.eval=panic,once"]);
+    let dir = TempDir::new("digamma-chaos-panic");
+    let daemon = Daemon::start(2, dir.path(), &["--failpoints", "worker.eval=panic,once"]);
 
     // Two jobs, two workers: whichever evaluates first panics (once);
     // the other must be unaffected by its sibling's death.
@@ -148,13 +140,12 @@ fn injected_worker_panic_fails_one_job_and_budgets_balance() {
     assert!(metrics.contains("status=\"panicked\""), "{metrics}");
 
     daemon.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn slow_and_oversized_requests_are_bounded() {
-    let dir = temp_dir("bounds");
-    let daemon = Daemon::start(2, &dir, &["--io-timeout-ms", "250"]);
+    let dir = TempDir::new("digamma-chaos-bounds");
+    let daemon = Daemon::start(2, dir.path(), &["--io-timeout-ms", "250"]);
 
     // Slow-loris: open a connection, trickle half a request head, stall.
     let mut loris = TcpStream::connect(&daemon.addr).unwrap();
@@ -177,15 +168,14 @@ fn slow_and_oversized_requests_are_bounded() {
     assert!(client::get(&daemon.addr, "/stats").unwrap().contains("[stats]"));
 
     daemon.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sigterm_drains_sheds_submits_and_leaves_the_job_resumable() {
-    let dir = temp_dir("drain");
+    let dir = TempDir::new("digamma-chaos-drain");
     // A drain deadline far shorter than the job: the drain must give up
     // waiting, checkpoint the in-flight search, and exit anyway.
-    let daemon = Daemon::start(2, &dir, &["--drain-deadline-ms", "1500"]);
+    let daemon = Daemon::start(2, dir.path(), &["--drain-deadline-ms", "1500"]);
 
     let accepted = client::post(
         &daemon.addr,
@@ -227,27 +217,23 @@ fn sigterm_drains_sheds_submits_and_leaves_the_job_resumable() {
     daemon.wait_clean_exit(Duration::from_secs(30));
 
     // The drained job is not lost: a restart replays it and resumes.
-    let reborn = Daemon::start(2, &dir, &[]);
+    let reborn = Daemon::start(2, dir.path(), &[]);
     wait_status(&reborn.addr, 1, &["running", "queued", "done"], Duration::from_secs(30));
     let _ = client::post(&reborn.addr, "/jobs/1/cancel", None);
     reborn.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_test_that_panics_leaves_no_daemon_running() {
-    let dir = temp_dir("orphan");
-    let (started, pid) = std::sync::mpsc::channel();
-    let test = std::thread::spawn({
-        let dir = dir.clone();
-        move || {
-            let daemon = Daemon::start(1, &dir, &[]);
-            started.send(daemon.pid()).expect("the test waits for the pid");
-            panic!("a test failing before its shutdown");
-        }
+    let (started, made) = std::sync::mpsc::channel();
+    let test = std::thread::spawn(move || {
+        let dir = TempDir::new("digamma-chaos-orphan");
+        let daemon = Daemon::start(1, dir.path(), &[]);
+        started.send((daemon.pid(), dir.path().to_path_buf())).expect("the test waits for them");
+        panic!("a test failing before its shutdown");
     });
     assert!(test.join().is_err(), "the thread panicked");
-    let pid = pid.recv().expect("the daemon started");
+    let (pid, dir) = made.recv().expect("the daemon started");
     assert!(!process_exists(pid), "netd {pid} outlived the test that started it");
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(!dir.exists(), "{} outlived the test that made it", dir.display());
 }

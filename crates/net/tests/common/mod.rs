@@ -2,14 +2,16 @@
 //! child per [`Daemon`], killed and reaped on drop when a test ends
 //! without shutting it down, a panicking test included. Left running,
 //! the daemon would hold the test's stderr, and a caller capturing the
-//! test's output would wait on it.
+//! test's output would wait on it. A [`TempDir`] likewise removes its
+//! directory on drop, so a failing test leaves no checkpoint directory
+//! behind.
 
 // Each test binary compiles this module and uses its own subset of it.
 #![allow(dead_code)]
 
 use digamma_net::client;
 use std::io::BufRead;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -25,6 +27,32 @@ pub fn process_exists(pid: u32) -> bool {
     // SAFETY: `kill` takes two integers and touches no memory of ours;
     // signal 0 only checks whether the process exists.
     unsafe { kill(pid, 0) == 0 }
+}
+
+/// A fresh, empty directory under the system temp dir, removed on drop.
+/// Declare it before the [`Daemon`] that uses it: locals drop in
+/// reverse order, so the daemon is killed before its directory goes.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Creates `<temp>/<prefix>-<pid>`, emptying any leftover first.
+    pub fn new(prefix: &str) -> TempDir {
+        let path = std::env::temp_dir().join(format!("{prefix}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("create the test's temp dir");
+        TempDir(path)
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// A running `digamma-netd` child and the address it listens on.

@@ -2,10 +2,12 @@
 //! label escaping survives hostile configuration values, and tenant
 //! labels appear only for tenants that actually did work.
 
+mod common;
+
+use common::TempDir;
 use digamma_net::{client, NetServer, ShutdownHandle};
 use digamma_obs::parse_text;
 use digamma_server::{JobRegistry, ServerConfig, TenantSet};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,13 +124,10 @@ fn scrape_parses_and_request_counters_increase_across_submits() {
 
 #[test]
 fn label_values_with_spaces_quotes_and_backslashes_escape_per_exposition_rules() {
-    let dir =
-        std::env::temp_dir().join(format!("digamma metrics \"esc\\ape\"-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("digamma metrics \"esc\\ape\"");
     let config = ServerConfig {
         workers: 1,
-        checkpoint_dir: Some(PathBuf::from(&dir)),
+        checkpoint_dir: Some(dir.path().to_path_buf()),
         ..ServerConfig::default()
     };
     let service = Service::start(config, TenantSet::default());
@@ -140,9 +139,7 @@ fn label_values_with_spaces_quotes_and_backslashes_escape_per_exposition_rules()
     let samples = parse_text(&text).expect("escaped exposition must parse");
     let info =
         samples.iter().find(|s| s.name == "digamma_process_info").expect("process info gauge");
-    assert_eq!(info.label("checkpoint_dir"), Some(dir.to_str().unwrap()));
-    drop(service);
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(info.label("checkpoint_dir"), Some(dir.path().to_str().unwrap()));
 }
 
 #[test]
@@ -186,15 +183,4 @@ fn metrics_respect_the_bearer_token_gate() {
         .iter()
         .any(|s| s.name == "digamma_http_requests_total" && s.label("status") == Some("401"));
     assert!(unauthorized, "401s must be counted too");
-}
-
-#[test]
-fn no_metrics_mode_serves_an_empty_exposition() {
-    let config = ServerConfig { workers: 1, metrics_enabled: false, ..ServerConfig::default() };
-    let service = Service::start(config, TenantSet::default());
-    let accepted = client::post(&service.addr, "/jobs", Some(&small_job("dark", None))).unwrap();
-    let id: u64 =
-        accepted.lines().find_map(|l| l.strip_prefix("id = ")?.trim().parse().ok()).unwrap();
-    service.wait_status(id, "done", None);
-    assert_eq!(service.scrape(None), "", "disabled metrics must render nothing");
 }

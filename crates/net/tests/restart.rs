@@ -5,19 +5,17 @@
 
 mod common;
 
-use common::Daemon;
+use common::{Daemon, TempDir};
 use digamma_net::client;
 use std::time::Duration;
 
 #[test]
 fn killed_netd_resumes_in_flight_jobs_on_restart() {
-    let dir = std::env::temp_dir().join(format!("digamma-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("digamma-restart");
 
     // Life one: submit a job big enough to outlive us, snapshotting
     // every generation.
-    let daemon = Daemon::start(1, &dir, &[]);
+    let daemon = Daemon::start(1, dir.path(), &[]);
     let accepted = client::post(
         &daemon.addr,
         "/jobs",
@@ -35,9 +33,9 @@ fn killed_netd_resumes_in_flight_jobs_on_restart() {
     assert!(events.iter().any(|l| l.starts_with("gen=")), "{events:?}");
     daemon.kill();
 
-    let journal = dir.join("jobs.journal");
+    let journal = dir.path().join("jobs.journal");
     assert!(journal.exists(), "journal must survive the kill");
-    let snapshots: Vec<_> = std::fs::read_dir(&dir)
+    let snapshots: Vec<_> = std::fs::read_dir(dir.path())
         .unwrap()
         .filter_map(Result::ok)
         .filter(|e| e.path().extension().is_some_and(|x| x == "snapshot"))
@@ -46,7 +44,7 @@ fn killed_netd_resumes_in_flight_jobs_on_restart() {
 
     // Life two: same directory. The journal replays the job under id 1
     // and the search resumes from the snapshot.
-    let reborn = Daemon::start(1, &dir, &[]);
+    let reborn = Daemon::start(1, dir.path(), &[]);
     let mut resumed_generation = None;
     for _ in 0..600 {
         let body = client::get(&reborn.addr, "/jobs/1").unwrap();
@@ -82,16 +80,13 @@ fn killed_netd_resumes_in_flight_jobs_on_restart() {
     assert!(report.contains("best_cost = "), "partial best retrievable: {report}");
 
     reborn.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn clean_shutdown_leaves_queued_jobs_resumable() {
-    let dir = std::env::temp_dir().join(format!("digamma-restart-clean-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("digamma-restart-clean");
 
-    let daemon = Daemon::start(1, &dir, &[]);
+    let daemon = Daemon::start(1, dir.path(), &[]);
     client::post(
         &daemon.addr,
         "/jobs",
@@ -103,7 +98,7 @@ fn clean_shutdown_leaves_queued_jobs_resumable() {
     let _ = client::stream_events(&daemon.addr, 1, 0, |line| !line.starts_with("gen=2"));
     daemon.shutdown();
 
-    let reborn = Daemon::start(1, &dir, &[]);
+    let reborn = Daemon::start(1, dir.path(), &[]);
     let mut came_back = false;
     for _ in 0..600 {
         let body = client::get(&reborn.addr, "/jobs/1").unwrap();
@@ -116,5 +111,4 @@ fn clean_shutdown_leaves_queued_jobs_resumable() {
     assert!(came_back, "clean shutdown must leave the job journaled for the next life");
     client::post(&reborn.addr, "/jobs/1/cancel", None).unwrap();
     reborn.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -139,18 +139,9 @@ fn recent_trace_export_includes_request_spans() {
 }
 
 #[test]
-fn trace_endpoints_answer_404_for_unknown_jobs_and_disabled_tracing() {
+fn trace_endpoint_answers_404_for_an_unknown_job() {
     let service = Service::start(ServerConfig { workers: 1, ..ServerConfig::default() });
     let missing = client::request(&service.addr, "GET", "/trace/999999", None).unwrap();
     assert_eq!(missing.status, 404, "{}", missing.body);
     assert!(missing.body.contains("no such job"), "{}", missing.body);
-
-    let dark = Service::start(ServerConfig {
-        workers: 1,
-        trace_enabled: false,
-        ..ServerConfig::default()
-    });
-    let off = client::request(&dark.addr, "GET", "/trace", None).unwrap();
-    assert_eq!(off.status, 404, "{}", off.body);
-    assert!(off.body.contains("disabled"), "{}", off.body);
 }

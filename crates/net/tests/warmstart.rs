@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::Daemon;
+use common::{Daemon, TempDir};
 use digamma_net::client;
 use std::time::Duration;
 
@@ -33,9 +33,7 @@ fn field(body: &str, key: &str) -> u64 {
 
 #[test]
 fn killed_netd_warm_starts_its_fitness_memo() {
-    let dir = std::env::temp_dir().join(format!("digamma-warmstart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("digamma-warmstart");
     let job = |name: &str| {
         format!("[job]\nname = {name}\nmodel = ncf\nbudget = 160\npopulation = 8\nseed = 9\n")
     };
@@ -43,16 +41,16 @@ fn killed_netd_warm_starts_its_fitness_memo() {
     // Life one: run a small job to completion (its finish spills the
     // memo), then SIGKILL — no cooperative shutdown, only the spill
     // file survives.
-    let daemon = Daemon::start(1, &dir, &[]);
+    let daemon = Daemon::start(1, dir.path(), &[]);
     let accepted = client::post(&daemon.addr, "/jobs", Some(&job("seed-run"))).unwrap();
     assert!(accepted.contains("id = 1"), "{accepted}");
     let first = wait_done(&daemon.addr, 1);
     assert!(field(&first, "cache_misses") > 0, "a cold memo must miss:\n{first}");
     daemon.kill();
-    assert!(dir.join("fitness-memo.cache").exists(), "spill file must survive the kill");
+    assert!(dir.path().join("fitness-memo.cache").exists(), "spill file must survive the kill");
 
     // Life two: before any job runs, the memo is already warm.
-    let reborn = Daemon::start(1, &dir, &[]);
+    let reborn = Daemon::start(1, dir.path(), &[]);
     let stats = client::get(&reborn.addr, "/stats").unwrap();
     let preloaded = field(&stats, "entries");
     assert!(preloaded > 0, "restart must preload the spill:\n{stats}");
@@ -72,15 +70,11 @@ fn killed_netd_warm_starts_its_fitness_memo() {
     assert_eq!(best(&first), best(&rerun));
 
     reborn.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn killed_netd_reloads_every_appended_spill() {
-    let dir =
-        std::env::temp_dir().join(format!("digamma-warmstart-appends-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("digamma-warmstart-appends");
     let job = |seed: u64| {
         format!(
             "[job]\nname = seed-{seed}\nmodel = ncf\nbudget = 160\npopulation = 8\nseed = {seed}\n"
@@ -89,7 +83,7 @@ fn killed_netd_reloads_every_appended_spill() {
 
     // Life one: two distinct searches, so the second one's spill appends
     // to the base the first one wrote; then SIGKILL.
-    let daemon = Daemon::start(1, &dir, &[]);
+    let daemon = Daemon::start(1, dir.path(), &[]);
     let mut entries = Vec::new();
     for (id, seed) in [(1, 9), (2, 10)] {
         let accepted = client::post(&daemon.addr, "/jobs", Some(&job(seed))).unwrap();
@@ -101,9 +95,8 @@ fn killed_netd_reloads_every_appended_spill() {
     daemon.kill();
 
     // Life two holds every entry life one had memoized.
-    let reborn = Daemon::start(1, &dir, &[]);
+    let reborn = Daemon::start(1, dir.path(), &[]);
     let stats = client::get(&reborn.addr, "/stats").unwrap();
     assert_eq!(field(&stats, "entries"), entries[1], "every spill must reload:\n{stats}");
     reborn.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,9 @@
 //! Wire-protocol integration: a real `NetServer` on an ephemeral port,
 //! a real TCP client, the full job lifecycle.
 
+mod common;
+
+use common::TempDir;
 use digamma_net::httpio::Request;
 use digamma_net::{client, routes, NetServer, ShutdownFlag, ShutdownHandle};
 use digamma_server::{JobRegistry, ServerConfig, TenantSet};
@@ -97,10 +100,8 @@ fn submit_watch_and_fetch_result_over_tcp() {
 
 #[test]
 fn cancel_mid_search_keeps_partial_best_and_snapshot() {
-    let dir = std::env::temp_dir().join(format!("digamma-wire-cancel-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let service = Service::start(1, Some(dir.clone()));
+    let dir = TempDir::new("digamma-wire-cancel");
+    let service = Service::start(1, Some(dir.path().to_path_buf()));
 
     let manifest = format!(
         "[job]\nname = towering\nmodel = ncf\nbudget = 1000000\npopulation = 8\ncheckpoint_every = 1\n\n{}",
@@ -129,7 +130,6 @@ fn cancel_mid_search_keeps_partial_best_and_snapshot() {
 
     // The queued job proceeds once the worker frees up.
     service.wait_status(queued, "done");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

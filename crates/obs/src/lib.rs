@@ -2,14 +2,12 @@
 //!
 //! The same in-tree discipline as `httpio`: no external crates, just
 //! what the service needs. The centerpiece is [`MetricsRegistry`], a
-//! lock-sharded registry of counters, gauges, and fixed-bucket
-//! histograms with label support, rendered on demand in Prometheus
-//! text exposition format (version 0.0.4). Handles returned by the
-//! registry are cheap `Arc` clones over atomics: the instrumented hot
-//! path performs a few relaxed atomic ops and never allocates, and a
-//! [`MetricsRegistry::disabled`] registry hands out detached cells so
-//! instrumentation compiles down to the same few atomic stores with
-//! nothing retained or rendered.
+//! registry of counters, gauges, and fixed-bucket histograms with label
+//! support behind one lock, rendered on demand in Prometheus text
+//! exposition format (version 0.0.4). Handles returned by the registry
+//! are cheap `Arc` clones over atomics: the instrumented hot path
+//! performs a few relaxed atomic ops, never allocates and never takes
+//! the registry's lock.
 //!
 //! The crate also ships [`parse_text`], a parser for the exposition
 //! format, so clients (`digamma-netc metrics`) and wire tests can
@@ -54,8 +52,6 @@ pub const DEFAULT_LATENCY_BUCKETS: &[f64] = &[
     4.0, 16.0,
 ];
 
-const SHARDS: usize = 16;
-
 /// What kind of metric a family holds; fixed at first registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -85,10 +81,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    fn detached() -> Counter {
-        Counter { cell: Arc::new(AtomicU64::new(0)) }
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.cell.fetch_add(1, Ordering::Relaxed);
@@ -116,10 +108,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    fn detached() -> Gauge {
-        Gauge { cell: Arc::new(AtomicU64::new(0)) }
-    }
-
     /// Sets the gauge.
     pub fn set(&self, v: f64) {
         self.cell.store(v.to_bits(), Ordering::Relaxed);
@@ -264,58 +252,37 @@ struct Family {
     bounds: Option<Arc<[f64]>>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 struct SeriesKey {
     name: &'static str,
     labels: Vec<(&'static str, String)>,
 }
 
-/// A metric store: a fixed set of mutex-sharded series
-/// maps plus a family table for `# HELP` / `# TYPE` metadata.
+/// What [`MetricsRegistry`]'s one lock guards.
+#[derive(Debug, Default)]
+struct Store {
+    families: BTreeMap<&'static str, Family>,
+    series: HashMap<SeriesKey, Cell>,
+}
+
+/// A metric store: one mutex over the series map and the family table
+/// that holds `# HELP` / `# TYPE` metadata.
 ///
 /// Registration (`counter`/`gauge`/`histogram`) interns by name +
 /// sorted label set: asking twice returns handles on the same cell, so
 /// call sites can re-derive handles for dynamic labels (tenants) at
 /// event frequency without unbounded growth. The *update* path never
 /// touches the registry at all — handles are self-contained atomics.
-///
-/// A [`MetricsRegistry::disabled`] registry hands out detached cells
-/// (never stored, never rendered): instrumentation keeps working at
-/// the cost of a few dead atomic ops, and `render` yields nothing.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
-    shards: [Mutex<HashMap<SeriesKey, Cell>>; SHARDS],
-    families: Mutex<BTreeMap<&'static str, Family>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> MetricsRegistry {
-        MetricsRegistry::new()
-    }
+    store: Mutex<Store>,
 }
 
 impl MetricsRegistry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     #[must_use]
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            enabled: true,
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            families: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// A registry that hands out detached cells and renders nothing.
-    #[must_use]
-    pub fn disabled() -> MetricsRegistry {
-        MetricsRegistry { enabled: false, ..MetricsRegistry::new() }
-    }
-
-    /// Whether this registry records anything.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        MetricsRegistry::default()
     }
 
     /// Returns the counter for `name` + `labels`, registering it on
@@ -332,9 +299,6 @@ impl MetricsRegistry {
         help: &'static str,
         labels: &[(&'static str, &str)],
     ) -> Counter {
-        if !self.enabled {
-            return Counter::detached();
-        }
         match self.intern(name, help, labels, MetricKind::Counter, None) {
             Cell::Counter(c) => c,
             _ => unreachable!("intern returned wrong cell kind"),
@@ -353,9 +317,6 @@ impl MetricsRegistry {
         help: &'static str,
         labels: &[(&'static str, &str)],
     ) -> Gauge {
-        if !self.enabled {
-            return Gauge::detached();
-        }
         match self.intern(name, help, labels, MetricKind::Gauge, None) {
             Cell::Gauge(g) => g,
             _ => unreachable!("intern returned wrong cell kind"),
@@ -383,9 +344,6 @@ impl MetricsRegistry {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram {name} bounds must be strictly ascending"
         );
-        if !self.enabled {
-            return Histogram::with_bounds(bounds.into());
-        }
         match self.intern(name, help, labels, MetricKind::Histogram, Some(bounds)) {
             Cell::Histogram(h) => h,
             _ => unreachable!("intern returned wrong cell kind"),
@@ -401,33 +359,6 @@ impl MetricsRegistry {
         bounds: Option<&[f64]>,
     ) -> Cell {
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
-        let family_bounds = {
-            let mut families = self.families.lock().expect("family table poisoned");
-            match families.get(name) {
-                Some(family) => {
-                    assert!(
-                        family.kind == kind,
-                        "metric {name} registered as {:?} and {kind:?}",
-                        family.kind
-                    );
-                    if let (Some(have), Some(want)) = (&family.bounds, bounds) {
-                        assert!(
-                            have.as_ref() == want,
-                            "histogram {name} registered with two different bucket layouts"
-                        );
-                    }
-                    family.bounds.clone()
-                }
-                None => {
-                    let bounds: Option<Arc<[f64]>> = bounds.map(Into::into);
-                    families.insert(
-                        name,
-                        Family { help: help.to_owned(), kind, bounds: bounds.clone() },
-                    );
-                    bounds
-                }
-            }
-        };
         let mut sorted: Vec<(&'static str, String)> = labels
             .iter()
             .map(|&(k, v)| {
@@ -437,14 +368,28 @@ impl MetricsRegistry {
             .collect();
         sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let key = SeriesKey { name, labels: sorted };
-        let shard = &self.shards[shard_of(&key)];
-        let mut map = shard.lock().expect("metric shard poisoned");
-        map.entry(key)
+        let mut guard = self.store.lock().expect("metric store poisoned");
+        let store = &mut *guard;
+        let family = store.families.entry(name).or_insert_with(|| Family {
+            help: help.to_owned(),
+            kind,
+            bounds: bounds.map(Into::into),
+        });
+        assert!(family.kind == kind, "metric {name} registered as {:?} and {kind:?}", family.kind);
+        if let (Some(have), Some(want)) = (&family.bounds, bounds) {
+            assert!(
+                have.as_ref() == want,
+                "histogram {name} registered with two different bucket layouts"
+            );
+        }
+        store
+            .series
+            .entry(key)
             .or_insert_with(|| match kind {
-                MetricKind::Counter => Cell::Counter(Counter::detached()),
-                MetricKind::Gauge => Cell::Gauge(Gauge::detached()),
+                MetricKind::Counter => Cell::Counter(Counter { cell: Arc::default() }),
+                MetricKind::Gauge => Cell::Gauge(Gauge { cell: Arc::default() }),
                 MetricKind::Histogram => Cell::Histogram(Histogram::with_bounds(
-                    family_bounds.expect("histogram family without bounds"),
+                    family.bounds.clone().expect("histogram family without bounds"),
                 )),
             })
             .clone()
@@ -456,19 +401,13 @@ impl MetricsRegistry {
     /// `_bucket{le=...}` series plus `_sum` and `_count`.
     #[must_use]
     pub fn render(&self) -> String {
-        if !self.enabled {
-            return String::new();
+        let store = self.store.lock().expect("metric store poisoned");
+        let mut series: HashMap<&'static str, Vec<(&SeriesKey, &Cell)>> = HashMap::new();
+        for (key, cell) in &store.series {
+            series.entry(key.name).or_default().push((key, cell));
         }
-        let mut series: HashMap<&'static str, Vec<(SeriesKey, Cell)>> = HashMap::new();
-        for shard in &self.shards {
-            let map = shard.lock().expect("metric shard poisoned");
-            for (key, cell) in map.iter() {
-                series.entry(key.name).or_default().push((key.clone(), cell.clone()));
-            }
-        }
-        let families = self.families.lock().expect("family table poisoned");
         let mut out = String::new();
-        for (&name, family) in families.iter() {
+        for (&name, family) in &store.families {
             let Some(mut rows) = series.remove(name) else { continue };
             rows.sort_unstable_by(|a, b| a.0.labels.cmp(&b.0.labels));
             out.push_str(&format!("# HELP {name} {}\n", escape_help(&family.help)));
@@ -519,24 +458,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-fn shard_of(key: &SeriesKey) -> usize {
-    // FNV-1a over the name and label bytes; only shard selection, so
-    // collisions are harmless.
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(key.name.as_bytes());
-    for (k, v) in &key.labels {
-        eat(k.as_bytes());
-        eat(v.as_bytes());
-    }
-    (hash % SHARDS as u64) as usize
 }
 
 /// Whether `name` is a legal Prometheus metric name
@@ -897,20 +818,6 @@ mod tests {
         let sample = samples.iter().find(|s| s.name == "weird_total").expect("sample");
         assert_eq!(sample.label("path"), Some(weird));
         assert_eq!(sample.value, 1.0);
-    }
-
-    #[test]
-    fn disabled_registry_hands_out_working_but_detached_cells() {
-        let reg = MetricsRegistry::disabled();
-        let c = reg.counter("c_total", "c", &[]);
-        let h = reg.histogram("h_seconds", "h", &[], DEFAULT_LATENCY_BUCKETS);
-        c.inc();
-        h.observe(0.1);
-        assert_eq!(c.value(), 1, "detached cells still count locally");
-        assert_eq!(h.count(), 1);
-        assert!(reg.render().is_empty(), "disabled registry renders nothing");
-        let again = reg.counter("c_total", "c", &[]);
-        assert_eq!(again.value(), 0, "detached cells are not interned");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! [`SpanContext::parse_traceparent`]), so a client-minted trace id
 //! shows up verbatim on the server's job-lifecycle spans.
 //!
-//! Like [`MetricsRegistry::disabled`](crate::MetricsRegistry::disabled),
-//! [`Tracer::disabled`] makes every operation a cheap no-op branch:
-//! instrumented code runs unchanged with zero recording overhead.
+//! [`Tracer::disabled`] makes every operation a cheap no-op branch: the
+//! inert guard a [`Span`] falls back to, and a tracer for callers that
+//! time code with and without recording.
 //!
 //! As with the Prometheus exposition, the renderer ships with its own
 //! parser ([`parse_chrome_trace`]) so clients and wire tests can

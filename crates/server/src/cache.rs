@@ -532,7 +532,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let shared = Arc::new(ShardedFitnessCache::new(100));
         let a = job_memo(&registry, &shared);
-        let b = job_memo(&MetricsRegistry::disabled(), &shared);
+        let b = job_memo(&MetricsRegistry::new(), &shared);
         let (key, report) = report_for(8, 4);
         assert!(a.lookup(key).is_none());
         a.store(key, Arc::clone(&report));
@@ -592,7 +592,7 @@ mod tests {
         let key = problem.genome_key(&genome);
         let evaluation = Arc::new(problem.evaluate(&genome));
         let memo = Arc::new(ShardedGenomeMemo::new(64));
-        let view = job_memo(&MetricsRegistry::disabled(), &memo);
+        let view = job_memo(&MetricsRegistry::new(), &memo);
         assert!(view.lookup(key).is_none());
         view.store(key, Arc::clone(&evaluation));
         let back = view.lookup(key).expect("stored");

@@ -51,15 +51,6 @@ pub struct ServerConfig {
     /// Where GA jobs write checkpoints; `None` disables checkpointing
     /// (and with it the fitness-memo disk spill).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Whether the server's [`MetricsRegistry`] records anything. Off,
-    /// the registry hands out detached cells: instrumentation still
-    /// compiles and runs, but costs only a few dead atomic ops and
-    /// `/metrics` renders empty.
-    pub metrics_enabled: bool,
-    /// Whether the server's [`Tracer`] records spans. Off, the tracer
-    /// is [`Tracer::disabled`]: span guards are inert, nothing is
-    /// retained, and `/trace` endpoints report tracing as unavailable.
-    pub trace_enabled: bool,
     /// Load-shed watermark: total jobs the tenant queues may hold
     /// before new submissions are rejected as retryable back-pressure
     /// (the wire layer answers 503 + `Retry-After`). `0` disables
@@ -84,8 +75,6 @@ impl Default for ServerConfig {
             cache_capacity: 256 * 1024,
             genome_cache_capacity: 64 * 1024,
             checkpoint_dir: None,
-            metrics_enabled: true,
-            trace_enabled: true,
             shed_queue_depth: 0,
             drain_deadline: Duration::from_secs(10),
             faults: Arc::new(FailSet::new()),
@@ -226,15 +215,13 @@ pub struct SearchServer {
     /// What the spill file holds. The lock also serializes spills:
     /// concurrent finishing jobs must not interleave their writes.
     spill: Mutex<SpillLog>,
-    /// The server's metric store ([`MetricsRegistry::disabled`] when
-    /// `config.metrics_enabled` is off). Everything downstream — the
-    /// net front-end, the job registry, per-job eval metrics — records
-    /// into this one registry, so one render covers the whole stack.
+    /// The server's metric store. Everything downstream — the net
+    /// front-end, the job registry, per-job eval metrics — records into
+    /// this one registry, so one render covers the whole stack.
     metrics: Arc<MetricsRegistry>,
-    /// The server's span store ([`Tracer::disabled`] when
-    /// `config.trace_enabled` is off). Request spans, job-lifecycle
-    /// spans, and sampled eval spans all record here, so one trace id
-    /// walks a request end to end.
+    /// The server's span store. Request spans, job-lifecycle spans, and
+    /// sampled eval spans all record here, so one trace id walks a
+    /// request end to end.
     tracer: Tracer,
 }
 
@@ -253,20 +240,14 @@ impl SearchServer {
             (Some(dir), Some(_)) => Some(dir.join("fitness-memo.cache")),
             _ => None,
         };
-        let metrics = Arc::new(if config.metrics_enabled {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        });
-        let tracer = if config.trace_enabled { Tracer::new() } else { Tracer::disabled() };
         let server = SearchServer {
             config,
             cache,
             genome_memo,
             cache_file,
             spill: Mutex::new(SpillLog { insertions: 0, file: SpillFile::Absent }),
-            metrics,
-            tracer,
+            metrics: Arc::new(MetricsRegistry::new()),
+            tracer: Tracer::new(),
         };
         server.warm_start();
         server
@@ -278,9 +259,8 @@ impl SearchServer {
         &self.metrics
     }
 
-    /// The server's span store (disabled when `trace_enabled` is off).
-    /// Shared with the registry and the network front-end, so request
-    /// and job spans land in one store.
+    /// The server's span store (shared with the registry and the
+    /// network front-end, so request and job spans land in one store).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -470,9 +450,6 @@ impl SearchServer {
     /// resumable and its best-so-far design survives in the report).
     pub fn run_job_controlled(&self, spec: &JobSpec, control: &JobControl) -> JobReport {
         let started = Instant::now();
-        // Every handle below comes from the server's registry, so with
-        // metrics off they are detached cells and the job runs the same
-        // path.
         let tenant = spec.tenant.as_str();
         let cache = self.cache.as_ref().map(|shared| {
             self.job_memo(shared, "fitness", |result| {
@@ -501,12 +478,11 @@ impl SearchServer {
             problem = problem.with_genome_memo(Arc::clone(genome_memo) as _);
         }
 
-        // With tracing on and a claim span stamped on the control, the
-        // whole run nests under it: one `job.run` span covering the
-        // search, `job.generation`/`job.checkpoint`/`cache.spill`
-        // children from the observer, and sampled eval spans from the
-        // problem's hooks — all tagged with the job id so they share a
-        // Perfetto lane.
+        // With a claim span stamped on the control, the whole run nests
+        // under it: one `job.run` span covering the search,
+        // `job.generation`/`job.checkpoint`/`cache.spill` children from
+        // the observer, and sampled eval spans from the problem's hooks
+        // — all tagged with the job id so they share a Perfetto lane.
         let mut run_span = control.trace().map(|(job, parent)| {
             let mut span = self.tracer.start_child("job.run", parent);
             span.set_job(job);
@@ -1047,39 +1023,35 @@ mod tests {
     }
 
     #[test]
-    fn instrumentation_on_and_off_run_the_same_search() {
-        // The same job on a fully instrumented server (a trace parent
-        // stamped, so eval spans record too) and on one with metrics and
-        // tracing off: one code path, detached handles, same search.
-        let run = |on: bool| {
-            let server = SearchServer::new(ServerConfig {
-                workers: 1,
-                metrics_enabled: on,
-                trace_enabled: on,
-                ..Default::default()
-            });
-            let control = JobControl::new();
-            let claim = server.tracer().start_root("job.claim");
-            if let Some(ctx) = claim.context() {
-                control.set_trace(1, ctx);
-            }
-            let report = server.run_job_controlled(&spec("same", JobAlgorithm::DiGamma), &control);
-            let spans: Vec<&str> = server.tracer().recent(4096).iter().map(|s| s.name).collect();
-            (report, server.metrics().render(), spans)
-        };
-        let (on, on_metrics, on_spans) = run(true);
-        let (off, off_metrics, off_spans) = run(false);
-        assert!(on_metrics.contains("digamma_evals_total{tenant="), "{on_metrics}");
-        assert!(on_spans.contains(&"eval.batch"), "{on_spans:?}");
-        assert_eq!(off_metrics, "", "metrics off renders nothing");
-        assert!(off_spans.is_empty(), "tracing off records nothing: {off_spans:?}");
+    fn instrumented_job_runs_the_same_search_as_a_bare_problem() {
+        // A served job carries live metrics, eval spans under a stamped
+        // trace and both memos. None of it may steer the search: the job
+        // must find what the same GA finds on a bare problem.
+        let job = spec("same", JobAlgorithm::DiGamma);
+        let server = SearchServer::new(ServerConfig { workers: 1, ..Default::default() });
+        let control = JobControl::new();
+        let claim = server.tracer().start_root("job.claim");
+        control.set_trace(1, claim.context().expect("the server's tracer records"));
+        let report = server.run_job_controlled(&job, &control);
+        let metrics = server.metrics().render();
+        let spans: Vec<&str> = server.tracer().recent(4096).iter().map(|s| s.name).collect();
+        assert!(metrics.contains("digamma_evals_total{tenant="), "{metrics}");
+        assert!(spans.contains(&"eval.batch"), "{spans:?}");
+        assert!(report.cache_misses > 0 && report.genome_hits > 0, "{report:?}");
 
-        let best = |r: &JobReport| r.best.as_ref().map(|b| (b.cost.to_bits(), b.genome.clone()));
-        assert!(best(&on).is_some());
-        assert_eq!(best(&on), best(&off), "best cost and genome");
-        assert_eq!((on.samples, on.generations), (off.samples, off.generations));
-        assert_eq!((on.cache_hits, on.cache_misses), (off.cache_hits, off.cache_misses));
-        assert_eq!((on.genome_hits, on.genome_misses), (off.genome_hits, off.genome_misses));
+        let bare = CoOptProblem::new(job.model.clone(), job.platform.clone(), job.objective);
+        let plain = DiGamma::new(DiGammaConfig {
+            population_size: job.population_size,
+            seed: job.seed,
+            threads: job.threads,
+            ..Default::default()
+        })
+        .search(&bare, job.budget);
+        let served = report.best.as_ref().expect("the job finds a feasible design");
+        let bare_best = plain.best.as_ref().expect("the bare search finds a feasible design");
+        assert_eq!(served.cost.to_bits(), bare_best.cost.to_bits(), "best cost");
+        assert_eq!(served.genome, bare_best.genome, "best genome");
+        assert_eq!(report.samples, plain.samples);
     }
 
     #[test]

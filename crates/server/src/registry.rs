@@ -1224,14 +1224,13 @@ impl JobRegistry {
     /// The trace id of a job's lifecycle spans, once one exists: set at
     /// submit when the request carried a span context, or at claim for
     /// jobs submitted without one. `None` for jobs the registry does not
-    /// hold or jobs not yet claimed under a tracing-off server.
+    /// hold, and for untraced submits not yet claimed.
     pub fn trace_of(&self, id: JobId) -> Option<TraceId> {
         let state = self.inner.state.lock().expect("registry poisoned");
         state.jobs.get(&id).and_then(|e| e.trace).map(|ctx| ctx.trace)
     }
 
-    /// The span store shared across the stack (disabled when the
-    /// server's `trace_enabled` is off).
+    /// The span store shared across the stack.
     pub fn tracer(&self) -> &Tracer {
         self.inner.server.tracer()
     }
@@ -1358,69 +1357,66 @@ impl JobRegistry {
     /// Renders the full Prometheus text exposition for `/metrics`:
     /// refreshes the scrape-time gauges (uptime, queue depth, worker
     /// occupancy, cache residency) and then renders every family the
-    /// running jobs have fed. Returns the empty string when the server
-    /// was started with metrics disabled.
+    /// running jobs have fed.
     pub fn render_metrics(&self) -> String {
         let metrics = self.inner.server.metrics();
-        if metrics.enabled() {
-            let stats = self.stats();
-            let config = self.inner.server.config();
-            metrics
-                .gauge(
-                    "digamma_process_start_time_seconds",
-                    "Unix time the registry started, in seconds.",
-                    &[],
-                )
-                .set(self.inner.start_unix as f64);
-            metrics
-                .gauge("digamma_process_uptime_seconds", "Seconds since the registry started.", &[])
-                .set(self.inner.started.elapsed().as_secs_f64());
-            let workers = self.inner.workers.to_string();
-            let checkpoint_dir = config
-                .checkpoint_dir
-                .as_deref()
-                .map_or_else(String::new, |dir| dir.display().to_string());
-            metrics
-                .gauge(
-                    "digamma_process_info",
-                    "Constant 1; the labels carry the service configuration.",
-                    &[("checkpoint_dir", &checkpoint_dir), ("workers", &workers)],
-                )
-                .set(1.0);
-            metrics
-                .gauge("digamma_jobs_queued", "Jobs waiting in tenant queues.", &[])
-                .set(stats.queued as f64);
-            metrics
-                .gauge("digamma_jobs_running", "Jobs currently searching.", &[])
-                .set(stats.running as f64);
-            metrics
-                .gauge("digamma_workers", "Worker threads serving the registry.", &[])
-                .set(stats.workers as f64);
-            metrics
-                .gauge("digamma_workers_busy", "Workers currently running a job.", &[])
-                .set(stats.busy_workers as f64);
-            metrics
-                .gauge(
-                    "digamma_jobs_stalled",
-                    "Running jobs currently inside a stall episode (no incumbent \
-                     improvement for 25 generations).",
-                    &[],
-                )
-                .set(stats.stalled as f64);
-            let residency = [
-                ("fitness", self.inner.server.cache_stats()),
-                ("genome", self.inner.server.genome_memo_stats()),
-            ];
-            for (cache, cache_stats) in residency {
-                if let Some(cache_stats) = cache_stats {
-                    metrics
-                        .gauge(
-                            "digamma_cache_entries",
-                            "Entries resident in the shared caches, by cache layer.",
-                            &[("cache", cache)],
-                        )
-                        .set(cache_stats.entries as f64);
-                }
+        let stats = self.stats();
+        let config = self.inner.server.config();
+        metrics
+            .gauge(
+                "digamma_process_start_time_seconds",
+                "Unix time the registry started, in seconds.",
+                &[],
+            )
+            .set(self.inner.start_unix as f64);
+        metrics
+            .gauge("digamma_process_uptime_seconds", "Seconds since the registry started.", &[])
+            .set(self.inner.started.elapsed().as_secs_f64());
+        let workers = self.inner.workers.to_string();
+        let checkpoint_dir = config
+            .checkpoint_dir
+            .as_deref()
+            .map_or_else(String::new, |dir| dir.display().to_string());
+        metrics
+            .gauge(
+                "digamma_process_info",
+                "Constant 1; the labels carry the service configuration.",
+                &[("checkpoint_dir", &checkpoint_dir), ("workers", &workers)],
+            )
+            .set(1.0);
+        metrics
+            .gauge("digamma_jobs_queued", "Jobs waiting in tenant queues.", &[])
+            .set(stats.queued as f64);
+        metrics
+            .gauge("digamma_jobs_running", "Jobs currently searching.", &[])
+            .set(stats.running as f64);
+        metrics
+            .gauge("digamma_workers", "Worker threads serving the registry.", &[])
+            .set(stats.workers as f64);
+        metrics
+            .gauge("digamma_workers_busy", "Workers currently running a job.", &[])
+            .set(stats.busy_workers as f64);
+        metrics
+            .gauge(
+                "digamma_jobs_stalled",
+                "Running jobs currently inside a stall episode (no incumbent \
+                 improvement for 25 generations).",
+                &[],
+            )
+            .set(stats.stalled as f64);
+        let residency = [
+            ("fitness", self.inner.server.cache_stats()),
+            ("genome", self.inner.server.genome_memo_stats()),
+        ];
+        for (cache, cache_stats) in residency {
+            if let Some(cache_stats) = cache_stats {
+                metrics
+                    .gauge(
+                        "digamma_cache_entries",
+                        "Entries resident in the shared caches, by cache layer.",
+                        &[("cache", cache)],
+                    )
+                    .set(cache_stats.entries as f64);
             }
         }
         metrics.render()
@@ -1639,43 +1635,41 @@ fn worker_loop(inner: &Arc<Inner>) {
             let mut state = inner.state.lock().expect("registry poisoned");
             let entry = state.jobs.get_mut(&id).expect("claimed jobs are registered");
             let tracer = inner.server.tracer();
-            if tracer.enabled() {
-                // Adopt the submitting request's trace; a job without
-                // one (journal replay, untraced submit) roots a fresh
-                // trace here so `/trace/{id}` always resolves. The
-                // queued span is back-dated to cover the whole wait,
-                // and the claim span it parents is what the run nests
-                // under: queued → claim → run → generation.
-                let (trace, parent) = match entry.trace {
-                    Some(ctx) => (ctx.trace, Some(ctx.span)),
-                    None => (tracer.trace_id(), None),
-                };
-                let claim_started_ns = tracer.now_ns();
-                let queued = SpanRecord {
-                    trace,
-                    span: tracer.span_id(),
-                    parent,
-                    name: "job.queued",
-                    job: Some(id),
-                    start_ns: entry.queued_ns,
-                    dur_ns: claim_started_ns.saturating_sub(entry.queued_ns),
-                    attrs: vec![("tenant", spec.tenant.clone())],
-                };
-                let claim = SpanRecord {
-                    trace,
-                    span: tracer.span_id(),
-                    parent: Some(queued.span),
-                    name: "job.claim",
-                    job: Some(id),
-                    start_ns: claim_started_ns,
-                    dur_ns: tracer.now_ns().saturating_sub(claim_started_ns),
-                    attrs: Vec::new(),
-                };
-                entry.trace = Some(SpanContext { trace, span: queued.span });
-                entry.control.set_trace(id, SpanContext { trace, span: claim.span });
-                tracer.record(queued);
-                tracer.record(claim);
-            }
+            // Adopt the submitting request's trace; a job without one
+            // (journal replay, untraced submit) roots a fresh trace here
+            // so `/trace/{id}` always resolves. The queued span is
+            // back-dated to cover the whole wait, and the claim span it
+            // parents is what the run nests under: queued → claim → run →
+            // generation.
+            let (trace, parent) = match entry.trace {
+                Some(ctx) => (ctx.trace, Some(ctx.span)),
+                None => (tracer.trace_id(), None),
+            };
+            let claim_started_ns = tracer.now_ns();
+            let queued = SpanRecord {
+                trace,
+                span: tracer.span_id(),
+                parent,
+                name: "job.queued",
+                job: Some(id),
+                start_ns: entry.queued_ns,
+                dur_ns: claim_started_ns.saturating_sub(entry.queued_ns),
+                attrs: vec![("tenant", spec.tenant.clone())],
+            };
+            let claim = SpanRecord {
+                trace,
+                span: tracer.span_id(),
+                parent: Some(queued.span),
+                name: "job.claim",
+                job: Some(id),
+                start_ns: claim_started_ns,
+                dur_ns: tracer.now_ns().saturating_sub(claim_started_ns),
+                attrs: Vec::new(),
+            };
+            entry.trace = Some(SpanContext { trace, span: queued.span });
+            entry.control.set_trace(id, SpanContext { trace, span: claim.span });
+            tracer.record(queued);
+            tracer.record(claim);
             Arc::clone(&entry.control)
         };
         let run_started = Instant::now();
@@ -1840,7 +1834,6 @@ mod tests {
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
         let tracer = registry.tracer().clone();
-        assert!(tracer.enabled(), "tracing defaults on");
         let request = tracer.start_root("http.request");
         let request_ctx = request.context().expect("root context");
         let traced =
@@ -1889,21 +1882,6 @@ mod tests {
         let queued = spans.iter().find(|s| s.name == "job.queued").expect("queued span");
         assert_eq!(queued.parent, None, "no request to nest under: queued is the root");
         assert!(spans.iter().any(|s| s.name == "job.run"));
-        registry.shutdown();
-    }
-
-    #[test]
-    fn trace_disabled_records_nothing_and_resolves_no_ids() {
-        let registry = JobRegistry::start(
-            ServerConfig { workers: 1, trace_enabled: false, ..ServerConfig::default() },
-            None,
-        )
-        .unwrap();
-        let id = submit(&registry, spec("untraced", 96)).unwrap();
-        wait_done(&registry, id);
-        assert!(!registry.tracer().enabled());
-        assert_eq!(registry.trace_of(id), None);
-        assert!(registry.tracer().recent(100).is_empty());
         registry.shutdown();
     }
 
@@ -2275,19 +2253,6 @@ mod tests {
         assert_eq!(probes("digamma_cache_probes_total", "miss"), report.cache_misses);
         assert_eq!(probes("digamma_genome_memo_probes_total", "hit"), report.genome_hits);
         assert_eq!(probes("digamma_genome_memo_probes_total", "miss"), report.genome_misses);
-        registry.shutdown();
-    }
-
-    #[test]
-    fn disabled_metrics_render_an_empty_exposition() {
-        let registry = JobRegistry::start(
-            ServerConfig { workers: 1, metrics_enabled: false, ..ServerConfig::default() },
-            None,
-        )
-        .unwrap();
-        let id = submit(&registry, spec("dark", 64)).unwrap();
-        wait_done(&registry, id);
-        assert_eq!(registry.render_metrics(), "", "disabled registry must stay silent");
         registry.shutdown();
     }
 
