@@ -50,8 +50,7 @@ pub fn run(model: &Model, platform: &Platform, budget: usize, seed: u64) -> Vec<
 /// Renders the encoding of the costliest unique layer of a winner —
 /// the per-layer gene string the paper shows.
 pub fn encoding_snippet(genome: &Genome, layer_index: usize) -> String {
-    let single =
-        Genome { fanouts: genome.fanouts.clone(), layers: vec![genome.layers[layer_index]] };
+    let single = Genome { fanouts: genome.fanouts, layers: vec![genome.layers[layer_index]] };
     single.to_string()
 }
 

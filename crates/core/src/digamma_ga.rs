@@ -19,7 +19,7 @@
 use crate::problem::{CoOptProblem, Constraint, DesignEvaluation, LayerCost, Parent};
 use crate::result::{DesignPoint, SearchResult};
 use digamma_costmodel::HwConfig;
-use digamma_encoding::{log_uniform, repair, Genome, LevelGenes};
+use digamma_encoding::{log_uniform, repair, Genome};
 use digamma_obs::{CostPoint, GenStats, OpCounters, OpKind};
 use digamma_workload::{Dim, UniqueLayer, NUM_DIMS};
 use rand::rngs::SmallRng;
@@ -234,7 +234,7 @@ impl SearchState {
             self.samples += 1;
             let better = e.feasible && self.best.as_ref().is_none_or(|(_, b)| e.cost < b.cost);
             if better {
-                self.best = Some((g.clone(), e.clone()));
+                self.best = Some((g.clone(), *e));
                 self.best_costs.clone_from(c);
                 self.last_improved_gen = self.generation;
             }
@@ -407,7 +407,7 @@ impl GenomeFeatures {
         for li in 0..self.layers {
             let lg = &g.layers[li * g.layers.len() / self.layers.max(1)];
             for lvl in 0..num_levels {
-                let genes = lg.levels.get(lvl).copied().unwrap_or_else(LevelGenes::unit);
+                let genes = lg.levels.get(lvl).copied().unwrap_or_default();
                 let feat = &mut self.levels[li * num_levels + lvl];
                 feat.spatial = genes.spatial_dim;
                 feat.order = genes.order;
@@ -588,7 +588,7 @@ impl DiGamma {
         let mut population: Vec<Genome> = Vec::with_capacity(init_count);
         if cfg.template_seeding {
             let seed_hws: Vec<_> = match problem.constraint() {
-                Constraint::FixedHw(hw) => vec![hw.clone()],
+                Constraint::FixedHw(hw) => vec![*hw],
                 // For co-optimization, seed each preset twice: at full
                 // buffer fill (best immediate cost) and at half fill —
                 // the half-fill seeds leave area slack so Mutate-HW /
@@ -597,7 +597,7 @@ impl DiGamma {
                     .iter()
                     .flat_map(|p| {
                         let full = p.build(platform, problem.evaluator().area_model());
-                        let mut half = full.clone();
+                        let mut half = full;
                         half.l2_words = (half.l2_words / 2).max(1);
                         half.l1_words_per_pe = (half.l1_words_per_pe / 2).max(1);
                         [full, half]
@@ -904,7 +904,7 @@ fn unzip(
 /// layer holds past them: Grow adds one that decoding would ignore, and
 /// a genome's layers never hold more levels than it has fan-outs.
 fn pin_fanouts(g: &mut Genome, hw: &HwConfig) {
-    g.fanouts.clone_from(&hw.fanouts);
+    g.fanouts = hw.fanouts;
     for lg in &mut g.layers {
         lg.levels.truncate(hw.fanouts.len());
     }
@@ -951,7 +951,7 @@ pub mod operators {
                 }
             }
             if rng.gen_bool(0.5) {
-                child.fanouts = b.fanouts.clone();
+                child.fanouts = b.fanouts;
             }
         } else if rng.gen_bool(0.5) {
             child = b.clone();
@@ -1372,9 +1372,9 @@ mod tests {
         // by the fan-out forcing — attribution must expose that as
         // `hw_forced` rather than crediting a hardware move.
         let hw = digamma_costmodel::HwConfig {
-            fanouts: vec![8, 16],
+            fanouts: [8, 16].into(),
             l2_words: 32 * 1024,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 128,
         };
         let problem = CoOptProblem::new(zoo::ncf(), Platform::edge(), Objective::Latency)
@@ -1410,9 +1410,9 @@ mod tests {
 
         fn fixed_hw() -> HwConfig {
             HwConfig {
-                fanouts: vec![8, 16],
+                fanouts: [8, 16].into(),
                 l2_words: 32 * 1024,
-                mid_words_per_unit: vec![],
+                mid_words_per_unit: [].into(),
                 l1_words_per_pe: 128,
             }
         }
@@ -1552,7 +1552,7 @@ mod tests {
             ) {
                 let fixed = fixed == 1;
                 let reference = problem(fixed);
-                let genome_memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
+                let genome_memo = Arc::new(CountingMemo::<DesignEvaluation>::default());
                 let cache = Arc::new(CountingMemo::<Arc<CostReport>>::default());
                 let mut p = problem(fixed);
                 if memos & 1 == 1 {
@@ -1622,7 +1622,7 @@ mod tests {
                 let reference = problem(fixed);
                 let mut p = problem(fixed);
                 if memo {
-                    let memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
+                    let memo = Arc::new(CountingMemo::<DesignEvaluation>::default());
                     p = p.with_genome_memo(memo as _);
                 }
                 let ga = DiGamma::new(DiGammaConfig { grow_aging_rate: 0.5, ..quick_config(5) });
@@ -1657,7 +1657,7 @@ mod tests {
         /// is reused from a parent.
         #[test]
         fn memo_hit_keeps_costs_only_when_every_layer_is_reused() {
-            let memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
+            let memo = Arc::new(CountingMemo::<DesignEvaluation>::default());
             let p = problem(false).with_genome_memo(Arc::clone(&memo) as _);
             let unique = p.unique_layers();
             let mut rng = SmallRng::seed_from_u64(3);
@@ -1755,7 +1755,7 @@ mod tests {
         #[test]
         fn mutate_map_changes_only_mapping_genes() {
             let (mut rng, unique, mut g) = setup();
-            let fanouts = g.fanouts.clone();
+            let fanouts = g.fanouts;
             for _ in 0..50 {
                 mutate_map(&mut rng, &mut g, &unique, 1.0);
             }

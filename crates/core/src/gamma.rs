@@ -55,7 +55,7 @@ impl Gamma {
     /// machinery ([`DiGamma::init`], [`DiGamma::step`],
     /// [`DiGamma::restore`]) for mapping-only jobs too.
     pub fn searcher(&self, problem: &CoOptProblem, hw: &HwConfig) -> (CoOptProblem, DiGamma) {
-        let constrained = problem.clone().with_constraint(Constraint::FixedHw(hw.clone()));
+        let constrained = problem.clone().with_constraint(Constraint::FixedHw(*hw));
         let ga = DiGamma::new(DiGammaConfig {
             population_size: self.config.population_size,
             elite_fraction: self.config.elite_fraction,
@@ -91,9 +91,9 @@ mod tests {
 
     fn fixed_hw() -> HwConfig {
         HwConfig {
-            fanouts: vec![8, 16],
+            fanouts: [8, 16].into(),
             l2_words: 32 * 1024,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 128,
         }
     }
@@ -106,7 +106,7 @@ mod tests {
         let best = result.best.expect("a mapping fitting the fixed HW");
         assert!(best.feasible);
         assert_eq!(best.hw, fixed_hw());
-        assert_eq!(best.genome.fanouts, vec![8, 16]);
+        assert_eq!(*best.genome.fanouts, [8, 16]);
     }
 
     #[test]
@@ -127,9 +127,9 @@ mod tests {
         let problem = CoOptProblem::new(zoo::ncf(), Platform::cloud(), Objective::Latency);
         let small = fixed_hw();
         let big = HwConfig {
-            fanouts: vec![16, 16],
+            fanouts: [16, 16].into(),
             l2_words: small.l2_words * 8,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: small.l1_words_per_pe * 8,
         };
         let cfg = GammaConfig { population_size: 16, seed: 7, ..Default::default() };

@@ -66,9 +66,9 @@ pub fn hw_grid_search(problem: &CoOptProblem, style: MappingStyle) -> GridSearch
             for &l1_words in &l1_options {
                 // Area of PEs + L1s; skip if already over budget.
                 let probe = HwConfig {
-                    fanouts: vec![clusters, pes_per_cluster],
+                    fanouts: [clusters, pes_per_cluster].into(),
                     l2_words: 0,
-                    mid_words_per_unit: vec![],
+                    mid_words_per_unit: [].into(),
                     l1_words_per_pe: l1_words,
                 };
                 let fixed_area = area.area_um2(&probe);
@@ -83,7 +83,7 @@ pub fn hw_grid_search(problem: &CoOptProblem, style: MappingStyle) -> GridSearch
                 let hw = HwConfig { l2_words, ..probe };
 
                 let mappings = instantiate_all(style, problem.unique_layers(), &hw);
-                let constrained = problem.clone().with_constraint(Constraint::FixedHw(hw.clone()));
+                let constrained = problem.clone().with_constraint(Constraint::FixedHw(hw));
                 let Ok(eval) = constrained.evaluate_mappings(&hw.fanouts, &mappings) else {
                     continue;
                 };

@@ -15,7 +15,8 @@
 
 use crate::objective::Objective;
 use digamma_costmodel::{
-    BufferRequirement, CostReport, EvalError, Evaluator, HwConfig, Mapping, Platform, StableHasher,
+    BufferRequirement, CostReport, EvalError, Evaluator, HwConfig, Levels, Mapping, Platform,
+    StableHasher,
 };
 use digamma_encoding::Genome;
 use digamma_obs::{
@@ -24,6 +25,7 @@ use digamma_obs::{
 };
 use digamma_workload::{Layer, Model, UniqueLayer};
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -192,17 +194,18 @@ pub enum Constraint {
 /// * `Memo<Arc<CostReport>>` ([`CoOptProblem::with_cache`]) is keyed by
 ///   [`Evaluator::cache_key`](digamma_costmodel::Evaluator::cache_key);
 ///   a hit skips one cost-model call.
-/// * `Memo<Arc<DesignEvaluation>>` ([`CoOptProblem::with_genome_memo`])
-///   is keyed by [`CoOptProblem::genome_key`]; a hit skips the decode →
+/// * `Memo<DesignEvaluation>` ([`CoOptProblem::with_genome_memo`]) is
+///   keyed by [`CoOptProblem::genome_key`]; a hit skips the decode →
 ///   per-layer evaluate → aggregate pipeline entirely.
 ///
 /// Evaluation is pure and each key covers everything its evaluation
 /// reads, so a hit must return exactly what recomputing would, and
 /// storing and replaying values is semantics-preserving; the
 /// `digamma-server` crate's sharded memo is the production
-/// implementation and property-tests exactly that equivalence. Values
-/// travel as [`Arc`]s so a hit is a refcount bump, never a deep clone —
-/// the memo's whole point is to be much cheaper than recomputing.
+/// implementation and property-tests exactly that equivalence. A hit
+/// must be much cheaper than recomputing: a [`DesignEvaluation`] is
+/// `Copy` and travels by value, while a [`CostReport`] travels as an
+/// [`Arc`], so that a hit is a refcount bump.
 pub trait Memo<V>: std::fmt::Debug + Send + Sync {
     /// Returns the memoized value for `key`, if present.
     fn lookup(&self, key: u64) -> Option<V>;
@@ -211,7 +214,7 @@ pub trait Memo<V>: std::fmt::Debug + Send + Sync {
 }
 
 /// The outcome of evaluating one design point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignEvaluation {
     /// Scalar cost the optimizer minimizes (lower is better; designs
     /// violating the constraint receive a large penalty cost ≥ 1e18
@@ -236,7 +239,7 @@ pub struct DesignEvaluation {
 /// PE array. A population member keeps one per layer so its children
 /// can reuse them (see [`CoOptProblem::evaluate_children`]); the rest
 /// of the report (traffic, derived hardware) is not kept.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerCost {
     latency_cycles: f64,
     energy_pj: f64,
@@ -266,6 +269,26 @@ enum Source<'a> {
     Slot(usize),
 }
 
+/// The batch-local slot map's hasher. Its keys are FNV-mixed memo keys
+/// of this program's own decodes already, so it passes them through
+/// instead of hashing them again with SipHash.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the slot map hashes only u64 keys");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// A `(model, platform, objective, constraint)` bundle that scores
 /// genomes. This is the generic interface the paper exposes to *any*
 /// optimization algorithm (Sec. III-B1).
@@ -277,7 +300,7 @@ pub struct CoOptProblem {
     objective: Objective,
     constraint: Constraint,
     cache: Option<Arc<dyn Memo<Arc<CostReport>>>>,
-    genome_memo: Option<Arc<dyn Memo<Arc<DesignEvaluation>>>>,
+    genome_memo: Option<Arc<dyn Memo<DesignEvaluation>>>,
     /// The problem-identity prefix of [`CoOptProblem::genome_key`],
     /// hashed once here (and re-hashed by [`CoOptProblem::with_constraint`])
     /// instead of per genome — on the memoized hot path only the genes
@@ -347,7 +370,7 @@ impl CoOptProblem {
     /// survive generations unchanged, crossover re-creates recent
     /// parents and resubmitted jobs re-score whole populations, so whole
     /// genomes recur constantly.
-    pub fn with_genome_memo(mut self, memo: Arc<dyn Memo<Arc<DesignEvaluation>>>) -> CoOptProblem {
+    pub fn with_genome_memo(mut self, memo: Arc<dyn Memo<DesignEvaluation>>) -> CoOptProblem {
         self.genome_memo = Some(memo);
         self
     }
@@ -406,7 +429,7 @@ impl CoOptProblem {
     /// The genome's hardware fan-outs after applying the constraint
     /// (Fixed-HW pins them to the given array shape). Borrowed — neither
     /// path clones anything.
-    fn effective_fanouts<'a>(&'a self, genome: &'a Genome) -> &'a [u64] {
+    fn effective_fanouts<'a>(&'a self, genome: &'a Genome) -> &'a Levels<u64> {
         match &self.constraint {
             Constraint::None => &genome.fanouts,
             Constraint::FixedHw(hw) => &hw.fanouts,
@@ -436,10 +459,10 @@ impl CoOptProblem {
             Some(memo) => {
                 let key = self.genome_key(genome);
                 match memo.lookup(key) {
-                    Some(hit) => ((*hit).clone(), Vec::new()),
+                    Some(hit) => (hit, Vec::new()),
                     None => {
                         let scored = self.evaluate_unmemoized(genome);
-                        memo.store(key, Arc::new(scored.0.clone()));
+                        memo.store(key, scored.0);
                         scored
                     }
                 }
@@ -454,13 +477,13 @@ impl CoOptProblem {
         let fanouts = self.effective_fanouts(genome);
         match self.mapping_costs(&genome.decode_with_fanouts(&self.unique, fanouts)) {
             Ok(costs) => (self.aggregate(fanouts, &costs), costs),
-            Err(_) => (Self::invalid_evaluation(fanouts.to_vec()), Vec::new()),
+            Err(_) => (Self::invalid_evaluation(*fanouts), Vec::new()),
         }
     }
 
     /// The maximally-infeasible evaluation assigned to structurally
     /// invalid genomes (which repair should have prevented).
-    fn invalid_evaluation(fanouts: Vec<u64>) -> DesignEvaluation {
+    fn invalid_evaluation(fanouts: Levels<u64>) -> DesignEvaluation {
         DesignEvaluation {
             cost: INFEASIBLE_COST * 10.0,
             feasible: false,
@@ -468,7 +491,7 @@ impl CoOptProblem {
             energy_pj: f64::INFINITY,
             area_um2: f64::INFINITY,
             pe_area_um2: f64::INFINITY,
-            hw: HwConfig { fanouts, l2_words: 0, mid_words_per_unit: vec![], l1_words_per_pe: 0 },
+            hw: HwConfig::for_mapping_buffers(fanouts, &BufferRequirement::default()),
         }
     }
 
@@ -530,7 +553,7 @@ impl CoOptProblem {
 
         // The genome memo first: every child is probed before any store.
         // `Ok` holds a hit, `Err` a miss's key (unused without a memo).
-        let probes: Vec<Result<Arc<DesignEvaluation>, u64>> = match &self.genome_memo {
+        let probes: Vec<Result<DesignEvaluation, u64>> = match &self.genome_memo {
             None => children.iter().map(|_| Err(0)).collect(),
             Some(memo) => children
                 .iter()
@@ -546,7 +569,7 @@ impl CoOptProblem {
         // reused; it claims no slots.
         let mut sources: Vec<Source<'_>> = Vec::with_capacity(children.len() * layers);
         let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(children.len());
-        let mut slots: HashMap<u64, usize> = HashMap::new();
+        let mut slots: HashMap<u64, usize, BuildHasherDefault<PassThrough>> = HashMap::default();
         let mut work: Vec<(usize, Mapping, u64)> = Vec::new();
         let mut skipped = 0u64;
         for (i, (child, probe)) in children.iter().zip(&probes).enumerate() {
@@ -616,23 +639,24 @@ impl CoOptProblem {
             .zip(probes)
             .zip(spans)
             .map(|((child, probe), span)| {
-                let costs: Option<Vec<LayerCost>> = sources[span]
-                    .iter()
-                    .map(|source| match *source {
-                        Source::Reused(cost) => Some(cost.clone()),
-                        Source::Slot(slot) => results[slot].as_ref().ok().cloned(),
-                    })
-                    .collect();
+                // Sized exactly: an `Option<Vec<_>>` collect cannot see the length.
+                let sources = &sources[span];
+                let mut costs = Vec::with_capacity(sources.len());
+                costs.extend(sources.iter().map_while(|source| match *source {
+                    Source::Reused(cost) => Some(*cost),
+                    Source::Slot(slot) => results[slot].as_ref().ok().copied(),
+                }));
+                let costs = (costs.len() == sources.len()).then_some(costs);
                 match probe {
-                    Ok(hit) => ((*hit).clone(), costs.unwrap_or_default()),
+                    Ok(hit) => (hit, costs.unwrap_or_default()),
                     Err(key) => {
                         let fanouts = self.effective_fanouts(child);
                         let scored = match costs {
                             Some(costs) => (self.aggregate(fanouts, &costs), costs),
-                            None => (Self::invalid_evaluation(fanouts.to_vec()), Vec::new()),
+                            None => (Self::invalid_evaluation(*fanouts), Vec::new()),
                         };
                         if let Some(memo) = &self.genome_memo {
-                            memo.store(key, Arc::new(scored.0.clone()));
+                            memo.store(key, scored.0);
                         }
                         scored
                     }
@@ -768,7 +792,7 @@ impl CoOptProblem {
     /// Panics if `mappings.len()` differs from the unique-layer count.
     pub fn evaluate_mappings(
         &self,
-        fanouts: &[u64],
+        fanouts: &Levels<u64>,
         mappings: &[Mapping],
     ) -> Result<DesignEvaluation, EvalError> {
         Ok(self.aggregate(fanouts, &self.mapping_costs(mappings)?))
@@ -785,13 +809,13 @@ impl CoOptProblem {
     /// latency/energy weighted by layer multiplicity, in layer order,
     /// derive the minimum-footprint hardware (or check the fixed one),
     /// and score against the area budget.
-    fn aggregate(&self, fanouts: &[u64], costs: &[LayerCost]) -> DesignEvaluation {
+    fn aggregate(&self, fanouts: &Levels<u64>, costs: &[LayerCost]) -> DesignEvaluation {
         let mut latency = 0.0;
         let mut energy = 0.0;
         let mut derived = HwConfig {
-            fanouts: fanouts.to_vec(),
+            fanouts: *fanouts,
             l2_words: 0,
-            mid_words_per_unit: vec![0; fanouts.len().saturating_sub(2)],
+            mid_words_per_unit: std::iter::repeat_n(0, fanouts.len().saturating_sub(2)).collect(),
             l1_words_per_pe: 0,
         };
         let mut fits_fixed = true;
@@ -806,7 +830,7 @@ impl CoOptProblem {
         // The hardware that must exist: the fixed one, or the derived
         // minimum (buffer allocation strategy).
         let hw = match &self.constraint {
-            Constraint::FixedHw(fixed) => fixed.clone(),
+            Constraint::FixedHw(fixed) => *fixed,
             Constraint::None => derived,
         };
         let area = self.evaluator.area_model().area_um2(&hw);
@@ -863,7 +887,7 @@ impl CoOptProblem {
         LayerCost {
             latency_cycles: report.latency_cycles,
             energy_pj: report.energy_pj,
-            buffers: report.buffers.clone(),
+            buffers: report.buffers,
             fits_fixed_hw: match &self.constraint {
                 Constraint::None => true,
                 Constraint::FixedHw(hw) => hw.accommodates(&mapping.pe_shape(), &report.buffers),
@@ -959,7 +983,7 @@ pub(crate) mod tests {
 
     #[test]
     fn genome_memo_hits_preserve_results_exactly() {
-        let memo = Arc::new(CountingMemo::<Arc<DesignEvaluation>>::default());
+        let memo = Arc::new(CountingMemo::<DesignEvaluation>::default());
         let without = problem();
         let with = problem().with_genome_memo(Arc::clone(&memo) as _);
         let mut rng = SmallRng::seed_from_u64(12);
@@ -1012,9 +1036,9 @@ pub(crate) mod tests {
         let cloud = CoOptProblem::new(zoo::ncf(), Platform::cloud(), Objective::Latency);
         assert_ne!(base, cloud.genome_key(&g));
         let fixed = problem().with_constraint(Constraint::FixedHw(HwConfig {
-            fanouts: vec![4, 4],
+            fanouts: [4, 4].into(),
             l2_words: 1024,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 64,
         }));
         assert_ne!(base, fixed.genome_key(&g));
@@ -1104,9 +1128,9 @@ pub(crate) mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         // Force enormous hardware: max fan-outs with huge tiles.
         let mut g = Genome::random(&mut rng, p.unique_layers(), p.platform(), 2);
-        g.fanouts = vec![64, 16]; // 1024 PEs on edge: PE area alone ≈ 0.36 mm² > 0.2 mm².
+        g.fanouts = [64, 16].into(); // 1024 PEs on edge: PE area alone ≈ 0.36 mm² > 0.2 mm².
         for lg in &mut g.layers {
-            for lvl in &mut lg.levels {
+            for lvl in lg.levels.iter_mut() {
                 lvl.tile = digamma_workload::DimVec::splat(u64::MAX);
             }
         }
@@ -1125,7 +1149,7 @@ pub(crate) mod tests {
         // Evaluating per-layer manually must reproduce the aggregate.
         let mappings = {
             let mut eff = g.clone();
-            eff.fanouts = g.fanouts.clone();
+            eff.fanouts = g.fanouts;
             eff.decode(p.unique_layers())
         };
         let mut manual = 0.0;
@@ -1139,12 +1163,12 @@ pub(crate) mod tests {
     #[test]
     fn fixed_hw_constraint_penalizes_oversized_mappings() {
         let tiny_hw = HwConfig {
-            fanouts: vec![2, 2],
+            fanouts: [2, 2].into(),
             l2_words: 64,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 8,
         };
-        let p = problem().with_constraint(Constraint::FixedHw(tiny_hw.clone()));
+        let p = problem().with_constraint(Constraint::FixedHw(tiny_hw));
         let mut rng = SmallRng::seed_from_u64(4);
         let mut any_feasible = false;
         let mut any_infeasible = false;

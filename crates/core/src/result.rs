@@ -36,7 +36,7 @@ impl DesignPoint {
             energy_pj: eval.energy_pj,
             area_um2: eval.area_um2,
             pe_area_um2: eval.pe_area_um2,
-            hw: eval.hw.clone(),
+            hw: eval.hw,
         }
     }
 
@@ -78,7 +78,7 @@ mod tests {
 
     fn dummy_point(cost: f64) -> DesignPoint {
         DesignPoint {
-            genome: Genome { fanouts: vec![2, 2], layers: vec![] },
+            genome: Genome { fanouts: [2, 2].into(), layers: vec![] },
             cost,
             feasible: true,
             latency_cycles: cost,
@@ -86,9 +86,9 @@ mod tests {
             area_um2: 100.0,
             pe_area_um2: 60.0,
             hw: HwConfig {
-                fanouts: vec![2, 2],
+                fanouts: [2, 2].into(),
                 l2_words: 10,
-                mid_words_per_unit: vec![],
+                mid_words_per_unit: [].into(),
                 l1_words_per_pe: 5,
             },
         }

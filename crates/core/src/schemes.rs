@@ -64,9 +64,9 @@ impl HwPreset {
         let pes_per_cluster = total / clusters;
 
         let hw_probe = HwConfig {
-            fanouts: vec![clusters, pes_per_cluster],
+            fanouts: [clusters, pes_per_cluster].into(),
             l2_words: 0,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: l1,
         };
         let used = area.area_um2(&hw_probe);

@@ -171,9 +171,9 @@ mod tests {
 
     fn hw() -> HwConfig {
         HwConfig {
-            fanouts: vec![8, 16],
+            fanouts: [8, 16].into(),
             l2_words: 16 * 1024,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 64,
         }
     }
@@ -250,9 +250,9 @@ mod tests {
     fn unit_buffers_still_yield_valid_mappings() {
         let layer = &zoo::ncf().layers()[0].clone();
         let tiny = HwConfig {
-            fanouts: vec![2, 2],
+            fanouts: [2, 2].into(),
             l2_words: 1,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 1,
         };
         for style in MappingStyle::ALL {

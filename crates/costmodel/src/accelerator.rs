@@ -1,6 +1,7 @@
 //! Hardware configurations and platform resource envelopes.
 
 use crate::analysis::BufferRequirement;
+use crate::levels::Levels;
 use std::fmt;
 
 /// A concrete accelerator hardware configuration: PE array shape and
@@ -10,15 +11,15 @@ use std::fmt;
 /// allocation strategy ([`HwConfig::for_mapping_buffers`]); in the
 /// Fixed-HW use-case they are given and act as hard constraints
 /// ([`HwConfig::accommodates`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HwConfig {
     /// PE array fan-out per level, outermost first
     /// (e.g. `[π_L2, π_L1]` = a `π_L2 × π_L1` 2-D array).
-    pub fanouts: Vec<u64>,
+    pub fanouts: Levels<u64>,
     /// Global L2 buffer capacity in words.
     pub l2_words: u64,
     /// Per-unit middle-buffer capacities (empty for 2-level designs).
-    pub mid_words_per_unit: Vec<u64>,
+    pub mid_words_per_unit: Levels<u64>,
     /// Per-PE L1 buffer capacity in words.
     pub l1_words_per_pe: u64,
 }
@@ -31,11 +32,11 @@ impl HwConfig {
 
     /// Builds the exact-minimum hardware for a mapping's buffer
     /// requirements — DiGamma's buffer allocation strategy (Sec. IV-C).
-    pub fn for_mapping_buffers(fanouts: Vec<u64>, buffers: &BufferRequirement) -> HwConfig {
+    pub fn for_mapping_buffers(fanouts: Levels<u64>, buffers: &BufferRequirement) -> HwConfig {
         HwConfig {
             fanouts,
             l2_words: buffers.l2_words,
-            mid_words_per_unit: buffers.mid_words_per_unit.clone(),
+            mid_words_per_unit: buffers.mid_words_per_unit,
             l1_words_per_pe: buffers.l1_words_per_pe,
         }
     }
@@ -136,15 +137,15 @@ mod tests {
     use super::*;
 
     fn buffers(l2: u64, l1: u64) -> BufferRequirement {
-        BufferRequirement { l2_words: l2, mid_words_per_unit: vec![], l1_words_per_pe: l1 }
+        BufferRequirement { l2_words: l2, mid_words_per_unit: [].into(), l1_words_per_pe: l1 }
     }
 
     #[test]
     fn accommodates_checks_every_resource() {
         let hw = HwConfig {
-            fanouts: vec![8, 8],
+            fanouts: [8, 8].into(),
             l2_words: 1000,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 50,
         };
         assert!(hw.accommodates(&[8, 8], &buffers(1000, 50)));
@@ -158,9 +159,9 @@ mod tests {
     #[test]
     fn grow_to_fit_takes_maxima() {
         let mut hw = HwConfig {
-            fanouts: vec![4, 4],
+            fanouts: [4, 4].into(),
             l2_words: 100,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l1_words_per_pe: 10,
         };
         hw.grow_to_fit(&buffers(50, 20));
@@ -178,9 +179,9 @@ mod tests {
     #[test]
     fn num_pes_is_fanout_product() {
         let hw = HwConfig {
-            fanouts: vec![3, 5, 7],
+            fanouts: [3, 5, 7].into(),
             l2_words: 0,
-            mid_words_per_unit: vec![0],
+            mid_words_per_unit: [0].into(),
             l1_words_per_pe: 0,
         };
         assert_eq!(hw.num_pes(), 105);

@@ -45,6 +45,7 @@
 //! a deliberate simplification shared with the paper's Fig. 3(f) formulas.
 
 use crate::error::EvalError;
+use crate::levels::Levels;
 use crate::mapping::Mapping;
 use digamma_workload::{tensor_footprint, Dim, DimVec, Layer, Tensor, NUM_DIMS};
 
@@ -69,7 +70,7 @@ impl LinkTraffic {
 }
 
 /// Analysis results for one mapping level.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LevelAnalysis {
     /// Temporal iteration counts of this level's loop nest.
     pub iteration_counts: DimVec<u64>,
@@ -83,19 +84,19 @@ pub struct LevelAnalysis {
 
 /// Minimum buffer capacities implied by a mapping (DiGamma's buffer
 /// allocation strategy sizes buffers to exactly these values).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferRequirement {
     /// Global (L2) buffer capacity in words.
     pub l2_words: u64,
     /// Per-unit capacity of each middle-level buffer, outermost first
     /// (empty for 2-level mappings).
-    pub mid_words_per_unit: Vec<u64>,
+    pub mid_words_per_unit: Levels<u64>,
     /// Per-PE local (L1) buffer capacity in words.
     pub l1_words_per_pe: u64,
 }
 
 /// Full reuse-analysis output for one `(layer, mapping)` pair.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Analysis {
     /// True MAC count of the layer (mapping independent).
     pub macs_total: u64,
@@ -106,7 +107,7 @@ pub struct Analysis {
     /// Total PEs instantiated by the mapping.
     pub num_pes: u64,
     /// Per-level analysis, outermost first.
-    pub levels: Vec<LevelAnalysis>,
+    pub levels: Levels<LevelAnalysis>,
     /// Minimum buffer capacities.
     pub buffers: BufferRequirement,
     /// Fraction of issued MAC slots doing useful work (0, 1].
@@ -117,54 +118,33 @@ pub struct Analysis {
 ///
 /// Product of iteration counts from the outermost loop down to the
 /// innermost loop that is relevant to the tensor and iterates more than
-/// once; 1 when no such loop exists (the tensor is fully stationary).
-fn refetch_factor(order: &[Dim; NUM_DIMS], counts: &DimVec<u64>, relevance: &DimVec<bool>) -> u128 {
-    let mut innermost_active = None;
-    for (pos, &d) in order.iter().enumerate() {
-        if relevance[d] && counts[d] > 1 {
-            innermost_active = Some(pos);
-        }
-    }
-    match innermost_active {
-        None => 1,
-        Some(j) => order[..=j].iter().map(|&d| counts[d] as u128).product(),
-    }
+/// once; `None` when no such loop exists (the tensor is fully
+/// stationary). One scan from the inside finds that loop.
+fn refetch_factor(
+    order: &[Dim; NUM_DIMS],
+    counts: &DimVec<u64>,
+    relevance: &DimVec<bool>,
+) -> Option<u128> {
+    let innermost = order.iter().rposition(|&d| relevance[d] && counts[d] > 1)?;
+    Some(order[..=innermost].iter().map(|&d| counts[d] as u128).product())
 }
 
-/// Runs the full reuse analysis.
+/// Runs the full reuse analysis. The result is `Copy` and holds no heap
+/// memory, so [`crate::Evaluator::evaluate`] runs it on its own stack.
 ///
 /// # Errors
 ///
 /// Returns [`EvalError`] if the mapping fails structural validation
 /// against the layer.
 pub fn analyze(layer: &Layer, mapping: &Mapping) -> Result<Analysis, EvalError> {
-    let mut out = Analysis::default();
-    analyze_into(layer, mapping, &mut out)?;
-    Ok(out)
-}
-
-/// Runs the full reuse analysis into a caller-owned [`Analysis`],
-/// reusing its vectors' capacity — the form of [`analyze`] that
-/// [`crate::Evaluator::evaluate`] runs on its per-thread buffer. `out`
-/// is fully overwritten; results are bit-identical to [`analyze`].
-///
-/// # Errors
-///
-/// Returns [`EvalError`] if the mapping fails structural validation
-/// against the layer (leaving `out` with unspecified contents).
-pub(crate) fn analyze_into(
-    layer: &Layer,
-    mapping: &Mapping,
-    out: &mut Analysis,
-) -> Result<(), EvalError> {
     mapping.validate(layer)?;
     let kind = layer.kind();
     let stride = layer.stride();
     let num_levels = mapping.levels().len();
+    // The dims each tensor is indexed by, in `Tensor::ALL` order.
+    let relevance = Tensor::ALL.map(|tensor| kind.relevance(tensor));
 
-    let levels = &mut out.levels;
-    levels.clear();
-    levels.reserve(num_levels);
+    let mut levels = Levels::default();
     let mut parent = *layer.dims();
     // Π_{i≤ℓ} unicast_i(T): distinct spatial copies of T's tiles chip-wide.
     let mut cum_unicast = [1u128; 3];
@@ -175,8 +155,7 @@ pub(crate) fn analyze_into(
     // Chip-wide distinct output tiles at the current granularity.
     let mut cum_distinct_out: u128 = 1;
 
-    let mut mid_words_per_unit = std::mem::take(&mut out.buffers.mid_words_per_unit);
-    mid_words_per_unit.clear();
+    let mut mid_words_per_unit = Levels::default();
     let mut l2_words = 0u64;
 
     for (idx, level) in mapping.levels().iter().enumerate() {
@@ -185,15 +164,12 @@ pub(crate) fn analyze_into(
         let stacked = level.stacked_tile(&parent);
 
         let mut traffic = LinkTraffic::default();
-        for (ti, &tensor) in Tensor::ALL.iter().enumerate() {
-            let relevance = kind.relevance(tensor);
+        for (ti, (&tensor, relevance)) in Tensor::ALL.iter().zip(&relevance).enumerate() {
             let unicast = if relevance[level.spatial_dim] { level.fanout as u128 } else { 1 };
             cum_unicast[ti] *= unicast;
             let footprint = tensor_footprint(kind, tensor, &level.tile, stride) as u128;
-            let has_active_relevant_loop = Dim::ALL.iter().any(|&d| relevance[d] && counts[d] > 1);
-            if has_active_relevant_loop {
-                combined_refetch[ti] =
-                    exec_multiplier * refetch_factor(&level.order, &counts, &relevance);
+            if let Some(refetch) = refetch_factor(&level.order, &counts, relevance) {
+                combined_refetch[ti] = exec_multiplier * refetch;
             }
             // (Otherwise the resident tile survives outer-level steps and
             // ρ carries over from the previous level unchanged.)
@@ -217,17 +193,15 @@ pub(crate) fn analyze_into(
         }
 
         // Buffer capacity: the level's per-step working set. The global
-        // buffer backs level 0; middle levels get per-unit buffers; the
-        // leaf level's tile lives in the per-PE L1 (handled below).
+        // buffer backs level 0 (a single-level mapping's too); middle
+        // levels get per-unit buffers; the leaf level's tile lives in the
+        // per-PE L1 (handled below).
         let stacked_words: u64 =
             Tensor::ALL.iter().map(|&t| tensor_footprint(kind, t, &stacked, stride)).sum();
         if idx == 0 {
             l2_words = stacked_words;
         } else if idx < num_levels - 1 {
             mid_words_per_unit.push(stacked_words);
-        } else if num_levels == 1 {
-            // Degenerate single-level mapping: L2 is the stacked tile and
-            // was set above; nothing to do here.
         }
 
         levels.push(LevelAnalysis {
@@ -252,13 +226,15 @@ pub(crate) fn analyze_into(
     let issued = total_leaf_steps * pe_tile_macs as u128 * num_pes as u128;
     let utilization = macs_total as f64 / issued as f64;
 
-    out.macs_total = macs_total;
-    out.pe_tile_macs = pe_tile_macs;
-    out.total_leaf_steps = total_leaf_steps;
-    out.num_pes = num_pes;
-    out.buffers = BufferRequirement { l2_words, mid_words_per_unit, l1_words_per_pe };
-    out.utilization = utilization;
-    Ok(())
+    Ok(Analysis {
+        macs_total,
+        pe_tile_macs,
+        total_leaf_steps,
+        num_pes,
+        levels,
+        buffers: BufferRequirement { l2_words, mid_words_per_unit, l1_words_per_pe },
+        utilization,
+    })
 }
 
 #[cfg(test)]
@@ -472,15 +448,15 @@ mod tests {
         // Tensor relevant to K only: innermost active relevant loop is K
         // (position 0) → refetch = 4.
         rel[Dim::K] = true;
-        assert_eq!(refetch_factor(&order, &counts, &rel), 4);
+        assert_eq!(refetch_factor(&order, &counts, &rel), Some(4));
         // Relevant to Y: loops K, C, Y all multiply → 24.
         let mut rel_y = DimVec::splat(false);
         rel_y[Dim::Y] = true;
-        assert_eq!(refetch_factor(&order, &counts, &rel_y), 24);
+        assert_eq!(refetch_factor(&order, &counts, &rel_y), Some(24));
         // Relevant to X only (count 1): fully stationary.
         let mut rel_x = DimVec::splat(false);
         rel_x[Dim::X] = true;
-        assert_eq!(refetch_factor(&order, &counts, &rel_x), 1);
+        assert_eq!(refetch_factor(&order, &counts, &rel_x), None);
     }
 
     #[test]

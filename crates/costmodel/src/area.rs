@@ -64,9 +64,9 @@ mod tests {
 
     fn hw(pes: &[u64], l1: u64, l2: u64) -> HwConfig {
         HwConfig {
-            fanouts: pes.to_vec(),
+            fanouts: pes.iter().copied().collect(),
             l1_words_per_pe: l1,
-            mid_words_per_unit: vec![],
+            mid_words_per_unit: [].into(),
             l2_words: l2,
         }
     }
@@ -107,9 +107,9 @@ mod tests {
     #[test]
     fn mid_buffers_scale_with_unit_count() {
         let mut cfg = hw(&[4, 4, 4], 16, 4096);
-        cfg.mid_words_per_unit = vec![256];
+        cfg.mid_words_per_unit = [256].into();
         let with_mid = AREA_MODEL_15NM.area_um2(&cfg);
-        cfg.mid_words_per_unit = vec![];
+        cfg.mid_words_per_unit = [].into();
         let without = AREA_MODEL_15NM.area_um2(&cfg);
         // 4 outer units × 256 words × density.
         assert!((with_mid - without - 4.0 * 256.0 * AREA_MODEL_15NM.mid_um2_per_word).abs() < 1e-6);

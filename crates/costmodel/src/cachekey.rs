@@ -198,9 +198,9 @@ mod tests {
         let layer = Layer::conv("l", 64, 32, 16, 16, 3, 3, 1);
         let a = Mapping::row_major_example(&layer, 8, 4);
         let b = Mapping::row_major_example(&layer, 4, 8);
-        let mut c = a.clone();
+        let mut c = a;
         c.levels_mut()[0].order.swap(0, 5);
-        let mut d = a.clone();
+        let mut d = a;
         d.levels_mut()[1].tile[digamma_workload::Dim::K] += 1;
         assert_ne!(key(&layer, &a), key(&layer, &b));
         assert_ne!(key(&layer, &a), key(&layer, &c));

@@ -7,6 +7,7 @@
 //! experiments compare designs, not technologies.
 
 use crate::analysis::Analysis;
+use crate::levels::Levels;
 
 /// Per-access energies in pJ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +45,7 @@ impl EnergyModel {
         let macs = analysis.macs_total as f64;
         let mut energy = macs * self.mac_pj + macs * L1_ACCESSES_PER_MAC * self.l1_pj;
 
-        let words: Vec<f64> = analysis.levels.iter().map(|l| l.traffic.total() as f64).collect();
+        let words: Levels<f64> = analysis.levels.iter().map(|l| l.traffic.total() as f64).collect();
         // DRAM side of link 0.
         energy += words[0] * self.dram_pj;
         // Every on-chip link hop costs NoC energy.
@@ -91,7 +92,7 @@ mod tests {
         let l = Layer::conv("l", 64, 32, 16, 16, 3, 3, 1);
         // Good: whole layer buffered at L2. Bad: tiny L2 tiles force refetch.
         let good = Mapping::row_major_example(&l, 4, 4);
-        let mut bad = good.clone();
+        let mut bad = good;
         let t = &mut bad.levels_mut()[0].tile;
         *t = digamma_workload::DimVec([16, 2, 2, 2, 1, 1]);
         bad.levels_mut()[1].tile = digamma_workload::DimVec([1, 1, 1, 1, 1, 1]);

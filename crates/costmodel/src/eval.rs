@@ -1,7 +1,7 @@
 //! The evaluator front door: `(layer, mapping) → CostReport`.
 
 use crate::accelerator::{HwConfig, Platform};
-use crate::analysis::{analyze_into, Analysis};
+use crate::analysis::analyze;
 use crate::area::{AreaModel, AREA_MODEL_15NM};
 use crate::cachekey::{layer_eval_key, write_model_constants, StableHasher};
 use crate::energy::{EnergyModel, ENERGY_MODEL_DEFAULT};
@@ -10,16 +10,6 @@ use crate::latency::latency;
 use crate::mapping::Mapping;
 use crate::report::CostReport;
 use digamma_workload::Layer;
-use std::cell::RefCell;
-
-thread_local! {
-    /// The lazily-created per-thread reuse analysis backing
-    /// [`Evaluator::evaluate`]: every call on a given thread refills one
-    /// [`Analysis`] in place, keeping its vectors' capacity. (An
-    /// `Evaluator` is shared immutably across worker threads, so it
-    /// cannot own the buffer itself without a lock on the hot path.)
-    static THREAD_ANALYSIS: RefCell<Analysis> = RefCell::new(Analysis::default());
-}
 
 /// Evaluates `(layer, mapping)` pairs on a platform.
 ///
@@ -94,9 +84,9 @@ impl Evaluator {
     /// Evaluates a mapping, deriving minimum-footprint hardware
     /// (DiGamma's buffer allocation strategy).
     ///
-    /// The reuse analysis runs once, into a lazily-created per-thread
-    /// [`Analysis`] that keeps its capacity between calls; the returned
-    /// report owns copies of the pieces it carries.
+    /// The reuse analysis runs once, into an
+    /// [`Analysis`](crate::Analysis) on this call's stack. Every
+    /// per-level field is inline, so the call allocates nothing.
     ///
     /// # Errors
     ///
@@ -104,27 +94,13 @@ impl Evaluator {
     /// the layer. Over-budget designs still evaluate — the constraint
     /// checker upstream decides their fate.
     pub fn evaluate(&self, layer: &Layer, mapping: &Mapping) -> Result<CostReport, EvalError> {
-        THREAD_ANALYSIS.with(|analysis| match analysis.try_borrow_mut() {
-            Ok(mut analysis) => self.evaluate_into(layer, mapping, &mut analysis),
-            // Unreachable in practice (evaluation never re-enters), but
-            // a fresh analysis keeps even that case correct.
-            Err(_) => self.evaluate_into(layer, mapping, &mut Analysis::default()),
-        })
-    }
-
-    fn evaluate_into(
-        &self,
-        layer: &Layer,
-        mapping: &Mapping,
-        analysis: &mut Analysis,
-    ) -> Result<CostReport, EvalError> {
-        analyze_into(layer, mapping, analysis)?;
+        let analysis = analyze(layer, mapping)?;
         let hw = HwConfig::for_mapping_buffers(mapping.pe_shape(), &analysis.buffers);
-        let lat = latency(analysis, &self.platform);
-        let energy = self.energy_model.energy_pj(analysis);
+        let lat = latency(&analysis, &self.platform);
+        let energy = self.energy_model.energy_pj(&analysis);
         let area = self.area_model.area_um2(&hw);
         let pe_area = self.area_model.pe_area_um2(&hw);
-        Ok(CostReport::assemble(analysis, lat, energy, area, pe_area, hw))
+        Ok(CostReport::assemble(&analysis, lat, energy, area, pe_area, hw))
     }
 }
 
@@ -184,11 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn reused_thread_analysis_matches_a_fresh_thread() {
-        // This thread's analysis buffer serves every case in turn — other
-        // layers, PE shapes and platforms, with an erroring mapping before
-        // each — and must give the bits a fresh thread gives, so no state
-        // leaks between consecutive evaluations.
+    fn consecutive_evaluations_match_a_fresh_thread() {
+        // One thread evaluates every case in turn — other layers, PE
+        // shapes and platforms, with an erroring mapping before each —
+        // and must give the bits a fresh thread gives, so no state leaks
+        // between consecutive evaluations.
         let bad = |layer: &Layer| {
             let mut m = Mapping::row_major_example(layer, 4, 8);
             m.levels_mut()[0].fanout = 0;

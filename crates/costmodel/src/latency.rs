@@ -9,6 +9,7 @@
 
 use crate::accelerator::Platform;
 use crate::analysis::Analysis;
+use crate::levels::Levels;
 
 /// Which resource bounds the layer's latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,14 +24,14 @@ pub enum Bottleneck {
 }
 
 /// Latency decomposition for one `(layer, mapping, platform)` evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyBreakdown {
     /// Cycles each PE spends computing (including under-filled folds).
     pub compute_cycles: f64,
     /// Busy cycles of the DRAM→L2 link.
     pub dram_cycles: f64,
     /// Busy cycles of each on-chip link, outermost first.
-    pub noc_cycles: Vec<f64>,
+    pub noc_cycles: Levels<f64>,
     /// Cycles to stage the first L2 tile before compute can start.
     pub fill_cycles: f64,
     /// Total latency: `max(compute, links) + fill`.
@@ -45,7 +46,7 @@ pub fn latency(analysis: &Analysis, platform: &Platform) -> LatencyBreakdown {
 
     // Link 0 is fed by DRAM; links 1.. are on-chip NoC stages.
     let dram_cycles = analysis.levels[0].traffic.total() as f64 / platform.bw_dram;
-    let noc_cycles: Vec<f64> =
+    let noc_cycles: Levels<f64> =
         analysis.levels[1..].iter().map(|l| l.traffic.total() as f64 / platform.bw_noc).collect();
 
     let fill_cycles = analysis.buffers.l2_words as f64 / platform.bw_dram;

@@ -8,6 +8,8 @@
 //!
 //! * [`Mapping`] — the decoded mapping IR: one [`LevelSpec`] per cluster
 //!   level (tile sizes, loop order, spatial dim, fan-out),
+//! * [`Levels`] — the inline vector every per-level field is held in, so
+//!   mappings, hardware and reports are `Copy` and never allocate,
 //! * [`analysis`] — per-level iteration counts, refetch factors, link
 //!   traffic, and minimum buffer requirements,
 //! * [`latency`] — a roofline latency model over compute and every
@@ -15,8 +17,7 @@
 //! * [`energy`] — access counts × per-access energy (Eyeriss-style ratios),
 //! * [`area`] — the synthesized-RTL area substitute (see `DESIGN.md`),
 //! * [`Evaluator`] — the front door: `(layer, mapping, platform) →`
-//!   [`CostReport`], one reuse analysis per call into a per-thread
-//!   buffer,
+//!   [`CostReport`], one reuse analysis per call on the stack,
 //! * [`simulate`] — the executable reference simulator that the
 //!   analysis is validated against (the correctness oracle, not a hot
 //!   path).
@@ -48,6 +49,7 @@ pub mod simulate;
 mod accelerator;
 mod error;
 mod eval;
+mod levels;
 mod mapping;
 mod report;
 
@@ -58,5 +60,6 @@ pub use cachekey::{layer_eval_key, StableHasher};
 pub use energy::{EnergyModel, ENERGY_MODEL_DEFAULT};
 pub use error::EvalError;
 pub use eval::Evaluator;
-pub use mapping::{LevelSpec, Mapping, MAX_LEVELS};
+pub use levels::{Levels, MAX_LEVELS};
+pub use mapping::{LevelSpec, Mapping};
 pub use report::CostReport;

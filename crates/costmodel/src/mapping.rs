@@ -1,15 +1,9 @@
 //! The decoded mapping IR: a stack of cluster levels.
 
 use crate::error::EvalError;
+use crate::levels::{Levels, MAX_LEVELS};
 use digamma_workload::{Dim, DimVec, Layer, NUM_DIMS};
 use std::fmt;
-
-/// Maximum number of cluster levels the model supports.
-///
-/// The paper's encoding shows 2 levels (a 2-D PE array); grow/aging can
-/// insert a third (several 2-D arrays). Deeper stacks add nothing the
-/// experiments need.
-pub const MAX_LEVELS: usize = 3;
 
 /// One cluster level of a mapping, outermost first.
 ///
@@ -54,6 +48,13 @@ impl LevelSpec {
     }
 }
 
+impl Default for LevelSpec {
+    /// One unit with a unit tile, in canonical order, `K` spatial.
+    fn default() -> LevelSpec {
+        LevelSpec::unit(1, Dim::K)
+    }
+}
+
 impl fmt::Display for LevelSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "π:{} P:{} | ", self.fanout, self.spatial_dim)?;
@@ -72,9 +73,9 @@ impl fmt::Display for LevelSpec {
 /// * every tile extent and fan-out is ≥ 1,
 /// * each level's tile fits inside its parent's tile,
 /// * each level's loop order is a permutation of the six dims.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mapping {
-    levels: Vec<LevelSpec>,
+    levels: Levels<LevelSpec>,
 }
 
 impl Mapping {
@@ -84,12 +85,11 @@ impl Mapping {
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is empty or has more than [`MAX_LEVELS`] entries.
-    pub fn new(levels: Vec<LevelSpec>) -> Mapping {
-        assert!(
-            (1..=MAX_LEVELS).contains(&levels.len()),
-            "mapping must have 1..={MAX_LEVELS} levels"
-        );
+    /// Panics if `levels` is empty or yields more than [`MAX_LEVELS`]
+    /// entries.
+    pub fn new(levels: impl IntoIterator<Item = LevelSpec>) -> Mapping {
+        let levels: Levels<LevelSpec> = levels.into_iter().collect();
+        assert!(!levels.is_empty(), "mapping must have 1..={MAX_LEVELS} levels");
         Mapping { levels }
     }
 
@@ -100,7 +100,7 @@ impl Mapping {
 
     /// Mutable access to the levels for in-place operators (genetic
     /// perturbations re-validate afterwards).
-    pub fn levels_mut(&mut self) -> &mut Vec<LevelSpec> {
+    pub fn levels_mut(&mut self) -> &mut [LevelSpec] {
         &mut self.levels
     }
 
@@ -110,7 +110,7 @@ impl Mapping {
     }
 
     /// PE array shape, outermost level first (e.g. `[rows, cols]`).
-    pub fn pe_shape(&self) -> Vec<u64> {
+    pub fn pe_shape(&self) -> Levels<u64> {
         self.levels.iter().map(|l| l.fanout).collect()
     }
 
@@ -158,7 +158,7 @@ impl Mapping {
         let mut l1_tile = l2_tile;
         l1_tile[Dim::Y] = l2_tile[Dim::Y].div_ceil(cols).max(1);
         let l1 = LevelSpec { fanout: cols, spatial_dim: Dim::Y, order: Dim::ALL, tile: l1_tile };
-        Mapping::new(vec![l2, l1])
+        Mapping::new([l2, l1])
     }
 }
 
@@ -186,7 +186,7 @@ mod tests {
         let m = Mapping::row_major_example(&l, 8, 4);
         m.validate(&l).unwrap();
         assert_eq!(m.num_pes(), 32);
-        assert_eq!(m.pe_shape(), vec![8, 4]);
+        assert_eq!(*m.pe_shape(), [8, 4]);
     }
 
     #[test]
@@ -261,6 +261,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "levels")]
     fn too_many_levels_panics() {
-        let _ = Mapping::new(vec![LevelSpec::unit(1, Dim::K); 4]);
+        let _ = Mapping::new([LevelSpec::unit(1, Dim::K); 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "levels")]
+    fn no_levels_panics() {
+        let _ = Mapping::new([]);
     }
 }

@@ -3,11 +3,12 @@
 use crate::accelerator::HwConfig;
 use crate::analysis::{Analysis, BufferRequirement, LinkTraffic};
 use crate::latency::LatencyBreakdown;
+use crate::levels::Levels;
 use std::fmt;
 
 /// Everything the framework needs to score one `(layer, mapping)` pair on
 /// a platform: performance, energy, area, and the derived hardware.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostReport {
     /// End-to-end latency in cycles.
     pub latency_cycles: f64,
@@ -24,7 +25,7 @@ pub struct CostReport {
     /// Minimum buffer capacities the mapping needs.
     pub buffers: BufferRequirement,
     /// Traffic per link, outermost (DRAM) first.
-    pub traffic: Vec<LinkTraffic>,
+    pub traffic: Levels<LinkTraffic>,
     /// PE utilization in (0, 1].
     pub utilization: f64,
     /// True MAC count of the layer.
@@ -48,8 +49,7 @@ impl CostReport {
         (pe, 100.0 - pe)
     }
 
-    /// Builds the report from the analysis pieces, copying the parts of
-    /// the (reused, borrowed) analysis that the report must own.
+    /// Builds the report from the analysis pieces.
     pub(crate) fn assemble(
         analysis: &Analysis,
         latency: LatencyBreakdown,
@@ -65,7 +65,7 @@ impl CostReport {
             area_um2,
             pe_area_um2,
             hw,
-            buffers: analysis.buffers.clone(),
+            buffers: analysis.buffers,
             traffic: analysis.levels.iter().map(|l| l.traffic).collect(),
             utilization: analysis.utilization,
             macs: analysis.macs_total,

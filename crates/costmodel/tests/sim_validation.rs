@@ -10,8 +10,8 @@
 //!    the simulator always executes exactly the layer's true MAC count.
 //!
 //! Both laws are also checked on the traffic that
-//! [`Evaluator::evaluate`] reports — the per-thread path the search
-//! actually runs.
+//! [`Evaluator::evaluate`] reports — the path the search actually
+//! runs.
 
 use digamma_costmodel::{analyze, simulate::simulate, Evaluator, LevelSpec, Mapping, Platform};
 use digamma_workload::{Dim, DimVec, Layer};
@@ -93,7 +93,7 @@ proptest! {
             prop_assert_eq!(s.output_read, a.traffic.output_read, "out-r L{}", lvl);
         }
         let report = Evaluator::new(Platform::edge()).evaluate(&layer, &mapping).unwrap();
-        prop_assert_eq!(&report.traffic, &sim.levels);
+        prop_assert_eq!(&report.traffic[..], &sim.levels[..]);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! [`repair`]), which is what makes the comparison of Fig. 5 fair: no
 //! baseline ever wastes samples on structurally broken mappings.
 
-use crate::genome::{Genome, LayerGenes, LevelGenes, Levels};
+use crate::genome::{Genome, LayerGenes, LevelGenes};
 use crate::repair::repair;
-use digamma_costmodel::Platform;
+use digamma_costmodel::{Levels, Platform};
 use digamma_workload::{Dim, DimVec, UniqueLayer, NUM_DIMS};
 
 /// Genes per (layer, level): 6 order keys + 1 parallel bucket + 6 tiles.
@@ -59,7 +59,7 @@ impl Codec {
         assert_eq!(x.len(), self.dimension(), "vector length mismatch");
         let clamp = |v: f64| if v.is_finite() { v.clamp(0.0, 1.0) } else { 0.5 };
 
-        let fanouts: Vec<u64> =
+        let fanouts =
             (0..self.num_levels).map(|i| log_scale(clamp(x[i]), self.platform.max_pes)).collect();
 
         let mut layers = Vec::with_capacity(self.unique.len());

@@ -1,11 +1,10 @@
 //! The structured design-point genome.
 
 use crate::repair;
-use digamma_costmodel::{LevelSpec, Mapping, Platform, MAX_LEVELS};
+use digamma_costmodel::{LevelSpec, Levels, Mapping, Platform};
 use digamma_workload::{Dim, DimVec, Layer, UniqueLayer, NUM_DIMS};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::ops::{Deref, DerefMut};
 
 /// Mapping genes for one cluster level of one layer: the key order, the
 /// `P` gene, and the tile-size values of the paper's key/value encoding
@@ -20,12 +19,14 @@ pub struct LevelGenes {
     pub tile: DimVec<u64>,
 }
 
-impl LevelGenes {
-    /// Canonical-order genes with unit tiles.
-    pub fn unit() -> LevelGenes {
+impl Default for LevelGenes {
+    /// Canonical-order genes with unit tiles, `K` spatial.
+    fn default() -> LevelGenes {
         LevelGenes { spatial_dim: Dim::K, order: Dim::ALL, tile: DimVec::splat(1) }
     }
+}
 
+impl LevelGenes {
     /// This level's tile clamped into `[1, parent]`: the nesting repair
     /// and decoding apply, outermost level first.
     fn nested_tile(&self, parent: &DimVec<u64>) -> DimVec<u64> {
@@ -33,141 +34,15 @@ impl LevelGenes {
     }
 }
 
-/// The per-level genes of one layer, outermost first: an inline array
-/// of at most [`MAX_LEVELS`] levels that derefs to `[LevelGenes]`.
-/// Being inline keeps [`LayerGenes`] `Copy`, so cloning a genome costs
-/// two allocations whatever its layer count. Equality compares only the
-/// live levels.
-#[derive(Clone, Copy)]
-pub struct Levels {
-    len: usize,
-    genes: [LevelGenes; MAX_LEVELS],
-}
-
-impl Levels {
-    /// Appends a level.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`MAX_LEVELS`] levels are already present.
-    pub fn push(&mut self, genes: LevelGenes) {
-        self.insert(self.len, genes);
-    }
-
-    /// Inserts a level at `index`, shifting the deeper ones inward.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index > len` or [`MAX_LEVELS`] levels are already
-    /// present.
-    pub fn insert(&mut self, index: usize, genes: LevelGenes) {
-        assert!(self.len < MAX_LEVELS, "a layer holds at most {MAX_LEVELS} levels");
-        assert!(index <= self.len, "insert index {index} past {} levels", self.len);
-        self.genes.copy_within(index..self.len, index + 1);
-        self.genes[index] = genes;
-        self.len += 1;
-    }
-
-    /// Removes and returns the level at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= len`.
-    pub fn remove(&mut self, index: usize) -> LevelGenes {
-        let removed = self[index];
-        self.genes.copy_within(index + 1..self.len, index);
-        self.len -= 1;
-        removed
-    }
-
-    /// Keeps the outermost `len` levels (no-op when there are fewer).
-    pub fn truncate(&mut self, len: usize) {
-        self.len = self.len.min(len);
-    }
-}
-
-impl Default for Levels {
-    /// No levels.
-    fn default() -> Levels {
-        Levels { len: 0, genes: [LevelGenes::unit(); MAX_LEVELS] }
-    }
-}
-
-impl Deref for Levels {
-    type Target = [LevelGenes];
-
-    fn deref(&self) -> &[LevelGenes] {
-        &self.genes[..self.len]
-    }
-}
-
-impl DerefMut for Levels {
-    fn deref_mut(&mut self) -> &mut [LevelGenes] {
-        &mut self.genes[..self.len]
-    }
-}
-
-impl PartialEq for Levels {
-    fn eq(&self, other: &Levels) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Levels {}
-
-impl std::fmt::Debug for Levels {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<LevelGenes> for Levels {
-    /// # Panics
-    ///
-    /// Panics when the iterator yields more than [`MAX_LEVELS`] levels.
-    fn from_iter<I: IntoIterator<Item = LevelGenes>>(iter: I) -> Levels {
-        let mut levels = Levels::default();
-        for genes in iter {
-            levels.push(genes);
-        }
-        levels
-    }
-}
-
-impl From<Vec<LevelGenes>> for Levels {
-    /// # Panics
-    ///
-    /// Panics when `levels` holds more than [`MAX_LEVELS`] levels.
-    fn from(levels: Vec<LevelGenes>) -> Levels {
-        levels.into_iter().collect()
-    }
-}
-
-impl<'a> IntoIterator for &'a Levels {
-    type Item = &'a LevelGenes;
-    type IntoIter = std::slice::Iter<'a, LevelGenes>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a mut Levels {
-    type Item = &'a mut LevelGenes;
-    type IntoIter = std::slice::IterMut<'a, LevelGenes>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter_mut()
-    }
-}
-
 /// Mapping genes for one unique layer: one [`LevelGenes`] per cluster
 /// level, outermost first. The level count always matches the genome's
-/// hardware fan-out count.
+/// hardware fan-out count. Being inline, the levels keep `LayerGenes`
+/// `Copy`, so cloning a genome costs two allocations whatever its layer
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerGenes {
     /// Per-level genes, outermost first.
-    pub levels: Levels,
+    pub levels: Levels<LevelGenes>,
 }
 
 impl LayerGenes {
@@ -186,28 +61,17 @@ impl LayerGenes {
     /// Panics if no level pairs with a fan-out.
     pub fn decode(&self, layer: &Layer, fanouts: &[u64]) -> Mapping {
         let mut parent = *layer.dims();
-        Mapping::new(
-            self.levels
-                .iter()
-                .zip(fanouts)
-                .map(|(genes, &fanout)| {
-                    parent = genes.nested_tile(&parent);
-                    LevelSpec {
-                        fanout,
-                        spatial_dim: genes.spatial_dim,
-                        order: genes.order,
-                        tile: parent,
-                    }
-                })
-                .collect(),
-        )
+        Mapping::new(self.levels.iter().zip(fanouts).map(|(genes, &fanout)| {
+            parent = genes.nested_tile(&parent);
+            LevelSpec { fanout, spatial_dim: genes.spatial_dim, order: genes.order, tile: parent }
+        }))
     }
 
     /// Clamps and nests this layer's tiles in place (see
     /// [`LayerGenes::decode`]).
     pub(crate) fn nest_tiles(&mut self, layer: &Layer) {
         let mut parent = *layer.dims();
-        for level in &mut self.levels {
+        for level in self.levels.iter_mut() {
             level.tile = level.nested_tile(&parent);
             parent = level.tile;
         }
@@ -224,7 +88,7 @@ impl LayerGenes {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Genome {
     /// Per-level PE fan-outs, outermost first (`[π_L2, π_L1]`).
-    pub fanouts: Vec<u64>,
+    pub fanouts: Levels<u64>,
     /// Mapping genes, one entry per unique layer.
     pub layers: Vec<LayerGenes>,
 }
@@ -420,7 +284,7 @@ mod tests {
             let g = Genome::random(&mut rng, &unique, &Platform::edge(), 2);
             let fixed = [4u64, 8];
             let mut overridden = g.clone();
-            overridden.fanouts = fixed.to_vec();
+            overridden.fanouts = fixed.into();
             assert_eq!(g.decode_with_fanouts(&unique, &fixed), overridden.decode(&unique));
             // And with the genome's own fan-outs it is exactly `decode`.
             assert_eq!(g.decode_with_fanouts(&unique, &g.fanouts), g.decode(&unique));

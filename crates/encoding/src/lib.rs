@@ -49,6 +49,6 @@ pub mod space;
 mod text;
 
 pub use codec::Codec;
-pub use genome::{log_uniform, Genome, LayerGenes, LevelGenes, Levels};
+pub use genome::{log_uniform, Genome, LayerGenes, LevelGenes};
 pub use repair::repair;
 pub use text::GenomeParseError;

@@ -23,7 +23,7 @@ pub fn repair(genome: &mut Genome, unique: &[UniqueLayer], platform: &Platform) 
 /// Clamps fan-outs to ≥ 1 and shrinks the largest fan-outs until the PE
 /// product respects the platform cap.
 pub(crate) fn repair_fanouts(genome: &mut Genome, platform: &Platform) {
-    for f in &mut genome.fanouts {
+    for f in genome.fanouts.iter_mut() {
         *f = (*f).max(1);
     }
     // Halve the largest fan-out until within budget; terminates because
@@ -59,11 +59,11 @@ mod tests {
 
     fn broken_genome() -> Genome {
         Genome {
-            fanouts: vec![0, 1 << 40],
+            fanouts: [0, 1 << 40].into(),
             layers: vec![LayerGenes {
-                levels: vec![
-                    LevelGenes { tile: DimVec::splat(0), ..LevelGenes::unit() },
-                    LevelGenes { tile: DimVec::splat(u64::MAX), ..LevelGenes::unit() },
+                levels: [
+                    LevelGenes { tile: DimVec::splat(0), ..LevelGenes::default() },
+                    LevelGenes { tile: DimVec::splat(u64::MAX), ..LevelGenes::default() },
                 ]
                 .into(),
             }],
@@ -95,11 +95,11 @@ mod tests {
     #[test]
     fn repair_preserves_valid_genomes() {
         let mut g = Genome {
-            fanouts: vec![4, 8],
+            fanouts: [4, 8].into(),
             layers: vec![LayerGenes {
-                levels: vec![
-                    LevelGenes { tile: DimVec([16, 32, 8, 16, 3, 3]), ..LevelGenes::unit() },
-                    LevelGenes { tile: DimVec([4, 8, 2, 4, 3, 1]), ..LevelGenes::unit() },
+                levels: [
+                    LevelGenes { tile: DimVec([16, 32, 8, 16, 3, 3]), ..LevelGenes::default() },
+                    LevelGenes { tile: DimVec([4, 8, 2, 4, 3, 1]), ..LevelGenes::default() },
                 ]
                 .into(),
             }],

@@ -156,9 +156,9 @@ impl Genome {
                     fanouts.len()
                 )));
             }
-            layers.push(LayerGenes { levels: levels.into() });
+            layers.push(LayerGenes { levels: levels.into_iter().collect() });
         }
-        Ok(Genome { fanouts, layers })
+        Ok(Genome { fanouts: fanouts.into_iter().collect(), layers })
     }
 }
 
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn hardware_only_genome_roundtrips() {
-        let g = Genome { fanouts: vec![4, 8, 2], layers: vec![] };
+        let g = Genome { fanouts: [4, 8, 2].into(), layers: vec![] };
         assert_eq!(Genome::from_text(&g.to_text()).unwrap(), g);
     }
 
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn example_from_grammar_parses() {
         let g = Genome::from_text("8,16|K,KCYXRS,4,4,16,16,3,3;Y,CKYXRS,1,4,2,16,3,3").unwrap();
-        assert_eq!(g.fanouts, vec![8, 16]);
+        assert_eq!(*g.fanouts, [8, 16]);
         assert_eq!(g.layers.len(), 1);
         assert_eq!(g.layers[0].levels[1].spatial_dim, Dim::Y);
         assert_eq!(g.layers[0].levels[1].order[0], Dim::C);

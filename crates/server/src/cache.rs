@@ -139,8 +139,9 @@ pub struct ShardedMemo<V> {
 pub type ShardedFitnessCache = ShardedMemo<Arc<CostReport>>;
 
 /// The shared whole-genome memo: [`DesignEvaluation`]s keyed by
-/// [`digamma::CoOptProblem::genome_key`].
-pub type ShardedGenomeMemo = ShardedMemo<Arc<DesignEvaluation>>;
+/// [`digamma::CoOptProblem::genome_key`], held by value (they are
+/// `Copy`, so a hit copies one).
+pub type ShardedGenomeMemo = ShardedMemo<DesignEvaluation>;
 
 /// Default shard count: enough that a worker pool on a big machine
 /// rarely collides, small enough that an empty cache stays tiny.
@@ -590,13 +591,13 @@ mod tests {
             2,
         );
         let key = problem.genome_key(&genome);
-        let evaluation = Arc::new(problem.evaluate(&genome));
+        let evaluation = problem.evaluate(&genome);
         let memo = Arc::new(ShardedGenomeMemo::new(64));
         let view = job_memo(&MetricsRegistry::new(), &memo);
         assert!(view.lookup(key).is_none());
-        view.store(key, Arc::clone(&evaluation));
+        view.store(key, evaluation);
         let back = view.lookup(key).expect("stored");
-        assert_eq!(*back, *evaluation);
+        assert_eq!(back, evaluation);
         assert_eq!((view.hits(), view.misses()), (1, 1));
         assert_eq!(memo.stats().insertions, 1);
         assert_eq!(memo.len(), 1);

@@ -50,10 +50,11 @@
 //!   records).
 
 use crate::sealed::{self, Record, Records, Seal};
-use crate::textio::{f64_from_text, f64_to_text, f64s_from_text, f64s_to_text, Section, TextError};
+use crate::textio::{f64_from_text, f64_to_text, f64s_to_text, Section, TextError};
 use digamma_costmodel::latency::{Bottleneck, LatencyBreakdown};
 use digamma_costmodel::{
-    analysis::LinkTraffic, cachekey::KEY_VERSION, BufferRequirement, CostReport, HwConfig,
+    analysis::LinkTraffic, cachekey::KEY_VERSION, BufferRequirement, CostReport, HwConfig, Levels,
+    MAX_LEVELS,
 };
 use digamma_obs::FailSet;
 use std::path::Path;
@@ -70,7 +71,7 @@ pub struct CacheLoad {
     /// Entries parsed and usable.
     pub loaded: usize,
     /// Damaged records skipped: a seal that is not intact, or a missing
-    /// or malformed field.
+    /// or malformed field (a list of over [`MAX_LEVELS`] levels, too).
     pub skipped: usize,
     /// How many of the loaded entries were appended after the base.
     pub appended: usize,
@@ -81,14 +82,10 @@ fn u64s_to_text(values: &[u64]) -> String {
     rendered.join(",")
 }
 
-fn u64s_from_text(s: &str) -> Result<Vec<u64>, TextError> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|v| v.trim().parse().map_err(|_| TextError::new(format!("bad u64 list: {s:?}"))))
-        .collect()
+fn u64s_from_text(s: &str) -> Result<Levels<u64>, TextError> {
+    levels_from_text(s, |v| {
+        v.trim().parse().map_err(|_| TextError::new(format!("bad u64 list: {s:?}")))
+    })
 }
 
 fn u128s_to_text(values: &[u128]) -> String {
@@ -104,6 +101,27 @@ fn u128s_from_text(s: &str) -> Result<Vec<u128>, TextError> {
     s.split(',')
         .map(|v| v.trim().parse().map_err(|_| TextError::new(format!("bad u128 list: {s:?}"))))
         .collect()
+}
+
+/// Parses a comma-joined per-level list straight into [`Levels`], each
+/// item with `item`. No report holds more than [`MAX_LEVELS`] levels, so
+/// a longer list is corrupt: an error, never a panic.
+fn levels_from_text<T: Copy + Default>(
+    s: &str,
+    item: impl Fn(&str) -> Result<T, TextError>,
+) -> Result<Levels<T>, TextError> {
+    let s = s.trim();
+    let mut levels = Levels::default();
+    if s.is_empty() {
+        return Ok(levels);
+    }
+    for v in s.split(',') {
+        if levels.len() == MAX_LEVELS {
+            return Err(TextError::new(format!("more than {MAX_LEVELS} levels: {s:?}")));
+        }
+        levels.push(item(v)?);
+    }
+    Ok(levels)
 }
 
 /// Renders one sealed `[entry]` record.
@@ -168,16 +186,16 @@ fn parse_entry(record: &Record) -> Result<(u64, CostReport), TextError> {
     let latency = LatencyBreakdown {
         compute_cycles: f64_from_text(s("compute_cycles")?)?,
         dram_cycles: f64_from_text(s("dram_cycles")?)?,
-        noc_cycles: f64s_from_text(s("noc_cycles")?)?,
+        noc_cycles: levels_from_text(s("noc_cycles")?, f64_from_text)?,
         fill_cycles: f64_from_text(s("fill_cycles")?)?,
         total_cycles: f64_from_text(s("total_cycles")?)?,
         bottleneck,
     };
     let flat = u128s_from_text(s("traffic")?)?;
-    if !flat.len().is_multiple_of(4) {
-        return Err(TextError::new("traffic list must hold 4 counters per level"));
+    if !flat.len().is_multiple_of(4) || flat.len() > 4 * MAX_LEVELS {
+        return Err(TextError::new(format!("bad traffic list: {} counters", flat.len())));
     }
-    let traffic: Vec<LinkTraffic> = flat
+    let traffic: Levels<LinkTraffic> = flat
         .chunks_exact(4)
         .map(|c| LinkTraffic { weight: c[0], input: c[1], output_write: c[2], output_read: c[3] })
         .collect();
@@ -441,6 +459,32 @@ mod tests {
             let (back, load) = parse_cache_file(&damaged).unwrap();
             assert_eq!(load.skipped, 1, "missing {victim} must skip its entry");
             assert_eq!(back.len(), entries.len() - 1, "missing {victim}");
+        }
+    }
+
+    #[test]
+    fn over_long_level_lists_skip_their_record() {
+        // No report holds more than MAX_LEVELS levels, so a correctly
+        // sealed record listing more (a 4-fanout PE array, say) is
+        // corrupt: warm start skips and counts it, and loads the rest.
+        let entries = sample_entries();
+        let base = render_cache_file(&entries);
+        let record = Records::new(&base).nth(1).expect("a first entry").to_section();
+        let four = |item: &str| [item; 4].join(",");
+        let traffic = ["1"; 4 * 4].join(",");
+        for (field, value) in [
+            ("hw_fanouts", four("2")),
+            ("hw_mid_words", four("8")),
+            ("buf_mid_words", four("8")),
+            ("noc_cycles", four(&f64_to_text(1.0))),
+            ("traffic", traffic),
+        ] {
+            let mut long = record.clone();
+            let slot = long.entries.iter_mut().find(|(key, _)| key == field).expect("rendered");
+            slot.1 = value;
+            let (back, load) = parse_cache_file(&(base.clone() + &sealed::seal(&long))).unwrap();
+            assert_eq!(load.skipped, 1, "a {field} list of 4 levels is skipped");
+            assert_eq!(back.len(), entries.len(), "{field}: every other record loads");
         }
     }
 

@@ -16,9 +16,9 @@ fn main() {
     // The accelerator you already taped out: a 16x16 array, 128-word L1s,
     // 64K-word shared L2.
     let hw = HwConfig {
-        fanouts: vec![16, 16],
+        fanouts: [16, 16].into(),
         l2_words: 64 * 1024,
-        mid_words_per_unit: vec![],
+        mid_words_per_unit: [].into(),
         l1_words_per_pe: 128,
     };
     let model = zoo::bert();
@@ -29,7 +29,7 @@ fn main() {
     println!("workload: {model}");
 
     // Manual mapping styles on this hardware.
-    let constrained = problem.clone().with_constraint(Constraint::FixedHw(hw.clone()));
+    let constrained = problem.clone().with_constraint(Constraint::FixedHw(hw));
     for style in MappingStyle::ALL {
         let mappings = templates::instantiate_all(style, problem.unique_layers(), &hw);
         match constrained.evaluate_mappings(&hw.fanouts, &mappings) {
@@ -49,9 +49,7 @@ fn main() {
     println!("\nbest searched mapping for the attention-score GEMM:");
     let score_idx =
         problem.unique_layers().iter().position(|u| u.layer.name().contains("scores")).unwrap_or(0);
-    let single = Genome {
-        fanouts: best.genome.fanouts.clone(),
-        layers: vec![best.genome.layers[score_idx]],
-    };
+    let single =
+        Genome { fanouts: best.genome.fanouts, layers: vec![best.genome.layers[score_idx]] };
     print!("{single}");
 }

@@ -30,7 +30,6 @@ fn main() {
 
     // 4. The genome is a full per-layer mapping description.
     println!("\nfirst unique layer's mapping genes:");
-    let single =
-        Genome { fanouts: best.genome.fanouts.clone(), layers: vec![best.genome.layers[0]] };
+    let single = Genome { fanouts: best.genome.fanouts, layers: vec![best.genome.layers[0]] };
     print!("{single}");
 }

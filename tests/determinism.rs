@@ -37,9 +37,9 @@ fn thread_count_never_changes_the_search_result() {
 #[test]
 fn gamma_inherits_the_same_determinism_contract() {
     let hw = HwConfig {
-        fanouts: vec![8, 16],
+        fanouts: [8, 16].into(),
         l2_words: 32 * 1024,
-        mid_words_per_unit: vec![],
+        mid_words_per_unit: [].into(),
         l1_words_per_pe: 128,
     };
     let p = problem();
@@ -96,9 +96,9 @@ fn golden_search_trajectories_never_drift() {
     let bert = search(zoo::bert(), Platform::cloud(), 2, 42);
 
     let hw = HwConfig {
-        fanouts: vec![8, 16],
+        fanouts: [8, 16].into(),
         l2_words: 32 * 1024,
-        mid_words_per_unit: vec![],
+        mid_words_per_unit: [].into(),
         l1_words_per_pe: 128,
     };
     let gamma =

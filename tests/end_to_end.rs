@@ -63,9 +63,9 @@ fn cloud_budget_admits_strictly_faster_designs() {
 #[test]
 fn fixed_hw_constraint_pins_the_hardware_end_to_end() {
     let hw = HwConfig {
-        fanouts: vec![8, 8],
+        fanouts: [8, 8].into(),
         l2_words: 16 * 1024,
-        mid_words_per_unit: vec![],
+        mid_words_per_unit: [].into(),
         l1_words_per_pe: 64,
     };
     let problem = CoOptProblem::new(zoo::ncf(), Platform::edge(), Objective::Latency);
