@@ -227,6 +227,15 @@ impl<V: Clone> ShardedMemo<V> {
         (out, SpillMark(ticks))
     }
 
+    /// Advances every shard's spill watermark past its newest entry:
+    /// everything resident is already in the spill file (warm start).
+    pub(crate) fn mark_all_spilled(&self) {
+        for shard in &self.shards {
+            let mut shard = shard.lock().expect("cache shard poisoned");
+            shard.spilled = shard.tick;
+        }
+    }
+
     /// Advances each shard's spill watermark to `mark`, once the entries
     /// [`ShardedMemo::unspilled`] returned with it are durable.
     pub(crate) fn mark_spilled(&self, mark: &SpillMark) {

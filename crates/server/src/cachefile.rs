@@ -18,7 +18,7 @@
 //! crc = 4b6e9a21cc03fd10 # the seal
 //! key = 16-hex stable cache key
 //! latency_cycles = 16-hex f64 bits        # every f64 is bit-exact
-//! ...                                      # see render_entry
+//! ...                                      # 20 value fields in all
 //! ```
 //!
 //! The header and the `count` records after it are the *base*, which
@@ -32,6 +32,24 @@
 //! the resident memo. The server compacts when warm start found skipped,
 //! duplicate or evicted records, after a failed append, and once the
 //! records appended since the base would exceed the memo's capacity.
+//!
+//! # The codec
+//!
+//! A spill renders every record straight into one buffer: its fields go
+//! in as 16-hex-digit bit patterns and decimals, with no intermediate
+//! string, and the seal is filled in over them. A load reads each record
+//! in one pass (the `crc` is checked as its lines are read) and then
+//! takes the fields in the order the writer emits them, falling back to
+//! a lookup by name only for a field out of place.
+//!
+//! A load checks the header first, so no record of a stale file is ever
+//! decoded. It then splits the document just before an `[entry]` line
+//! at or past its midpoint and decodes the two halves at once, the second
+//! on a scoped thread. The split is exact: a line that opens with `[` is
+//! a header or junk, and either one closes the record before it, so the
+//! halves read exactly the records one pass reads. The caller receives
+//! the entries in file order on its own thread, and [`CacheLoad`] counts
+//! them by their position in the whole file.
 //!
 //! Robustness contract:
 //!
@@ -50,19 +68,24 @@
 //!   records).
 
 use crate::sealed::{self, Record, Records, Seal};
-use crate::textio::{f64_from_text, f64_to_text, f64s_to_text, Section, TextError};
+use crate::textio::{self, f64_from_text, TextError};
 use digamma_costmodel::latency::{Bottleneck, LatencyBreakdown};
 use digamma_costmodel::{
     analysis::LinkTraffic, cachekey::KEY_VERSION, BufferRequirement, CostReport, HwConfig, Levels,
     MAX_LEVELS,
 };
 use digamma_obs::FailSet;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
+use std::thread;
 
 /// Current spill-file format version. Version 2 sealed every record
 /// with a `crc` and let spills append records after the base.
 pub const CACHE_FILE_VERSION: u64 = 2;
+
+/// The fields of an `[entry]` record: its key and 20 values.
+const ENTRY_FIELDS: usize = 21;
 
 /// What a load reports back (for logs, tests, and the server's
 /// compaction rule).
@@ -77,30 +100,78 @@ pub struct CacheLoad {
     pub appended: usize,
 }
 
-fn u64s_to_text(values: &[u64]) -> String {
-    let rendered: Vec<String> = values.iter().map(u64::to_string).collect();
-    rendered.join(",")
+/// Appends the line `name = values`: the values comma-joined, each
+/// written by `item`.
+fn field<T>(
+    out: &mut String,
+    name: &str,
+    values: impl IntoIterator<Item = T>,
+    item: impl Fn(&mut String, T),
+) {
+    out.push_str(name);
+    out.push_str(" = ");
+    for (at, value) in values.into_iter().enumerate() {
+        if at > 0 {
+            out.push(',');
+        }
+        item(out, value);
+    }
+    out.push('\n');
+}
+
+/// An `f64` as its IEEE-754 bit pattern in 16 hex digits.
+fn bits(out: &mut String, v: f64) {
+    out.push_str(textio::hex(v.to_bits()).as_str());
+}
+
+/// An unsigned integer in decimal.
+fn decimal(out: &mut String, v: impl std::fmt::Display) {
+    write!(out, "{v}").expect("a String takes any text");
+}
+
+/// Appends one sealed `[entry]` record to `out`.
+fn render_entry(out: &mut String, key: u64, report: &CostReport) {
+    let (latency, hw, buffers) = (&report.latency, &report.hw, &report.buffers);
+    sealed::seal_into(out, "entry", |out| {
+        field(out, "key", [key], |out, key| out.push_str(textio::hex(key).as_str()));
+        field(out, "latency_cycles", [report.latency_cycles], bits);
+        field(out, "compute_cycles", [latency.compute_cycles], bits);
+        field(out, "dram_cycles", [latency.dram_cycles], bits);
+        field(out, "noc_cycles", latency.noc_cycles.iter().copied(), bits);
+        field(out, "fill_cycles", [latency.fill_cycles], bits);
+        field(out, "total_cycles", [latency.total_cycles], bits);
+        field(out, "bottleneck", [latency.bottleneck], |out, bottleneck| match bottleneck {
+            Bottleneck::Compute => out.push_str("compute"),
+            Bottleneck::Dram => out.push_str("dram"),
+            Bottleneck::Noc(i) => {
+                out.push_str("noc:");
+                decimal(out, i);
+            }
+        });
+        field(out, "energy_pj", [report.energy_pj], bits);
+        field(out, "area_um2", [report.area_um2], bits);
+        field(out, "pe_area_um2", [report.pe_area_um2], bits);
+        field(out, "hw_fanouts", hw.fanouts.iter().copied(), decimal);
+        field(out, "hw_l2_words", [hw.l2_words], decimal);
+        field(out, "hw_mid_words", hw.mid_words_per_unit.iter().copied(), decimal);
+        field(out, "hw_l1_words", [hw.l1_words_per_pe], decimal);
+        field(out, "buf_l2_words", [buffers.l2_words], decimal);
+        field(out, "buf_mid_words", buffers.mid_words_per_unit.iter().copied(), decimal);
+        field(out, "buf_l1_words", [buffers.l1_words_per_pe], decimal);
+        // Four u128 counters per level, flattened in level order.
+        let traffic = report.traffic.iter();
+        let counters = traffic.flat_map(|t| [t.weight, t.input, t.output_write, t.output_read]);
+        field(out, "traffic", counters, decimal);
+        field(out, "utilization", [report.utilization], bits);
+        field(out, "macs", [report.macs], decimal);
+    });
 }
 
 fn u64s_from_text(s: &str) -> Result<Levels<u64>, TextError> {
+    let bad = || TextError::new(format!("bad u64 list: {s:?}"));
     levels_from_text(s, |v| {
-        v.trim().parse().map_err(|_| TextError::new(format!("bad u64 list: {s:?}")))
+        textio::u128_from_decimal(v).ok().and_then(|v| u64::try_from(v).ok()).ok_or_else(bad)
     })
-}
-
-fn u128s_to_text(values: &[u128]) -> String {
-    let rendered: Vec<String> = values.iter().map(u128::to_string).collect();
-    rendered.join(",")
-}
-
-fn u128s_from_text(s: &str) -> Result<Vec<u128>, TextError> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|v| v.trim().parse().map_err(|_| TextError::new(format!("bad u128 list: {s:?}"))))
-        .collect()
 }
 
 /// Parses a comma-joined per-level list straight into [`Levels`], each
@@ -110,7 +181,7 @@ fn levels_from_text<T: Copy + Default>(
     s: &str,
     item: impl Fn(&str) -> Result<T, TextError>,
 ) -> Result<Levels<T>, TextError> {
-    let s = s.trim();
+    let s = textio::trim(s);
     let mut levels = Levels::default();
     if s.is_empty() {
         return Ok(levels);
@@ -124,42 +195,67 @@ fn levels_from_text<T: Copy + Default>(
     Ok(levels)
 }
 
-/// Renders one sealed `[entry]` record.
-fn render_entry(key: u64, report: &CostReport) -> String {
-    let mut s = Section::new("entry");
-    s.push("key", format!("{key:016x}"));
-    s.push("latency_cycles", f64_to_text(report.latency_cycles));
-    s.push("compute_cycles", f64_to_text(report.latency.compute_cycles));
-    s.push("dram_cycles", f64_to_text(report.latency.dram_cycles));
-    s.push("noc_cycles", f64s_to_text(&report.latency.noc_cycles));
-    s.push("fill_cycles", f64_to_text(report.latency.fill_cycles));
-    s.push("total_cycles", f64_to_text(report.latency.total_cycles));
-    let bottleneck = match report.latency.bottleneck {
-        Bottleneck::Compute => "compute".to_owned(),
-        Bottleneck::Dram => "dram".to_owned(),
-        Bottleneck::Noc(i) => format!("noc:{i}"),
-    };
-    s.push("bottleneck", bottleneck);
-    s.push("energy_pj", f64_to_text(report.energy_pj));
-    s.push("area_um2", f64_to_text(report.area_um2));
-    s.push("pe_area_um2", f64_to_text(report.pe_area_um2));
-    s.push("hw_fanouts", u64s_to_text(&report.hw.fanouts));
-    s.push("hw_l2_words", report.hw.l2_words.to_string());
-    s.push("hw_mid_words", u64s_to_text(&report.hw.mid_words_per_unit));
-    s.push("hw_l1_words", report.hw.l1_words_per_pe.to_string());
-    s.push("buf_l2_words", report.buffers.l2_words.to_string());
-    s.push("buf_mid_words", u64s_to_text(&report.buffers.mid_words_per_unit));
-    s.push("buf_l1_words", report.buffers.l1_words_per_pe.to_string());
-    // Four u128 counters per level, flattened in level order.
-    let traffic: Vec<u128> = report
-        .traffic
-        .iter()
-        .flat_map(|t| [t.weight, t.input, t.output_write, t.output_read])
-        .collect();
-    s.push("traffic", u128s_to_text(&traffic));
-    s.push("utilization", f64_to_text(report.utilization));
-    s.push("macs", report.macs.to_string());
-    sealed::seal(&s)
+/// Parses the flattened traffic counters, four per level, straight into
+/// [`Levels`]: a count that is not a multiple of 4, or over
+/// `4 * MAX_LEVELS`, is corrupt.
+fn traffic_from_text(s: &str) -> Result<Levels<LinkTraffic>, TextError> {
+    let s = textio::trim(s);
+    let mut traffic = Levels::default();
+    if s.is_empty() {
+        return Ok(traffic);
+    }
+    let (mut link, mut filled) = ([0u128; 4], 0);
+    for v in s.split(',') {
+        link[filled] = textio::u128_from_decimal(v)
+            .map_err(|_| TextError::new(format!("bad u128 list: {s:?}")))?;
+        filled += 1;
+        if filled == link.len() {
+            if traffic.len() == MAX_LEVELS {
+                return Err(TextError::new(format!("more than {MAX_LEVELS} levels: {s:?}")));
+            }
+            let [weight, input, output_write, output_read] = link;
+            traffic.push(LinkTraffic { weight, input, output_write, output_read });
+            filled = 0;
+        }
+    }
+    if filled != 0 {
+        return Err(TextError::new(format!("bad traffic list: {s:?}")));
+    }
+    Ok(traffic)
+}
+
+/// An intact record's fields, taken in the order [`render_entry`] writes
+/// them: each is looked for at its own position first, and by name only
+/// when it is not there. Only a record of exactly the writer's fields is
+/// read by position. There a name in place is the only one of its kind,
+/// or another name is missing and the record fails anyway, so a repeated
+/// name yields its first value, as a lookup by name does.
+struct InOrder<'r, 'a> {
+    record: &'r Record<'a>,
+    in_order: bool,
+    at: usize,
+}
+
+impl<'a> InOrder<'_, 'a> {
+    /// The next field's value, which must be named `name`.
+    fn text(&mut self, name: &str) -> Result<&'a str, TextError> {
+        let found = match self.record.fields.get(self.at) {
+            Some(&(key, value)) if self.in_order && key == name => Some(value),
+            _ => self.record.get(name),
+        };
+        self.at += 1;
+        found.ok_or_else(|| TextError::new(format!("[entry] is missing `{name}`")))
+    }
+
+    /// The next field as an `f64` bit pattern.
+    fn bits(&mut self, name: &str) -> Result<f64, TextError> {
+        f64_from_text(self.text(name)?)
+    }
+
+    /// The next field as a decimal number.
+    fn number<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, TextError> {
+        self.text(name)?.parse().map_err(|_| TextError::new(format!("bad `{name}` in [entry]")))
+    }
 }
 
 /// Parses an intact `[entry]` record. Within an entry every field is
@@ -170,12 +266,17 @@ fn parse_entry(record: &Record) -> Result<(u64, CostReport), TextError> {
     if record.seal != Seal::Intact {
         return Err(TextError::new("[entry] does not match its crc"));
     }
-    let s =
-        |key| record.get(key).ok_or_else(|| TextError::new(format!("[entry] is missing `{key}`")));
-    let n = |key| s(key)?.parse().map_err(|_| TextError::new(format!("bad `{key}` in [entry]")));
-    let key = u64::from_str_radix(s("key")?, 16)
+    let in_order = record.fields.len() == ENTRY_FIELDS;
+    let mut f = InOrder { record, in_order, at: 0 };
+    let key = textio::u64_from_hex(f.text("key")?)
         .map_err(|_| TextError::new("bad entry key (need 16 hex digits)"))?;
-    let bottleneck = match s("bottleneck")? {
+    let latency_cycles = f.bits("latency_cycles")?;
+    let compute_cycles = f.bits("compute_cycles")?;
+    let dram_cycles = f.bits("dram_cycles")?;
+    let noc_cycles = levels_from_text(f.text("noc_cycles")?, f64_from_text)?;
+    let fill_cycles = f.bits("fill_cycles")?;
+    let total_cycles = f.bits("total_cycles")?;
+    let bottleneck = match f.text("bottleneck")? {
         "compute" => Bottleneck::Compute,
         "dram" => Bottleneck::Dram,
         other => match other.strip_prefix("noc:").and_then(|i| i.parse().ok()) {
@@ -183,59 +284,138 @@ fn parse_entry(record: &Record) -> Result<(u64, CostReport), TextError> {
             None => return Err(TextError::new(format!("bad bottleneck {other:?}"))),
         },
     };
-    let latency = LatencyBreakdown {
-        compute_cycles: f64_from_text(s("compute_cycles")?)?,
-        dram_cycles: f64_from_text(s("dram_cycles")?)?,
-        noc_cycles: levels_from_text(s("noc_cycles")?, f64_from_text)?,
-        fill_cycles: f64_from_text(s("fill_cycles")?)?,
-        total_cycles: f64_from_text(s("total_cycles")?)?,
-        bottleneck,
-    };
-    let flat = u128s_from_text(s("traffic")?)?;
-    if !flat.len().is_multiple_of(4) || flat.len() > 4 * MAX_LEVELS {
-        return Err(TextError::new(format!("bad traffic list: {} counters", flat.len())));
-    }
-    let traffic: Levels<LinkTraffic> = flat
-        .chunks_exact(4)
-        .map(|c| LinkTraffic { weight: c[0], input: c[1], output_write: c[2], output_read: c[3] })
-        .collect();
-    let report = CostReport {
-        latency_cycles: f64_from_text(s("latency_cycles")?)?,
-        latency,
-        energy_pj: f64_from_text(s("energy_pj")?)?,
-        area_um2: f64_from_text(s("area_um2")?)?,
-        pe_area_um2: f64_from_text(s("pe_area_um2")?)?,
-        hw: HwConfig {
-            fanouts: u64s_from_text(s("hw_fanouts")?)?,
-            l2_words: n("hw_l2_words")?,
-            mid_words_per_unit: u64s_from_text(s("hw_mid_words")?)?,
-            l1_words_per_pe: n("hw_l1_words")?,
+    // Struct fields evaluate in the order written: the writer's order.
+    Ok((
+        key,
+        CostReport {
+            latency_cycles,
+            latency: LatencyBreakdown {
+                compute_cycles,
+                dram_cycles,
+                noc_cycles,
+                fill_cycles,
+                total_cycles,
+                bottleneck,
+            },
+            energy_pj: f.bits("energy_pj")?,
+            area_um2: f.bits("area_um2")?,
+            pe_area_um2: f.bits("pe_area_um2")?,
+            hw: HwConfig {
+                fanouts: u64s_from_text(f.text("hw_fanouts")?)?,
+                l2_words: f.number("hw_l2_words")?,
+                mid_words_per_unit: u64s_from_text(f.text("hw_mid_words")?)?,
+                l1_words_per_pe: f.number("hw_l1_words")?,
+            },
+            buffers: BufferRequirement {
+                l2_words: f.number("buf_l2_words")?,
+                mid_words_per_unit: u64s_from_text(f.text("buf_mid_words")?)?,
+                l1_words_per_pe: f.number("buf_l1_words")?,
+            },
+            traffic: traffic_from_text(f.text("traffic")?)?,
+            utilization: f.bits("utilization")?,
+            macs: f.number("macs")?,
         },
-        buffers: BufferRequirement {
-            l2_words: n("buf_l2_words")?,
-            mid_words_per_unit: u64s_from_text(s("buf_mid_words")?)?,
-            l1_words_per_pe: n("buf_l1_words")?,
-        },
-        traffic,
-        utilization: f64_from_text(s("utilization")?)?,
-        macs: s("macs")?.parse().map_err(|_| TextError::new("bad `macs` in [entry]"))?,
-    };
-    Ok((key, report))
+    ))
 }
 
-/// Renders `entries` as sealed records: what a base carries after its
-/// header, and what an append adds.
-fn render_records(entries: &[(u64, Arc<CostReport>)]) -> String {
-    entries.iter().map(|(key, report)| render_entry(*key, report)).collect()
+/// Renders `entries` as sealed records into `out`: what a base carries
+/// after its header, and what an append adds.
+fn render_records(out: &mut String, entries: &[(u64, Arc<CostReport>)]) {
+    for (key, report) in entries {
+        render_entry(out, *key, report);
+    }
 }
 
 /// Renders a full spill document — a base — for the given memo entries.
 pub fn render_cache_file(entries: &[(u64, Arc<CostReport>)]) -> String {
-    let mut head = Section::new("fitness-memo");
-    head.push("version", CACHE_FILE_VERSION.to_string());
-    head.push("key_version", KEY_VERSION.to_string());
-    head.push("count", entries.len().to_string());
-    head.render() + &render_records(entries)
+    let mut out = format!(
+        "[fitness-memo]\nversion = {CACHE_FILE_VERSION}\nkey_version = {KEY_VERSION}\ncount = {}\n",
+        entries.len()
+    );
+    render_records(&mut out, entries);
+    out
+}
+
+/// Where [`decode`] splits `text`: just before the first `[entry]` line
+/// that starts past its midpoint, or at its end when none does.
+fn split_point(text: &str) -> usize {
+    let mid = (0..=text.len() / 2).rev().find(|&at| text.is_char_boundary(at)).unwrap_or(0);
+    text[mid..].find("\n[entry]").map_or(text.len(), |at| mid + at + 1)
+}
+
+/// Decodes a spill document: the base, then every appended record. A
+/// header mismatch (wrong format or key version) decodes nothing; a
+/// damaged record is skipped and counted. Each loaded report passes
+/// through `make` on the thread that decoded it, then the entry goes to
+/// `keep` on the calling thread, in file order.
+///
+/// # Errors
+///
+/// Returns [`TextError`] only when the document does not open with a
+/// `[fitness-memo]` header.
+fn decode<T: Send>(
+    text: &str,
+    make: impl Fn(CostReport) -> T + Sync,
+    keep: impl FnMut(u64, T),
+) -> Result<CacheLoad, TextError> {
+    decode_split(text, split_point(text), make, keep)
+}
+
+/// [`decode`] with the document split at `split`, which must be the
+/// start of a line that opens with `[` (or the end): the records before
+/// it decode on the calling thread while those after it decode on a
+/// scoped thread.
+fn decode_split<T: Send>(
+    text: &str,
+    split: usize,
+    make: impl Fn(CostReport) -> T + Sync,
+    mut keep: impl FnMut(u64, T),
+) -> Result<CacheLoad, TextError> {
+    let (first, second) = text.split_at(split);
+    let mut records = Records::new(first).nameless_as("entry");
+    let Some(head) = records.next().filter(|head| head.name == "fitness-memo") else {
+        return Err(TextError::new("not a fitness-memo file"));
+    };
+    // Versions compare as text, so a damaged line (`02`, `+2`) never
+    // passes for the current one.
+    if head.get("version") != Some(&CACHE_FILE_VERSION.to_string())
+        || head.get("key_version") != Some(&KEY_VERSION.to_string())
+    {
+        // A stale file must never alias into a newer cost model: treat
+        // it as empty rather than failing the boot.
+        return Ok(CacheLoad::default());
+    }
+    let base: u64 = head.get("count").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let decode = |record: Record| parse_entry(&record).ok().map(|(key, r)| (key, make(r)));
+    let rest = || Records::new(second).nameless_as("entry").map(&decode).collect::<Vec<_>>();
+    let mut load = CacheLoad::default();
+    let mut at = 0u64;
+    let mut tally = |entry: Option<(u64, T)>| {
+        match entry {
+            Some((key, value)) => {
+                keep(key, value);
+                load.loaded += 1;
+                load.appended += usize::from(at >= base);
+            }
+            None => load.skipped += 1,
+        }
+        at += 1;
+    };
+    thread::scope(|scope| {
+        let spawned =
+            (!second.is_empty()).then(|| thread::Builder::new().spawn_scoped(scope, rest));
+        records.map(&decode).for_each(&mut tally);
+        let rest = match spawned {
+            None => Vec::new(),
+            Some(Ok(handle)) => {
+                handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }
+            // No thread to be had: decode the rest here.
+            Some(Err(_)) => rest(),
+        };
+        rest.into_iter().for_each(&mut tally);
+    });
+    Ok(load)
 }
 
 /// Parses a spill document: the base, then every appended record. A
@@ -248,32 +428,8 @@ pub fn render_cache_file(entries: &[(u64, Arc<CostReport>)]) -> String {
 /// `[fitness-memo]` header; every finer-grained problem degrades to
 /// skipped records.
 pub fn parse_cache_file(text: &str) -> Result<(Vec<(u64, CostReport)>, CacheLoad), TextError> {
-    let mut records = Records::new(text).nameless_as("entry");
-    let Some(head) = records.next().filter(|head| head.name == "fitness-memo") else {
-        return Err(TextError::new("not a fitness-memo file"));
-    };
-    // Versions compare as text, so a damaged line (`02`, `+2`) never
-    // passes for the current one.
-    if head.get("version") != Some(&CACHE_FILE_VERSION.to_string())
-        || head.get("key_version") != Some(&KEY_VERSION.to_string())
-    {
-        // A stale file must never alias into a newer cost model: treat
-        // it as empty rather than failing the boot.
-        return Ok((Vec::new(), CacheLoad::default()));
-    }
-    let base: u64 = head.get("count").and_then(|v| v.parse().ok()).unwrap_or(0);
     let mut entries = Vec::new();
-    let mut load = CacheLoad::default();
-    for (at, record) in (0u64..).zip(records) {
-        match parse_entry(&record) {
-            Ok(pair) => {
-                entries.push(pair);
-                load.loaded += 1;
-                load.appended += usize::from(at >= base);
-            }
-            Err(_) => load.skipped += 1,
-        }
-    }
+    let load = decode(text, |report| report, |key, report| entries.push((key, report)))?;
     Ok((entries, load))
 }
 
@@ -313,24 +469,108 @@ pub fn append_cache_file(
     entries: &[(u64, Arc<CostReport>)],
     faults: &FailSet,
 ) -> std::io::Result<()> {
-    sealed::append(path, render_records(entries).as_bytes(), faults, "cache.spill")
+    let mut records = String::new();
+    render_records(&mut records, entries);
+    sealed::append(path, records.as_bytes(), faults, "cache.spill")
+}
+
+/// Best-effort load of the spill file at `path` through [`decode`]: a
+/// missing, unreadable, or corrupt file is a cold start (nothing kept),
+/// never an error. Bytes that are not UTF-8 (a flipped high bit) cost
+/// only the record they land in.
+pub(crate) fn load_cache_file<T: Send>(
+    path: &Path,
+    make: impl Fn(CostReport) -> T + Sync,
+    keep: impl FnMut(u64, T),
+) -> CacheLoad {
+    let Ok(text) = sealed::read(path) else { return CacheLoad::default() };
+    decode(&text, make, keep).unwrap_or_default()
 }
 
 /// Best-effort load: a missing, unreadable, or corrupt file is a cold
 /// start (empty result), never an error. Bytes that are not UTF-8 (a
 /// flipped high bit) cost only the record they land in.
 pub fn read_cache_file(path: &Path) -> (Vec<(u64, CostReport)>, CacheLoad) {
-    let Ok(text) = sealed::read(path) else {
-        return (Vec::new(), CacheLoad::default());
-    };
-    parse_cache_file(&text).unwrap_or_default()
+    let mut entries = Vec::new();
+    let load = load_cache_file(path, |report| report, |key, report| entries.push((key, report)));
+    (entries, load)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::textio::{f64_to_text, f64s_to_text, Section};
     use digamma_costmodel::{Evaluator, Mapping, Platform};
     use digamma_workload::{zoo, Layer};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore};
+
+    fn u64s_to_text(values: &[u64]) -> String {
+        let rendered: Vec<String> = values.iter().map(u64::to_string).collect();
+        rendered.join(",")
+    }
+
+    fn u128s_to_text(values: &[u128]) -> String {
+        let rendered: Vec<String> = values.iter().map(u128::to_string).collect();
+        rendered.join(",")
+    }
+
+    /// The oracle: the record renderer this module had before records
+    /// were rendered straight into one buffer. It builds a [`Section`] of
+    /// owned fields and seals that.
+    fn oracle_entry(key: u64, report: &CostReport) -> String {
+        let mut s = Section::new("entry");
+        s.push("key", format!("{key:016x}"));
+        s.push("latency_cycles", f64_to_text(report.latency_cycles));
+        s.push("compute_cycles", f64_to_text(report.latency.compute_cycles));
+        s.push("dram_cycles", f64_to_text(report.latency.dram_cycles));
+        s.push("noc_cycles", f64s_to_text(&report.latency.noc_cycles));
+        s.push("fill_cycles", f64_to_text(report.latency.fill_cycles));
+        s.push("total_cycles", f64_to_text(report.latency.total_cycles));
+        let bottleneck = match report.latency.bottleneck {
+            Bottleneck::Compute => "compute".to_owned(),
+            Bottleneck::Dram => "dram".to_owned(),
+            Bottleneck::Noc(i) => format!("noc:{i}"),
+        };
+        s.push("bottleneck", bottleneck);
+        s.push("energy_pj", f64_to_text(report.energy_pj));
+        s.push("area_um2", f64_to_text(report.area_um2));
+        s.push("pe_area_um2", f64_to_text(report.pe_area_um2));
+        s.push("hw_fanouts", u64s_to_text(&report.hw.fanouts));
+        s.push("hw_l2_words", report.hw.l2_words.to_string());
+        s.push("hw_mid_words", u64s_to_text(&report.hw.mid_words_per_unit));
+        s.push("hw_l1_words", report.hw.l1_words_per_pe.to_string());
+        s.push("buf_l2_words", report.buffers.l2_words.to_string());
+        s.push("buf_mid_words", u64s_to_text(&report.buffers.mid_words_per_unit));
+        s.push("buf_l1_words", report.buffers.l1_words_per_pe.to_string());
+        // Four u128 counters per level, flattened in level order.
+        let traffic: Vec<u128> = report
+            .traffic
+            .iter()
+            .flat_map(|t| [t.weight, t.input, t.output_write, t.output_read])
+            .collect();
+        s.push("traffic", u128s_to_text(&traffic));
+        s.push("utilization", f64_to_text(report.utilization));
+        s.push("macs", report.macs.to_string());
+        sealed::seal(&s)
+    }
+
+    /// The oracle's rendering of a whole base.
+    fn oracle_file(entries: &[(u64, Arc<CostReport>)]) -> String {
+        let mut head = Section::new("fitness-memo");
+        head.push("version", CACHE_FILE_VERSION.to_string());
+        head.push("key_version", KEY_VERSION.to_string());
+        head.push("count", entries.len().to_string());
+        entries.iter().fold(head.render(), |text, (key, report)| text + &oracle_entry(*key, report))
+    }
+
+    /// One record as the codec renders it.
+    fn rendered(key: u64, report: &CostReport) -> String {
+        let mut out = String::new();
+        render_entry(&mut out, key, report);
+        out
+    }
 
     fn sample_entries() -> Vec<(u64, Arc<CostReport>)> {
         let eval = Evaluator::new(Platform::edge());
@@ -415,6 +655,9 @@ mod tests {
         let (back, load) = parse_cache_file(&wrong_key).unwrap();
         assert!(back.is_empty(), "stale key version must discard everything");
         assert_eq!(load, CacheLoad::default());
+        // The header is checked before any record is decoded.
+        let never = |_: CostReport| panic!("a record of a stale file was decoded");
+        assert_eq!(decode(&wrong_key, never, |_, ()| {}).unwrap(), CacheLoad::default());
         let wrong_fmt = text.replacen(
             &format!("version = {CACHE_FILE_VERSION}"),
             &format!("version = {}", CACHE_FILE_VERSION + 1),
@@ -556,5 +799,211 @@ mod tests {
         faults.clear();
         write_cache_file(&path, &entries, &faults).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One three-level record, byte for byte as the format has always
+    /// written it, so that neither the renderer nor the oracle can drift.
+    const PINNED: &str = "
+[entry]
+crc = 189de2a45f299958
+key = 287ea8e42498b74c
+latency_cycles = 40c2ba0000000000
+compute_cycles = 40c2000000000000
+dram_cycles = 4077400000000000
+noc_cycles = 4048800000000000,4073800000000000
+fill_cycles = 4077400000000000
+total_cycles = 40c2ba0000000000
+bottleneck = compute
+energy_pj = 41320c8000000000
+area_um2 = 40c73e6666666666
+pe_area_um2 = 40a5e00000000000
+hw_fanouts = 2,2,2
+hw_l2_words = 2976
+hw_mid_words = 1344
+hw_l1_words = 64
+buf_l2_words = 2976
+buf_mid_words = 1344
+buf_l1_words = 64
+traffic = 1152,800,1024,0,1152,960,1024,0,4608,12288,2048,1024
+utilization = 3ff0000000000000
+macs = 73728
+";
+
+    #[test]
+    fn a_three_level_record_renders_byte_for_byte() {
+        let entries = sample_entries();
+        let (key, report) = entries.last().expect("the three-level sample");
+        assert_eq!(report.hw.fanouts.len(), 3);
+        assert_eq!(oracle_entry(*key, report), PINNED);
+        assert_eq!(rendered(*key, report), PINNED);
+        let record = Records::new(PINNED).next().expect("one record");
+        assert_eq!((record.seal, record.fields.len()), (Seal::Intact, ENTRY_FIELDS));
+        let (back, _) = parse_entry(&record).unwrap();
+        assert_eq!(back, *key);
+    }
+
+    /// Bit patterns the codec must carry exactly: NaN payloads of both
+    /// signs, both zeros, both infinities, and subnormals.
+    const AWKWARD_BITS: [u64; 10] = [
+        0x7ff8_0000_dead_beef,
+        0xfff0_0000_0000_0001,
+        0x7fff_ffff_ffff_ffff,
+        0,
+        0x8000_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        1,
+        0x800f_ffff_ffff_ffff,
+        0x3ff0_0000_0000_0000,
+    ];
+
+    fn draw_f64(rng: &mut SmallRng) -> f64 {
+        let bits = if rng.gen_bool(0.5) {
+            AWKWARD_BITS[rng.gen_range(0..AWKWARD_BITS.len())]
+        } else {
+            rng.next_u64()
+        };
+        f64::from_bits(bits)
+    }
+
+    /// A `u64` of any magnitude, up to `u64::MAX`.
+    fn draw_u64(rng: &mut SmallRng) -> u64 {
+        rng.next_u64() >> rng.gen_range(0..64u32)
+    }
+
+    /// A level list of 0 to 3 items.
+    fn draw_levels<T: Copy + Default>(
+        rng: &mut SmallRng,
+        mut item: impl FnMut(&mut SmallRng) -> T,
+    ) -> Levels<T> {
+        (0..rng.gen_range(0..=MAX_LEVELS)).map(|_| item(rng)).collect()
+    }
+
+    /// Memo entries drawn to stress the codec rather than to be physical:
+    /// raw `f64` bit patterns, 0 to 3 items in every level list, every
+    /// bottleneck, traffic counters up to `u128::MAX` and `macs` up to
+    /// `u64::MAX`.
+    struct Entries;
+
+    impl Strategy for Entries {
+        type Value = Vec<(u64, Arc<CostReport>)>;
+
+        fn sample(&self, runner: &mut TestRunner) -> Self::Value {
+            let rng = runner.rng();
+            let count = rng.gen_range(1..6usize);
+            (0..count).map(|_| (rng.next_u64(), Arc::new(draw_report(rng)))).collect()
+        }
+    }
+
+    fn draw_report(rng: &mut SmallRng) -> CostReport {
+        let bottleneck = match rng.gen_range(0..3u32) {
+            0 => Bottleneck::Compute,
+            1 => Bottleneck::Dram,
+            _ => Bottleneck::Noc(draw_u64(rng) as usize),
+        };
+        let counter = |rng: &mut SmallRng| {
+            let wide = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+            wide >> rng.gen_range(0..128u32)
+        };
+        CostReport {
+            latency_cycles: draw_f64(rng),
+            latency: LatencyBreakdown {
+                compute_cycles: draw_f64(rng),
+                dram_cycles: draw_f64(rng),
+                noc_cycles: draw_levels(rng, draw_f64),
+                fill_cycles: draw_f64(rng),
+                total_cycles: draw_f64(rng),
+                bottleneck,
+            },
+            energy_pj: draw_f64(rng),
+            area_um2: draw_f64(rng),
+            pe_area_um2: draw_f64(rng),
+            hw: HwConfig {
+                fanouts: draw_levels(rng, draw_u64),
+                l2_words: draw_u64(rng),
+                mid_words_per_unit: draw_levels(rng, draw_u64),
+                l1_words_per_pe: draw_u64(rng),
+            },
+            buffers: BufferRequirement {
+                l2_words: draw_u64(rng),
+                mid_words_per_unit: draw_levels(rng, draw_u64),
+                l1_words_per_pe: draw_u64(rng),
+            },
+            traffic: draw_levels(rng, |rng| LinkTraffic {
+                weight: counter(rng),
+                input: counter(rng),
+                output_write: counter(rng),
+                output_read: counter(rng),
+            }),
+            utilization: draw_f64(rng),
+            macs: draw_u64(rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-buffer renderer writes exactly the oracle's bytes, and
+        /// parsing gives back every report bit for bit.
+        #[test]
+        fn rendering_matches_the_oracle_and_parses_back_bit_exactly(entries in Entries) {
+            let text = render_cache_file(&entries);
+            prop_assert_eq!(&text, &oracle_file(&entries));
+            let (back, load) = parse_cache_file(&text).unwrap();
+            prop_assert_eq!(load, CacheLoad { loaded: entries.len(), skipped: 0, appended: 0 });
+            prop_assert_eq!(back.len(), entries.len());
+            for ((ka, ra), (kb, rb)) in entries.iter().zip(&back) {
+                prop_assert_eq!(ka, kb);
+                assert_report_bits(ra, rb);
+            }
+        }
+    }
+
+    /// The entries a decode split at `split` keeps, each rendered, in the
+    /// order kept, and its load.
+    fn decode_at(text: &str, split: usize) -> (Vec<String>, CacheLoad) {
+        let mut kept = Vec::new();
+        let keep = |key, report: CostReport| kept.push(rendered(key, &report));
+        let load = decode_split(text, split, |report| report, keep).unwrap();
+        (kept, load)
+    }
+
+    #[test]
+    fn every_split_decodes_what_one_pass_decodes() {
+        let entries = sample_entries();
+        let record = |i: usize| rendered(entries[i].0, &entries[i].1);
+        let mut doc = render_cache_file(&entries[..3]).into_bytes();
+        // A torn record: the blank line opening the next one ends it.
+        doc.extend_from_slice(&record(3).as_bytes()[..300]);
+        doc.extend_from_slice(record(4).as_bytes());
+        // A junk line inside a record: the part before it fails its crc,
+        // and the fields after it are a nameless record without one.
+        doc.extend_from_slice(record(5).replacen("dram_cycles", "junk\ndram_cycles", 1).as_bytes());
+        // A header that lost its `]`: a junk line, then a nameless record
+        // that verifies under the name it had.
+        doc.extend_from_slice(record(6).replacen("[entry]", "[entry", 1).as_bytes());
+        // A byte that is not UTF-8.
+        let mut flipped = record(0).into_bytes();
+        let at = flipped.len() - 4;
+        flipped[at] = 0xff;
+        doc.extend_from_slice(&flipped);
+        // A sealed record of four fan-outs.
+        let mut long = Records::new(&record(1)).next().expect("a record").to_section();
+        let slot = long.entries.iter_mut().find(|(key, _)| key == "hw_fanouts").expect("rendered");
+        slot.1 = "2,2,2,2".to_owned();
+        doc.extend_from_slice(sealed::seal(&long).as_bytes());
+        // A duplicate key, then a whole record.
+        doc.extend_from_slice(record(2).as_bytes());
+        doc.extend_from_slice(record(3).as_bytes());
+        let text = String::from_utf8_lossy(&doc).into_owned();
+
+        let whole = decode_at(&text, text.len());
+        assert_eq!(whole.1, CacheLoad { loaded: 7, skipped: 5, appended: 4 });
+        let splits: Vec<usize> = text.match_indices("\n[entry").map(|(at, _)| at + 1).collect();
+        assert_eq!(splits.len(), 11, "every record opens with an `[entry` line");
+        for split in splits {
+            assert_eq!(decode_at(&text, split), whole, "split at byte {split}");
+        }
+        assert_eq!(parse_cache_file(&text).unwrap().1, whole.1, "the midpoint split");
     }
 }

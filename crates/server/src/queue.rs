@@ -276,7 +276,8 @@ impl SearchServer {
     /// compacting one that holds records the memo did not keep.
     fn warm_start(&self) {
         let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return };
-        let (entries, load) = cachefile::read_cache_file(path);
+        let load =
+            cachefile::load_cache_file(path, Arc::new, |key, report| cache.store(key, report));
         if load.skipped > 0 {
             digamma_obs::log::global().log(
                 LogLevel::Warn,
@@ -290,17 +291,13 @@ impl SearchServer {
                 ],
             );
         }
-        let records = entries.len();
-        for (key, report) in entries {
-            cache.store(key, Arc::new(report));
-        }
         // Everything loaded is already on disk.
-        cache.mark_spilled(&cache.unspilled(true).1);
+        cache.mark_all_spilled();
         let mut log = self.spill.lock().expect("spill lock poisoned");
         log.insertions = cache.stats().insertions;
-        log.file = if records == 0 {
+        log.file = if load.loaded == 0 {
             SpillFile::Absent
-        } else if load.skipped > 0 || cache.len() != records {
+        } else if load.skipped > 0 || cache.len() != load.loaded {
             // Damaged, duplicate or evicted records: a rewrite drops them.
             SpillFile::Stale
         } else {

@@ -12,17 +12,22 @@
 //! key = value               # the fields, in order
 //! ```
 //!
-//! * [`seal`] renders a record. The blank line comes *before* it, so the
-//!   partial last line of a torn append is ended by the next record's own
-//!   newline and never glues onto that record's header. The `crc` comes
-//!   first, so a torn record keeps the checksum that convicts it.
+//! * [`seal_into`] renders a record straight into a buffer: the caller
+//!   writes the field lines, and the `crc` is filled in over them
+//!   afterwards. [`seal`] renders a [`Section`] through it. The blank line
+//!   comes *before* a record, so the partial last line of a torn append is
+//!   ended by the next record's own newline and never glues onto that
+//!   record's header. The `crc` comes first, so a torn record keeps the
+//!   checksum that convicts it.
 //! * [`Records`] reads a document's records as borrowed lines and checks
-//!   each `crc` over the lines as read. A line that is neither a `[name]`
-//!   header nor `key = value` is junk and ends the record it interrupts,
-//!   so damage costs at most the record it lands in. A record without a
-//!   `crc` line is reported [`Seal::Unsealed`]; each format decides
-//!   whether its version allows one. [`read`] decodes lossily: a byte
-//!   that is not UTF-8 becomes U+FFFD, which no `crc` matches.
+//!   each `crc` over the lines as read: one loop over a line's bytes
+//!   finds its end and its first `=` and hashes it. A line that is
+//!   neither a `[name]` header nor `key = value` is junk and ends the
+//!   record it interrupts, so damage costs at most the record it lands
+//!   in. A record without a `crc` line is reported [`Seal::Unsealed`];
+//!   each format decides whether its version allows one. [`read`]
+//!   decodes lossily: a byte that is not UTF-8 becomes U+FFFD, which no
+//!   `crc` matches.
 //! * [`append`] writes through a named failpoint, then `sync_data`s.
 //!   [`replace`] writes a temporary file, fsyncs it and renames it over
 //!   the target. [`sync_dir`] fsyncs the directory, which makes renames
@@ -52,7 +57,7 @@
 //! test below rebuilds every crash state that the log of a scripted
 //! history allows.
 
-use crate::textio::Section;
+use crate::textio::{self, Section};
 use digamma_obs::{FailAction, FailSet};
 use std::fs::File;
 use std::io::{self, Write as _};
@@ -61,20 +66,51 @@ use std::path::{Path, PathBuf};
 /// The FNV-1a 64 offset basis: the hash of no bytes.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// One FNV-1a 64 step: `hash` continued over the byte `b`.
+fn fnv64_step(hash: u64, b: u8) -> u64 {
+    (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
+}
+
 /// FNV-1a 64 — the stable hash family the cache keys use — continued
 /// from `hash` over `bytes`, so a record can be hashed line by line.
 fn fnv64_extend(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+    bytes.iter().fold(hash, |h, &b| fnv64_step(h, b))
 }
 
-/// Renders `record` sealed: a blank line, its `[name]` header, its `crc`
-/// line (FNV-1a 64 over the record rendered without that line, as 16 hex
-/// digits), then its fields.
+/// The hash of a record's `[name]` header line, which its `crc` covers
+/// first.
+fn header_hash(name: &str) -> u64 {
+    fnv64_extend(fnv64_extend(fnv64_extend(FNV_OFFSET, b"["), name.as_bytes()), b"]\n")
+}
+
+/// Appends the record `name` to `out`, sealed: a blank line, its `[name]`
+/// header, its `crc` line, then the `key = value` lines that `fields`
+/// appends, each ending in a newline. The `crc` is FNV-1a 64 over the
+/// record without that line (the header, then the fields) as 16 hex
+/// digits; it is written as zeros and filled in once the fields are.
+pub(crate) fn seal_into(out: &mut String, name: &str, fields: impl FnOnce(&mut String)) {
+    out.push_str("\n[");
+    out.push_str(name);
+    out.push_str("]\ncrc = ");
+    let crc_at = out.len();
+    out.push_str("0000000000000000\n");
+    let fields_at = out.len();
+    fields(out);
+    let crc = fnv64_extend(header_hash(name), &out.as_bytes()[fields_at..]);
+    out.replace_range(crc_at..crc_at + 16, textio::hex(crc).as_str());
+}
+
+/// Renders `record` sealed, through [`seal_into`].
 pub(crate) fn seal(record: &Section) -> String {
-    let unsealed = record.render();
-    let (header, fields) = unsealed.split_at(record.name.len() + "[]\n".len());
-    let crc = fnv64_extend(FNV_OFFSET, unsealed.as_bytes());
-    format!("\n{header}crc = {crc:016x}\n{fields}")
+    let mut out = String::new();
+    seal_into(&mut out, &record.name, |out| {
+        for (key, value) in &record.entries {
+            for part in [key.as_str(), " = ", value.as_str(), "\n"] {
+                out.push_str(part);
+            }
+        }
+    });
+    out
 }
 
 /// How a record's `crc` line reads against the rest of the record.
@@ -124,17 +160,24 @@ enum Line<'a> {
 }
 
 impl Line<'_> {
-    /// Classifies a line. One that opens with `[` but does not close with
+    /// Classifies `raw`, whose first `=` is at byte `eq` (past its end
+    /// when it has none). One that opens with `[` but does not close with
     /// `]` is junk, not a field: a header glued to the next line by a
     /// damaged newline must end the record before it.
-    fn classify(raw: &str) -> Line<'_> {
-        let line = raw.trim();
+    fn classify(raw: &str, eq: usize) -> Line<'_> {
+        // Trimming moves no `=`, so a line with one opens with `[` just
+        // when the part before its `=` does.
+        if eq < raw.len() {
+            let key = textio::trim(&raw[..eq]);
+            if !key.starts_with('[') {
+                return Line::Field(key, textio::trim(&raw[eq + 1..]));
+            }
+        }
+        let line = textio::trim(raw);
         if line.is_empty() {
             Line::Blank
         } else if let Some(rest) = line.strip_prefix('[') {
-            rest.strip_suffix(']').map_or(Line::Junk, |name| Line::Header(name.trim()))
-        } else if let Some((key, value)) = line.split_once('=') {
-            Line::Field(key.trim(), value.trim())
+            rest.strip_suffix(']').map_or(Line::Junk, |name| Line::Header(textio::trim(name)))
         } else {
             Line::Junk
         }
@@ -146,19 +189,24 @@ impl Line<'_> {
 /// the next header or a junk line closes it.
 #[derive(Debug)]
 pub(crate) struct Records<'a> {
-    lines: std::str::Lines<'a>,
+    /// The document, and where its next line starts.
+    text: &'a str,
+    at: usize,
     /// The next record's opening, already read: its name, and the first
-    /// field of a nameless record.
-    next: Option<(&'a str, Option<&'a str>)>,
+    /// field of a nameless record (the line and where its `=` is).
+    next: Option<(&'a str, Option<(&'a str, usize)>)>,
     /// Junk lines read so far.
     pub(crate) junk: usize,
     /// The name of a record junk cut off from its header.
     nameless: &'a str,
+    /// The fields of the record being read, reused across records: each
+    /// record's own list is copied out of it once, at its final size.
+    fields: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Records<'a> {
     pub(crate) fn new(text: &'a str) -> Records<'a> {
-        Records { lines: text.lines(), next: None, junk: 0, nameless: "" }
+        Records { text, at: 0, next: None, junk: 0, nameless: "", fields: Vec::new() }
     }
 
     /// Reads a record that junk cut off from its header as `name`, for
@@ -167,31 +215,70 @@ impl<'a> Records<'a> {
     pub(crate) fn nameless_as(self, name: &'a str) -> Records<'a> {
         Records { nameless: name, ..self }
     }
+
+    /// Reads the next line as [`str::lines`] splits a document: up to a
+    /// `\n`, less one `\r` before it. One loop over the line's bytes finds
+    /// its end and its first `=`, and continues `hash` over it. Returns
+    /// the line, where its `=` is (past its end when it has none), and
+    /// the hash.
+    fn line(&mut self, hash: u64) -> Option<(&'a str, usize, u64)> {
+        let rest = &self.text[self.at..];
+        if rest.is_empty() {
+            return None;
+        }
+        let (mut hashed, mut eq, mut end) = (hash, usize::MAX, rest.len());
+        for (at, &b) in rest.as_bytes().iter().enumerate() {
+            if b == b'\n' {
+                end = at;
+                break;
+            }
+            hashed = fnv64_step(hashed, b);
+            eq = eq.min(if b == b'=' { at } else { usize::MAX });
+        }
+        let mut raw = &rest[..end];
+        if end < rest.len() {
+            self.at += end + 1;
+            if let Some(line) = raw.strip_suffix('\r') {
+                raw = line;
+                hashed = fnv64_extend(hash, raw.as_bytes());
+            }
+        } else {
+            self.at = self.text.len();
+        }
+        Some((raw, eq, hashed))
+    }
 }
 
 impl<'a> Iterator for Records<'a> {
     type Item = Record<'a>;
 
     fn next(&mut self) -> Option<Record<'a>> {
-        let (name, first) = loop {
+        let (name, mut first) = loop {
             if let Some(opening) = self.next.take() {
                 break opening;
             }
-            let raw = self.lines.next()?;
-            match Line::classify(raw) {
+            let (raw, eq, _) = self.line(FNV_OFFSET)?;
+            match Line::classify(raw, eq) {
                 Line::Header(name) => self.next = Some((name, None)),
-                Line::Field(..) => self.next = Some((self.nameless, Some(raw))),
+                Line::Field(..) => self.next = Some((self.nameless, Some((raw, eq)))),
                 Line::Blank => {}
                 Line::Junk => self.junk += 1,
             }
         };
-        // The bytes `seal` hashed: the header, then each other line with
-        // its newline.
-        let header = fnv64_extend(fnv64_extend(FNV_OFFSET, b"["), name.as_bytes());
-        let mut hash = fnv64_extend(header, b"]\n");
-        let (mut fields, mut declared) = (Vec::new(), None);
-        for raw in first.into_iter().chain(self.lines.by_ref()) {
-            match Line::classify(raw) {
+        // The bytes `seal_into` hashed: the header, then each other line
+        // with its newline.
+        let mut hash = header_hash(name);
+        let mut declared = None;
+        self.fields.clear();
+        loop {
+            let (raw, eq, hashed) = match first.take() {
+                Some((raw, eq)) => (raw, eq, fnv64_extend(hash, raw.as_bytes())),
+                None => match self.line(hash) {
+                    Some(line) => line,
+                    None => break,
+                },
+            };
+            match Line::classify(raw, eq) {
                 Line::Blank => {}
                 Line::Header(next) => {
                     self.next = Some((next, None));
@@ -203,17 +290,17 @@ impl<'a> Iterator for Records<'a> {
                 }
                 Line::Field("crc", crc) if declared.is_none() => declared = Some(crc),
                 Line::Field(key, value) => {
-                    hash = fnv64_extend(fnv64_extend(hash, raw.as_bytes()), b"\n");
-                    fields.push((key, value));
+                    hash = fnv64_step(hashed, b'\n');
+                    self.fields.push((key, value));
                 }
             }
         }
         let seal = match declared {
             None => Seal::Unsealed,
-            Some(crc) if u64::from_str_radix(crc, 16) == Ok(hash) => Seal::Intact,
+            Some(crc) if textio::u64_from_hex(crc) == Ok(hash) => Seal::Intact,
             Some(_) => Seal::Broken,
         };
-        Some(Record { name, fields, seal })
+        Some(Record { name, fields: self.fields.to_vec(), seal })
     }
 }
 
@@ -425,6 +512,51 @@ mod tests {
         assert_eq!((read, records.junk), (vec![("", Seal::Broken)], 1));
         let read: Vec<Seal> = Records::new(&damaged).nameless_as("entry").map(|r| r.seal).collect();
         assert_eq!(read, [Seal::Intact]);
+    }
+
+    /// A line's class as the reader found it before it split and hashed
+    /// lines itself: with `str::trim` and `split_once`.
+    fn classify_with_std(raw: &str) -> (u8, &str, &str) {
+        let line = raw.trim();
+        if line.is_empty() {
+            (0, "", "")
+        } else if let Some(rest) = line.strip_prefix('[') {
+            rest.strip_suffix(']').map_or((3, "", ""), |name| (1, name.trim(), ""))
+        } else if let Some((key, value)) = line.split_once('=') {
+            (2, key.trim(), value.trim())
+        } else {
+            (3, "", "")
+        }
+    }
+
+    #[test]
+    fn lines_split_hash_and_classify_as_str_lines_and_trim_do() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let pieces = [
+            "\r", "\n", "\r\n", "=", "[", "]", "a", "é", " ", "\t", "\u{b}", "\u{85}", "\u{a0}",
+            "\u{3000}",
+        ];
+        let mut rng = SmallRng::seed_from_u64(27);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..16usize);
+            let text: String = (0..len).map(|_| pieces[rng.gen_range(0..pieces.len())]).collect();
+            let mut records = Records::new(&text);
+            let mut lines = Vec::new();
+            while let Some((raw, eq, hash)) = records.line(FNV_OFFSET) {
+                assert_eq!(hash, fnv64_extend(FNV_OFFSET, raw.as_bytes()), "{text:?}");
+                assert_eq!(raw.find('='), Some(eq).filter(|&eq| eq < raw.len()), "{raw:?}");
+                let class = match Line::classify(raw, eq) {
+                    Line::Blank => (0, "", ""),
+                    Line::Header(name) => (1, name, ""),
+                    Line::Field(key, value) => (2, key, value),
+                    Line::Junk => (3, "", ""),
+                };
+                assert_eq!(class, classify_with_std(raw), "{raw:?}");
+                lines.push(raw);
+            }
+            assert_eq!(lines, text.lines().collect::<Vec<_>>(), "{text:?}");
+        }
     }
 
     /// One file's life in the log: its writes, and how many of them each

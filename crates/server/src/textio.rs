@@ -8,6 +8,7 @@
 //! population of genomes serializes) and `#` starts a comment.
 
 use std::fmt;
+use std::num::ParseIntError;
 
 /// A parse or format violation in a server text document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +151,77 @@ pub fn parse_sections(text: &str) -> Result<Vec<Section>, TextError> {
     Ok(sections)
 }
 
+/// The 16 lowercase hex digits of a `u64`, as `{:016x}` renders them,
+/// held on the stack.
+pub(crate) struct Hex([u8; 16]);
+
+impl Hex {
+    /// The digits as text.
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
+
+/// `v` as 16 lowercase hex digits, without allocating.
+pub(crate) fn hex(v: u64) -> Hex {
+    Hex(std::array::from_fn(|at| b"0123456789abcdef"[(v >> (60 - 4 * at)) as usize & 0xf]))
+}
+
+/// `s.trim()`, stripping ASCII whitespace bytes itself: only an end that
+/// is not ASCII, which may be other Unicode whitespace, takes the
+/// general path.
+pub(crate) fn trim(s: &str) -> &str {
+    let space = |b: &u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let bytes = s.as_bytes();
+    let start = bytes.iter().position(|b| !space(b)).unwrap_or(bytes.len());
+    let end = bytes.iter().rposition(|b| !space(b)).map_or(start, |last| last + 1);
+    let kept = &bytes[start..end];
+    if kept.first().is_some_and(|b| !b.is_ascii()) || kept.last().is_some_and(|b| !b.is_ascii()) {
+        return s.trim();
+    }
+    &s[start..end]
+}
+
+/// Parses `s` as `s.trim().parse::<u128>()` does, reading up to 38
+/// plain digits, which cannot overflow, in one pass.
+pub(crate) fn u128_from_decimal(s: &str) -> Result<u128, ParseIntError> {
+    let digits = s.as_bytes();
+    if (1..=38).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+        return Ok(digits.iter().fold(0, |v, &d| v * 10 + u128::from(d - b'0')));
+    }
+    trim(s).parse()
+}
+
+/// The value of each byte as a hex digit, or 16 for one that is not.
+const HEX_DIGITS: [u8; 256] = {
+    let mut digits = [16; 256];
+    let mut at = 0;
+    while at < 16 {
+        digits[b"0123456789abcdef"[at] as usize] = at as u8;
+        digits[b"0123456789ABCDEF"[at] as usize] = at as u8;
+        at += 1;
+    }
+    digits
+};
+
+/// Parses hex digits as `u64::from_str_radix(s, 16)` does, with a fast
+/// path for exactly 16 digits: the width of every hex field the server
+/// writes.
+pub(crate) fn u64_from_hex(s: &str) -> Result<u64, ParseIntError> {
+    if s.len() == 16 {
+        let mut v = 0u64;
+        for &b in s.as_bytes() {
+            let digit = HEX_DIGITS[usize::from(b)];
+            if digit == 16 {
+                return u64::from_str_radix(s, 16);
+            }
+            v = v << 4 | u64::from(digit);
+        }
+        return Ok(v);
+    }
+    u64::from_str_radix(s, 16)
+}
+
 /// Renders an `f64` exactly, as its 16-hex-digit IEEE-754 bit pattern.
 pub fn f64_to_text(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -165,8 +237,7 @@ pub fn f64_from_text(s: &str) -> Result<f64, TextError> {
     if s.len() != 16 {
         return Err(TextError::new(format!("bad f64 bits (need 16 hex digits): {s:?}")));
     }
-    let bits =
-        u64::from_str_radix(s, 16).map_err(|_| TextError::new(format!("bad f64 bits: {s:?}")))?;
+    let bits = u64_from_hex(s).map_err(|_| TextError::new(format!("bad f64 bits: {s:?}")))?;
     Ok(f64::from_bits(bits))
 }
 
@@ -368,6 +439,40 @@ mod tests {
         let bomb = "3ff0000000000000x9000000000000000000";
         assert!(f64s_from_rle_text(bomb, 1024).is_err(), "oversized run");
         assert!(f64s_from_rle_text("3ff0000000000000x5", 4).is_err(), "over declared count");
+    }
+
+    #[test]
+    fn hex_digits_match_the_formatter() {
+        for v in [0, 1, 9, 10, 0xdead_beef, u64::MAX >> 1, u64::MAX] {
+            assert_eq!(hex(v).as_str(), format!("{v:016x}"));
+        }
+    }
+
+    #[test]
+    fn fast_paths_read_text_as_the_standard_parsers_do() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let pieces = [
+            "0", "1", "7", "9", "a", "f", "A", "F", "g", "+", "-", " ", "\t", "\u{b}", "\u{a0}",
+            "é",
+        ];
+        let mut rng = SmallRng::seed_from_u64(27);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..42usize);
+            let s: String = (0..len).map(|_| pieces[rng.gen_range(0..pieces.len())]).collect();
+            assert_eq!(trim(&s), s.trim(), "{s:?}");
+            assert_eq!(u64_from_hex(&s), u64::from_str_radix(&s, 16), "{s:?}");
+            assert_eq!(u128_from_decimal(&s), s.trim().parse::<u128>(), "{s:?}");
+        }
+        // Every width of plain digits, up to and past the u128 range.
+        for len in 1..=40 {
+            let digits: String = (0..len).map(|i| ["9", "3", "0"][i % 3]).collect();
+            assert_eq!(u128_from_decimal(&digits), digits.parse::<u128>(), "{digits}");
+        }
+        for v in [0, 1, 0xdead_beef, u64::MAX] {
+            assert_eq!(u64_from_hex(&format!("{v:016x}")), Ok(v));
+            assert_eq!(u64_from_hex(&format!("{v:016X}")), Ok(v));
+        }
     }
 
     #[test]
