@@ -84,12 +84,13 @@ pub fn request_with_headers(
     let traceparent = traceparent_header();
     let extra: String =
         extra_headers.iter().map(|(name, value)| format!("{name}: {value}\r\n")).collect();
-    write!(
-        stream,
+    // One buffer, one write: `write!` on the bare stream would send each
+    // formatted piece in its own syscall.
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\n{auth}{traceparent}{extra}Connection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()?;
+    );
+    stream.write_all(request.as_bytes())?;
     let mut reader = BufReader::new(stream);
     let mut response = Response::read_head(&mut reader)?;
     response.read_body(&mut reader)?;
@@ -305,11 +306,10 @@ pub fn stream_events_as(
     let mut stream = TcpStream::connect(addr)?;
     let auth = bearer_header(token);
     let traceparent = traceparent_header();
-    write!(
-        stream,
+    let request = format!(
         "GET /jobs/{id}/events?from={from} HTTP/1.1\r\nHost: {addr}\r\n{auth}{traceparent}Connection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    );
+    stream.write_all(request.as_bytes())?;
     let mut reader = BufReader::new(stream);
     let response = Response::read_head(&mut reader)?;
     if response.status != 200 {

@@ -8,6 +8,7 @@
 //! keep-alive semantics. Exactly the subset the `digamma-netd` protocol
 //! needs, implemented strictly enough that `curl` is a fine client.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 /// Longest accepted request head (request line + headers) in bytes.
@@ -225,7 +226,8 @@ pub fn write_response_typed(
 }
 
 /// [`write_response_typed`] plus arbitrary extra headers — how `503`
-/// responses carry `Retry-After` so well-behaved clients back off.
+/// responses carry `Retry-After` so well-behaved clients back off. The
+/// response is built in one buffer and written with one `write_all`.
 ///
 /// # Errors
 ///
@@ -239,27 +241,33 @@ pub fn write_response_extra(
     extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut response = String::with_capacity(256 + body.len());
     write!(
-        writer,
+        response,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         status,
         reason(status),
         content_type,
         body.len(),
         connection
-    )?;
+    )
+    .expect("a String takes any text");
     for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        for part in [name, ": ", value, "\r\n"] {
+            response.push_str(part);
+        }
     }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(body.as_bytes())?;
+    response.push_str("\r\n");
+    response.push_str(body);
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }
 
 /// A chunked (`Transfer-Encoding: chunked`) response in progress: one
 /// [`ChunkedWriter::chunk`] call per piece, then [`ChunkedWriter::finish`].
 /// Each chunk is flushed immediately — this is the streaming carrier for
-/// `GET /jobs/{id}/events`.
+/// `GET /jobs/{id}/events`. The head and each chunk are written with one
+/// `write_all` apiece.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     writer: W,
@@ -274,12 +282,12 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Returns [`io::Error`] from the transport.
     pub fn start(mut writer: W, status: u16) -> io::Result<ChunkedWriter<W>> {
-        write!(
-            writer,
+        let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: text/plain; charset=utf-8\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
             reason(status)
-        )?;
+        );
+        writer.write_all(head.as_bytes())?;
         writer.flush()?;
         Ok(ChunkedWriter { writer, finished: false })
     }
@@ -293,9 +301,9 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.writer, "{:x}\r\n", data.len())?;
-        self.writer.write_all(data.as_bytes())?;
-        self.writer.write_all(b"\r\n")?;
+        let mut frame = String::with_capacity(data.len() + 20);
+        write!(frame, "{:x}\r\n{data}\r\n", data.len()).expect("a String takes any text");
+        self.writer.write_all(frame.as_bytes())?;
         self.writer.flush()
     }
 
@@ -491,6 +499,51 @@ mod tests {
         assert_eq!(response.status, 200);
         assert_eq!(response.body, "hello");
         assert_eq!(response.header("connection"), Some("keep-alive"));
+    }
+
+    /// Keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_and_each_chunk_is_one_write_of_the_same_bytes() {
+        let mut writes = Writes::default();
+        let extra = [("Retry-After", "1"), ("X-Probe", "a b")];
+        write_response_extra(&mut writes, 503, "text/plain", "draining\n", false, &extra).unwrap();
+        write_response(&mut writes, 200, "", true).unwrap();
+        let expected: [&[u8]; 2] = [
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nContent-Length: 9\r\n\
+              Connection: close\r\nRetry-After: 1\r\nX-Probe: a b\r\n\r\ndraining\n",
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 0\r\n\
+              Connection: keep-alive\r\n\r\n",
+        ];
+        assert_eq!(writes.0, expected);
+
+        let mut writes = Writes::default();
+        let mut chunks = ChunkedWriter::start(&mut writes, 200).unwrap();
+        chunks.chunk("gen=1 samples=16/600 best=none\n").unwrap();
+        chunks.chunk("").unwrap();
+        chunks.chunk(&"x".repeat(300)).unwrap();
+        chunks.finish().unwrap();
+        let expected: [&[u8]; 4] = [
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
+            b"1f\r\ngen=1 samples=16/600 best=none\n\r\n",
+            &[b"12c\r\n", "x".repeat(300).as_bytes(), b"\r\n"].concat(),
+            b"0\r\n\r\n",
+        ];
+        assert_eq!(writes.0, expected);
     }
 
     #[test]

@@ -212,8 +212,11 @@ impl<V: Clone> ShardedMemo<V> {
 
     /// The resident entries a disk spill must write — those inserted
     /// since the last [`ShardedMemo::mark_spilled`], or all of them when
-    /// `all` (a fresh base) — with the mark that records them as
-    /// written. Entries inserted after a shard was read stay unspilled.
+    /// `all` (a fresh base) — sorted by key, with the mark that records
+    /// them as written. Entries inserted after a shard was read stay
+    /// unspilled. The order does not depend on the maps' per-process
+    /// hash seeds, so identical runs write identical files, and a warm
+    /// start fills the eviction queues in the same order.
     pub(crate) fn unspilled(&self, all: bool) -> (Vec<(u64, V)>, SpillMark) {
         let mut out = Vec::new();
         let mut ticks = Vec::with_capacity(self.shards.len());
@@ -224,6 +227,7 @@ impl<V: Clone> ShardedMemo<V> {
             out.extend(fresh.map(|(&k, e)| (k, e.value.clone())));
             ticks.push(shard.tick);
         }
+        out.sort_unstable_by_key(|&(key, _)| key);
         (out, SpillMark(ticks))
     }
 

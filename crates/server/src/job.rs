@@ -219,7 +219,10 @@ pub struct JobReport {
     /// model → aggregate, including memo probes) — the "eval" slice of
     /// `wall`.
     pub eval_wall: Duration,
-    /// Wall-clock spent writing checkpoint snapshots.
+    /// The worker's own checkpoint time: rendering snapshots, handing
+    /// them to the background writer, inline writes (a job's first
+    /// snapshot and a cancel's) and waits for the writer. Background
+    /// writes are timed in `digamma_checkpoint_write_seconds` only.
     pub checkpoint_wall: Duration,
 }
 

@@ -11,7 +11,9 @@
 //! GA jobs additionally checkpoint: with a checkpoint directory
 //! configured, the server snapshots every few generations, and a
 //! re-submitted job whose snapshot survives resumes bit-identically
-//! instead of starting over.
+//! instead of starting over. A job's first snapshot is written before
+//! its search continues; later ones go to the server's one background
+//! writer, so the worker renders them and moves on.
 
 use crate::cache::{CacheStats, JobMemo, ShardedFitnessCache, ShardedGenomeMemo, ShardedMemo};
 use crate::cachefile;
@@ -28,9 +30,10 @@ use digamma_obs::{
 };
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Snapshot cadence in generations for a GA job whose spec sets no
@@ -223,6 +226,8 @@ pub struct SearchServer {
     /// sampled eval spans all record here, so one trace id walks a
     /// request end to end.
     tracer: Tracer,
+    /// Writes every snapshot after a job's first, off the job's worker.
+    snapshots: SnapshotWriter,
 }
 
 impl SearchServer {
@@ -240,13 +245,15 @@ impl SearchServer {
             (Some(dir), Some(_)) => Some(dir.join("fitness-memo.cache")),
             _ => None,
         };
+        let metrics = Arc::new(MetricsRegistry::new());
         let server = SearchServer {
+            snapshots: SnapshotWriter::new(Arc::clone(&config.faults), Arc::clone(&metrics)),
             config,
             cache,
             genome_memo,
             cache_file,
             spill: Mutex::new(SpillLog { insertions: 0, file: SpillFile::Absent }),
-            metrics: Arc::new(MetricsRegistry::new()),
+            metrics,
             tracer: Tracer::new(),
         };
         server.warm_start();
@@ -596,6 +603,12 @@ impl SearchServer {
     /// ignored and the search starts over). The checkpoint is removed
     /// when the job completes — but kept when the job is cancelled, so a
     /// cancelled search can resume later.
+    ///
+    /// Before reading a snapshot the drive waits for any queued or
+    /// running write of its path, which a predecessor of the same name
+    /// (one that panicked mid-search, say) may have left. Completion
+    /// drops a queued write and waits for a running one before removing
+    /// the file, so no write lands after the removal.
     fn drive_ga(
         &self,
         spec: &JobSpec,
@@ -607,9 +620,13 @@ impl SearchServer {
         let path = self.checkpoint_path(spec);
         let fingerprint = spec.fingerprint();
         let mut resumed_at = None;
+        let mut checkpoint_wall = Duration::ZERO;
         let restored = path
             .as_ref()
-            .and_then(|p| sealed::read(p).ok())
+            .and_then(|p| {
+                checkpoint_wall += self.snapshots.settle(p, false);
+                sealed::read(p).ok()
+            })
             .and_then(|text| Snapshot::parse(&text).ok())
             .and_then(|snap| snap.restore(ga, problem, &fingerprint).ok());
         let mut state = match restored {
@@ -627,13 +644,9 @@ impl SearchServer {
             every,
             control,
             cancelled: false,
-            checkpoint_wall: Duration::ZERO,
-            checkpoint_seconds: self.metrics.histogram(
-                "digamma_checkpoint_write_seconds",
-                "Wall time of snapshot writes (capture + render + write-then-rename).",
-                &[],
-                DEFAULT_LATENCY_BUCKETS,
-            ),
+            wrote_first: false,
+            checkpoint_wall,
+            checkpoint_seconds: checkpoint_write_seconds(&self.metrics),
             generation_seconds: self.metrics.histogram(
                 "digamma_generation_seconds",
                 "Wall time between GA generation boundaries.",
@@ -647,9 +660,10 @@ impl SearchServer {
         };
         ga.run_observed(problem, &mut state, spec.budget, &mut observer);
         let cancelled = observer.cancelled;
-        let checkpoint_wall = observer.checkpoint_wall;
+        let mut checkpoint_wall = observer.checkpoint_wall;
         if !cancelled {
             if let Some(p) = &path {
+                checkpoint_wall += self.snapshots.settle(p, true);
                 let _ = sealed::remove(p);
             }
         }
@@ -710,6 +724,159 @@ struct SpillLog {
     file: SpillFile,
 }
 
+/// The `digamma_checkpoint_write_seconds` histogram.
+fn checkpoint_write_seconds(metrics: &MetricsRegistry) -> Histogram {
+    metrics.histogram(
+        "digamma_checkpoint_write_seconds",
+        "Wall time of snapshot writes (temporary file, fsync, rename), on a job's worker or the \
+         background snapshot writer.",
+        &[],
+        DEFAULT_LATENCY_BUCKETS,
+    )
+}
+
+/// Writes the snapshot `text` to `path` and times the write into
+/// `seconds`. An atomic replace: a kill or power cut mid-write never
+/// destroys the previous good snapshot or promotes a half-written new
+/// one. The rename is not made durable (see `crate::sealed`). Failures
+/// (including the injected `snapshot.write` faults) keep the old
+/// snapshot and warn.
+fn write_snapshot(path: &Path, text: &str, faults: &FailSet, seconds: &Histogram) {
+    let started = Instant::now();
+    if let Err(e) = sealed::replace(path, text.as_bytes(), faults, "snapshot.write") {
+        digamma_obs::log::global().log(
+            LogLevel::Warn,
+            "server",
+            None,
+            "checkpoint write failed; previous snapshot retained",
+            &[("path", path.display().to_string()), ("err", e.to_string())],
+        );
+    }
+    seconds.observe_duration(started.elapsed());
+}
+
+/// The server's background snapshot writer: one thread, started by the
+/// first queued snapshot and joined (after it drains its queue) when the
+/// server drops. It holds at most one queued snapshot per path: a newer
+/// one replaces a queued one in its place, so a superseded snapshot is
+/// never written. Writes run one at a time, oldest queued first.
+///
+/// Only a snapshot after a job's first is queued, so a crash loses at
+/// most the boundaries since the last one written, and resuming from an
+/// earlier boundary is bit-identical.
+#[derive(Debug)]
+struct SnapshotWriter {
+    shared: Arc<(Mutex<WriterState>, Condvar)>,
+    faults: Arc<FailSet>,
+    metrics: Arc<MetricsRegistry>,
+    thread: OnceLock<JoinHandle<()>>,
+}
+
+/// What [`SnapshotWriter`]'s lock guards. Its condvar is signalled when a
+/// snapshot is queued, when a write ends and when the server drops.
+#[derive(Debug, Default)]
+struct WriterState {
+    queue: VecDeque<QueuedSnapshot>,
+    /// The path being written.
+    writing: Option<PathBuf>,
+    /// Set when the server drops: the writer drains the queue and exits.
+    stopping: bool,
+}
+
+#[derive(Debug)]
+struct QueuedSnapshot {
+    path: PathBuf,
+    text: String,
+    log: sealed::OpLog,
+}
+
+impl SnapshotWriter {
+    fn new(faults: Arc<FailSet>, metrics: Arc<MetricsRegistry>) -> SnapshotWriter {
+        SnapshotWriter { shared: Arc::default(), faults, metrics, thread: OnceLock::new() }
+    }
+
+    /// Queues `text` to be written to `path`, replacing a queued snapshot
+    /// of `path` in its place.
+    fn queue(&self, path: &Path, text: String) {
+        let snapshot =
+            QueuedSnapshot { path: path.to_owned(), text, log: sealed::OpLog::current() };
+        let (state, changed) = &*self.shared;
+        let mut state = state.lock().expect("snapshot writer poisoned");
+        match state.queue.iter_mut().find(|queued| queued.path == path) {
+            Some(queued) => *queued = snapshot,
+            None => state.queue.push_back(snapshot),
+        }
+        drop(state);
+        changed.notify_all();
+        self.thread.get_or_init(|| {
+            let (shared, faults) = (Arc::clone(&self.shared), Arc::clone(&self.faults));
+            let seconds = checkpoint_write_seconds(&self.metrics);
+            std::thread::Builder::new()
+                .name("snapshot-writer".to_owned())
+                .spawn(move || SnapshotWriter::run(&shared, &faults, &seconds))
+                .expect("spawn the snapshot writer")
+        });
+    }
+
+    /// Waits until no write of `path` is queued or running, and returns
+    /// how long that took. With `drop_queued`, a queued write is dropped
+    /// instead of waited for.
+    fn settle(&self, path: &Path, drop_queued: bool) -> Duration {
+        let started = Instant::now();
+        let (state, changed) = &*self.shared;
+        let mut state = state.lock().expect("snapshot writer poisoned");
+        if drop_queued {
+            state.queue.retain(|queued| queued.path != path);
+        }
+        while state.writing.as_deref() == Some(path)
+            || state.queue.iter().any(|queued| queued.path == path)
+        {
+            state = changed.wait(state).expect("snapshot writer poisoned");
+        }
+        started.elapsed()
+    }
+
+    /// The writer thread's loop.
+    fn run(shared: &(Mutex<WriterState>, Condvar), faults: &FailSet, seconds: &Histogram) {
+        let (state, changed) = shared;
+        let mut guard = state.lock().expect("snapshot writer poisoned");
+        loop {
+            if let Some(snapshot) = guard.queue.pop_front() {
+                guard.writing = Some(snapshot.path.clone());
+                drop(guard);
+                snapshot.log.adopt();
+                write_snapshot(&snapshot.path, &snapshot.text, faults, seconds);
+                guard = state.lock().expect("snapshot writer poisoned");
+                guard.writing = None;
+                changed.notify_all();
+            } else if guard.stopping {
+                return;
+            } else {
+                guard = changed.wait(guard).expect("snapshot writer poisoned");
+            }
+        }
+    }
+}
+
+impl Drop for SnapshotWriter {
+    fn drop(&mut self) {
+        let Some(thread) = self.thread.take() else { return };
+        let (state, changed) = &*self.shared;
+        // Setting the flag leaves the state valid even after a panic.
+        state.lock().unwrap_or_else(PoisonError::into_inner).stopping = true;
+        changed.notify_all();
+        if thread.join().is_err() {
+            digamma_obs::log::global().log(
+                LogLevel::Error,
+                "server",
+                None,
+                "snapshot writer panicked; queued snapshots were not written",
+                &[],
+            );
+        }
+    }
+}
+
 /// What [`SearchServer::drive_ga`] (or a baseline run) produced, plus
 /// the timing the report breaks out.
 struct GaOutcome {
@@ -742,11 +909,16 @@ impl GaOutcome {
 /// histograms.
 struct DriveObserver<'a> {
     server: &'a SearchServer,
-    path: Option<&'a std::path::Path>,
+    path: Option<&'a Path>,
     fingerprint: &'a str,
     every: u64,
     control: &'a JobControl,
     cancelled: bool,
+    /// Whether the drive's first cadence snapshot, which is written
+    /// inline, was taken; later ones are queued on the writer.
+    wrote_first: bool,
+    /// The worker's own checkpoint time: rendering, hand-offs, inline
+    /// writes and waits for the writer.
     checkpoint_wall: Duration,
     checkpoint_seconds: Histogram,
     generation_seconds: Histogram,
@@ -797,28 +969,23 @@ impl DriveObserver<'_> {
         }
     }
 
-    fn snapshot(&mut self, state: &SearchState) {
+    /// Snapshots the search at this boundary. `inline` writes it before
+    /// returning, after dropping a queued write of the job's path and
+    /// waiting for a running one; otherwise the background writer gets
+    /// it.
+    fn snapshot(&mut self, state: &SearchState, inline: bool) {
         let Some(p) = self.path else { return };
-        let write_started = Instant::now();
+        let started = Instant::now();
         let rendered = Snapshot::capture(self.fingerprint, state).render();
-        // An atomic replace: a kill or power cut mid-write never destroys
-        // the previous good snapshot or promotes a half-written new one.
-        // The rename is not made durable (see `crate::sealed`). Failures
-        // (including the injected `snapshot.write` faults) keep the old
-        // snapshot and warn.
-        let faults = &self.server.config.faults;
-        if let Err(e) = sealed::replace(p, rendered.as_bytes(), faults, "snapshot.write") {
-            digamma_obs::log::global().log(
-                LogLevel::Warn,
-                "server",
-                None,
-                "checkpoint write failed; previous snapshot retained",
-                &[("path", p.display().to_string()), ("err", e.to_string())],
-            );
+        let snapshots = &self.server.snapshots;
+        if inline {
+            snapshots.settle(p, true);
+            write_snapshot(p, &rendered, &self.server.config.faults, &self.checkpoint_seconds);
+        } else {
+            snapshots.queue(p, rendered);
         }
-        let elapsed = write_started.elapsed();
+        let elapsed = started.elapsed();
         self.checkpoint_wall += elapsed;
-        self.checkpoint_seconds.observe_duration(elapsed);
         self.record_span("job.checkpoint", elapsed, vec![("gen", state.generation().to_string())]);
     }
 }
@@ -856,13 +1023,15 @@ impl StepObserver for DriveObserver<'_> {
         };
         self.control.report(progress, analytics);
         if self.control.is_cancelled() {
-            self.snapshot(state);
+            self.snapshot(state, true);
             self.spill(false);
             self.cancelled = true;
             return StepAction::Stop;
         }
-        if state.generation().is_multiple_of(self.every) {
-            self.snapshot(state);
+        // A finished search needs no snapshot: completion removes it.
+        if state.generation().is_multiple_of(self.every) && state.samples() < budget {
+            self.snapshot(state, !self.wrote_first);
+            self.wrote_first = true;
             self.spill(true);
         }
         self.last_boundary = Instant::now();
@@ -1208,6 +1377,24 @@ mod tests {
     }
 
     #[test]
+    fn identical_single_worker_runs_spill_byte_identical_memo_files() {
+        let jobs = [
+            spec("a", JobAlgorithm::DiGamma),
+            JobSpec { seed: 6, ..spec("b", JobAlgorithm::DiGamma) },
+        ];
+        let files = ["memo-order-1", "memo-order-2"].map(|tag| {
+            let (server, dir) = persisted(tag, 1);
+            server.run(&jobs);
+            drop(server);
+            let bytes = std::fs::read(dir.join("fitness-memo.cache")).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        });
+        // A base, then an append: both in key order.
+        assert!(!files[0].is_empty() && files[0] == files[1], "the two memo files differ");
+    }
+
+    #[test]
     fn cacheless_server_still_searches() {
         let server =
             SearchServer::new(ServerConfig { workers: 1, cache_capacity: 0, ..Default::default() });
@@ -1247,5 +1434,138 @@ mod tests {
         // on it).
         let again = server.checkpoint_path(&spec("exp 1", JobAlgorithm::DiGamma)).unwrap();
         assert_eq!(a, again);
+    }
+
+    /// A tiny single-threaded ncf GA job that snapshots every `every`
+    /// generations of 8 samples.
+    fn tiny(name: &str, budget: usize, every: u64) -> JobSpec {
+        let mut s = spec(name, JobAlgorithm::DiGamma);
+        (s.budget, s.population_size, s.threads) = (budget, 8, 1);
+        s.checkpoint_every = Some(every);
+        s
+    }
+
+    fn persisted(tag: &str, workers: usize) -> (SearchServer, PathBuf) {
+        let dir = scratch_dir(tag);
+        let config =
+            ServerConfig { workers, checkpoint_dir: Some(dir.clone()), ..ServerConfig::default() };
+        (SearchServer::new(config), dir)
+    }
+
+    /// Snapshot writes so far, inline and background.
+    fn snapshot_writes(server: &SearchServer) -> u64 {
+        checkpoint_write_seconds(server.metrics()).count()
+    }
+
+    /// The generation of the snapshot at `path`, if one parses there.
+    fn snapshot_generation(path: &Path) -> Option<u64> {
+        let text = sealed::read(path).ok()?;
+        Snapshot::parse(&text).ok().map(|snapshot| snapshot.generation)
+    }
+
+    #[test]
+    fn a_newer_snapshot_replaces_a_queued_one_and_only_the_newest_is_written() {
+        let (server, dir) = persisted("writer-latest", 1);
+        server.faults().configure("snapshot.write=delay:500,once").unwrap();
+        let path = dir.join("a.snapshot");
+        server.snapshots.queue(&path, "held\n".to_owned());
+        // Once the failpoint is hit, the writer sleeps inside that write.
+        while server.faults().snapshot()[0].hits == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.snapshots.queue(&path, "superseded\n".to_owned());
+        server.snapshots.queue(&path, "newest\n".to_owned());
+        server.snapshots.settle(&path, false);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "newest\n");
+        assert_eq!(snapshot_writes(&server), 2, "the superseded snapshot was written");
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn many_tiny_jobs_on_two_workers_leave_no_snapshot_behind() {
+        let (server, dir) = persisted("writer-churn", 2);
+        let jobs: Vec<JobSpec> =
+            (0..200u64).map(|i| JobSpec { seed: i, ..tiny(&format!("tiny-{i}"), 40, 1) }).collect();
+        let reports = server.run(&jobs);
+        assert!(reports.iter().all(|r| r.samples == 40 && !r.cancelled));
+        // Each job writes its first snapshot inline; the rest may be
+        // superseded, but none outlives its job's completion.
+        assert!(snapshot_writes(&server) >= 200);
+        let left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".snapshot"))
+            .collect();
+        assert!(left.is_empty(), "{left:?}");
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_jobs_first_snapshot_is_on_disk_before_its_search_continues() {
+        let (server, dir) = persisted("writer-first", 1);
+        // Slow writes: one left to the writer would still be in flight.
+        server.faults().configure("snapshot.write=delay:50").unwrap();
+        let job = tiny("first", 48, 2);
+        let path = server.checkpoint_path(&job).unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let control = JobControl::new().with_generation_sink(move |progress, _| {
+            let on_disk = snapshot_generation(&path);
+            sink_seen.lock().unwrap().push((progress.generation, on_disk));
+        });
+        let report = server.run_job_controlled(&job, &control);
+        assert_eq!(report.generations, 5);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen[..3], [(1, None), (2, None), (3, Some(2))], "{seen:?}");
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_budget_that_ends_on_a_cadence_boundary_writes_no_snapshot_there() {
+        let (server, dir) = persisted("writer-finished", 1);
+        // Generations 2 and 4 are cadence boundaries; generation 4 spends
+        // the last of the budget.
+        let report = server.run_job(&tiny("finished", 40, 2));
+        assert_eq!((report.generations, report.samples), (4, 40));
+        assert_eq!(snapshot_writes(&server), 1, "only generation 2 is snapshotted");
+        // Spending the budget at the job's only cadence boundary writes
+        // nothing at all.
+        server.run_job(&tiny("finished-early", 24, 2));
+        assert_eq!(snapshot_writes(&server), 1);
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_cancels_snapshot_is_on_disk_when_the_job_returns() {
+        let (server, dir) = persisted("writer-cancel", 1);
+        // Slow writes keep the writer busy with generation 2 when the
+        // cancel lands at generation 4, with generation 3 queued.
+        server.faults().configure("snapshot.write=delay:20").unwrap();
+        let job = tiny("cancelled", 8 * 200, 1);
+        let path = server.checkpoint_path(&job).unwrap();
+        // Generation 4 reports, then waits until the job is cancelled.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let sink_barrier = Arc::clone(&barrier);
+        let control = JobControl::new().with_generation_sink(move |progress, _| {
+            if progress.generation == 4 {
+                sink_barrier.wait();
+                sink_barrier.wait();
+            }
+        });
+        let report = std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.run_job_controlled(&job, &control));
+            barrier.wait();
+            control.cancel();
+            barrier.wait();
+            running.join().unwrap()
+        });
+        assert!(report.cancelled && report.generations == 4, "{report:?}");
+        assert_eq!(snapshot_generation(&path), Some(4));
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

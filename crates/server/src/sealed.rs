@@ -55,7 +55,9 @@
 //! In test builds every create, write, fsync, rename, removal and
 //! directory fsync made on the calling thread is logged, and the unit
 //! test below rebuilds every crash state that the log of a scripted
-//! history allows.
+//! history allows. A write that one thread queues and another runs
+//! carries the queuing thread's log along ([`OpLog`]), so the history
+//! includes the background snapshot writer's writes.
 
 use crate::textio::{self, Section};
 use digamma_obs::{FailAction, FailSet};
@@ -418,11 +420,38 @@ pub(crate) fn remove(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
+/// The calling thread's crash-test log, carried by a write that one
+/// thread queues and another runs, so that the write is logged as the
+/// queuing thread's own. It holds nothing outside test builds.
+#[derive(Debug, Default)]
+pub(crate) struct OpLog {
+    #[cfg(test)]
+    log: Option<oplog::Shared>,
+}
+
+impl OpLog {
+    /// The calling thread's log.
+    pub(crate) fn current() -> OpLog {
+        OpLog {
+            #[cfg(test)]
+            log: oplog::current(),
+        }
+    }
+
+    /// Logs the calling thread's file operations into this log from now
+    /// on, marked as handed off.
+    pub(crate) fn adopt(&self) {
+        #[cfg(test)]
+        oplog::adopt(self.log.clone());
+    }
+}
+
 /// The per-thread log of file operations the crash-state test replays.
 #[cfg(test)]
 mod oplog {
     use std::cell::RefCell;
     use std::path::PathBuf;
+    use std::sync::{Arc, Mutex};
 
     /// One file operation, as the crash model sees it.
     #[derive(Debug, Clone)]
@@ -440,32 +469,51 @@ mod oplog {
         DirFsync,
     }
 
+    /// A log, shared by the thread that started it and every thread that
+    /// runs a write it queued. Each operation comes with whether a thread
+    /// that adopted the log ran it.
+    pub(super) type Shared = Arc<Mutex<Vec<(Op, bool)>>>;
+
     thread_local! {
-        /// `None` until [`start`]: other tests on other threads log nothing.
-        static LOG: RefCell<Option<Vec<Op>>> = const { RefCell::new(None) };
+        /// `None` until [`start`] or [`adopt`]: other tests on other
+        /// threads log nothing. The flag is set on an adopting thread.
+        static LOG: RefCell<Option<(Shared, bool)>> = const { RefCell::new(None) };
     }
 
     pub(super) fn record(op: Op) {
         LOG.with(|log| {
-            if let Some(ops) = log.borrow_mut().as_mut() {
-                ops.push(op);
+            if let Some((ops, adopted)) = log.borrow().as_ref() {
+                ops.lock().expect("op log poisoned").push((op, *adopted));
             }
         });
     }
 
     /// Starts logging this thread's operations.
     pub(super) fn start() {
-        LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        LOG.with(|log| *log.borrow_mut() = Some((Shared::default(), false)));
+    }
+
+    /// This thread's log, if it keeps one.
+    pub(super) fn current() -> Option<Shared> {
+        LOG.with(|log| log.borrow().as_ref().map(|(ops, _)| Arc::clone(ops)))
+    }
+
+    /// Logs this thread's operations into `ops` (or nowhere), marked as
+    /// handed off.
+    pub(super) fn adopt(ops: Option<Shared>) {
+        LOG.with(|log| *log.borrow_mut() = ops.map(|ops| (ops, true)));
     }
 
     /// How many operations were logged so far.
     pub(super) fn len() -> usize {
-        LOG.with(|log| log.borrow().as_ref().map_or(0, Vec::len))
+        current().map_or(0, |ops| ops.lock().expect("op log poisoned").len())
     }
 
-    /// Stops logging and returns the log.
-    pub(super) fn take() -> Vec<Op> {
-        LOG.with(|log| log.borrow_mut().take().unwrap_or_default())
+    /// Stops logging on this thread and returns the log.
+    pub(super) fn take() -> Vec<(Op, bool)> {
+        let ops = LOG.with(|log| log.borrow_mut().take()).map(|(ops, _)| ops);
+        ops.map(|ops| std::mem::take(&mut *ops.lock().expect("op log poisoned")))
+            .unwrap_or_default()
     }
 }
 
@@ -704,10 +752,11 @@ mod tests {
     }
 
     /// Runs a scripted history — submit, run and finish job 1, then job 2
-    /// with another seed — logging every file operation, then rebuilds
-    /// each crash state the log allows and recovers from it. Each check
-    /// reads one file, so the states of each file are enumerated on their
-    /// own: that covers every combination of them.
+    /// with another seed — logging every file operation, the background
+    /// snapshot writer's included, then rebuilds each crash state the log
+    /// allows and recovers from it. Each check reads one file, so the
+    /// states of each file are enumerated on their own: that covers every
+    /// combination of them.
     #[test]
     fn every_crash_state_recovers_acknowledged_submits_and_whole_records() {
         let dir = std::env::temp_dir().join(format!("digamma-sealed-crash-{}", std::process::id()));
@@ -720,6 +769,9 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
             ..ServerConfig::default()
         });
+        // Each generation takes a few milliseconds, so the writer takes a
+        // queued snapshot before the next one or completion supersedes it.
+        server.faults().configure("worker.eval=delay:3").unwrap();
         let journal = Journal::new(&journal_path);
         oplog::start();
         // Each acknowledged submit, with the log length at its ack.
@@ -732,7 +784,7 @@ mod tests {
             assert!(report.generations >= 2 && report.cache_insertions > 0, "{report:?}");
             journal.append_finished(id, JobStatus::Done).unwrap();
         }
-        let ops = oplog::take();
+        let (ops, handed_off): (Vec<Op>, Vec<bool>) = oplog::take().into_iter().unzip();
         let model = Model::new(&ops);
 
         // The history has the shape the crash model must cover: the
@@ -753,6 +805,11 @@ mod tests {
             .filter(|p| p.extension().is_some_and(|e| e == "snapshot"))
             .collect();
         assert_eq!(snapshot_paths.len(), 2, "{snapshot_paths:?}");
+        assert!(
+            ops.iter().zip(&handed_off).any(|(op, &handed_off)| handed_off
+                && matches!(op, Op::Rename(_, to) if snapshot_paths.contains(to))),
+            "no background snapshot write"
+        );
         let whole_snapshots: HashSet<&[u8]> = ops
             .iter()
             .filter_map(|op| match op {
