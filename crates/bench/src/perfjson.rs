@@ -42,7 +42,8 @@ use digamma::{CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, Objective};
 use digamma_costmodel::Platform;
 use digamma_encoding::Genome;
 use digamma_obs::{
-    json_num, json_str, parse_json, FailSet, JsonValue, MetricsRegistry, SpanContext, Tracer,
+    json_num, json_str, parse_json, FailSet, JobTrace, JsonValue, MetricsRegistry, SpanContext,
+    Tracer,
 };
 use digamma_server::{JobAlgorithm, JobReport, JobSpec, SearchServer, ServerConfig};
 use digamma_workload::{zoo, Layer, Model};
@@ -358,12 +359,15 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     let memo = models.iter().map(|m| measure_memo(m, config)).collect();
     // The hooks a served job carries (metric handles and a disarmed
     // failpoint set), without and with a live trace.
-    let hooks = |trace: Option<(Tracer, SpanContext, u64)>| {
+    let hooks = |trace: Option<JobTrace>| {
         EvalHooks::new(&MetricsRegistry::new(), "bench", trace, Arc::new(FailSet::new()))
     };
     let instrumentation = rows(&|m| measure_hook(m, config, hooks(None)));
     let tracing = rows(&|m| {
-        measure_hook(m, config, hooks(Some((Tracer::new(), SpanContext::generate(), 1))))
+        let run = SpanContext::generate();
+        let trace =
+            JobTrace { tracer: Tracer::new(), trace: run.trace, parent: Some(run.span), job: 1 };
+        measure_hook(m, config, hooks(Some(trace)))
     });
     let analytics = rows(&|m| measure_analytics(m, config));
     let sections = AB_SECTIONS.into_iter().zip([instrumentation, tracing, analytics]);

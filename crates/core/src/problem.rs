@@ -20,8 +20,8 @@ use digamma_costmodel::{
 };
 use digamma_encoding::Genome;
 use digamma_obs::{
-    Counter, FailAction, FailSet, Histogram, MetricsRegistry, SampleTick, SpanContext, SpanRecord,
-    Tracer, DEFAULT_LATENCY_BUCKETS,
+    Counter, FailAction, FailSet, Histogram, JobTrace, MetricsRegistry, SampleTick,
+    DEFAULT_LATENCY_BUCKETS,
 };
 use digamma_workload::{Layer, Model, UniqueLayer};
 use std::collections::hash_map::{Entry, HashMap};
@@ -41,8 +41,9 @@ const EVAL_LATENCY_SAMPLE_EVERY: u64 = 64;
 
 /// The evaluation block's one instrumentation seam, attached by
 /// [`CoOptProblem::with_hooks`] and shared by every clone of the
-/// problem: a tenant's eval metric handles, the optional trace parent
-/// and job id, the failpoint set, and one 1-in-64 [`SampleTick`].
+/// problem: a tenant's eval metric handles, the optional [`JobTrace`]
+/// the eval spans are recorded through, the failpoint set, and one
+/// 1-in-64 [`SampleTick`].
 ///
 /// [`CoOptProblem::evaluate_children`] consults the hooks twice per batch:
 /// on entry the `worker.eval` failpoint (one relaxed load while
@@ -58,9 +59,8 @@ pub struct EvalHooks {
     eval_seconds: Histogram,
     batch_seconds: Histogram,
     dedup_skipped: Counter,
-    /// The tracer, the job's run span the eval spans nest under, and the
-    /// job id that puts them in the job's Perfetto lane.
-    trace: Option<(Tracer, SpanContext, u64)>,
+    /// The job's run span the eval spans nest under, in the job's lane.
+    trace: Option<JobTrace>,
     faults: Arc<FailSet>,
     sample: SampleTick,
 }
@@ -69,13 +69,13 @@ impl EvalHooks {
     /// Resolves the eval-path metric family for one tenant —
     /// `digamma_evals_total`, `digamma_eval_seconds` (sampled 1-in-64),
     /// `digamma_eval_batch_seconds` and `digamma_eval_dedup_skipped_total`
-    /// — and bundles it with `trace` (tracer, parent span, job id) and
-    /// the failpoint set the `worker.eval` point consults.
+    /// — and bundles it with `trace` (the job's run span) and the
+    /// failpoint set the `worker.eval` point consults.
     #[must_use]
     pub fn new(
         registry: &MetricsRegistry,
         tenant: &str,
-        trace: Option<(Tracer, SpanContext, u64)>,
+        trace: Option<JobTrace>,
         faults: Arc<FailSet>,
     ) -> EvalHooks {
         let t = [("tenant", tenant)];
@@ -126,49 +126,26 @@ impl EvalHooks {
         }
         let started = Instant::now();
         let result = eval();
-        let elapsed = started.elapsed();
-        self.eval_seconds.observe_duration(elapsed);
-        if self.trace.is_some() {
-            self.record_span("eval.layer", elapsed, vec![("layer", layer.to_string())]);
+        self.eval_seconds.observe_duration(started.elapsed());
+        if let Some(trace) = &self.trace {
+            trace.record("eval.layer", started, vec![("layer", layer.to_string())]);
         }
         result
     }
 
-    /// Feeds one finished batch into the counters, the batch histogram
-    /// and the `eval.batch` span.
-    fn exit_batch(&self, genomes: usize, distinct_evals: usize, skipped: u64, elapsed: Duration) {
+    /// Feeds one finished batch, begun at `started`, into the counters,
+    /// the batch histogram and the `eval.batch` span.
+    fn exit_batch(&self, genomes: usize, distinct_evals: usize, skipped: u64, started: Instant) {
         self.dedup_skipped.add(skipped);
         self.evals.add(distinct_evals as u64);
-        self.batch_seconds.observe_duration(elapsed);
-        if self.trace.is_some() {
+        self.batch_seconds.observe_duration(started.elapsed());
+        if let Some(trace) = &self.trace {
             let attrs = vec![
                 ("genomes", genomes.to_string()),
                 ("distinct_evals", distinct_evals.to_string()),
             ];
-            self.record_span("eval.batch", elapsed, attrs);
+            trace.record("eval.batch", started, attrs);
         }
-    }
-
-    /// Records one completed span under the run span, back-dated by its
-    /// measured duration.
-    fn record_span(
-        &self,
-        name: &'static str,
-        elapsed: Duration,
-        attrs: Vec<(&'static str, String)>,
-    ) {
-        let Some((tracer, parent, job)) = &self.trace else { return };
-        let dur_ns = elapsed.as_nanos() as u64;
-        tracer.record(SpanRecord {
-            trace: parent.trace,
-            span: tracer.span_id(),
-            parent: Some(parent.span),
-            name,
-            job: Some(*job),
-            start_ns: tracer.now_ns().saturating_sub(dur_ns),
-            dur_ns,
-            attrs,
-        });
     }
 }
 
@@ -664,10 +641,9 @@ impl CoOptProblem {
             })
             .collect();
 
-        let elapsed = started.elapsed();
-        self.eval_wall_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.eval_wall_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Some(hooks) = &self.hooks {
-            hooks.exit_batch(children.len(), work.len(), skipped, elapsed);
+            hooks.exit_batch(children.len(), work.len(), skipped, started);
         }
         scored
     }
@@ -899,6 +875,7 @@ impl CoOptProblem {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use digamma_obs::Tracer;
     use digamma_workload::zoo;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1093,12 +1070,10 @@ pub(crate) mod tests {
             let span = tracer.start_root("job.run");
             span.context().expect("enabled tracer yields contexts")
         };
-        let hooks = EvalHooks::new(
-            &MetricsRegistry::new(),
-            "t",
-            Some((tracer.clone(), root, 9)),
-            Arc::new(FailSet::new()),
-        );
+        let run =
+            JobTrace { tracer: tracer.clone(), trace: root.trace, parent: Some(root.span), job: 9 };
+        let hooks =
+            EvalHooks::new(&MetricsRegistry::new(), "t", Some(run), Arc::new(FailSet::new()));
         let traced = problem().with_hooks(Arc::new(hooks));
         let plain = problem();
         let mut rng = SmallRng::seed_from_u64(33);

@@ -79,6 +79,10 @@ struct Options {
     config: ServerConfig,
     tenants_path: Option<PathBuf>,
     io_timeout: Option<Duration>,
+    /// How long a graceful drain waits for queued and running jobs to
+    /// finish before cancelling the stragglers cooperatively (each
+    /// checkpoints and resumes on the next start).
+    drain_deadline: Duration,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -86,6 +90,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut config = ServerConfig::default();
     let mut tenants_path = None;
     let mut io_timeout = None;
+    let mut drain_deadline = Duration::from_secs(10);
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| {
@@ -131,7 +136,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let ms: u64 = value("--drain-deadline-ms")?
                     .parse()
                     .map_err(|_| "--drain-deadline-ms needs a positive integer".to_owned())?;
-                config.drain_deadline = Duration::from_millis(ms);
+                drain_deadline = Duration::from_millis(ms);
             }
             "--io-timeout-ms" => {
                 let ms: u64 = value("--io-timeout-ms")?
@@ -149,7 +154,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if config.workers == 0 {
         return Err("--workers must be at least 1".to_owned());
     }
-    Ok(Options { addr, config, tenants_path, io_timeout })
+    Ok(Options { addr, config, tenants_path, io_timeout, drain_deadline })
 }
 
 fn run() -> Result<(), String> {
@@ -174,7 +179,7 @@ fn run() -> Result<(), String> {
     };
     let tenant_count = tenants.len();
     let authenticated = tenants.requires_auth();
-    let drain_deadline = options.config.drain_deadline;
+    let drain_deadline = options.drain_deadline;
     let registry = Arc::new(
         JobRegistry::start_with_tenants(options.config, journal, tenants)
             .map_err(|e| format!("cannot start registry: {e}"))?,

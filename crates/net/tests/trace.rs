@@ -1,7 +1,7 @@
 //! Trace propagation over the wire: a client-minted W3C `traceparent`
 //! submitted over real TCP must come back as the trace id of the job's
 //! lifecycle spans in `GET /trace/{id}`, nested queued → claim → run →
-//! generation.
+//! generation and eval batch.
 
 use digamma_net::{client, NetServer, ShutdownHandle};
 use digamma_obs::{parse_chrome_trace, ChromeEvent, SpanContext};
@@ -98,15 +98,17 @@ fn client_traceparent_propagates_into_the_job_lifecycle() {
     );
 
     // The lifecycle nests: queued (child of the submitting request)
-    // ← claim ← run ← generation.
+    // ← claim ← run ← generation and eval batch.
     let queued = span(&events, "job.queued");
     let claim = span(&events, "job.claim");
     let run = span(&events, "job.run");
     let generation = span(&events, "job.generation");
+    let batch = span(&events, "eval.batch");
     assert!(queued.arg("parent").is_some(), "queued must hang under the request: {queued:?}");
     assert_eq!(claim.arg("parent"), queued.arg("span"), "{claim:?}");
     assert_eq!(run.arg("parent"), claim.arg("span"), "{run:?}");
     assert_eq!(generation.arg("parent"), run.arg("span"), "{generation:?}");
+    assert_eq!(batch.arg("parent"), run.arg("span"), "{batch:?}");
 
     // Spans nest in time too: the run contains its generations.
     assert!(run.ts <= generation.ts, "{run:?} vs {generation:?}");

@@ -35,8 +35,8 @@ pub use fail::{FailAction, FailSet};
 pub use json::{json_num, json_str, parse_json, JsonValue};
 pub use log::{format_line, LogLevel, Logger};
 pub use trace::{
-    parse_chrome_trace, render_chrome_trace, ChromeEvent, Span, SpanContext, SpanId, SpanRecord,
-    TraceId, Tracer,
+    parse_chrome_trace, render_chrome_trace, ChromeEvent, JobTrace, Span, SpanContext, SpanId,
+    SpanRecord, TraceId, Tracer,
 };
 
 use std::collections::{BTreeMap, HashMap};

@@ -4,10 +4,15 @@
 //! jobs on average?"; this module answers "where did *this* job's 40
 //! seconds go?". A [`Tracer`] records [`SpanRecord`]s — named
 //! intervals with a monotonic start, a duration, a parent link, and a
-//! few key=value attributes — into a lock-sharded bounded store with
-//! whole-trace eviction, and renders any trace as Chrome trace-event
-//! JSON ([`render_chrome_trace`]) loadable in Perfetto or
+//! few key=value attributes — into one bounded store under one lock,
+//! which evicts the oldest traces whole, and renders any trace as Chrome
+//! trace-event JSON ([`render_chrome_trace`]) loadable in Perfetto or
 //! `chrome://tracing`.
+//!
+//! A job's stage spans (`job.queued`, `job.claim`, `job.generation`,
+//! `job.checkpoint`, `cache.spill`, `eval.batch`, `eval.layer`) are all
+//! recorded through one [`JobTrace`]: the job's trace, the span they
+//! nest under and the job id of their lane.
 //!
 //! Trace identity follows the W3C Trace Context model: a 128-bit
 //! [`TraceId`] names the whole causal tree, a 64-bit [`SpanId`] names
@@ -32,8 +37,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-const SHARDS: usize = 16;
-
 /// Spans retained by [`Tracer::new`] before the oldest traces evict.
 pub const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
 
@@ -45,10 +48,6 @@ const PER_TRACE_SPAN_CAP: usize = 4096;
 /// Attributes retained per span; extras are silently dropped so a
 /// buggy caller cannot balloon the store.
 const MAX_ATTRS: usize = 8;
-
-/// Spans slower than this default threshold log a `warn` line (see
-/// [`Tracer::set_slow_span_threshold`]).
-const DEFAULT_SLOW_SPAN: Duration = Duration::from_secs(1);
 
 /// A 128-bit trace identifier (the W3C Trace Context `trace-id`).
 /// Displays as 32 lowercase hex digits; the all-zero id is invalid on
@@ -211,11 +210,10 @@ fn next_trace_id() -> TraceId {
     }
 }
 
-/// One shard of the span store: traces in arrival order plus their
-/// spans. A trace lives entirely in the shard its id hashes to, so
-/// eviction can drop it whole.
+/// The span store: traces in arrival order plus their spans, so
+/// eviction can drop the oldest trace whole.
 #[derive(Default)]
-struct Shard {
+struct Store {
     /// Trace ids in first-seen order (the eviction queue).
     order: VecDeque<TraceId>,
     spans: HashMap<u128, Vec<SpanRecord>>,
@@ -224,13 +222,19 @@ struct Shard {
 }
 
 struct TracerInner {
-    shards: Vec<Mutex<Shard>>,
-    /// Span budget per shard; a shard over budget evicts its oldest
-    /// traces whole until it fits.
-    shard_capacity: usize,
+    store: Mutex<Store>,
+    /// Span budget; a store over budget evicts its oldest traces whole
+    /// until it fits.
+    capacity: usize,
     epoch: Instant,
     dropped: AtomicU64,
-    slow_ns: AtomicU64,
+}
+
+impl TracerInner {
+    /// `at` on the tracer's clock: nanoseconds since its epoch.
+    fn ns_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
 }
 
 /// The span store and recording front door. Cheap to clone (an `Arc`
@@ -246,7 +250,7 @@ impl fmt::Debug for Tracer {
         match &self.inner {
             Some(inner) => f
                 .debug_struct("Tracer")
-                .field("shard_capacity", &inner.shard_capacity)
+                .field("capacity", &inner.capacity)
                 .field("dropped", &inner.dropped.load(Ordering::Relaxed))
                 .finish(),
             None => f.write_str("Tracer(disabled)"),
@@ -266,15 +270,14 @@ impl Tracer {
         Tracer::with_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// An enabled tracer retaining about `capacity` spans across its
-    /// shards before old traces evict whole.
+    /// An enabled tracer retaining `capacity` spans (at least one)
+    /// before the oldest traces evict whole.
     pub fn with_capacity(capacity: usize) -> Tracer {
         let inner = TracerInner {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: (capacity / SHARDS).max(1),
+            store: Mutex::new(Store::default()),
+            capacity: capacity.max(1),
             epoch: Instant::now(),
             dropped: AtomicU64::new(0),
-            slow_ns: AtomicU64::new(DEFAULT_SLOW_SPAN.as_nanos() as u64),
         };
         Tracer { inner: Some(Arc::new(inner)) }
     }
@@ -290,19 +293,10 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Nanoseconds since this tracer's epoch — the time base every
-    /// [`SpanRecord::start_ns`] uses. 0 when disabled.
-    pub fn now_ns(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |inner| inner.epoch.elapsed().as_nanos() as u64)
-    }
-
-    /// Spans slower than `threshold` log a `warn` line through the
-    /// global [`Logger`](crate::Logger) when recorded.
-    pub fn set_slow_span_threshold(&self, threshold: Duration) {
-        if let Some(inner) = &self.inner {
-            inner.slow_ns.store(threshold.as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
+    /// Does nothing: no span is logged as slow, however long it took.
+    /// Kept only because the end-to-end benchmark
+    /// (`e2ebench/src/spans.rs`) still calls it.
+    pub fn set_slow_span_threshold(&self, _threshold: Duration) {}
 
     /// Starts a root span in a fresh trace. The returned guard records
     /// on drop (or [`Span::end`]).
@@ -318,25 +312,25 @@ impl Tracer {
     }
 
     fn start_span(&self, name: &'static str, trace: TraceId, parent: Option<SpanId>) -> Span {
-        if self.inner.is_none() {
-            return Span { tracer: Tracer::disabled(), record: None, started: Instant::now() };
-        }
+        let started = Instant::now();
+        let Some(inner) = &self.inner else {
+            return Span { tracer: Tracer::disabled(), record: None, started };
+        };
         let record = SpanRecord {
             trace,
             span: next_span_id(),
             parent,
             name,
             job: None,
-            start_ns: self.now_ns(),
+            start_ns: inner.ns_at(started),
             dur_ns: 0,
             attrs: Vec::new(),
         };
-        Span { tracer: self.clone(), record: Some(record), started: Instant::now() }
+        Span { tracer: self.clone(), record: Some(record), started }
     }
 
     /// Mints a span id from the process sequence (for manually-built
-    /// [`SpanRecord`]s whose interval was measured out of band, like a
-    /// queued span that starts on one thread and ends on another).
+    /// [`SpanRecord`]s whose interval was measured out of band).
     pub fn span_id(&self) -> SpanId {
         next_span_id()
     }
@@ -352,41 +346,26 @@ impl Tracer {
     pub fn record(&self, mut record: SpanRecord) {
         let Some(inner) = &self.inner else { return };
         record.attrs.truncate(MAX_ATTRS);
-        let slow_ns = inner.slow_ns.load(Ordering::Relaxed);
-        if record.dur_ns > slow_ns {
-            crate::log::global().log(
-                crate::LogLevel::Warn,
-                "trace",
-                Some(SpanContext { trace: record.trace, span: record.span }),
-                "slow span",
-                &[
-                    ("name", record.name.to_owned()),
-                    ("dur_ms", format!("{:.1}", record.dur_ns as f64 / 1e6)),
-                ],
-            );
-        }
-        let shard_index = (splitmix64(record.trace.0 as u64 ^ (record.trace.0 >> 64) as u64)
-            % SHARDS as u64) as usize;
-        let mut shard = inner.shards[shard_index].lock().expect("span shard poisoned");
-        let entry = shard.spans.entry(record.trace.0).or_default();
-        if entry.is_empty() {
-            // First span of a new trace: enter the eviction queue.
-            shard.order.push_back(record.trace);
-            shard.spans.get_mut(&record.trace.0).expect("just inserted").push(record);
-        } else if entry.len() >= PER_TRACE_SPAN_CAP {
+        let mut guard = inner.store.lock().expect("span store poisoned");
+        let store = &mut *guard;
+        let spans = store.spans.entry(record.trace.0).or_default();
+        if spans.len() >= PER_TRACE_SPAN_CAP {
             inner.dropped.fetch_add(1, Ordering::Relaxed);
             return;
-        } else {
-            entry.push(record);
         }
-        shard.held += 1;
+        if spans.is_empty() {
+            // First span of a new trace: enter the eviction queue.
+            store.order.push_back(record.trace);
+        }
+        spans.push(record);
+        store.held += 1;
         // Over budget: evict oldest traces whole — a trace with its
         // tail missing is worse than no trace at all. The newest trace
         // always survives its own insertion.
-        while shard.held > inner.shard_capacity && shard.order.len() > 1 {
-            let Some(oldest) = shard.order.pop_front() else { break };
-            if let Some(evicted) = shard.spans.remove(&oldest.0) {
-                shard.held -= evicted.len();
+        while store.held > inner.capacity && store.order.len() > 1 {
+            let Some(oldest) = store.order.pop_front() else { break };
+            if let Some(evicted) = store.spans.remove(&oldest.0) {
+                store.held -= evicted.len();
             }
         }
     }
@@ -394,10 +373,9 @@ impl Tracer {
     /// Every retained span of one trace, ordered by start time.
     pub fn spans_for(&self, trace: TraceId) -> Vec<SpanRecord> {
         let Some(inner) = &self.inner else { return Vec::new() };
-        let shard_index =
-            (splitmix64(trace.0 as u64 ^ (trace.0 >> 64) as u64) % SHARDS as u64) as usize;
-        let shard = inner.shards[shard_index].lock().expect("span shard poisoned");
-        let mut spans = shard.spans.get(&trace.0).cloned().unwrap_or_default();
+        let store = inner.store.lock().expect("span store poisoned");
+        let mut spans = store.spans.get(&trace.0).cloned().unwrap_or_default();
+        drop(store);
         spans.sort_by_key(|s| s.start_ns);
         spans
     }
@@ -406,22 +384,60 @@ impl Tracer {
     /// start time (the `GET /trace` overview).
     pub fn recent(&self, limit: usize) -> Vec<SpanRecord> {
         let Some(inner) = &self.inner else { return Vec::new() };
-        let mut all: Vec<SpanRecord> = Vec::new();
-        for shard in &inner.shards {
-            let shard = shard.lock().expect("span shard poisoned");
-            for spans in shard.spans.values() {
-                all.extend(spans.iter().cloned());
-            }
-        }
-        all.sort_by_key(|s| std::cmp::Reverse(s.start_ns));
-        all.truncate(limit);
-        all.reverse();
-        all
+        let store = inner.store.lock().expect("span store poisoned");
+        let mut all: Vec<&SpanRecord> = store.spans.values().flatten().collect();
+        all.sort_by_key(|s| s.start_ns);
+        all[all.len().saturating_sub(limit)..].iter().map(|&s| s.clone()).collect()
     }
 
     /// Spans refused because their trace hit the per-trace cap.
     pub fn dropped(&self) -> u64 {
         self.inner.as_ref().map_or(0, |inner| inner.dropped.load(Ordering::Relaxed))
+    }
+}
+
+/// One job's place in a [`Tracer`]: the trace its stage spans belong
+/// to, the span they nest under (`None` for a trace root) and the job id
+/// that puts them in the job's Chrome lane. Every job-stage span is
+/// recorded through [`JobTrace::record`]; a handle for the spans under a
+/// new one is this one with `parent` replaced.
+#[derive(Debug, Clone)]
+pub struct JobTrace {
+    /// The store the spans are recorded into.
+    pub tracer: Tracer,
+    /// The trace the spans belong to.
+    pub trace: TraceId,
+    /// The span the spans nest under; `None` records trace roots.
+    pub parent: Option<SpanId>,
+    /// The job the spans describe.
+    pub job: u64,
+}
+
+impl JobTrace {
+    /// Records the finished span `name`, from `start` to now, and
+    /// returns its context: what a span nested under it names as its
+    /// parent. Attributes beyond the per-span bound are dropped; a
+    /// disabled tracer records nothing.
+    pub fn record(
+        &self,
+        name: &'static str,
+        start: Instant,
+        attrs: Vec<(&'static str, String)>,
+    ) -> SpanContext {
+        let span = next_span_id();
+        if let Some(inner) = &self.tracer.inner {
+            self.tracer.record(SpanRecord {
+                trace: self.trace,
+                span,
+                parent: self.parent,
+                name,
+                job: Some(self.job),
+                start_ns: inner.ns_at(start),
+                dur_ns: start.elapsed().as_nanos() as u64,
+                attrs,
+            });
+        }
+        SpanContext { trace: self.trace, span }
     }
 }
 
@@ -694,8 +710,32 @@ mod tests {
         assert_eq!(span.context(), None);
         span.end();
         assert!(tracer.recent(10).is_empty());
-        assert_eq!(tracer.now_ns(), 0);
         assert_eq!(tracer.dropped(), 0);
+        let job = JobTrace { tracer, trace: TraceId(1), parent: None, job: 1 };
+        assert_eq!(job.record("job.queued", Instant::now(), Vec::new()).trace, TraceId(1));
+        assert!(job.tracer.spans_for(TraceId(1)).is_empty());
+    }
+
+    #[test]
+    fn job_traces_record_finished_spans_in_the_jobs_lane() {
+        let tracer = Tracer::new();
+        let root =
+            JobTrace { tracer: tracer.clone(), trace: tracer.trace_id(), parent: None, job: 7 };
+        let queued_at = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        let queued = root.record("job.queued", queued_at, vec![("tenant", "t".to_owned())]);
+        let claim = JobTrace { parent: Some(queued.span), ..root.clone() };
+        let claimed = claim.record("job.claim", Instant::now(), Vec::new());
+        assert_eq!((queued.trace, claimed.trace), (root.trace, root.trace));
+        let spans = tracer.spans_for(root.trace);
+        assert_eq!(spans.len(), 2);
+        let (first, second) = (&spans[0], &spans[1]);
+        assert_eq!((first.name, first.span, first.parent), ("job.queued", queued.span, None));
+        assert_eq!(first.attrs, vec![("tenant", "t".to_owned())]);
+        assert!(first.dur_ns >= 2_000_000, "a span runs from its start to now: {first:?}");
+        assert_eq!((second.name, second.parent), ("job.claim", Some(queued.span)));
+        assert!(second.start_ns >= first.start_ns + 2_000_000);
+        assert!(spans.iter().all(|s| s.job == Some(7)));
     }
 
     /// Builds one single-span trace directly (no guard timing).
@@ -715,23 +755,37 @@ mod tests {
     }
 
     #[test]
-    fn store_evicts_oldest_traces_whole() {
-        // Capacity 16 spans over 16 shards = 1 span per shard: any two
-        // traces landing in one shard evict down to the newest.
+    fn a_small_store_keeps_exactly_the_newest_whole_traces() {
         let tracer = Tracer::with_capacity(16);
         let traces: Vec<TraceId> = (0..64).map(|i| manual_trace(&tracer, i)).collect();
-        let mut survivors = 0;
-        for trace in &traces {
-            let spans = tracer.spans_for(*trace);
-            assert!(spans.len() <= 1);
-            survivors += spans.len();
+        for (i, trace) in traces.iter().enumerate() {
+            let kept = tracer.spans_for(*trace).len();
+            assert_eq!(kept, usize::from(i >= 48), "trace {i} kept {kept} spans");
         }
-        assert!(survivors <= 16, "capacity must bound retention, kept {survivors}");
-        assert!(survivors >= 1, "the newest trace always survives");
-        // Whole-trace eviction: a surviving trace has its span intact,
-        // an evicted one has nothing (never a partial tail).
-        let recent = tracer.recent(1000);
-        assert_eq!(recent.len(), survivors);
+        let starts: Vec<u64> = tracer.recent(1000).iter().map(|s| s.start_ns).collect();
+        assert_eq!(starts, (48..64).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_large_trace_evicts_no_older_trace_from_a_default_store() {
+        let tracer = Tracer::new();
+        let older: Vec<TraceId> = (0..100).map(|i| manual_trace(&tracer, i)).collect();
+        let large = next_trace_id();
+        for i in 0..2000 {
+            tracer.record(SpanRecord {
+                trace: large,
+                span: tracer.span_id(),
+                parent: None,
+                name: "large",
+                job: Some(1),
+                start_ns: 1000 + i,
+                dur_ns: 1,
+                attrs: Vec::new(),
+            });
+        }
+        assert_eq!(tracer.spans_for(large).len(), 2000);
+        let evicted = older.iter().filter(|trace| tracer.spans_for(**trace).is_empty()).count();
+        assert_eq!(evicted, 0, "2,100 spans fit a store of {DEFAULT_SPAN_CAPACITY}");
     }
 
     #[test]

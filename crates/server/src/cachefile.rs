@@ -499,7 +499,7 @@ pub fn read_cache_file(path: &Path) -> (Vec<(u64, CostReport)>, CacheLoad) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::textio::{f64_to_text, f64s_to_text, Section};
+    use crate::textio::{f64_to_text, Section};
     use digamma_costmodel::{Evaluator, Mapping, Platform};
     use digamma_workload::{zoo, Layer};
     use proptest::prelude::*;
@@ -508,6 +508,11 @@ mod tests {
 
     fn u64s_to_text(values: &[u64]) -> String {
         let rendered: Vec<String> = values.iter().map(u64::to_string).collect();
+        rendered.join(",")
+    }
+
+    fn f64s_to_text(values: &[f64]) -> String {
+        let rendered: Vec<String> = values.iter().map(|&v| f64_to_text(v)).collect();
         rendered.join(",")
     }
 

@@ -25,8 +25,8 @@ use digamma::{
     GammaConfig, Memo, SearchResult, SearchState, StepAction, StepObserver,
 };
 use digamma_obs::{
-    Counter, FailSet, GenStats, Histogram, LogLevel, MetricsRegistry, OpCounters, SpanContext,
-    SpanRecord, Tracer, DEFAULT_LATENCY_BUCKETS,
+    Counter, FailSet, GenStats, Histogram, JobTrace, LogLevel, MetricsRegistry, OpCounters,
+    SpanContext, Tracer, DEFAULT_LATENCY_BUCKETS,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -59,10 +59,6 @@ pub struct ServerConfig {
     /// (the wire layer answers 503 + `Retry-After`). `0` disables
     /// shedding.
     pub shed_queue_depth: usize,
-    /// How long a graceful drain waits for queued and running jobs to
-    /// finish before cancelling the stragglers cooperatively (each
-    /// checkpoints and resumes on the next start).
-    pub drain_deadline: Duration,
     /// The failpoint set every failure domain under this server
     /// consults: journal appends, snapshot/spill writes, worker evals
     /// (the wire layer shares it for socket faults). Defaults to a
@@ -79,7 +75,6 @@ impl Default for ServerConfig {
             genome_cache_capacity: 64 * 1024,
             checkpoint_dir: None,
             shed_queue_depth: 0,
-            drain_deadline: Duration::from_secs(10),
             faults: Arc::new(FailSet::new()),
         }
     }
@@ -142,10 +137,10 @@ type GenerationSink = dyn Fn(JobProgress, Option<AnalyticsUpdate>) + Send + Sync
 pub struct JobControl {
     cancel: AtomicBool,
     sink: Option<Box<GenerationSink>>,
-    /// The job's identity inside the span store: its id plus the claim
-    /// span its run should nest under. Stamped by the registry's worker
-    /// at claim time, read by [`SearchServer::run_job_controlled`].
-    trace: Mutex<Option<(u64, SpanContext)>>,
+    /// The job's place in the span store, whose parent is the claim
+    /// span its run nests under. Stamped by the registry's worker at
+    /// claim time, read by [`SearchServer::run_job_controlled`].
+    trace: Mutex<Option<JobTrace>>,
 }
 
 impl JobControl {
@@ -177,15 +172,16 @@ impl JobControl {
         self.cancel.load(Ordering::Relaxed)
     }
 
-    /// Stamps the job id and parent span context the run should trace
-    /// under (normally the claim span recorded by the registry worker).
-    pub fn set_trace(&self, job: u64, parent: SpanContext) {
-        *self.trace.lock().expect("trace slot poisoned") = Some((job, parent));
+    /// Stamps the job's trace: the run is traced under `trace.parent`
+    /// (normally the claim span recorded by the registry worker), in
+    /// `trace.job`'s lane. A handle without a parent traces nothing.
+    pub fn set_trace(&self, trace: JobTrace) {
+        *self.trace.lock().expect("trace slot poisoned") = Some(trace);
     }
 
-    /// The stamped job id and parent span context, if any.
-    pub fn trace(&self) -> Option<(u64, SpanContext)> {
-        *self.trace.lock().expect("trace slot poisoned")
+    /// The stamped trace, if any.
+    pub fn trace(&self) -> Option<JobTrace> {
+        self.trace.lock().expect("trace slot poisoned").clone()
     }
 
     fn report(&self, progress: JobProgress, analytics: Option<AnalyticsUpdate>) {
@@ -330,7 +326,7 @@ impl SearchServer {
 
     /// Spills once at least `min_new_insertions` (minimum 1) entries
     /// were memoized since the last spill, or at once when the file holds
-    /// records a rewrite must drop, and returns how long the spill took
+    /// records a rewrite must drop, and returns when the spill started
     /// when one happened (so callers can trace only real writes, not
     /// clean-exit no-ops).
     ///
@@ -339,7 +335,7 @@ impl SearchServer {
     /// compaction — when the file has no base to append to, when it
     /// holds stale records, or when the records appended since its base
     /// would exceed `cache_capacity`.
-    fn spill_cache(&self, min_new_insertions: u64) -> Option<Duration> {
+    fn spill_cache(&self, min_new_insertions: u64) -> Option<Instant> {
         let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return None };
         let mut log = self.spill.lock().expect("spill lock poisoned");
         let insertions = cache.stats().insertions;
@@ -392,7 +388,6 @@ impl SearchServer {
                 );
             }
         }
-        let elapsed = spill_started.elapsed();
         self.metrics
             .histogram(
                 "digamma_cache_spill_seconds",
@@ -400,8 +395,8 @@ impl SearchServer {
                 &[],
                 DEFAULT_LATENCY_BUCKETS,
             )
-            .observe_duration(elapsed);
-        Some(elapsed)
+            .observe_duration(spill_started.elapsed());
+        Some(spill_started)
     }
 
     /// The active configuration.
@@ -482,28 +477,27 @@ impl SearchServer {
             problem = problem.with_genome_memo(Arc::clone(genome_memo) as _);
         }
 
-        // With a claim span stamped on the control, the whole run nests
-        // under it: one `job.run` span covering the search,
-        // `job.generation`/`job.checkpoint`/`cache.spill` children from
-        // the observer, and sampled eval spans from the problem's hooks
-        // — all tagged with the job id so they share a Perfetto lane.
-        let mut run_span = control.trace().map(|(job, parent)| {
-            let mut span = self.tracer.start_child("job.run", parent);
-            span.set_job(job);
+        // With a claim stamped on the control, the whole run nests under
+        // it: one `job.run` span covering the search, and under that the
+        // observer's `job.generation`/`job.checkpoint`/`cache.spill` and
+        // the hooks' sampled eval spans, all recorded through one handle
+        // in the job's Perfetto lane.
+        let run = control.trace().and_then(|claim| {
+            let parent = SpanContext { trace: claim.trace, span: claim.parent? };
+            let mut span = claim.tracer.start_child("job.run", parent);
+            span.set_job(claim.job);
             span.set_attr("name", spec.name.clone());
             span.set_attr("algorithm", spec.algorithm.to_string());
-            span
+            let run = span.context()?;
+            Some((span, JobTrace { parent: Some(run.span), ..claim }))
         });
-        let run_trace = match (run_span.as_ref().and_then(|s| s.context()), control.trace()) {
-            (Some(ctx), Some((job, _))) => Some((job, ctx)),
-            _ => None,
-        };
+        let (mut run_span, run_trace) = run.unzip();
         // The `worker.eval` failpoint rides the same hooks; disarmed
         // (the default) it costs one relaxed load per generation batch.
         let problem = problem.with_hooks(Arc::new(EvalHooks::new(
             &self.metrics,
             tenant,
-            run_trace.map(|(job, ctx)| (self.tracer.clone(), ctx, job)),
+            run_trace.clone(),
             Arc::clone(&self.config.faults),
         )));
 
@@ -515,7 +509,7 @@ impl SearchServer {
                     threads: spec.threads,
                     ..Default::default()
                 });
-                self.drive_ga(spec, &ga, &problem, control, run_trace)
+                self.drive_ga(spec, &ga, &problem, control, run_trace.as_ref())
             }
             JobAlgorithm::Gamma(preset) => {
                 let hw = preset.build(&spec.platform, problem.evaluator().area_model());
@@ -528,7 +522,7 @@ impl SearchServer {
                 // The constrained clone shares `problem`'s dedupe
                 // counter, so the report below reads it transparently.
                 let (constrained, ga) = gamma.searcher(&problem, &hw);
-                self.drive_ga(spec, &ga, &constrained, control, run_trace)
+                self.drive_ga(spec, &ga, &constrained, control, run_trace.as_ref())
             }
             JobAlgorithm::Baseline(alg) => {
                 // Ask/tell baselines run to completion; cancellation is
@@ -605,17 +599,18 @@ impl SearchServer {
     /// cancelled search can resume later.
     ///
     /// Before reading a snapshot the drive waits for any queued or
-    /// running write of its path, which a predecessor of the same name
-    /// (one that panicked mid-search, say) may have left. Completion
-    /// drops a queued write and waits for a running one before removing
-    /// the file, so no write lands after the removal.
+    /// running write or removal of its path, which a predecessor of the
+    /// same name (one that panicked mid-search, say) may have left.
+    /// Completion queues the file's removal on the writer in place of a
+    /// queued write, so the removal follows any running write and the
+    /// worker waits for neither.
     fn drive_ga(
         &self,
         spec: &JobSpec,
         ga: &DiGamma,
         problem: &CoOptProblem,
         control: &JobControl,
-        run_trace: Option<(u64, SpanContext)>,
+        run_trace: Option<&JobTrace>,
     ) -> GaOutcome {
         let path = self.checkpoint_path(spec);
         let fingerprint = spec.fingerprint();
@@ -655,16 +650,13 @@ impl SearchServer {
             ),
             last_boundary: Instant::now(),
             run_trace,
-            last_boundary_ns: self.tracer.now_ns(),
             analytics_seeded: false,
         };
         ga.run_observed(problem, &mut state, spec.budget, &mut observer);
         let cancelled = observer.cancelled;
-        let mut checkpoint_wall = observer.checkpoint_wall;
         if !cancelled {
             if let Some(p) = &path {
-                checkpoint_wall += self.snapshots.settle(p, true);
-                let _ = sealed::remove(p);
+                self.snapshots.queue(p, None);
             }
         }
         let generations = state.generation();
@@ -673,7 +665,7 @@ impl SearchServer {
             generations,
             resumed_at,
             cancelled,
-            checkpoint_wall,
+            checkpoint_wall: observer.checkpoint_wall,
         }
     }
 
@@ -756,10 +748,12 @@ fn write_snapshot(path: &Path, text: &str, faults: &FailSet, seconds: &Histogram
 }
 
 /// The server's background snapshot writer: one thread, started by the
-/// first queued snapshot and joined (after it drains its queue) when the
-/// server drops. It holds at most one queued snapshot per path: a newer
-/// one replaces a queued one in its place, so a superseded snapshot is
-/// never written. Writes run one at a time, oldest queued first.
+/// first queued snapshot or removal and joined (after it drains its
+/// queue) when the server drops. It holds at most one queued operation
+/// per path: a newer snapshot, or a finished job's removal of the file,
+/// replaces a queued one in its place, so a superseded snapshot is never
+/// written and no write lands after a removal. Operations run one at a
+/// time, oldest queued first.
 ///
 /// Only a snapshot after a job's first is queued, so a crash loses at
 /// most the boundaries since the last one written, and resuming from an
@@ -772,12 +766,12 @@ struct SnapshotWriter {
     thread: OnceLock<JoinHandle<()>>,
 }
 
-/// What [`SnapshotWriter`]'s lock guards. Its condvar is signalled when a
-/// snapshot is queued, when a write ends and when the server drops.
+/// What [`SnapshotWriter`]'s lock guards. Its condvar is signalled when
+/// an operation is queued, when one ends and when the server drops.
 #[derive(Debug, Default)]
 struct WriterState {
     queue: VecDeque<QueuedSnapshot>,
-    /// The path being written.
+    /// The path being written or removed.
     writing: Option<PathBuf>,
     /// Set when the server drops: the writer drains the queue and exits.
     stopping: bool,
@@ -786,7 +780,8 @@ struct WriterState {
 #[derive(Debug)]
 struct QueuedSnapshot {
     path: PathBuf,
-    text: String,
+    /// The snapshot to write, or `None` to remove the file.
+    text: Option<String>,
     log: sealed::OpLog,
 }
 
@@ -795,9 +790,9 @@ impl SnapshotWriter {
         SnapshotWriter { shared: Arc::default(), faults, metrics, thread: OnceLock::new() }
     }
 
-    /// Queues `text` to be written to `path`, replacing a queued snapshot
-    /// of `path` in its place.
-    fn queue(&self, path: &Path, text: String) {
+    /// Queues `text` to be written to `path`, or with `None` the file's
+    /// removal, replacing a queued operation on `path` in its place.
+    fn queue(&self, path: &Path, text: Option<String>) {
         let snapshot =
             QueuedSnapshot { path: path.to_owned(), text, log: sealed::OpLog::current() };
         let (state, changed) = &*self.shared;
@@ -818,9 +813,9 @@ impl SnapshotWriter {
         });
     }
 
-    /// Waits until no write of `path` is queued or running, and returns
-    /// how long that took. With `drop_queued`, a queued write is dropped
-    /// instead of waited for.
+    /// Waits until no operation on `path` is queued or running, and
+    /// returns how long that took. With `drop_queued`, a queued one is
+    /// dropped instead of waited for.
     fn settle(&self, path: &Path, drop_queued: bool) -> Duration {
         let started = Instant::now();
         let (state, changed) = &*self.shared;
@@ -845,7 +840,12 @@ impl SnapshotWriter {
                 guard.writing = Some(snapshot.path.clone());
                 drop(guard);
                 snapshot.log.adopt();
-                write_snapshot(&snapshot.path, &snapshot.text, faults, seconds);
+                match &snapshot.text {
+                    Some(text) => write_snapshot(&snapshot.path, text, faults, seconds),
+                    None => {
+                        let _ = sealed::remove(&snapshot.path);
+                    }
+                }
                 guard = state.lock().expect("snapshot writer poisoned");
                 guard.writing = None;
                 changed.notify_all();
@@ -922,50 +922,27 @@ struct DriveObserver<'a> {
     checkpoint_wall: Duration,
     checkpoint_seconds: Histogram,
     generation_seconds: Histogram,
+    /// The last generation boundary: the start of the next
+    /// `job.generation` span.
     last_boundary: Instant,
-    /// The job id and run span the lifecycle spans nest under, when
-    /// tracing is on for this job.
-    run_trace: Option<(u64, SpanContext)>,
-    /// Tracer-clock reading at the last generation boundary — the start
-    /// of the next `job.generation` span.
-    last_boundary_ns: u64,
+    /// What the job's stage spans are recorded through, under its run
+    /// span, when the job is traced.
+    run_trace: Option<&'a JobTrace>,
     /// Whether the first analytics update (which carries the seed
     /// cost-point history) has been sent yet.
     analytics_seeded: bool,
 }
 
 impl DriveObserver<'_> {
-    /// Records one completed lifecycle span under the run span,
-    /// back-dated by its measured duration.
-    fn record_span(
-        &self,
-        name: &'static str,
-        elapsed: Duration,
-        attrs: Vec<(&'static str, String)>,
-    ) {
-        let Some((job, parent)) = self.run_trace else { return };
-        let tracer = self.server.tracer();
-        let dur_ns = elapsed.as_nanos() as u64;
-        tracer.record(SpanRecord {
-            trace: parent.trace,
-            span: tracer.span_id(),
-            parent: Some(parent.span),
-            name,
-            job: Some(job),
-            start_ns: tracer.now_ns().saturating_sub(dur_ns),
-            dur_ns,
-            attrs,
-        });
-    }
-
     /// Spills the fitness memo, tracing the write when one happens. A
     /// cadence spill waits for
     /// [`SearchServer::SPILL_CADENCE_MIN_INSERTIONS`] new entries,
     /// bounding how many fsyncs a long search pays mid-run.
     fn spill(&self, at_cadence: bool) {
         let min_new = if at_cadence { SearchServer::SPILL_CADENCE_MIN_INSERTIONS } else { 1 };
-        if let Some(elapsed) = self.server.spill_cache(min_new) {
-            self.record_span("cache.spill", elapsed, Vec::new());
+        let started = self.server.spill_cache(min_new);
+        if let (Some(started), Some(trace)) = (started, self.run_trace) {
+            trace.record("cache.spill", started, Vec::new());
         }
     }
 
@@ -982,33 +959,24 @@ impl DriveObserver<'_> {
             snapshots.settle(p, true);
             write_snapshot(p, &rendered, &self.server.config.faults, &self.checkpoint_seconds);
         } else {
-            snapshots.queue(p, rendered);
+            snapshots.queue(p, Some(rendered));
         }
-        let elapsed = started.elapsed();
-        self.checkpoint_wall += elapsed;
-        self.record_span("job.checkpoint", elapsed, vec![("gen", state.generation().to_string())]);
+        self.checkpoint_wall += started.elapsed();
+        if let Some(trace) = self.run_trace {
+            trace.record("job.checkpoint", started, vec![("gen", state.generation().to_string())]);
+        }
     }
 }
 
 impl StepObserver for DriveObserver<'_> {
     fn on_generation(&mut self, state: &SearchState, budget: usize) -> StepAction {
         self.generation_seconds.observe_duration(self.last_boundary.elapsed());
-        if let Some((job, parent)) = self.run_trace {
-            let tracer = self.server.tracer();
-            let now_ns = tracer.now_ns();
-            tracer.record(SpanRecord {
-                trace: parent.trace,
-                span: tracer.span_id(),
-                parent: Some(parent.span),
-                name: "job.generation",
-                job: Some(job),
-                start_ns: self.last_boundary_ns,
-                dur_ns: now_ns.saturating_sub(self.last_boundary_ns),
-                attrs: vec![
-                    ("gen", state.generation().to_string()),
-                    ("samples", state.samples().to_string()),
-                ],
-            });
+        if let Some(trace) = self.run_trace {
+            let attrs = vec![
+                ("gen", state.generation().to_string()),
+                ("samples", state.samples().to_string()),
+            ];
+            trace.record("job.generation", self.last_boundary, attrs);
         }
         let analytics = state.last_gen_stats().map(|stats| {
             let seed_points = (!self.analytics_seeded).then(|| state.cost_points().to_vec());
@@ -1035,7 +1003,6 @@ impl StepObserver for DriveObserver<'_> {
             self.spill(true);
         }
         self.last_boundary = Instant::now();
-        self.last_boundary_ns = self.server.tracer().now_ns();
         StepAction::Continue
     }
 }
@@ -1196,8 +1163,10 @@ mod tests {
         let job = spec("same", JobAlgorithm::DiGamma);
         let server = SearchServer::new(ServerConfig { workers: 1, ..Default::default() });
         let control = JobControl::new();
-        let claim = server.tracer().start_root("job.claim");
-        control.set_trace(1, claim.context().expect("the server's tracer records"));
+        let tracer = server.tracer().clone();
+        let mut claim = JobTrace { trace: tracer.trace_id(), tracer, parent: None, job: 1 };
+        claim.parent = Some(claim.record("job.claim", Instant::now(), Vec::new()).span);
+        control.set_trace(claim);
         let report = server.run_job_controlled(&job, &control);
         let metrics = server.metrics().render();
         let spans: Vec<&str> = server.tracer().recent(4096).iter().map(|s| s.name).collect();
@@ -1468,18 +1437,27 @@ mod tests {
         let (server, dir) = persisted("writer-latest", 1);
         server.faults().configure("snapshot.write=delay:500,once").unwrap();
         let path = dir.join("a.snapshot");
-        server.snapshots.queue(&path, "held\n".to_owned());
+        server.snapshots.queue(&path, Some("held\n".to_owned()));
         // Once the failpoint is hit, the writer sleeps inside that write.
         while server.faults().snapshot()[0].hits == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        server.snapshots.queue(&path, "superseded\n".to_owned());
-        server.snapshots.queue(&path, "newest\n".to_owned());
+        server.snapshots.queue(&path, Some("superseded\n".to_owned()));
+        server.snapshots.queue(&path, Some("newest\n".to_owned()));
         server.snapshots.settle(&path, false);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "newest\n");
         assert_eq!(snapshot_writes(&server), 2, "the superseded snapshot was written");
         drop(server);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The snapshot files (temporary ones included) left in `dir`.
+    fn snapshot_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".snapshot"))
+            .collect()
     }
 
     #[test]
@@ -1490,15 +1468,37 @@ mod tests {
         let reports = server.run(&jobs);
         assert!(reports.iter().all(|r| r.samples == 40 && !r.cancelled));
         // Each job writes its first snapshot inline; the rest may be
-        // superseded, but none outlives its job's completion.
+        // superseded, and the writer removes each job's file after its
+        // completion, so none is left once the writer drains.
         assert!(snapshot_writes(&server) >= 200);
-        let left: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| name.contains(".snapshot"))
-            .collect();
-        assert!(left.is_empty(), "{left:?}");
         drop(server);
+        let left = snapshot_files(&dir);
+        assert!(left.is_empty(), "{left:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn completion_leaves_the_snapshot_removal_to_the_writer() {
+        let (server, dir) = persisted("writer-removal", 1);
+        // The second snapshot write, the writer's first, takes 2 s.
+        server.faults().configure("snapshot.write=delay:2000,nth:2").unwrap();
+        let delay = Duration::from_secs(2);
+        // Generation 2 is written inline and generation 4 queued; the
+        // last generation reports once the writer is inside that write.
+        let faults = Arc::clone(server.faults());
+        let control = JobControl::new().with_generation_sink(move |progress, _| {
+            while progress.generation == 5 && faults.snapshot()[0].hits < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let started = Instant::now();
+        let report = server.run_job_controlled(&tiny("removed", 48, 2), &control);
+        let returned = started.elapsed();
+        assert_eq!((report.generations, report.samples), (5, 48));
+        assert!(returned < delay, "the job waited {returned:?} for the writer");
+        drop(server);
+        let left = snapshot_files(&dir);
+        assert!(left.is_empty(), "the removal ran before the delayed write: {left:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1565,6 +1565,58 @@ mod tests {
         });
         assert!(report.cancelled && report.generations == 4, "{report:?}");
         assert_eq!(snapshot_generation(&path), Some(4));
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_stage_span_of_a_cancelled_job_nests_inside_its_run_span() {
+        let (server, dir) = persisted("stage-spans", 1);
+        // Queued and claimed as the registry's worker does it.
+        let tracer = server.tracer().clone();
+        let mut job = JobTrace { trace: tracer.trace_id(), tracer, parent: None, job: 7 };
+        let queued = job.record("job.queued", Instant::now(), Vec::new());
+        job.parent = Some(queued.span);
+        let claim = job.record("job.claim", Instant::now(), Vec::new());
+        job.parent = Some(claim.span);
+        // Generation 3 reports, then waits until the job is cancelled.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let sink_barrier = Arc::clone(&barrier);
+        let control = JobControl::new().with_generation_sink(move |progress, _| {
+            if progress.generation == 3 {
+                sink_barrier.wait();
+                sink_barrier.wait();
+            }
+        });
+        control.set_trace(job.clone());
+        let report = std::thread::scope(|scope| {
+            let running =
+                scope.spawn(|| server.run_job_controlled(&tiny("traced", 800, 1), &control));
+            barrier.wait();
+            control.cancel();
+            barrier.wait();
+            running.join().unwrap()
+        });
+        assert!(report.cancelled && report.generations == 3, "{report:?}");
+
+        let spans = server.tracer().spans_for(job.trace);
+        let run = spans.iter().find(|s| s.name == "job.run").expect("a run span");
+        assert_eq!(run.parent, Some(claim.span));
+        let run_end = run.start_ns + run.dur_ns;
+        let stages: Vec<_> = spans
+            .iter()
+            .filter(|s| !["job.queued", "job.claim", "job.run"].contains(&s.name))
+            .collect();
+        for span in &stages {
+            assert_eq!((span.parent, span.job), (Some(run.span), Some(7)), "{span:?}");
+            assert!(
+                span.start_ns >= run.start_ns && span.start_ns + span.dur_ns <= run_end,
+                "{span:?}"
+            );
+        }
+        for name in ["job.generation", "job.checkpoint", "eval.batch"] {
+            assert!(stages.iter().any(|s| s.name == name), "no {name} in {stages:?}");
+        }
         drop(server);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -50,7 +50,7 @@ use crate::snapshot::compress_points;
 use crate::tenant::{valid_tenant_id, TenantSet, TenantSpec};
 use crate::textio::TextError;
 use digamma_obs::{
-    render_analytics_json, AnalyticsRing, CostPoint, LogLevel, OpCounters, SpanContext, SpanRecord,
+    render_analytics_json, AnalyticsRing, CostPoint, JobTrace, LogLevel, OpCounters, SpanContext,
     TraceId, Tracer, DEFAULT_LATENCY_BUCKETS,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -367,9 +367,6 @@ struct JobEntry {
     /// one (journal replay, library use) gets a fresh root trace at
     /// claim so `/trace/{id}` always resolves.
     trace: Option<SpanContext>,
-    /// Tracer-clock reading when the job entered its queue — the start
-    /// of its `job.queued` span.
-    queued_ns: u64,
     /// The job's per-generation telemetry window (the newest
     /// [`ANALYTICS_WINDOW`] records).
     analytics: AnalyticsRing,
@@ -1019,10 +1016,8 @@ impl JobRegistry {
                 state.tenants.insert(tspec.id.clone(), TenantSched::new(tspec.clone()));
                 state.rotation.push(tspec.id.clone());
             }
-            let queued_ns = inner.server.tracer().now_ns();
             for (id, spec) in replayed {
-                let entry = JobEntry::new(spec, make_control(&inner, id), None, queued_ns);
-                state.enqueue(id, entry);
+                state.enqueue(id, JobEntry::new(spec, make_control(&inner, id), None));
             }
             for (scope, key, ids) in idempotency {
                 state.idempotency.insert((scope, key), ids);
@@ -1207,11 +1202,9 @@ impl JobRegistry {
             })?;
         }
         state.next_id += specs.len() as JobId;
-        let queued_ns = self.inner.server.tracer().now_ns();
         let labels = specs.iter().map(|s| (s.name.clone(), s.tenant.clone())).collect();
         for (&id, spec) in ids.iter().zip(specs) {
-            let entry = JobEntry::new(spec, make_control(&self.inner, id), trace, queued_ns);
-            state.enqueue(id, entry);
+            state.enqueue(id, JobEntry::new(spec, make_control(&self.inner, id), trace));
         }
         if let Some(key) = dedupe_key {
             state.idempotency.insert(key, ids.clone());
@@ -1538,12 +1531,7 @@ const ANALYTICS_WINDOW: usize = 512;
 const EVENT_LOG_CAPACITY: usize = 1024;
 
 impl JobEntry {
-    fn new(
-        spec: JobSpec,
-        control: Arc<JobControl>,
-        trace: Option<SpanContext>,
-        queued_ns: u64,
-    ) -> JobEntry {
+    fn new(spec: JobSpec, control: Arc<JobControl>, trace: Option<SpanContext>) -> JobEntry {
         JobEntry {
             spec,
             status: JobStatus::Queued,
@@ -1557,7 +1545,6 @@ impl JobEntry {
             events_done: false,
             report: None,
             trace,
-            queued_ns,
             analytics: AnalyticsRing::new(ANALYTICS_WINDOW),
             ops: OpCounters::new(),
             cost_points: Vec::new(),
@@ -1637,39 +1624,21 @@ fn worker_loop(inner: &Arc<Inner>) {
             let tracer = inner.server.tracer();
             // Adopt the submitting request's trace; a job without one
             // (journal replay, untraced submit) roots a fresh trace here
-            // so `/trace/{id}` always resolves. The queued span is
-            // back-dated to cover the whole wait, and the claim span it
-            // parents is what the run nests under: queued → claim → run →
-            // generation.
+            // so `/trace/{id}` always resolves. The queued span covers
+            // the whole wait, and the claim span it parents is what the
+            // run nests under: queued → claim → run → generation.
             let (trace, parent) = match entry.trace {
                 Some(ctx) => (ctx.trace, Some(ctx.span)),
                 None => (tracer.trace_id(), None),
             };
-            let claim_started_ns = tracer.now_ns();
-            let queued = SpanRecord {
-                trace,
-                span: tracer.span_id(),
-                parent,
-                name: "job.queued",
-                job: Some(id),
-                start_ns: entry.queued_ns,
-                dur_ns: claim_started_ns.saturating_sub(entry.queued_ns),
-                attrs: vec![("tenant", spec.tenant.clone())],
-            };
-            let claim = SpanRecord {
-                trace,
-                span: tracer.span_id(),
-                parent: Some(queued.span),
-                name: "job.claim",
-                job: Some(id),
-                start_ns: claim_started_ns,
-                dur_ns: tracer.now_ns().saturating_sub(claim_started_ns),
-                attrs: Vec::new(),
-            };
-            entry.trace = Some(SpanContext { trace, span: queued.span });
-            entry.control.set_trace(id, SpanContext { trace, span: claim.span });
-            tracer.record(queued);
-            tracer.record(claim);
+            let mut job = JobTrace { tracer: tracer.clone(), trace, parent, job: id };
+            let claimed = Instant::now();
+            let queued =
+                job.record("job.queued", entry.queued_at, vec![("tenant", spec.tenant.clone())]);
+            job.parent = Some(queued.span);
+            job.parent = Some(job.record("job.claim", claimed, Vec::new()).span);
+            entry.trace = Some(queued);
+            entry.control.set_trace(job);
             Arc::clone(&entry.control)
         };
         let run_started = Instant::now();
@@ -2137,7 +2106,7 @@ mod tests {
                 let id = next;
                 next += 1;
                 state.tenants.get_mut(tid).unwrap().queue.push_back(id);
-                state.jobs.insert(id, JobEntry::new(s, Arc::new(JobControl::new()), None, 0));
+                state.jobs.insert(id, JobEntry::new(s, Arc::new(JobControl::new()), None));
             }
         }
         // Claim 8 with a roomy pool, releasing each claim's threads so
@@ -2167,8 +2136,8 @@ mod tests {
         wide.threads = 2;
         let mut narrow = spec("narrow", 64);
         narrow.tenant = "capped".to_owned();
-        state.jobs.insert(1, JobEntry::new(wide, Arc::new(JobControl::new()), None, 0));
-        state.jobs.insert(2, JobEntry::new(narrow, Arc::new(JobControl::new()), None, 0));
+        state.jobs.insert(1, JobEntry::new(wide, Arc::new(JobControl::new()), None));
+        state.jobs.insert(2, JobEntry::new(narrow, Arc::new(JobControl::new()), None));
         let sched = state.tenants.get_mut("capped").unwrap();
         sched.queue.push_back(1);
         sched.queue.push_back(2);
@@ -2513,7 +2482,7 @@ mod tests {
         s.tenant = tenant.to_owned();
         let id = state.next_id;
         state.next_id += 1;
-        state.enqueue(id, JobEntry::new(s, Arc::new(JobControl::new()), None, 0));
+        state.enqueue(id, JobEntry::new(s, Arc::new(JobControl::new()), None));
         id
     }
 
@@ -2584,7 +2553,7 @@ mod tests {
 
         let mut replayed = spec("revenant", 64);
         replayed.tenant = "a".to_owned();
-        state.enqueue(42, JobEntry::new(replayed, Arc::new(JobControl::new()), None, 0));
+        state.enqueue(42, JobEntry::new(replayed, Arc::new(JobControl::new()), None));
         assert_eq!(claim(&mut state), 42);
         assert!(state.finish(42, Some(report(false)), EVENTS).unwrap().terminal);
         want.entry("a").or_default().0 += 1;

@@ -32,31 +32,21 @@
 //! genome = 8,16|K,KCYXRS,...          # repeated, in population order
 //! ```
 //!
-//! Version 2 run-length-encodes the history: the best-so-far curve is a
+//! The history is run-length-encoded: the best-so-far curve is a
 //! monotone step function, so its exact size tracks *improvements*, not
 //! samples — checkpoints stay flat-sized even on 100k-sample budgets
-//! while still round-tripping bit-identically. Version 1 documents (one
-//! 16-hex word per sample) still parse.
+//! while still round-tripping bit-identically. The `[analytics]` record
+//! carries the cumulative per-operator attribution counters, the
+//! last-improvement generation, and the cost-vs-evaluations curve
+//! (compressed to its improvement points), so operator attribution
+//! survives SIGKILL and resumes counting where it left off.
 //!
-//! Version 3 adds an `[analytics]` section: cumulative per-operator
-//! attribution counters, the last-improvement generation, and the
-//! cost-vs-evaluations curve (compressed to its improvement points), so
-//! operator attribution survives SIGKILL and resumes counting where it
-//! left off. Versions 1 and 2 still parse, restoring with zeroed
-//! analytics. Note: the release that introduced version 3 also floors
-//! the GA's immigrant count at one per generation (populations under 20
-//! previously got none), so search trajectories differ from pre-v3
-//! builds. A version-1/2 snapshot still restores cleanly — it resumes
-//! from its boundary under the *new* trajectory, which bit-matches a
-//! fresh run of this build from that boundary, not the old build's
-//! finished curve.
-//!
-//! Version 4 seals each of the three records with a `crc`. A version-4
-//! document parses only when it holds exactly those three records, each
-//! intact, and no junk line: no damaged byte can parse as a different
-//! snapshot that a resumed job would adopt. Every version rejects a
-//! junk line or a field before the first header, as the strict
-//! [`crate::textio::parse_sections`] always did.
+//! Each of the three records is sealed with a `crc`, and a document
+//! parses only when it is version 4, holds exactly those three records,
+//! each intact, and no junk line: no damaged byte can parse as a
+//! different snapshot that a resumed job would adopt. Earlier versions
+//! carry no `crc` and are refused, so their jobs start over; a fresh run
+//! reaches the same result a resume would have.
 
 use crate::sealed::{self, Record, Records, Seal};
 use crate::textio::{self, Section, TextError};
@@ -64,8 +54,7 @@ use digamma::{CoOptProblem, DiGamma, SearchState};
 use digamma_encoding::Genome;
 use digamma_obs::{CostPoint, OpCounters, OpKind};
 
-/// Current snapshot format version. Parsing accepts this and versions
-/// 1–3 (unsealed; 1–2 are pre-analytics, and 1 is pre-RLE).
+/// The snapshot format version, the only one parsing accepts.
 pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// A parsed (or about-to-be-rendered) checkpoint.
@@ -83,11 +72,9 @@ pub struct Snapshot {
     pub best: Option<Genome>,
     /// The population at the generation boundary.
     pub population: Vec<Genome>,
-    /// Cumulative per-operator attribution (since version 3; zeros for
-    /// older documents).
+    /// Cumulative per-operator attribution.
     pub ops: OpCounters,
-    /// Generation in which the incumbent last improved (since version
-    /// 3; defaults to `generation` for older documents).
+    /// Generation in which the incumbent last improved.
     pub last_improved_gen: u64,
     /// Cost-vs-evaluations curve, compressed to the points where the
     /// best cost changed (plus the first point) so the rendered size
@@ -222,42 +209,44 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`TextError`] on malformed input, a version mismatch, a
-    /// version-4 record that is missing, repeated or fails its `crc`, or
-    /// internal inconsistency (declared population/sample counts not
-    /// matching the document body — the signature of a file truncated
-    /// mid-write).
+    /// Returns [`TextError`] on malformed input, a version other than
+    /// [`SNAPSHOT_VERSION`], a record that is missing, repeated or fails
+    /// its `crc`, or internal inconsistency (declared population/sample
+    /// counts not matching the document body — the signature of a file
+    /// truncated mid-write).
     pub fn parse(text: &str) -> Result<Snapshot, TextError> {
-        // Every version keeps the strict text rules: no junk line, no
-        // field before the first header.
+        // The strict text rules: no junk line, no field before the first
+        // header.
         let mut reader = Records::new(text);
         let records: Vec<Record> = reader.by_ref().collect();
         if reader.junk > 0 || records.iter().any(|r| r.name.is_empty()) {
             return Err(TextError::new("snapshot has a line outside `[section]` / `key = value`"));
         }
-        let section = |name| records.iter().find(|r| r.name == name).map(Record::to_section);
-        let head =
-            section("snapshot").ok_or_else(|| TextError::new("missing [snapshot] section"))?;
+        let section = |name| {
+            let record = records.iter().find(|r| r.name == name);
+            record
+                .map(Record::to_section)
+                .ok_or_else(|| TextError::new(format!("missing [{name}] section")))
+        };
+        let head = section("snapshot")?;
         let version: u64 = head.get_parsed_or("version", 0)?;
-        if !(1..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(TextError::new(format!(
-                "snapshot version {version} unsupported (this build reads 1..={SNAPSHOT_VERSION})"
+                "snapshot version {version} unsupported (this build reads {SNAPSHOT_VERSION})"
             )));
         }
-        // Version 4 is exactly its three sealed records, each intact.
+        // Exactly the three sealed records, each intact.
         let sealed_records = ["snapshot", "analytics", "population"];
-        if version >= 4
-            && (records.len() != sealed_records.len()
-                || records.iter().any(|r| r.seal != Seal::Intact)
-                || sealed_records.iter().any(|&name| records.iter().all(|r| r.name != name)))
+        if records.len() != sealed_records.len()
+            || records.iter().any(|r| r.seal != Seal::Intact)
+            || sealed_records.iter().any(|&name| records.iter().all(|r| r.name != name))
         {
-            return Err(TextError::new("version-4 snapshot is not its three records, intact"));
+            return Err(TextError::new("snapshot is not its three records, intact"));
         }
         let parse_genome =
             |s: &str| Genome::from_text(s).map_err(|e| TextError::new(format!("bad genome: {e}")));
         let best = head.get("best").map(parse_genome).transpose()?;
-        let pop =
-            section("population").ok_or_else(|| TextError::new("missing [population] section"))?;
+        let pop = section("population")?;
         let population = pop
             .get_all("genome")
             .into_iter()
@@ -274,14 +263,9 @@ impl Snapshot {
             )));
         }
         let samples: usize = head.get_parsed_or("samples", 0)?;
-        let raw_history = head.require("history")?;
-        let history = if version >= 2 {
-            // The declared sample count bounds materialization, so a
-            // corrupt run length cannot balloon allocation.
-            textio::f64s_from_rle_text(raw_history, samples)?
-        } else {
-            textio::f64s_from_text(raw_history)?
-        };
+        // The declared sample count bounds materialization, so a corrupt
+        // run length cannot balloon allocation.
+        let history = textio::f64s_from_rle_text(head.require("history")?, samples)?;
         if history.len() != samples {
             return Err(TextError::new(format!(
                 "snapshot declares {samples} samples but carries {} history entries",
@@ -289,47 +273,44 @@ impl Snapshot {
             )));
         }
         let generation: u64 = head.get_parsed_or("generation", 0)?;
-        // Version 3 carries analytics; older documents restore with
-        // zeroed counters and an empty curve.
+        let analytics = section("analytics")?;
+        let last_improved_gen: u64 = analytics
+            .require("last_improved_gen")?
+            .parse()
+            .map_err(|_| TextError::new("bad last_improved_gen"))?;
         let mut ops = OpCounters::new();
-        let mut last_improved_gen = generation;
-        let mut cost_points = Vec::new();
-        if let Some(analytics) = section("analytics") {
-            last_improved_gen = analytics.get_parsed_or("last_improved_gen", generation)?;
-            for raw in analytics.get_all("op") {
-                let mut parts = raw.split_whitespace();
-                let kind = parts
+        for raw in analytics.get_all("op") {
+            let mut parts = raw.split_whitespace();
+            let kind = parts
+                .next()
+                .and_then(OpKind::from_name)
+                .ok_or_else(|| TextError::new(format!("bad op line: {raw:?}")))?;
+            let mut next = || {
+                parts
                     .next()
-                    .and_then(OpKind::from_name)
-                    .ok_or_else(|| TextError::new(format!("bad op line: {raw:?}")))?;
-                let mut next = || {
-                    parts
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| TextError::new(format!("bad op line: {raw:?}")))
-                };
-                let counter = ops.get_mut(kind);
-                counter.attempted = next()?;
-                counter.improved = next()?;
-                counter.incumbents = next()?;
-            }
-            for raw in analytics.get_all("point") {
-                let mut parts = raw.split_whitespace();
-                let mut next_u64 = || {
-                    parts
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| TextError::new(format!("bad point line: {raw:?}")))
-                };
-                let generation = next_u64()?;
-                let evals = next_u64()?;
-                let best = textio::f64_from_text(
-                    parts
-                        .next()
-                        .ok_or_else(|| TextError::new(format!("bad point line: {raw:?}")))?,
-                )?;
-                cost_points.push(CostPoint { generation, evals, best });
-            }
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .ok_or_else(|| TextError::new(format!("bad op line: {raw:?}")))
+            };
+            let counter = ops.get_mut(kind);
+            counter.attempted = next()?;
+            counter.improved = next()?;
+            counter.incumbents = next()?;
+        }
+        let mut cost_points = Vec::new();
+        for raw in analytics.get_all("point") {
+            let mut parts = raw.split_whitespace();
+            let mut next_u64 = || {
+                parts
+                    .next()
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .ok_or_else(|| TextError::new(format!("bad point line: {raw:?}")))
+            };
+            let generation = next_u64()?;
+            let evals = next_u64()?;
+            let best = textio::f64_from_text(
+                parts.next().ok_or_else(|| TextError::new(format!("bad point line: {raw:?}")))?,
+            )?;
+            cost_points.push(CostPoint { generation, evals, best });
         }
         Ok(Snapshot {
             fingerprint: head.require("fingerprint")?.to_owned(),
@@ -419,69 +400,6 @@ mod tests {
                 assert_eq!(parsed.history.len(), state.history().len());
             }
         }
-    }
-
-    #[test]
-    fn v1_documents_still_parse() {
-        // A surviving checkpoint from a pre-RLE build (version 1, one
-        // 16-hex word per sample) must restore after an upgrade.
-        let (problem, ga) = setup();
-        let mut state = ga.init(&problem, 64);
-        ga.step(&problem, &mut state, 64);
-        let snap = Snapshot::capture("j", &state);
-        let v1: String = snap
-            .render()
-            .lines()
-            .map(|line| {
-                if line.starts_with("version = ") {
-                    "version = 1".to_owned()
-                } else if line.starts_with("history = ") {
-                    format!("history = {}", crate::textio::f64s_to_text(&snap.history))
-                } else {
-                    line.to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = Snapshot::parse(&v1).unwrap();
-        assert_eq!(parsed.population, snap.population);
-        for (a, b) in parsed.history.iter().zip(&snap.history) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn v2_documents_still_parse_with_zeroed_analytics() {
-        // A surviving checkpoint from a pre-analytics build (version 2,
-        // no [analytics] section) must restore after an upgrade.
-        let (problem, ga) = setup();
-        let mut state = ga.init(&problem, 64);
-        ga.step(&problem, &mut state, 64);
-        let snap = Snapshot::capture("j", &state);
-        let v2: String = snap
-            .render()
-            .lines()
-            .filter(|line| {
-                !line.starts_with("last_improved_gen = ")
-                    && !line.starts_with("op = ")
-                    && !line.starts_with("point = ")
-                    && *line != "[analytics]"
-            })
-            .map(|line| {
-                if line.starts_with("version = ") {
-                    "version = 2".to_owned()
-                } else {
-                    line.to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = Snapshot::parse(&v2).unwrap();
-        assert_eq!(parsed.population, snap.population);
-        assert_eq!(parsed.ops, digamma_obs::OpCounters::new());
-        assert!(parsed.cost_points.is_empty());
-        assert_eq!(parsed.last_improved_gen, parsed.generation, "defaults to the boundary");
-        assert!(parsed.restore(&ga, &problem, "j").is_ok());
     }
 
     #[test]

@@ -241,26 +241,6 @@ pub fn f64_from_text(s: &str) -> Result<f64, TextError> {
     Ok(f64::from_bits(bits))
 }
 
-/// Renders a slice of `f64`s as one comma-joined exact line.
-pub fn f64s_to_text(values: &[f64]) -> String {
-    let rendered: Vec<String> = values.iter().map(|&v| f64_to_text(v)).collect();
-    rendered.join(",")
-}
-
-/// Parses a line rendered by [`f64s_to_text`]; empty input is an empty
-/// slice.
-///
-/// # Errors
-///
-/// Returns [`TextError`] if any element fails to parse.
-pub fn f64s_from_text(s: &str) -> Result<Vec<f64>, TextError> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',').map(f64_from_text).collect()
-}
-
 /// Renders a slice of `f64`s as bit-exact run-length-encoded text:
 /// comma-joined `<16 hex digits>x<count>` segments (count omitted when
 /// 1). Monotone step functions — the best-so-far history checkpoints
@@ -473,18 +453,5 @@ mod tests {
             assert_eq!(u64_from_hex(&format!("{v:016x}")), Ok(v));
             assert_eq!(u64_from_hex(&format!("{v:016X}")), Ok(v));
         }
-    }
-
-    #[test]
-    fn f64_slices_roundtrip() {
-        let values = vec![f64::INFINITY, 1.0, 0.1 + 0.2];
-        let text = f64s_to_text(&values);
-        let back = f64s_from_text(&text).unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in values.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(f64s_from_text("").unwrap().is_empty());
-        assert!(f64s_from_text("zz").is_err());
     }
 }

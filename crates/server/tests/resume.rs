@@ -3,9 +3,9 @@
 //! search that was never interrupted — same history (to the bit), same
 //! best genome, same sample count.
 
-use digamma::{CoOptProblem, DiGamma, DiGammaConfig, Objective, SearchResult};
+use digamma::{CoOptProblem, DiGamma, DiGammaConfig, Objective, SearchResult, SearchState};
 use digamma_costmodel::Platform;
-use digamma_server::{JobAlgorithm, JobSpec, SearchServer, ServerConfig, Snapshot};
+use digamma_server::{JobAlgorithm, JobReport, JobSpec, SearchServer, ServerConfig, Snapshot};
 use digamma_workload::zoo;
 
 fn problem() -> CoOptProblem {
@@ -83,15 +83,10 @@ fn repeated_kills_compose() {
     assert_bit_identical(&uninterrupted, &final_state.into_result());
 }
 
-/// The same guarantee through the server: a job whose checkpoint file
-/// survives a kill resumes (the report says from which generation) and
-/// produces the uninterrupted result; the checkpoint is cleaned up on
-/// completion.
-#[test]
-fn server_resumes_from_surviving_checkpoint() {
-    let dir = std::env::temp_dir().join(format!("digamma-resume-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
+/// A served job, its uninterrupted result (cache-less and
+/// checkpoint-less), and the state a run of it killed after 5
+/// generations leaves.
+fn killed_job() -> (JobSpec, JobReport, SearchState) {
     let mut job = JobSpec::new(
         "resnet-edge",
         zoo::ncf(),
@@ -102,38 +97,74 @@ fn server_resumes_from_surviving_checkpoint() {
     job.budget = 320;
     job.population_size = 16;
     job.seed = 9;
-
-    // The uninterrupted reference, cache-less and checkpoint-less.
     let plain =
         SearchServer::new(ServerConfig { workers: 1, cache_capacity: 0, ..Default::default() });
     let reference = plain.run_job(&job);
-
-    // Simulate the killed first run: drive the same job manually for 5
-    // generations and leave its snapshot where the server will look.
     let ga = searcher(9);
     let prob = problem();
     let mut state = ga.init(&prob, job.budget);
     for _ in 0..5 {
         ga.step(&prob, &mut state, job.budget);
     }
+    (job, reference, state)
+}
+
+/// Runs `job` on a checkpointing server that finds `snapshot` where it
+/// looks for the job's checkpoint, and reports whether the file outlived
+/// the job.
+fn serve_with_snapshot(tag: &str, job: &JobSpec, snapshot: &str) -> (JobReport, bool) {
+    let dir = std::env::temp_dir().join(format!("digamma-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let server = SearchServer::new(ServerConfig {
         workers: 1,
         checkpoint_dir: Some(dir.clone()),
         ..Default::default()
     });
-    let ckpt = server.checkpoint_path(&job).unwrap();
-    std::fs::write(&ckpt, Snapshot::capture(job.fingerprint(), &state).render()).unwrap();
+    let ckpt = server.checkpoint_path(job).unwrap();
+    std::fs::write(&ckpt, snapshot).unwrap();
+    let report = server.run_job(job);
+    // The snapshot writer removes a finished job's checkpoint; dropping
+    // the server drains it.
+    drop(server);
+    let left = ckpt.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    (report, left)
+}
 
-    let report = server.run_job(&job);
-    assert_eq!(report.resumed_at, Some(5), "server must resume, not restart");
-    assert!(!ckpt.exists(), "finished jobs clean up their checkpoint");
-
-    let (a, b) = (reference.best.unwrap(), report.best.unwrap());
+fn assert_same_best(reference: &JobReport, report: &JobReport) {
+    let (a, b) = (reference.best.as_ref().unwrap(), report.best.as_ref().unwrap());
     assert_eq!(a.genome, b.genome);
     assert_eq!(a.cost.to_bits(), b.cost.to_bits());
     assert_eq!(reference.samples, report.samples);
+}
 
-    std::fs::remove_dir_all(&dir).ok();
+/// The same guarantee through the server: a job whose checkpoint file
+/// survives a kill resumes (the report says from which generation) and
+/// produces the uninterrupted result; the checkpoint is cleaned up on
+/// completion.
+#[test]
+fn server_resumes_from_surviving_checkpoint() {
+    let (job, reference, state) = killed_job();
+    let snapshot = Snapshot::capture(job.fingerprint(), &state).render();
+    let (report, left) = serve_with_snapshot("resume", &job, &snapshot);
+    assert_eq!(report.resumed_at, Some(5), "server must resume, not restart");
+    assert!(!left, "finished jobs clean up their checkpoint");
+    assert_same_best(&reference, &report);
+}
+
+/// Only version 4 carries a `crc` per record, so a snapshot whose
+/// version line says 3 is refused however intact its bytes look: the
+/// job starts over and still reaches the uninterrupted result.
+#[test]
+fn server_restarts_a_job_whose_snapshot_is_not_version_4() {
+    let (job, reference, state) = killed_job();
+    let sealed = Snapshot::capture(job.fingerprint(), &state).render();
+    let downgraded = sealed.replacen("\nversion = 4\n", "\nversion = 3\n", 1);
+    assert_ne!(downgraded, sealed);
+    assert!(Snapshot::parse(&downgraded).is_err(), "a version-3 snapshot parsed");
+    let (report, _) = serve_with_snapshot("downgraded", &job, &downgraded);
+    assert_eq!(report.resumed_at, None, "a refused snapshot must not be resumed");
+    assert_same_best(&reference, &report);
 }
 
 /// A checkpoint from a *different* job (other seed/budget) must be
